@@ -84,10 +84,6 @@ class FamilySpec:
     def is_finite(self) -> bool:
         return self.support_N is not None
 
-    def max_degree(self):
-        """Largest n with an orthogonal polynomial (None = unbounded)."""
-        return self.support_N
-
     def with_a(self, new_a) -> "FamilySpec":
         new_a = tuple(new_a)
         if len(new_a) == 1 and self.m > 2:

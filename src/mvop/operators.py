@@ -12,8 +12,9 @@ G = -g on the diagonal.
 ``conjugated_operator`` implements the closed-form conjugation of a diagonal
 operator by the unipotent factor U(x) = I + A x, and ``canonical_operator``
 builds the per-family normalized operator whose eigenvalues interlace across
-odd and even channels.  ``extract_recurrence`` recovers the three-term
-recurrence matrices by exact coefficient matching, with no inner products.
+odd and even channels.  ``match_recurrence`` recovers the three-term
+recurrence matrices from three consecutive polynomials by exact coefficient
+matching, with no inner products; ``extract_recurrence`` builds them first.
 """
 from __future__ import annotations
 
@@ -22,15 +23,13 @@ from fractions import Fraction
 
 from . import linalg
 from .construction import (
-    A_PROBES,
-    TAU_PROBES,
     FamilySpec,
     closure_polynomial,
     needs_mass_probe,
     nilpotent_matrix,
     orthogonal_polynomial,
 )
-from .errors import SpecError
+from .errors import ProbeError, SpecError
 from .families import Charlier, Hahn, Krawtchouk, Meixner, ScalarOperator
 from .poly import MatrixPoly, ScalarPoly
 
@@ -212,25 +211,42 @@ def _const(matrix_rows) -> MatrixPoly:
 
 
 def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
-    """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) by exact coefficient
-    matching (unique because leading coefficients are invertible).
+    """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
+    sequence; see ``match_recurrence``.
 
     On a finite support, n = N closes through the degree-(N+1) companion
-    built from the vanishing-norm extension.
+    built from the vanishing-norm extension.  Exact closure needs exact
+    coefficients, so a transcendental mass quotient needs a rational tau.
     """
     if n < 0:
         raise SpecError(f"recurrence index must be >= 0, got {n}")
     top = spec.support_N
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
-    tau_arg = tau if needs_mass_probe(spec) else None
+    probed = needs_mass_probe(spec)
+    if probed and tau == "numeric":
+        raise ProbeError(
+            "the three-term recurrence is extracted exactly and cannot use the "
+            "float mass quotient; pass --tau a rational probe value such as 2, "
+            "not 'numeric'"
+        )
+    tau_arg = tau if probed else None
     Q_n = orthogonal_polynomial(spec, n, tau=tau_arg)
     if top is not None and n == top:
         Q_next = closure_polynomial(spec, tau=tau_arg)
     else:
         Q_next = orthogonal_polynomial(spec, n + 1, tau=tau_arg)
     Q_prev = orthogonal_polynomial(spec, n - 1, tau=tau_arg) if n >= 1 else None
+    return match_recurrence(spec, n, Q_prev, Q_n, Q_next)
 
+
+def match_recurrence(spec: FamilySpec, n: int, Q_prev, Q_n: MatrixPoly,
+                     Q_next: MatrixPoly) -> RecurrenceTriple:
+    """The recurrence matrices at n from Q_(n-1) (None at n = 0), Q_n and
+    Q_(n+1), by exact coefficient matching (unique because leading
+    coefficients are invertible).  Raises AssertionError when the residual
+    does not vanish.
+    """
     target = Q_n.scale(ScalarPoly.x())
     lead_next = linalg.mat_inverse(Q_next.coefficient(n + 1))
     A_n = linalg.mat_mul(target.coefficient(n + 1), lead_next)
@@ -251,126 +267,3 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
             f"three-term recurrence failed to close at n = {n} for {spec!r}"
         )
     return RecurrenceTriple(A=A_n, B=B_n, C=C_n)
-
-
-# --------------------------------------------------------------------------
-# verification
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    n: int
-    probe_a: object
-    probe_tau: object
-    passed: bool
-    detail: str = ""
-
-    def to_json(self):
-        return {
-            "check": self.name,
-            "n": self.n,
-            "a": None if self.probe_a is None else str(self.probe_a),
-            "tau": None if self.probe_tau is None else str(self.probe_tau),
-            "pass": self.passed,
-            "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
-    a_probes: tuple
-    tau_probes: tuple
-    notes: tuple = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self):
-        return tuple(c for c in self.checks if not c.passed)
-
-    def to_json(self):
-        return {
-            "probe_grid": {
-                "a": [str(v) for v in self.a_probes],
-                "tau": [str(v) for v in self.tau_probes],
-            },
-            "pass": self.all_passed,
-            "notes": list(self.notes),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
-def _corruption(m: int):
-    """A constant bump on entry (1,1): the deliberate-perturbation fixture."""
-    return tuple(
-        tuple(Fraction(1) if (i, j) == (0, 0) else Fraction(0) for j in range(m))
-        for i in range(m)
-    )
-
-
-def _first_nonzero(P: MatrixPoly) -> str:
-    for i, row in enumerate(P.entries):
-        for j, e in enumerate(row):
-            if not e.is_zero:
-                return f"entry ({i + 1},{j + 1}) = {e!r}"
-    return ""
-
-
-def probe_grid(spec: FamilySpec, a_probes=None, tau_probes=None):
-    """The (a, tau) pairs identity checks sweep.  tau collapses to (None,)
-    when every mass quotient in the family is rational."""
-    a_probes = A_PROBES if a_probes is None else tuple(a_probes)
-    if needs_mass_probe(spec):
-        taus = TAU_PROBES if tau_probes is None else tuple(tau_probes)
-    else:
-        taus = (None,)
-    return a_probes, taus
-
-
-def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
-                         tau_probes=None, operator=None, force: bool = False,
-                         perturb: bool = False) -> VerificationReport:
-    """Check Q_n . D - Lambda_n Q_n = 0 identically over the probe grid.
-
-    By default the canonical operator is rebuilt for each probe value of the
-    coupling constant (the operator depends on it); passing ``operator`` as a
-    prebuilt (D, eigenvalue_map) pair restricts the sweep to the spec's own
-    coupling values.  Failures are recorded per (n, probe) with the first
-    nonzero entry; nothing raises.
-    """
-    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
-    if operator is not None:
-        a_vals = (None,)
-    checks = []
-    for a_val in a_vals:
-        probe_spec = spec if a_val is None else spec.with_a((a_val,) * (spec.m - 1))
-        if operator is None:
-            D, eig = canonical_operator(probe_spec, force=force)
-        else:
-            D, eig = operator
-        for tau in tau_vals:
-            for n in range(n_max + 1):
-                Q = orthogonal_polynomial(probe_spec, n, tau=tau)
-                if perturb and n >= 1:
-                    Q = Q + MatrixPoly.from_scalar_matrix(_corruption(spec.m))
-                residual = D.apply(Q) - eig.matrix(n) @ Q
-                ok = residual.is_zero
-                checks.append(
-                    CheckResult(
-                        name="eigenfunction",
-                        n=n,
-                        probe_a=a_val if a_val is not None else spec.a,
-                        probe_tau=tau,
-                        passed=ok,
-                        detail="" if ok else _first_nonzero(residual),
-                    )
-                )
-    return VerificationReport(
-        checks=tuple(checks),
-        a_probes=tuple(a_vals),
-        tau_probes=tuple(t for t in tau_vals),
-    )

@@ -24,8 +24,12 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p" for integers, "p/q" otherwise (the wire format)."""
+def format_rational(q) -> str:
+    """Render as "p" for integers, "p/q" otherwise (the wire format).  A float
+    (a value computed from a float mass quotient) renders by repr, so that it
+    reads as a float rather than as an exact binary fraction."""
+    if isinstance(q, float):
+        return repr(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)

@@ -138,21 +138,8 @@ def convergence_to_json(report):
         "precision": report.precision,
         "monotone": report.monotone,
         "steps": [s.to_json() for s in report.steps],
-        "target": matpoly_to_json_or_float(report.target),
+        "target": matpoly_to_json(report.target),
     }
-
-
-def matpoly_to_json_or_float(P: MatrixPoly):
-    try:
-        return matpoly_to_json(P)
-    except (TypeError, ValueError):
-        return {
-            "rows": P.rows,
-            "cols": P.cols,
-            "entries": [
-                [[repr(float(c)) for c in e.coeffs] for e in row] for row in P.entries
-            ],
-        }
 
 
 def convergence_to_csv(report) -> str:

@@ -1,173 +1,240 @@
-"""Verification suites: orthogonality, bispectrality, recurrence residual.
+"""Verification suites: orthogonality, bispectrality, recurrence residual,
+with their check results and reports.
 
-Exact checks sweep the probe grid (coupling values x mass-quotient values);
-each probe instance is itself an exact rational identity check, and the grid
-oversamples the identities' degrees in the formal parameters.  Infinite
-supports use truncated float sums with the true transcendental quotients.
-
-Work items fan out to a thread pool capped by the MVOP_THREADS environment
-variable (default: run inline).
+``run_verification`` sweeps the probe grid (coupling values x mass-quotient
+values) once.  Each probe builds Q_0..Q_top and the closing Q_(top+1) a single
+time and runs the exact orthogonality, eigenfunction and recurrence checks on
+that one list; each probe instance is itself an exact rational identity
+check, and the grid oversamples the identities' degrees in the formal
+parameters.  Infinite supports (and ``truncated=True``) check orthogonality
+by truncated float sums on the spec's own couplings, with the true
+transcendental quotients.  All work runs inline: it is pure-Python
+``Fraction`` arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .construction import (
+    A_PROBES,
+    TAU_PROBES,
     FamilySpec,
+    closure_polynomial,
     inner_product,
     needs_mass_probe,
     orthogonal_polynomial,
     relative_gram_bound,
 )
 from .errors import SpecError
-from .operators import (
-    CheckResult,
-    VerificationReport,
-    extract_recurrence,
-    probe_grid,
-    verify_eigenfunction,
-)
+from .operators import canonical_operator, match_recurrence
 from .poly import MatrixPoly
-from .operators import _corruption  # test fixture: deliberate corruption
 
 
-def pool_map(fn, items):
-    """Order-preserving map over a worker pool sized by MVOP_THREADS."""
-    workers = int(os.environ.get("MVOP_THREADS", "1") or "1")
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    n: int
+    probe_a: object
+    probe_tau: object
+    passed: bool
+    detail: str = ""
+
+    def to_json(self):
+        return {
+            "check": self.name,
+            "n": self.n,
+            "a": None if self.probe_a is None else str(self.probe_a),
+            "tau": None if self.probe_tau is None else str(self.probe_tau),
+            "pass": self.passed,
+            "detail": self.detail,
+        }
 
 
-def _maybe_corrupt(Q, n, m, perturb):
-    if perturb and n >= 1:
-        return Q + MatrixPoly.from_scalar_matrix(_corruption(m))
-    return Q
+@dataclass(frozen=True)
+class VerificationReport:
+    checks: tuple
+    a_probes: tuple
+    tau_probes: tuple
+    notes: tuple = ()
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def failures(self):
+        return tuple(c for c in self.checks if not c.passed)
+
+    def to_json(self):
+        return {
+            "probe_grid": {
+                "a": [str(v) for v in self.a_probes],
+                "tau": [str(v) for v in self.tau_probes],
+            },
+            "pass": self.all_passed,
+            "notes": list(self.notes),
+            "checks": [c.to_json() for c in self.checks],
+        }
 
 
-def verify_orthogonality(spec: FamilySpec, n_max: int, a_probes=None,
-                         tau_probes=None, x_max: int = 400, tol: float = 1e-9,
-                         perturb: bool = False, force_truncated: bool = False) -> tuple:
-    """Pairwise <Q_n, Q_k> = 0 checks.  Exact on finite support over the
-    coupling probe grid; truncated floats (relative bound < tol) otherwise.
-    ``force_truncated`` runs the float path even on a finite support."""
-    checks = []
-    if spec.is_finite and not force_truncated:
-        from .construction import A_PROBES
-
-        a_vals = A_PROBES if a_probes is None else tuple(a_probes)
-        for a_val in a_vals:
-            probe = spec.with_a((a_val,) * (spec.m - 1))
-            top = min(n_max, probe.support_N)
-            polys = [
-                _maybe_corrupt(orthogonal_polynomial(probe, n), n, spec.m, perturb)
-                for n in range(top + 1)
-            ]
-
-            def one_pair(pair, probe=probe, polys=polys, a_val=a_val):
-                n, k = pair
-                g = inner_product(polys[n], polys[k], probe)
-                return CheckResult(
-                    name="orthogonality",
-                    n=n,
-                    probe_a=a_val,
-                    probe_tau=None,
-                    passed=g.is_zero,
-                    detail=f"k = {k}" + ("" if g.is_zero else f"; gram = {g.entries}"),
-                )
-
-            pairs = [(n, k) for n in range(top + 1) for k in range(n)]
-            checks.extend(pool_map(one_pair, pairs))
+def probe_grid(spec: FamilySpec, a_probes=None, tau_probes=None):
+    """The (a, tau) pairs identity checks sweep.  tau collapses to (None,)
+    when every mass quotient in the family is rational."""
+    a_probes = A_PROBES if a_probes is None else tuple(a_probes)
+    if needs_mass_probe(spec):
+        taus = TAU_PROBES if tau_probes is None else tuple(tau_probes)
     else:
-        tau = "numeric" if needs_mass_probe(spec) else None
-        top = n_max if spec.support_N is None else min(n_max, spec.support_N)
-        polys = [
-            _maybe_corrupt(
-                orthogonal_polynomial(spec, n, tau=tau), n, spec.m, perturb
-            )
-            for n in range(top + 1)
-        ]
-
-        def one_pair(pair):
-            n, k = pair
-            bound = relative_gram_bound(polys[n], polys[k], spec, x_max=x_max, tol=tol)
-            return CheckResult(
-                name="orthogonality",
-                n=n,
-                probe_a=spec.a if len(spec.a) > 1 else spec.a[0],
-                probe_tau="numeric" if tau else None,
-                passed=bound < tol,
-                detail=f"k = {k}; relative bound = {bound:.3e}",
-            )
-
-        pairs = [(n, k) for n in range(top + 1) for k in range(n)]
-        checks.extend(pool_map(one_pair, pairs))
-    return tuple(checks)
+        taus = (None,)
+    return a_probes, taus
 
 
-def verify_recurrence(spec: FamilySpec, n_max: int, a_probes=None,
-                      tau_probes=None) -> tuple:
-    """Residual of the extracted three-term recurrence over the probe grid
-    (extraction itself asserts exact closure)."""
-    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
-    top = n_max if spec.support_N is None else min(n_max, spec.support_N)
-    work = [
-        (a_val, tau, n)
-        for a_val in a_vals
-        for tau in tau_vals
-        for n in range(top + 1)
-    ]
+def _perturbed(polys, perturb: bool):
+    """The deliberate-perturbation fixture: with ``perturb``, a constant bump
+    on entry (1,1) of every Q_n with n >= 1, so that verification must fail."""
+    if not perturb or not polys:
+        return polys
+    m = polys[0].rows
+    bump = MatrixPoly.from_scalar_matrix(
+        tuple(tuple(Fraction(int((i, j) == (0, 0))) for j in range(m)) for i in range(m))
+    )
+    return [Q if n == 0 else Q + bump for n, Q in enumerate(polys)]
 
-    def one(item):
-        a_val, tau, n = item
-        probe = spec.with_a((a_val,) * (spec.m - 1))
+
+def _first_nonzero(P: MatrixPoly) -> str:
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            if not e.is_zero:
+                return f"entry ({i + 1},{j + 1}) = {e!r}"
+    return ""
+
+
+def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
+                         truncated: bool = False, x_max: int = 400,
+                         tol: float = 1e-9) -> list:
+    """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec``:
+    exactly over the finite support, or with ``truncated`` by the relative
+    bound of truncated float sums against ``tol``."""
+    checks = []
+    for n in range(len(polys)):
+        for k in range(n):
+            if truncated:
+                bound = relative_gram_bound(polys[n], polys[k], spec, x_max=x_max, tol=tol)
+                passed = bound < tol
+                detail = f"k = {k}; relative bound = {bound:.3e}"
+            else:
+                g = inner_product(polys[n], polys[k], spec)
+                passed = g.is_zero
+                detail = f"k = {k}" + ("" if passed else f"; gram = {g.entries}")
+            checks.append(CheckResult(
+                name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
+                passed=passed, detail=detail,
+            ))
+    return checks
+
+
+def _eigenfunction_checks(operator, polys, probe_a, probe_tau) -> list:
+    """Q_n . D - Lambda_n Q_n = 0 identically, with the first nonzero entry
+    of the residual recorded on failure."""
+    D, eig = operator
+    checks = []
+    for n, Q in enumerate(polys):
+        residual = D.apply(Q) - eig.matrix(n) @ Q
+        ok = residual.is_zero
+        checks.append(CheckResult(
+            name="eigenfunction", n=n, probe_a=probe_a, probe_tau=probe_tau,
+            passed=ok, detail="" if ok else _first_nonzero(residual),
+        ))
+    return checks
+
+
+def verify_recurrence(spec: FamilySpec, polys, probe_a, probe_tau) -> list:
+    """Exact closure of the three-term recurrence at every degree of
+    ``polys`` but the last, which is the closing Q_(top+1)."""
+    checks = []
+    for n in range(len(polys) - 1):
         try:
-            extract_recurrence(probe, n, tau=tau)
-            return CheckResult(
-                name="recurrence", n=n, probe_a=a_val, probe_tau=tau, passed=True
-            )
+            match_recurrence(spec, n, polys[n - 1] if n else None, polys[n], polys[n + 1])
+            checks.append(CheckResult(
+                name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau, passed=True
+            ))
         except AssertionError as err:
-            return CheckResult(
-                name="recurrence",
-                n=n,
-                probe_a=a_val,
-                probe_tau=tau,
-                passed=False,
-                detail=str(err),
-            )
+            checks.append(CheckResult(
+                name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
+                passed=False, detail=str(err),
+            ))
+    return checks
 
-    return tuple(pool_map(one, work))
+
+def _probe(spec: FamilySpec, a_val) -> FamilySpec:
+    return spec.with_a((a_val,) * (spec.m - 1))
+
+
+def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
+                         tau_probes=None, force: bool = False,
+                         perturb: bool = False) -> VerificationReport:
+    """Check Q_n . D - Lambda_n Q_n = 0 identically over the probe grid.
+
+    The canonical operator is rebuilt for each probe value of the coupling
+    constant (the operator depends on it).  Failures are recorded per
+    (n, probe) with the first nonzero entry; nothing raises.
+    """
+    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
+    checks = []
+    for a_val in a_vals:
+        probe = _probe(spec, a_val)
+        operator = canonical_operator(probe, force=force)
+        for tau in tau_vals:
+            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(n_max + 1)]
+            checks.extend(_eigenfunction_checks(operator, _perturbed(polys, perturb), a_val, tau))
+    return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
 def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
                      tau_probes=None, x_max: int = 400, tol: float = 1e-9,
                      perturb: bool = False, truncated: bool = False) -> VerificationReport:
     """The full suite: orthogonality, bispectrality (when the family carries
-    a canonical operator), and recurrence residuals."""
+    a canonical operator), and recurrence residuals, reported in that order."""
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
-    checks = list(
-        verify_orthogonality(
-            spec, n_max, a_probes, tau_probes, x_max=x_max, tol=tol,
-            perturb=perturb, force_truncated=truncated,
-        )
-    )
-    notes = []
-    try:
-        eig_report = verify_eigenfunction(
-            spec, n_max=min(n_max, spec.support_N) if spec.is_finite else n_max,
-            a_probes=a_probes, tau_probes=tau_probes, perturb=perturb,
-        )
-        checks.extend(eig_report.checks)
-    except SpecError as err:
-        notes.append(f"bispectral suite skipped: {err}")
-    checks.extend(verify_recurrence(spec, n_max, a_probes, tau_probes))
+    if n_max < 0:
+        raise SpecError(f"n_max must be >= 0, got {n_max}")
+    top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
+    exact_gram = spec.is_finite and not truncated
+    orthogonality, eigenfunction, recurrence, notes = [], [], [], []
+    if not exact_gram:
+        # the float path: the spec's own couplings and float mass quotients
+        tau = "numeric" if needs_mass_probe(spec) else None
+        polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)]
+        orthogonality = verify_orthogonality(
+            spec, _perturbed(polys, perturb), spec.a if len(spec.a) > 1 else spec.a[0],
+            tau, truncated=True, x_max=x_max, tol=tol,
+        )
+
+    probes = [(a_val, _probe(spec, a_val)) for a_val in a_vals]
+    try:
+        operators = [canonical_operator(probe) for _, probe in probes]
+    except SpecError as err:
+        operators = [None] * len(probes)
+        notes.append(f"bispectral suite skipped: {err}")
+
+    for (a_val, probe), operator in zip(probes, operators):
+        for tau in tau_vals:
+            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
+            if top == probe.support_N:
+                closing = closure_polynomial(probe, tau=tau)
+            else:
+                closing = orthogonal_polynomial(probe, top + 1, tau=tau)
+            checked = _perturbed(polys, perturb)
+            if exact_gram:
+                orthogonality.extend(verify_orthogonality(probe, checked, a_val, tau))
+            if operator is not None:
+                eigenfunction.extend(_eigenfunction_checks(operator, checked, a_val, tau))
+            recurrence.extend(verify_recurrence(probe, polys + [closing], a_val, tau))
+
     return VerificationReport(
-        checks=tuple(checks),
+        checks=tuple(orthogonality + eigenfunction + recurrence),
         a_probes=a_vals,
         tau_probes=tau_vals,
         notes=tuple(notes),

@@ -28,8 +28,9 @@ from mvop.limits import (
     ode_residual,
     run_transition,
 )
-from mvop.operators import extract_recurrence, verify_eigenfunction
+from mvop.operators import extract_recurrence
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.verification import verify_eigenfunction
 
 from reference_recurrences import (
     charlier_meixner_triple,

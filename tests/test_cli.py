@@ -97,6 +97,21 @@ class TestFamily:
         res = run_cli("family", "--spec", str(tmp_path / "absent.json"))
         assert res.returncode == 3
 
+    def test_numeric_tau_recurrence_exits_2(self, spec_files):
+        res = run_cli("family", "--spec", spec_files["charlier_bc"], "--n", "2", "--recurrence")
+        assert res.returncode == 2
+        assert "--tau" in res.stderr and "rational" in res.stderr
+
+    def test_numeric_tau_coefficients_render_as_floats(self, spec_files):
+        res = run_cli("family", "--spec", spec_files["charlier_bc"], "--n", "2")
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert data["tau"] == "numeric"
+        coeffs = [c for Q in data["Q"] for row in Q["entries"] for e in row for c in e]
+        floats = [c for c in coeffs if "." in c or "e" in c]
+        assert floats and all(repr(float(c)) == c for c in floats)
+        assert not any("/" in c for c in coeffs)
+
     def test_invalid_spec_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"m": 2, "a": ["0"], "channels": KRAW44["channels"]}))
@@ -115,6 +130,19 @@ class TestVerify:
         assert report["probe_grid"]["a"] == ["1", "2", "3", "1/2", "-1"]
         kinds = {c["check"] for c in report["checks"]}
         assert kinds == {"orthogonality", "eigenfunction", "recurrence"}
+
+    def test_checks_grouped_by_kind(self, spec_files, tmp_path):
+        out = tmp_path / "report.json"
+        res = run_cli("verify", "--spec", spec_files["kraw44"], "--out", str(out))
+        assert res.returncode == 0
+        kinds = [c["check"] for c in json.loads(out.read_text())["checks"]]
+        # 5 a-probes x 10 pairs, then 5 x 5 degrees for each of the others
+        assert kinds == ["orthogonality"] * 50 + ["eigenfunction"] * 25 + ["recurrence"] * 25
+
+    def test_negative_n_max_exits_2(self, spec_files):
+        res = run_cli("verify", "--spec", spec_files["kraw44"], "--n-max", "-1")
+        assert res.returncode == 2
+        assert "n_max" in res.stderr
 
     def test_perturbed_exits_1(self, spec_files):
         res = run_cli("verify", "--spec", spec_files["kraw44"], "--perturb", "--out", os.devnull)
@@ -194,6 +222,11 @@ class TestExport:
         assert res.returncode == 0
         data = json.loads(res.stdout)
         assert set(["D", "Lambda"]) <= set(data)
+
+    def test_numeric_tau_recurrence_exits_2(self, spec_files):
+        res = run_cli("export", "--spec", spec_files["charlier_bc"], "--what", "recurrence")
+        assert res.returncode == 2
+        assert "--tau" in res.stderr and "rational" in res.stderr
 
     def test_recurrence(self, spec_files):
         res = run_cli("export", "--spec", spec_files["kraw44"], "--what", "recurrence", "--n", "1")

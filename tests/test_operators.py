@@ -13,9 +13,9 @@ from mvop.operators import (
     conjugated_operator,
     diagonal_operator,
     extract_recurrence,
-    verify_eigenfunction,
 )
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.verification import verify_eigenfunction
 
 from reference_recurrences import (
     charlier_meixner_triple,
