@@ -14,11 +14,17 @@ from .construction import (
     family_spec_from_json,
     needs_mass_probe,
     orthogonal_polynomial,
+    successor_polynomial,
     weight_matrix,
 )
 from .errors import ProbeError, SpecError, TruncationError
 from .limits import run_transition, transition_spec_from_json
-from .operators import canonical_operator, extract_recurrence
+from .operators import (
+    canonical_operator,
+    exact_tau,
+    extract_recurrence,
+    match_recurrence,
+)
 from .rational import format_rational, rational
 from .serialize import (
     convergence_to_csv,
@@ -81,6 +87,8 @@ def _tau_for(spec: FamilySpec, args) -> object:
 def cmd_family(args) -> int:
     spec = _load_family(args.spec)
     tau = _tau_for(spec, args)
+    if args.n < 0:
+        raise SpecError(f"--n must be >= 0, got {args.n}")
     top = spec.support_N
     n_hi = args.n if top is None else min(args.n, top)
     polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(n_hi + 1)]
@@ -120,9 +128,10 @@ def cmd_family(args) -> int:
         artifact["Lambda"] = None
         artifact["note"] = operator_note
     if args.recurrence:
+        chain = polys + [successor_polynomial(spec, n_hi, tau=exact_tau(spec, tau))]
         triples = []
         for n in range(n_hi + 1):
-            t = extract_recurrence(spec, n, tau=tau)
+            t = match_recurrence(spec, n, chain[n - 1] if n else None, chain[n], chain[n + 1])
             triples.append(
                 {
                     key: [[format_rational(v) for v in row] for row in mat]

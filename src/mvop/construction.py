@@ -11,12 +11,22 @@ monic polynomials and their squared-norm ratios; the only non-rational
 constants are cross-channel total-mass quotients, which exact identity
 checks replace by a rational probe value (tau) and numeric checks evaluate
 as floats.
+
+Exact Gram matrices on a finite support use the factorisation of W:
+
+    <P, Q>_ij = sum_x sum_r (P U)(x)_ir w_r(x) (Q U)(x)_jr.
+
+``value_table`` evaluates P U at every support point once per polynomial
+(U = I + A x adds one multiple of a column per coupling), ``weight_table``
+the channel weights once per spec, and ``gram_sum`` sums any pair from the
+two tables, so a caller checking many pairs builds each table once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .errors import ProbeError, SpecError, TruncationError
@@ -270,6 +280,14 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     return _assemble(spec, P_prev, P_n, P_next, theta)
 
 
+def successor_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
+    """The polynomial after Q_n in the three-term recurrence: Q_(n+1), or at
+    n = N the degree-(N+1) closure companion."""
+    if n == spec.support_N:
+        return closure_polynomial(spec, tau=tau)
+    return orthogonal_polynomial(spec, n + 1, tau=tau)
+
+
 def closure_polynomial(spec: FamilySpec, tau=None) -> MatrixPoly:
     """The degree-(N+1) companion closing the three-term recurrence at n = N.
 
@@ -314,12 +332,55 @@ class GramMatrix:
         return max(abs(float(v)) for row in self.entries for v in row)
 
 
+def _support(spec: FamilySpec) -> range:
+    if not spec.is_finite:
+        raise SpecError("exact inner products need a finite support")
+    return range(spec.support_N + 1)
+
+
+def weight_table(spec: FamilySpec):
+    """The channel weights (w_1(x), ..., w_m(x)) at every support point."""
+    return [tuple(ch.weight(x) for ch in spec.channels) for x in _support(spec)]
+
+
+def value_table(P: MatrixPoly, spec: FamilySpec, diagonal: bool = False):
+    """(P U)(x) at every support point, exactly; U = I with ``diagonal``.
+
+    A holds a_k at pattern position (i, j), so P U adds a_k x times column i
+    to column j.  Sources are even columns and targets odd ones, so each
+    row's m-1 updates never read an entry they wrote.
+    """
+    couplings = () if diagonal else tuple(zip(staggered_positions(spec.m), spec.a))
+    table = []
+    for x in _support(spec):
+        rows = [list(row) for row in P.evaluate(x)]
+        for (i, j), a in couplings:
+            ax = a * x
+            for row in rows:
+                row[j] += ax * row[i]
+        table.append(rows)
+    return table
+
+
+def gram_sum(p_table, q_table, weights):
+    """<P, Q>_ij = sum_x sum_r (PU)(x)_ir w_r(x) (QU)(x)_jr from two value
+    tables and the weight table, as a tuple-of-tuples of Fractions."""
+    total = [[Fraction(0)] * len(q_table[0]) for _ in p_table[0]]
+    for px, qx, w in zip(p_table, q_table, weights):
+        for prow, out in zip(px, total):
+            pw = tuple(map(mul, prow, w))
+            for j, qrow in enumerate(qx):
+                out[j] += sum(map(mul, pw, qrow))
+    return tuple(map(tuple, total))
+
+
 def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "exact",
                   x_max: int = 400, tol: float = 1e-9, diagonal: bool = False) -> GramMatrix:
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
-    Exact mode needs a finite support and exact coefficients.  Truncated mode
-    sums x = 0..x_max in floats and records the tail estimate (last term
+    Exact mode needs a finite support and exact coefficients, and sums
+    through ``value_table`` and ``weight_table``.  Truncated mode sums
+    x = 0..x_max in floats and records the tail estimate (last term
     relative to the accumulated absolute sum); a tail above tolerance raises
     rather than returning a silent value.  ``diagonal=True`` replaces W by
     the uncoupled diag(w_i) weight.
@@ -327,28 +388,12 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     if P.cols != spec.m or Q.cols != spec.m:
         raise ValueError("polynomial width does not match the family size")
 
-    def weight_at(x):
-        if diagonal:
-            return tuple(
-                tuple(
-                    spec.channels[i].weight(x) if i == j else Fraction(0)
-                    for j in range(spec.m)
-                )
-                for i in range(spec.m)
-            )
-        return weight_matrix(spec, x)
-
     if mode == "exact":
-        if not spec.is_finite:
-            raise SpecError("exact inner products need a finite support")
-        total = linalg.zeros(P.rows, Q.rows)
-        for x in range(spec.support_N + 1):
-            term = linalg.mat_mul(
-                linalg.mat_mul(P.evaluate(x), weight_at(x)),
-                linalg.transpose(Q.evaluate(x)),
-            )
-            total = linalg.mat_add(total, term)
-        return GramMatrix(entries=total, mode="exact")
+        entries = gram_sum(
+            value_table(P, spec, diagonal), value_table(Q, spec, diagonal),
+            weight_table(spec),
+        )
+        return GramMatrix(entries=entries, mode="exact")
 
     if mode != "truncated":
         raise ValueError(f"unknown inner product mode {mode!r}")
@@ -456,14 +501,19 @@ def gram_schmidt_oracle(spec: FamilySpec, n: int) -> MatrixPoly:
         raise SpecError(
             f"only degrees up to N = {spec.support_N} are orthogonalizable"
         )
-    m = spec.m
-    basis = []
+    weights = weight_table(spec)
+    basis = []  # (R_r, its value table, <R_r, R_r>^(-1))
     for j in range(n + 1):
-        candidate = MatrixPoly.diagonal((ScalarPoly.monomial(j),) * m)
-        for r in basis:
-            overlap = inner_product(candidate, r, spec).entries
-            gram = inner_product(r, r, spec).entries
-            coeff = linalg.mat_mul(overlap, linalg.mat_inverse(gram))
+        monomial = MatrixPoly.diagonal((ScalarPoly.monomial(j),) * spec.m)
+        table = value_table(monomial, spec)
+        candidate = monomial
+        # the R_r are mutually orthogonal, so projecting the monomial itself
+        # gives the same exact result as projecting the running candidate
+        for r, r_table, r_inverse in basis:
+            overlap = gram_sum(table, r_table, weights)
+            coeff = linalg.mat_mul(overlap, r_inverse)
             candidate = candidate - MatrixPoly.from_scalar_matrix(coeff) @ r
-        basis.append(candidate)
-    return basis[n]
+        table = value_table(candidate, spec)
+        gram = gram_sum(table, table, weights)
+        basis.append((candidate, table, linalg.mat_inverse(gram)))
+    return basis[n][0]

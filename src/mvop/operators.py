@@ -24,10 +24,10 @@ from fractions import Fraction
 from . import linalg
 from .construction import (
     FamilySpec,
-    closure_polynomial,
     needs_mass_probe,
     nilpotent_matrix,
     orthogonal_polynomial,
+    successor_polynomial,
 )
 from .errors import ProbeError, SpecError
 from .families import Charlier, Hahn, Krawtchouk, Meixner, ScalarOperator
@@ -210,6 +210,20 @@ def _const(matrix_rows) -> MatrixPoly:
     return MatrixPoly.from_scalar_matrix(matrix_rows)
 
 
+def exact_tau(spec: FamilySpec, tau):
+    """The tau under which a recurrence closes exactly: None when every mass
+    quotient is rational; a ProbeError for the float quotient."""
+    if not needs_mass_probe(spec):
+        return None
+    if tau == "numeric":
+        raise ProbeError(
+            "the three-term recurrence is extracted exactly and cannot use the "
+            "float mass quotient; pass --tau a rational probe value such as 2, "
+            "not 'numeric'"
+        )
+    return tau
+
+
 def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
     sequence; see ``match_recurrence``.
@@ -223,20 +237,10 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     top = spec.support_N
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
-    probed = needs_mass_probe(spec)
-    if probed and tau == "numeric":
-        raise ProbeError(
-            "the three-term recurrence is extracted exactly and cannot use the "
-            "float mass quotient; pass --tau a rational probe value such as 2, "
-            "not 'numeric'"
-        )
-    tau_arg = tau if probed else None
-    Q_n = orthogonal_polynomial(spec, n, tau=tau_arg)
-    if top is not None and n == top:
-        Q_next = closure_polynomial(spec, tau=tau_arg)
-    else:
-        Q_next = orthogonal_polynomial(spec, n + 1, tau=tau_arg)
-    Q_prev = orthogonal_polynomial(spec, n - 1, tau=tau_arg) if n >= 1 else None
+    tau = exact_tau(spec, tau)
+    Q_n = orthogonal_polynomial(spec, n, tau=tau)
+    Q_next = successor_polynomial(spec, n, tau=tau)
+    Q_prev = orthogonal_polynomial(spec, n - 1, tau=tau) if n >= 1 else None
     return match_recurrence(spec, n, Q_prev, Q_n, Q_next)
 
 

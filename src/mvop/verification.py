@@ -16,15 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
-    closure_polynomial,
-    inner_product,
+    gram_sum,
     needs_mass_probe,
     orthogonal_polynomial,
     relative_gram_bound,
+    successor_polynomial,
+    value_table,
+    weight_table,
 )
 from .errors import SpecError
 from .operators import canonical_operator, match_recurrence
@@ -113,8 +116,12 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
                          tol: float = 1e-9) -> list:
     """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec``:
-    exactly over the finite support, or with ``truncated`` by the relative
-    bound of truncated float sums against ``tol``."""
+    exactly over the finite support, from one value table per polynomial and
+    one weight table, or with ``truncated`` by the relative bound of
+    truncated float sums against ``tol``."""
+    if not truncated:
+        weights = weight_table(spec)
+        tables = [value_table(P, spec) for P in polys]
     checks = []
     for n in range(len(polys)):
         for k in range(n):
@@ -123,9 +130,9 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
             else:
-                g = inner_product(polys[n], polys[k], spec)
-                passed = g.is_zero
-                detail = f"k = {k}" + ("" if passed else f"; gram = {g.entries}")
+                gram = gram_sum(tables[n], tables[k], weights)
+                passed = linalg.is_zero_matrix(gram)
+                detail = f"k = {k}" + ("" if passed else f"; gram = {gram}")
             checks.append(CheckResult(
                 name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
                 passed=passed, detail=detail,
@@ -199,6 +206,8 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         n_max = spec.support_N if spec.is_finite else 5
     if n_max < 0:
         raise SpecError(f"n_max must be >= 0, got {n_max}")
+    if x_max < 0:
+        raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
     exact_gram = spec.is_finite and not truncated
@@ -222,10 +231,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     for (a_val, probe), operator in zip(probes, operators):
         for tau in tau_vals:
             polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
-            if top == probe.support_N:
-                closing = closure_polynomial(probe, tau=tau)
-            else:
-                closing = orthogonal_polynomial(probe, top + 1, tau=tau)
+            closing = successor_polynomial(probe, top, tau=tau)
             checked = _perturbed(polys, perturb)
             if exact_gram:
                 orthogonality.extend(verify_orthogonality(probe, checked, a_val, tau))

@@ -112,6 +112,44 @@ class TestFamily:
         assert floats and all(repr(float(c)) == c for c in floats)
         assert not any("/" in c for c in coeffs)
 
+    def test_negative_n_exits_2(self, spec_files):
+        res = run_cli("family", "--spec", spec_files["kraw44"], "--n", "-1")
+        assert res.returncode == 2
+        assert "--n" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("name, payload, tau, n_hi", [
+        ("kraw44", KRAW44, None, 4),  # n = N closes through the closure companion
+        ("charlier_bc", CHARLIER_BC, 2, 2),
+    ])
+    def test_recurrence_matches_extraction(self, spec_files, name, payload, tau, n_hi):
+        from mvop.construction import family_spec_from_json
+        from mvop.operators import extract_recurrence
+        from mvop.rational import format_rational
+
+        args = ("--n", str(n_hi)) + (() if tau is None else ("--tau", str(tau)))
+        res = run_cli("family", "--spec", spec_files[name], "--recurrence", *args)
+        assert res.returncode == 0
+        triples = json.loads(res.stdout)["recurrence"]
+        assert len(triples) == n_hi + 1
+        spec = family_spec_from_json(payload)
+        for n, got in enumerate(triples):
+            t = extract_recurrence(spec, n, tau=tau)
+            assert got == {
+                key: [[format_rational(v) for v in row] for row in mat]
+                for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))
+            }
+
+    def test_numeric_tau_recurrence_writes_nothing(self, spec_files, tmp_path):
+        out = tmp_path / "fam.json"
+        res = run_cli(
+            "family", "--spec", spec_files["charlier_bc"], "--n", "2",
+            "--recurrence", "--out", str(out),
+        )
+        assert res.returncode == 2
+        assert "--tau" in res.stderr
+        assert not out.exists()
+
     def test_invalid_spec_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"m": 2, "a": ["0"], "channels": KRAW44["channels"]}))
@@ -143,6 +181,14 @@ class TestVerify:
         res = run_cli("verify", "--spec", spec_files["kraw44"], "--n-max", "-1")
         assert res.returncode == 2
         assert "n_max" in res.stderr
+
+    def test_negative_x_max_exits_2(self, spec_files):
+        res = run_cli(
+            "verify", "--spec", spec_files["charlier_bc"], "--x-max", "-3", "--n-max", "2",
+        )
+        assert res.returncode == 2
+        assert "--x-max" in res.stderr
+        assert res.stdout == ""
 
     def test_perturbed_exits_1(self, spec_files):
         res = run_cli("verify", "--spec", spec_files["kraw44"], "--perturb", "--out", os.devnull)

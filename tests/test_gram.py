@@ -1,0 +1,149 @@
+"""The exact Gram engine: value tables of P U, channel weight tables and
+their pairwise sums, against the pointwise sum of P(x) W(x) Q(x)^T."""
+from fractions import Fraction as F
+
+import pytest
+
+from mvop import construction, linalg, verification
+from mvop.construction import (
+    FamilySpec,
+    gram_schmidt_oracle,
+    gram_sum,
+    inner_product,
+    orthogonal_polynomial,
+    value_table,
+    weight_matrix,
+    weight_table,
+)
+from mvop.families import Hahn, Krawtchouk
+from mvop.poly import MatrixPoly, ScalarPoly
+
+
+def brute_force_gram(P, Q, spec, diagonal=False):
+    """sum_x P(x) W(x) Q(x)^T, with W(x) from ``weight_matrix`` (or the
+    uncoupled diag(w_i(x)) with ``diagonal``)."""
+    total = linalg.zeros(P.rows, Q.rows)
+    for xv in range(spec.support_N + 1):
+        if diagonal:
+            W = tuple(
+                tuple(ch.weight(xv) if i == j else F(0) for j, _ in enumerate(spec.channels))
+                for i, ch in enumerate(spec.channels)
+            )
+        else:
+            W = weight_matrix(spec, xv)
+        term = linalg.mat_mul(
+            linalg.mat_mul(P.evaluate(xv), W), linalg.transpose(Q.evaluate(xv))
+        )
+        total = linalg.mat_add(total, term)
+    return total
+
+
+def kraw(m, couplings, N=3):
+    ps = (F(1, 3), F(2, 5), F(1, 4), F(3, 8))
+    return FamilySpec(a=couplings, channels=tuple(Krawtchouk(p=ps[i], N=N) for i in range(m)))
+
+
+SPECS = {
+    "krawtchouk m=2": kraw(2, (F(-3, 2),), N=4),
+    "krawtchouk m=3": kraw(3, (F(2), F(-1, 3))),
+    "krawtchouk m=4": kraw(4, (F(2), F(-1, 3), F(5))),
+    "hahn m=2": FamilySpec(
+        a=(F(1, 2),),
+        channels=(Hahn(alpha=F(3, 2), beta=F(5, 2), N=4), Hahn(alpha=F(1, 2), beta=F(3, 2), N=4)),
+    ),
+}
+
+
+def generic_poly(m, seed):
+    """A dense m x m polynomial with distinct rational coefficients, so that
+    no Gram entry vanishes by orthogonality."""
+    return MatrixPoly(tuple(
+        tuple(
+            ScalarPoly((F(seed + i - j, 1 + i + j), F(i * m + j + 1, seed + 2), F(j - i, 3)))
+            for j in range(m)
+        )
+        for i in range(m)
+    ))
+
+
+def sample_polys(spec):
+    return [
+        generic_poly(spec.m, 1),
+        generic_poly(spec.m, 4),
+        orthogonal_polynomial(spec, 1),
+        orthogonal_polynomial(spec, 2),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_engine_matches_brute_force(name, diagonal):
+    spec = SPECS[name]
+    polys = sample_polys(spec)
+    weights = weight_table(spec)
+    tables = [value_table(P, spec, diagonal) for P in polys]
+    for P, p_table in zip(polys, tables):
+        for Q, q_table in zip(polys, tables):
+            want = brute_force_gram(P, Q, spec, diagonal)
+            assert gram_sum(p_table, q_table, weights) == want
+            assert inner_product(P, Q, spec, diagonal=diagonal).entries == want
+
+
+def test_entries_stay_fractions_for_integer_values():
+    spec = SPECS["krawtchouk m=3"]
+    zero = MatrixPoly.zeros(spec.m)
+    one = MatrixPoly.identity(spec.m)
+    for P in (zero, one):
+        entries = inner_product(P, one, spec).entries
+        assert all(type(v) is F for row in entries for v in row)
+
+
+def test_gram_schmidt_oracle_distinct_couplings():
+    spec = SPECS["krawtchouk m=3"]
+    for n in range(spec.support_N + 1):
+        Q = orthogonal_polynomial(spec, n)
+        lead_inv = linalg.mat_inverse(Q.leading_coefficient())
+        assert gram_schmidt_oracle(spec, n) == MatrixPoly.from_scalar_matrix(lead_inv) @ Q
+
+
+def test_verification_builds_each_value_once(monkeypatch):
+    weight_calls = []
+    evaluated = []
+    real_weight_matrix = construction.weight_matrix
+    real_evaluate = MatrixPoly.evaluate
+
+    def counting_weight_matrix(spec, xv):
+        weight_calls.append(xv)
+        return real_weight_matrix(spec, xv)
+
+    def counting_evaluate(self, x0):
+        evaluated.append(x0)
+        return real_evaluate(self, x0)
+
+    monkeypatch.setattr(construction, "weight_matrix", counting_weight_matrix)
+    monkeypatch.setattr(MatrixPoly, "evaluate", counting_evaluate)
+    spec = SPECS["krawtchouk m=3"]
+    report = verification.run_verification(spec)
+    assert report.all_passed
+    assert weight_calls == []
+    # 5 coupling probes x Q_0..Q_3 x the support points 0..3
+    probes, degrees, points = len(report.a_probes), 4, 4
+    assert len(evaluated) == probes * degrees * points
+    assert {xv: evaluated.count(xv) for xv in set(evaluated)} == {
+        xv: probes * degrees for xv in range(points)
+    }
+
+
+def test_perturbed_gram_detail_shows_fractions():
+    spec = SPECS["hahn m=2"]
+    report = verification.run_verification(spec, n_max=2, perturb=True)
+    failed = [c for c in report.failures if c.name == "orthogonality"]
+    assert failed
+    check = failed[0]
+    assert check.detail.startswith("k = 0; gram = ((Fraction(")
+    shown = eval(check.detail.split("gram = ", 1)[1], {"Fraction": F})
+    probe = spec.with_a((check.probe_a,))
+    polys = verification._perturbed(
+        [orthogonal_polynomial(probe, n) for n in range(check.n + 1)], True
+    )
+    assert shown == brute_force_gram(polys[check.n], polys[0], probe)
