@@ -207,6 +207,11 @@ def cmd_export(args) -> int:
         if args.format == "latex":
             text = operator_to_latex(D) + "\n"
         else:
+            # the JSON lists Lambda_0..Lambda_n, for degrees that exist
+            top = spec.support_N
+            if args.n < 0 or (top is not None and args.n > top):
+                limit = "" if top is None else f" <= N = {top}"
+                raise SpecError(f"--n must satisfy 0 <= n{limit}, got {args.n}")
             text = json_dumps(
                 {
                     "D": operator_to_json(D),

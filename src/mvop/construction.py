@@ -403,23 +403,23 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     weights = _float_weight_table(spec, stop, diagonal)
     pvals = _float_value_table(P, stop)
     qvals = _float_value_table(Q, stop)
+    m = spec.m
     total = [[0.0] * Q.rows for _ in range(P.rows)]
     scale = [[0.0] * Q.rows for _ in range(P.rows)]
     last = 0.0
-    for x in range(stop + 1):
-        w = weights[x]
-        px = pvals[x]
-        qx = qvals[x]
+    for w, px, qx in zip(weights, pvals, qvals):
         last = 0.0
-        for i in range(P.rows):
-            for j in range(Q.rows):
-                term = sum(
-                    px[i][r] * w[r][s] * qx[j][s]
-                    for r in range(spec.m)
-                    for s in range(spec.m)
-                )
-                total[i][j] += term
-                scale[i][j] += abs(term)
+        for prow, trow, srow in zip(px, total, scale):
+            # the (r, s) products left to right, as the builtin sum of
+            # Python <= 3.11 adds them (later versions compensate)
+            pw = [[prow[r] * w[r][s] for s in range(m)] for r in range(m)]
+            for j, qrow in enumerate(qx):
+                term = 0.0
+                for pwr in pw:
+                    for s, v in enumerate(pwr):
+                        term += v * qrow[s]
+                trow[j] += term
+                srow[j] += abs(term)
                 last = max(last, abs(term))
     scale_max = max(max(row) for row in scale)
     tail = last / scale_max if scale_max > 0 else 0.0
@@ -439,20 +439,28 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
 
 @lru_cache(maxsize=64)
 def _float_weight_table(spec: FamilySpec, stop: int, diagonal: bool):
-    """Float weight matrices at x = 0..stop (exact values rounded once)."""
+    """Float weight matrices at x = 0..stop: each exact entry of
+    W(x) = U(x) diag(w(x)) U(x)^T, rounded to float once.
+
+    Row i of U(x) = I + A x is e_i plus a_k x e_j for each pattern position
+    (i, j), so W_ij sums w_r U_ir U_jr over the columns r the two rows
+    share, as ``value_table`` applies U; ``diagonal`` drops A.
+    """
+    m = spec.m
+    couplings = () if diagonal else tuple(zip(staggered_positions(m), spec.a))
     out = []
     for x in range(stop + 1):
-        if diagonal:
-            w = tuple(
-                tuple(
-                    float(spec.channels[i].weight(x)) if i == j else 0.0
-                    for j in range(spec.m)
+        w = [ch.weight(x) for ch in spec.channels]
+        u = [{i: 1} for i in range(m)]
+        for (i, j), a in couplings:
+            u[i][j] = a * x
+        W = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                W[i][j] = W[j][i] = float(
+                    sum(w[r] * u[i][r] * u[j][r] for r in u[i].keys() & u[j].keys())
                 )
-                for i in range(spec.m)
-            )
-        else:
-            w = tuple(tuple(float(v) for v in row) for row in weight_matrix(spec, x))
-        out.append(w)
+        out.append(tuple(map(tuple, W)))
     return tuple(out)
 
 
@@ -484,8 +492,13 @@ def relative_gram_bound(P, Q, spec, x_max: int = 400, tol: float = 1e-9) -> floa
     g = inner_product(P, Q, spec, mode="truncated", x_max=x_max, tol=tol)
     gn = inner_product(P, P, spec, mode="truncated", x_max=x_max, tol=tol)
     gk = inner_product(Q, Q, spec, mode="truncated", x_max=x_max, tol=tol)
-    denom = max(gn.max_abs(), gk.max_abs(), 1e-300)
-    return g.max_abs() / denom
+    return gram_ratio(g.max_abs(), gn.max_abs(), gk.max_abs())
+
+
+def gram_ratio(pair: float, p_self: float, q_self: float) -> float:
+    """``relative_gram_bound`` from the max-abs entries of <P, Q>, <P, P> and
+    <Q, Q>, for a caller that computes each self inner product once."""
+    return pair / max(p_self, q_self, 1e-300)
 
 
 # --------------------------------------------------------------------------

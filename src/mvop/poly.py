@@ -5,15 +5,31 @@ trimmed so structural equality is mathematical equality.  ``MatrixPoly`` is a
 rectangular grid of scalar polynomials with noncommutative products.  Both are
 immutable; all operations return fresh values.  Coefficients are Fractions on
 exact paths but any field scalar (float) works through the same code.
+
+The kernel keeps three invariants:
+
+* Canonical trimming: every result drops its trailing zero coefficients, so
+  the zero polynomial has no coefficients at all.
+* Zero entries are skipped: products work on the coefficient tuples
+  directly, and a matrix product never multiplies a zero entry.
+* Coefficient types are preserved: a result holds exactly the values the
+  schoolbook loops produce from a ``Fraction(0)`` start, summed in the same
+  order.  Each coefficient of a product, and of the longer operand's tail in
+  a sum, passes through ``Fraction(0) + c``: an int becomes a Fraction, a
+  float stays a float (interior zeros included, with -0.0 read as 0.0) and
+  a ``QuadExt`` stays a ``QuadExt``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul, neg, sub
 
 from .quadext import QuadExt
 from .rational import rational
 
 _SCALARS = (int, Fraction, float, QuadExt)
+_ZERO = Fraction(0)
 
 
 def _trim(coeffs):
@@ -21,6 +37,38 @@ def _trim(coeffs):
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _lift(coeffs):
+    """Each value as a sum started from Fraction(0) would leave it."""
+    return [c if type(c) is Fraction else _ZERO + c for c in coeffs]
+
+
+def _convolve(a, b):
+    """The coefficients of the product of two nonempty coefficient tuples,
+    each a sum of a[i] * b[d - i] taken in increasing i, lifted, untrimmed."""
+    n, m = len(a), len(b)
+    if n == 1:
+        c = a[0]
+        return _lift([c * y for y in b])
+    if m == 1:
+        c = b[0]
+        return _lift([x * c for x in a])
+    rb = b[::-1]  # b[d - i] = rb[m - 1 - d + i]
+    out = []
+    for d in range(n + m - 1):
+        lo, hi = max(0, d - m + 1), min(d, n - 1)
+        out.append(reduce(add, map(mul, a[lo:hi + 1], rb[m - 1 - d + lo:m - d + hi])))
+    return _lift(out)
+
+
+def _poly(coeffs) -> "ScalarPoly":
+    """A ScalarPoly from a fresh list of coefficients, trimmed in place."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    p = ScalarPoly.__new__(ScalarPoly)
+    p.coeffs = tuple(coeffs)
+    return p
 
 
 class ScalarPoly:
@@ -82,10 +130,10 @@ class ScalarPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ScalarPoly(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        a, b = self.coeffs, other.coeffs
+        out = list(map(add, a, b))
+        out += _lift((a if len(a) > len(b) else b)[len(out):])
+        return _poly(out)
 
     __radd__ = __add__
 
@@ -96,23 +144,25 @@ class ScalarPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(map(sub, a, b))
+        if len(a) > len(b):
+            out += _lift(a[len(b):])
+        else:
+            out += _lift(map(neg, b[len(a):]))
+        return _poly(out)
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, ScalarPoly):
             if self.is_zero or other.is_zero:
                 return ScalarPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return ScalarPoly(out)
+            return _poly(_convolve(self.coeffs, other.coeffs))
         if isinstance(other, _SCALARS):
             return ScalarPoly(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -143,10 +193,25 @@ class ScalarPoly:
         return out
 
     def shift(self, k) -> "ScalarPoly":
-        """p(x + k), exact for rational k."""
+        """p(x + k), exact for rational k, by a Taylor shift in place: one
+        synthetic division by x - k per degree, O(n^2) scalar operations.
+        Exact coefficients give the rationals ``compose`` gives; floats may
+        round differently."""
         if k == 0:
             return self
-        return self.compose(ScalarPoly((k, 1)))
+        if k == 1:
+            step = add
+        elif k == -1:
+            step = sub
+        else:
+            def step(c, d):
+                return c + k * d
+        c = list(self.coeffs)
+        n = len(c) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] = step(c[j], c[j + 1])
+        return _poly(_lift(c))
 
     def compose_affine(self, alpha, beta) -> "ScalarPoly":
         """p(alpha*x + beta); alpha must be nonzero (degree is preserved)."""
@@ -293,15 +358,27 @@ class MatrixPoly:
                 f"dimension mismatch in matrix product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
+        columns = [
+            [(k, e.coeffs) for k, e in enumerate(col) if e.coeffs]
+            for col in zip(*other.entries)
+        ]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ScalarPoly()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.entries:
+            out_row = []
+            for column in columns:
+                # the products in increasing k, each summed onto the last
+                acc = []
+                for k, b in column:
+                    a = row[k].coeffs
+                    if not a:
+                        continue
+                    prod = _convolve(a, b)
+                    if len(acc) < len(prod):
+                        acc = list(map(add, acc, prod)) + prod[len(acc):]
+                    else:
+                        acc[:len(prod)] = map(add, acc, prod)
+                out_row.append(_poly(acc))
+            out.append(tuple(out_row))
         return MatrixPoly(tuple(out))
 
     def scale(self, s) -> "MatrixPoly":

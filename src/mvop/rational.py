@@ -40,12 +40,10 @@ def pochhammer(a, n: int) -> Fraction:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    out = Fraction(1)
-    term = Fraction(a)
-    for _ in range(n):
-        out *= term
-        term += 1
-    return out
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    # (p/q)_n = p (p + q) ... (p + (n-1) q) / q^n: one integer product
+    return Fraction(math.prod(range(p, p + n * q, q)), q**n)
 
 
 def binomial(top, k: int) -> Fraction:

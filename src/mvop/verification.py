@@ -21,10 +21,11 @@ from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
+    gram_ratio,
     gram_sum,
+    inner_product,
     needs_mass_probe,
     orthogonal_polynomial,
-    relative_gram_bound,
     successor_polynomial,
     value_table,
     weight_table,
@@ -118,15 +119,30 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
     """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec``:
     exactly over the finite support, from one value table per polynomial and
     one weight table, or with ``truncated`` by the relative bound of
-    truncated float sums against ``tol``."""
-    if not truncated:
+    truncated float sums against ``tol``, with one self inner product per
+    polynomial."""
+    if truncated:
+        def size(i, j):
+            return inner_product(
+                polys[i], polys[j], spec, mode="truncated", x_max=x_max, tol=tol
+            ).max_abs()
+
+        # each self inner product once, when a pair first needs it: the sums
+        # run in the order relative_gram_bound runs them, so the first
+        # TruncationError raised is the same
+        self_sizes = {}
+    else:
         weights = weight_table(spec)
         tables = [value_table(P, spec) for P in polys]
     checks = []
     for n in range(len(polys)):
         for k in range(n):
             if truncated:
-                bound = relative_gram_bound(polys[n], polys[k], spec, x_max=x_max, tol=tol)
+                pair = size(n, k)
+                for i in (n, k):
+                    if i not in self_sizes:
+                        self_sizes[i] = size(i, i)
+                bound = gram_ratio(pair, self_sizes[n], self_sizes[k])
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
             else:

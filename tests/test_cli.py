@@ -269,6 +269,19 @@ class TestExport:
         data = json.loads(res.stdout)
         assert set(["D", "Lambda"]) <= set(data)
 
+    @pytest.mark.parametrize("n", ["-1", "9"])
+    def test_operator_json_index_out_of_range_exits_2(self, spec_files, n):
+        # kraw44 has degrees 0..4 only
+        res = run_cli("export", "--spec", spec_files["kraw44"], "--what", "D", "--n", n)
+        assert res.returncode == 2
+        assert "--n" in res.stderr
+        assert res.stdout == ""
+
+    def test_operator_json_lists_every_degree(self, spec_files):
+        res = run_cli("export", "--spec", spec_files["kraw44"], "--what", "D", "--n", "4")
+        assert res.returncode == 0
+        assert len(json.loads(res.stdout)["Lambda"]) == 5
+
     def test_numeric_tau_recurrence_exits_2(self, spec_files):
         res = run_cli("export", "--spec", spec_files["charlier_bc"], "--what", "recurrence")
         assert res.returncode == 2

@@ -1,0 +1,106 @@
+"""Byte-identity guard: a dozen small CLI operations against recorded digests.
+
+Each case runs ``python -m mvop.cli`` in a fresh interpreter and hashes its
+exit code, stdout, stderr and ``--out`` file with sha256; the digests in
+``golden_digests.json`` pin every byte the CLI writes, including float
+renderings and the verify report's ``relative bound = ...`` text.  The file
+uses only ``unittest``, so it runs under pytest and under
+``python -m unittest tests.test_golden`` on any supported interpreter.
+
+After a deliberate change of output, rewrite the digests with
+``PYTHONPATH=src python -m tests.test_golden --record``.
+"""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+DIGESTS = os.path.join(HERE, "golden_digests.json")
+
+
+def _family(a, *channels):
+    return {"m": len(channels), "a": list(a), "channels": list(channels)}
+
+
+KRAW = _family(["2"], {"kind": "krawtchouk", "p": "1/3", "N": 3},
+               {"kind": "krawtchouk", "p": "3/4", "N": 3})
+KRAW3 = _family(["-2", "1/3"], {"kind": "krawtchouk", "p": "1/3", "N": 3},
+                {"kind": "krawtchouk", "p": "2/5", "N": 3},
+                {"kind": "krawtchouk", "p": "3/4", "N": 3})
+CHARLIER_MEIXNER = _family(["-1/2"], {"kind": "charlier", "b": "1"},
+                           {"kind": "meixner", "beta": "1/2", "c": "1/3"})
+CHARLIER_BC = _family(["1"], {"kind": "charlier", "b": "1"}, {"kind": "charlier", "b": "2"})
+CHARLIER_10_20 = _family(["3"], {"kind": "charlier", "b": "10"},
+                         {"kind": "charlier", "b": "20"})
+CMC = _family(["2", "-1/3"], {"kind": "charlier", "b": "2"},
+              {"kind": "meixner", "beta": "1/2", "c": "1/2"}, {"kind": "charlier", "b": "1"})
+KRAW_TO_CHARLIER = {"name": "krawtchouk->charlier", "n": 2, "a": "-3",
+                    "ladder": ["100", "1000", "10000"], "params": {"b": "2"}}
+
+INFINITE = ("--n-max", "2", "--x-max", "60")
+
+# name -> (spec, argv after the spec); every case writes through --out
+CASES = {
+    "verify-krawtchouk": (KRAW, ("verify",)),
+    "verify-krawtchouk-perturb": (KRAW, ("verify", "--perturb")),
+    "verify-krawtchouk-m3": (KRAW3, ("verify", "--n-max", "2")),
+    "verify-charlier-meixner": (CHARLIER_MEIXNER, ("verify",) + INFINITE),
+    "verify-charlier10-charlier20": (CHARLIER_10_20, ("verify",) + INFINITE),
+    "family-charlier-numeric": (CHARLIER_BC, ("family", "--n", "2")),
+    "family-cmc-recurrence": (CMC, ("family", "--n", "2", "--tau", "3/2", "--recurrence")),
+    "export-Q": (KRAW3, ("export", "--what", "Q", "--n", "2")),
+    "export-W": (CHARLIER_MEIXNER, ("export", "--what", "W")),
+    "export-D": (KRAW3, ("export", "--what", "D", "--n", "3")),
+    "export-recurrence": (CMC, ("export", "--what", "recurrence", "--n", "2", "--tau", "2")),
+    "limits-json": (KRAW_TO_CHARLIER, ("limits", "--format", "json")),
+    "limits-csv": (KRAW_TO_CHARLIER, ("limits", "--format", "csv")),
+}
+
+
+def run_case(name: str) -> str:
+    """The sha256 of one case's exit code, stdout, stderr and --out bytes."""
+    spec, argv = CASES[name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        out_path = os.path.join(tmp, "out")
+        with open(spec_path, "w") as fh:
+            json.dump(spec, fh)
+        res = subprocess.run(
+            [sys.executable, "-m", "mvop.cli", argv[0], "--spec", spec_path,
+             *argv[1:], "--out", out_path],
+            capture_output=True, env=env, cwd=tmp,
+        )
+        out = b""
+        if os.path.exists(out_path):
+            with open(out_path, "rb") as fh:
+                out = fh.read()
+    digest = hashlib.sha256()
+    for part in (str(res.returncode).encode(), res.stdout, res.stderr, out):
+        digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+class GoldenDigests(unittest.TestCase):
+    def test_outputs_unchanged(self):
+        with open(DIGESTS) as fh:
+            expected = json.load(fh)
+        self.assertEqual(sorted(expected), sorted(CASES))
+        for name in CASES:
+            with self.subTest(case=name):
+                self.assertEqual(run_case(name), expected[name])
+
+
+if __name__ == "__main__":
+    if "--record" in sys.argv:
+        with open(DIGESTS, "w") as fh:
+            json.dump({name: run_case(name) for name in CASES}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        unittest.main()
