@@ -21,9 +21,9 @@ from .errors import ProbeError, SpecError, TruncationError
 from .limits import run_transition, transition_spec_from_json
 from .operators import (
     canonical_operator,
+    closed_recurrence,
     exact_tau,
     extract_recurrence,
-    match_recurrence,
 )
 from .rational import format_rational, rational
 from .serialize import (
@@ -129,16 +129,13 @@ def cmd_family(args) -> int:
         artifact["note"] = operator_note
     if args.recurrence:
         chain = polys + [successor_polynomial(spec, n_hi, tau=exact_tau(spec, tau))]
-        triples = []
-        for n in range(n_hi + 1):
-            t = match_recurrence(spec, n, chain[n - 1] if n else None, chain[n], chain[n + 1])
-            triples.append(
-                {
-                    key: [[format_rational(v) for v in row] for row in mat]
-                    for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))
-                }
-            )
-        artifact["recurrence"] = triples
+        artifact["recurrence"] = [
+            {
+                key: [[format_rational(v) for v in row] for row in mat]
+                for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))
+            }
+            for t in closed_recurrence(spec, chain).values()
+        ]
     _write_out(json_dumps(artifact), args.out)
     return EXIT_OK
 
@@ -184,11 +181,21 @@ def cmd_limits(args) -> int:
     return EXIT_OK
 
 
+def _check_export_degree(spec: FamilySpec, n: int):
+    """--n names a degree that exists: 0..N, or any n >= 0 on an infinite
+    support."""
+    top = spec.support_N
+    if n < 0 or (top is not None and n > top):
+        limit = "" if top is None else f" <= N = {top}"
+        raise SpecError(f"--n must satisfy 0 <= n{limit}, got {n}")
+
+
 def cmd_export(args) -> int:
     spec = _load_family(args.spec)
     tau = _tau_for(spec, args)
     what = args.what
     if what == "Q":
+        _check_export_degree(spec, args.n)
         P = orthogonal_polynomial(spec, args.n, tau=tau)
         text = (
             matpoly_to_latex(P) + "\n"
@@ -207,11 +214,8 @@ def cmd_export(args) -> int:
         if args.format == "latex":
             text = operator_to_latex(D) + "\n"
         else:
-            # the JSON lists Lambda_0..Lambda_n, for degrees that exist
-            top = spec.support_N
-            if args.n < 0 or (top is not None and args.n > top):
-                limit = "" if top is None else f" <= N = {top}"
-                raise SpecError(f"--n must satisfy 0 <= n{limit}, got {args.n}")
+            # the JSON lists Lambda_0..Lambda_n
+            _check_export_degree(spec, args.n)
             text = json_dumps(
                 {
                     "D": operator_to_json(D),
@@ -222,6 +226,7 @@ def cmd_export(args) -> int:
                 }
             )
     elif what == "recurrence":
+        _check_export_degree(spec, args.n)
         t = extract_recurrence(spec, args.n, tau=tau)
         text = json_dumps(
             {

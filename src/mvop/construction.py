@@ -12,17 +12,25 @@ constants are cross-channel total-mass quotients, which exact identity
 checks replace by a rational probe value (tau) and numeric checks evaluate
 as floats.
 
-Exact Gram matrices on a finite support use the factorisation of W:
+Exact identity checks work on integer value tables.  ``integer_table``
+puts a matrix polynomial's coefficients over their least common
+denominator L, once, and evaluates L P at the integer points x = -1..X by
+integer Horner; scaling by a nonzero integer changes no zero, so a check
+that an identity vanishes reads the same on L P as on P.  Exact Gram
+matrices on a finite support use the factorisation of W:
 
     <P, Q>_ij = sum_x sum_r (P U)(x)_ir w_r(x) (Q U)(x)_jr.
 
-``value_table`` evaluates P U at every support point once per polynomial
-(U = I + A x adds one multiple of a column per coupling), ``weight_table``
-the channel weights once per spec, and ``gram_sum`` sums any pair from the
-two tables, so a caller checking many pairs builds each table once.
+``value_table`` turns a polynomial's integer table into P U at every
+support point (U = I + A x adds one multiple of a column per coupling,
+with the couplings over their common denominator), ``weight_table`` puts
+the channel weights over one denominator once per spec, and ``gram_sum``
+sums any pair in integers and divides each entry once, so a caller checking
+many pairs builds each table once and gets the exact ``Fraction`` Gram.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -339,39 +347,91 @@ def _support(spec: FamilySpec) -> range:
 
 
 def weight_table(spec: FamilySpec):
-    """The channel weights (w_1(x), ..., w_m(x)) at every support point."""
-    return [tuple(ch.weight(x) for ch in spec.channels) for x in _support(spec)]
+    """The channel weights at every support point over one denominator:
+    (scale, [(scale w_1(x), ..., scale w_m(x)) for each x]), all integers."""
+    weights = [tuple(ch.weight(x) for ch in spec.channels) for x in _support(spec)]
+    scale = math.lcm(*(w.denominator for row in weights for w in row))
+    return scale, [tuple(w.numerator * (scale // w.denominator) for w in row) for row in weights]
 
 
-def value_table(P: MatrixPoly, spec: FamilySpec, diagonal: bool = False):
-    """(P U)(x) at every support point, exactly; U = I with ``diagonal``.
+@dataclass(frozen=True)
+class IntegerTable:
+    """L P(x) at x = -1..stop as integer matrices, where L (``scale``) is the
+    least common denominator of P's coefficients: ``values[x + 1]`` is the
+    matrix at x.  ``degree`` is P's degree."""
+
+    degree: int
+    scale: int
+    values: tuple
+
+
+def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
+    """Evaluate P, exact coefficients put over one denominator once, at
+    x = -1..stop by integer Horner."""
+    scale = math.lcm(*(c.denominator for row in P.entries for e in row for c in e.coeffs))
+    entries = [
+        [tuple(c.numerator * (scale // c.denominator) for c in reversed(e.coeffs)) for e in row]
+        for row in P.entries
+    ]
+    values = []
+    for x in range(-1, stop + 1):
+        rows = []
+        for row in entries:
+            vals = []
+            for cs in row:
+                acc = 0
+                for c in cs:
+                    acc = acc * x + c
+                vals.append(acc)
+            rows.append(tuple(vals))
+        values.append(tuple(rows))
+    return IntegerTable(degree=P.degree, scale=scale, values=tuple(values))
+
+
+def value_table(table: IntegerTable, spec: FamilySpec, diagonal: bool = False):
+    """(P U)(x) at every support point from P's integer table, over one
+    denominator: (scale, [integer rows at each x]); U = I with ``diagonal``.
 
     A holds a_k at pattern position (i, j), so P U adds a_k x times column i
-    to column j.  Sources are even columns and targets odd ones, so each
-    row's m-1 updates never read an entry they wrote.
+    to column j; with the couplings over their common denominator q, q P U
+    scales every column by q and adds (q a_k) x times column i to column j,
+    reading the unscaled row.
     """
-    couplings = () if diagonal else tuple(zip(staggered_positions(spec.m), spec.a))
-    table = []
+    q = 1 if diagonal else math.lcm(*(a.denominator for a in spec.a))
+    couplings = () if diagonal else tuple(
+        (i, j, a.numerator * (q // a.denominator))
+        for (i, j), a in zip(staggered_positions(spec.m), spec.a)
+    )
+    out = []
     for x in _support(spec):
-        rows = [list(row) for row in P.evaluate(x)]
-        for (i, j), a in couplings:
-            ax = a * x
+        rows = table.values[x + 1]
+        if couplings:
+            scaled = []
             for row in rows:
-                row[j] += ax * row[i]
-        table.append(rows)
-    return table
+                new = [q * v for v in row]
+                for i, j, c in couplings:
+                    new[j] += c * x * row[i]
+                scaled.append(new)
+            rows = scaled
+        out.append(rows)
+    return table.scale * q, out
 
 
 def gram_sum(p_table, q_table, weights):
     """<P, Q>_ij = sum_x sum_r (PU)(x)_ir w_r(x) (QU)(x)_jr from two value
-    tables and the weight table, as a tuple-of-tuples of Fractions."""
-    total = [[Fraction(0)] * len(q_table[0]) for _ in p_table[0]]
-    for px, qx, w in zip(p_table, q_table, weights):
+    tables and the weight table, summed in integers and divided once per
+    entry: a tuple-of-tuples of Fractions."""
+    p_scale, p_values = p_table
+    q_scale, q_values = q_table
+    w_scale, w_values = weights
+    total = [[0] * len(q_values[0]) for _ in p_values[0]]
+    for px, qx, w in zip(p_values, q_values, w_values):
         for prow, out in zip(px, total):
             pw = tuple(map(mul, prow, w))
             for j, qrow in enumerate(qx):
                 out[j] += sum(map(mul, pw, qrow))
-    return tuple(map(tuple, total))
+    scale = p_scale * q_scale * w_scale
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in total)
 
 
 def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "exact",
@@ -379,7 +439,7 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
     Exact mode needs a finite support and exact coefficients, and sums
-    through ``value_table`` and ``weight_table``.  Truncated mode sums
+    integer tables through ``gram_sum``.  Truncated mode sums
     x = 0..x_max in floats and records the tail estimate (last term
     relative to the accumulated absolute sum); a tail above tolerance raises
     rather than returning a silent value.  ``diagonal=True`` replaces W by
@@ -389,9 +449,12 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
         raise ValueError("polynomial width does not match the family size")
 
     if mode == "exact":
+        weights = weight_table(spec)
+        top = spec.support_N
         entries = gram_sum(
-            value_table(P, spec, diagonal), value_table(Q, spec, diagonal),
-            weight_table(spec),
+            value_table(integer_table(P, top), spec, diagonal),
+            value_table(integer_table(Q, top), spec, diagonal),
+            weights,
         )
         return GramMatrix(entries=entries, mode="exact")
 
@@ -514,11 +577,12 @@ def gram_schmidt_oracle(spec: FamilySpec, n: int) -> MatrixPoly:
         raise SpecError(
             f"only degrees up to N = {spec.support_N} are orthogonalizable"
         )
+    top = spec.support_N
     weights = weight_table(spec)
     basis = []  # (R_r, its value table, <R_r, R_r>^(-1))
     for j in range(n + 1):
         monomial = MatrixPoly.diagonal((ScalarPoly.monomial(j),) * spec.m)
-        table = value_table(monomial, spec)
+        table = value_table(integer_table(monomial, top), spec)
         candidate = monomial
         # the R_r are mutually orthogonal, so projecting the monomial itself
         # gives the same exact result as projecting the running candidate
@@ -526,7 +590,7 @@ def gram_schmidt_oracle(spec: FamilySpec, n: int) -> MatrixPoly:
             overlap = gram_sum(table, r_table, weights)
             coeff = linalg.mat_mul(overlap, r_inverse)
             candidate = candidate - MatrixPoly.from_scalar_matrix(coeff) @ r
-        table = value_table(candidate, spec)
+        table = value_table(integer_table(candidate, top), spec)
         gram = gram_sum(table, table, weights)
         basis.append((candidate, table, linalg.mat_inverse(gram)))
     return basis[n][0]

@@ -61,10 +61,6 @@ class Mass:
         return self._combine(other, -1)
 
     @property
-    def is_one(self) -> bool:
-        return self.exp_arg == 0 and not self.powers
-
-    @property
     def is_rational(self) -> bool:
         return self.exp_arg == 0 and all(
             e.denominator == 1 for _, e in self.powers

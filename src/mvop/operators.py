@@ -13,17 +13,23 @@ G = -g on the diagonal.
 operator by the unipotent factor U(x) = I + A x, and ``canonical_operator``
 builds the per-family normalized operator whose eigenvalues interlace across
 odd and even channels.  ``match_recurrence`` recovers the three-term
-recurrence matrices from three consecutive polynomials by exact coefficient
-matching, with no inner products; ``extract_recurrence`` builds them first.
+recurrence matrices of a chain of consecutive polynomials from the top
+coefficients of the identity, with no inner products, and
+``recurrence_closes`` certifies an identity by integer evaluation: its
+residual has degree at most d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)),
+so it is zero when it vanishes at the d + 1 points x = 0..d.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .construction import (
     FamilySpec,
+    integer_table,
     needs_mass_probe,
     nilpotent_matrix,
     orthogonal_polynomial,
@@ -49,6 +55,44 @@ class DifferenceOperator:
                 f"operator acts on width {self.F.rows}"
             )
         return P.delta() @ self.F + P @ self.K + P.nabla() @ self.G
+
+    @property
+    def extra_degree(self) -> int:
+        """deg(P . D) <= deg P + extra_degree, from the actual degrees of F,
+        K and G: Delta and Nabla lower a degree by one."""
+        return max(self.F.degree - 1, self.K.degree, self.G.degree - 1, 0)
+
+    def stencil(self, stop: int) -> "IntegerStencil":
+        """D on values at x = 0..stop: P . D = P(x+1) F + P(x) (K - F + G)
+        - P(x-1) G, with F, K, G over one common denominator."""
+        parts = [integer_table(S, stop) for S in (self.F, self.K - self.F + self.G, -self.G)]
+        scale = math.lcm(*(t.scale for t in parts))
+        points = []
+        for x in range(stop + 1):
+            point = []
+            for t in parts:
+                factor = scale // t.scale
+                # each column of S(x) as its nonzero (row, value) pairs
+                point.append(tuple(
+                    tuple((k, v * factor) for k, v in enumerate(col) if v)
+                    for col in zip(*t.values[x + 1])
+                ))
+            points.append(tuple(point))
+        return IntegerStencil(
+            extra_degree=self.extra_degree, scale=scale, points=tuple(points)
+        )
+
+
+@dataclass(frozen=True)
+class IntegerStencil:
+    """A ``DifferenceOperator`` scaled by the integer ``scale`` and evaluated:
+    ``points[x]`` holds F(x), (K - F + G)(x) and -G(x), each as sparse
+    columns of (row, value) pairs.  P . D - Lambda P has degree at most
+    deg P + ``extra_degree``."""
+
+    extra_degree: int
+    scale: int
+    points: tuple
 
 
 def apply_operator(P: MatrixPoly, D: DifferenceOperator) -> MatrixPoly:
@@ -206,10 +250,6 @@ def diagonal_operator(spec: FamilySpec, force: bool = False) -> DifferenceOperat
 # three-term recurrence extraction
 
 
-def _const(matrix_rows) -> MatrixPoly:
-    return MatrixPoly.from_scalar_matrix(matrix_rows)
-
-
 def exact_tau(spec: FamilySpec, tau):
     """The tau under which a recurrence closes exactly: None when every mass
     quotient is rational; a ProbeError for the float quotient."""
@@ -226,7 +266,7 @@ def exact_tau(spec: FamilySpec, tau):
 
 def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
-    sequence; see ``match_recurrence``.
+    sequence; see ``closed_recurrence``.
 
     On a finite support, n = N closes through the degree-(N+1) companion
     built from the vanishing-norm extension.  Exact closure needs exact
@@ -238,36 +278,153 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
     tau = exact_tau(spec, tau)
-    Q_n = orthogonal_polynomial(spec, n, tau=tau)
-    Q_next = successor_polynomial(spec, n, tau=tau)
-    Q_prev = orthogonal_polynomial(spec, n - 1, tau=tau) if n >= 1 else None
-    return match_recurrence(spec, n, Q_prev, Q_n, Q_next)
+    chain = {
+        n: orthogonal_polynomial(spec, n, tau=tau),
+        n + 1: successor_polynomial(spec, n, tau=tau),
+    }
+    if n >= 1:
+        chain[n - 1] = orthogonal_polynomial(spec, n - 1, tau=tau)
+    return closed_recurrence(spec, chain, (n,))[n]
 
 
-def match_recurrence(spec: FamilySpec, n: int, Q_prev, Q_n: MatrixPoly,
-                     Q_next: MatrixPoly) -> RecurrenceTriple:
-    """The recurrence matrices at n from Q_(n-1) (None at n = 0), Q_n and
-    Q_(n+1), by exact coefficient matching (unique because leading
-    coefficients are invertible).  Raises AssertionError when the residual
-    does not vanish.
+def match_recurrence(chain, degrees=None, inverses=None) -> dict:
+    """The recurrence matrices {n: RecurrenceTriple} at each n of ``degrees``
+    (by default every n with a successor in ``chain``), where ``chain[k]``
+    is Q_k, a list or a dict holding the degrees n - 1, n, n + 1.
+
+    They come from the top three coefficients of the identity, unique
+    because leading coefficients are invertible:
+
+        A_n = [Q_n]_n L_(n+1)^(-1),
+        B_n = ([Q_n]_(n-1) - A_n [Q_(n+1)]_n) L_n^(-1),
+        C_n = ([Q_n]_(n-2) - A_n [Q_(n+1)]_(n-1) - B_n [Q_n]_(n-1)) L_(n-1)^(-1),
+
+    with L_k = [Q_k]_k; each distinct L_k is inverted once, and once over
+    several chains that share one ``inverses`` dict (lead -> inverse).
+    Closure is not checked here; see ``recurrence_closes``.
     """
-    target = Q_n.scale(ScalarPoly.x())
-    lead_next = linalg.mat_inverse(Q_next.coefficient(n + 1))
-    A_n = linalg.mat_mul(target.coefficient(n + 1), lead_next)
-    rem = target - _const(A_n) @ Q_next
+    if degrees is None:
+        degrees = range(len(chain) - 1)
+    if inverses is None:
+        inverses = {}
 
-    lead_n = linalg.mat_inverse(Q_n.coefficient(n))
-    B_n = linalg.mat_mul(rem.coefficient(n), lead_n)
-    rem = rem - _const(B_n) @ Q_n
+    def lead_inverse(k):
+        lead = chain[k].coefficient(k)
+        if lead not in inverses:
+            inverses[lead] = _scaled(linalg.mat_inverse(lead))
+        return inverses[lead]
 
-    if n == 0:
-        C_n = linalg.zeros(spec.m)
-    else:
-        lead_prev = linalg.mat_inverse(Q_prev.coefficient(n - 1))
-        C_n = linalg.mat_mul(rem.coefficient(n - 1), lead_prev)
-        rem = rem - _const(C_n) @ Q_prev
-    if not rem.is_zero:
-        raise AssertionError(
-            f"three-term recurrence failed to close at n = {n} for {spec!r}"
-        )
-    return RecurrenceTriple(A=A_n, B=B_n, C=C_n)
+    def coefficient(k, j):
+        return _scaled(chain[k].coefficient(j))
+
+    triples = {}
+    for n in degrees:
+        # the algebra runs on (integer matrix, denominator) pairs, and each
+        # entry is reduced to a Fraction once
+        A_n = _mul(coefficient(n, n), lead_inverse(n + 1))
+        top = _sub(coefficient(n, n - 1), _mul(A_n, coefficient(n + 1, n)))
+        B_n = _mul(top, lead_inverse(n))
+        if n == 0:
+            C_n = linalg.zeros(len(A_n[0]))
+        else:
+            top = _sub(
+                _sub(coefficient(n, n - 2), _mul(A_n, coefficient(n + 1, n - 1))),
+                _mul(B_n, coefficient(n, n - 1)),
+            )
+            C_n = _fractions(_mul(top, lead_inverse(n - 1)))
+        triples[n] = RecurrenceTriple(A=_fractions(A_n), B=_fractions(B_n), C=C_n)
+    return triples
+
+
+def _scaled(mat):
+    """A rational matrix as (M, d): integers M over the least common
+    denominator d of its entries."""
+    d = math.lcm(*(v.denominator for row in mat for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in mat), d
+
+
+def _mul(a, b):
+    (ma, da), (mb, db) = a, b
+    cols = tuple(zip(*mb))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in ma), da * db
+
+
+def _sub(a, b):
+    (ma, da), (mb, db) = a, b
+    d = math.lcm(da, db)
+    fa, fb = d // da, d // db
+    return tuple(
+        tuple(x * fa - y * fb for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
+    ), d
+
+
+def _fractions(a):
+    m, d = a
+    return tuple(tuple(Fraction(v, d) for v in row) for row in m)
+
+
+def _sparse_rows(mat, factor):
+    """Each row of ``factor`` * mat (integral) as its nonzero (column, value)
+    pairs."""
+    return tuple(
+        tuple((k, int(v * factor)) for k, v in enumerate(row) if v) for row in mat
+    )
+
+
+def recurrence_closes(t: RecurrenceTriple, n: int, tables) -> bool:
+    """Whether x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) is zero, from the
+    integer tables ``tables[k]`` of Q_k (``construction.integer_table``).
+
+    On the tables, L_n times the residual is
+
+        x V_n - (A_n L_n / L_(n+1)) V_(n+1) - B_n V_n - (C_n L_n / L_(n-1)) V_(n-1),
+
+    for V_k = L_k Q_k; it is scaled once more by the common denominator of
+    the three matrices and checked at x = 0..d for d its degree bound.
+    """
+    t_n = tables[n]
+    parts = [(t.A, tables[n + 1]), (t.B, t_n)]
+    if n > 0:
+        parts.append((t.C, tables[n - 1]))
+    degree = max(t_n.degree + 1, *(table.degree for _, table in parts))
+    mats = []
+    for mat, table in parts:
+        ratio = Fraction(t_n.scale, table.scale)
+        mats.append([[v * ratio for v in row] for row in mat])
+    den = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
+    sparse = [(_sparse_rows(mat, den), table.values) for mat, (_, table) in zip(mats, parts)]
+    own = t_n.values
+    for x in range(degree + 1):
+        vn = own[x + 1]
+        dx = den * x
+        for i, row in enumerate(vn):
+            for j, v in enumerate(row):
+                acc = dx * v
+                for rows, values in sparse:
+                    vals = values[x + 1]
+                    for k, c in rows[i]:
+                        acc -= c * vals[k][j]
+                if acc:
+                    return False
+    return True
+
+
+def closed_recurrence(spec: FamilySpec, chain, degrees=None) -> dict:
+    """``match_recurrence``, each identity certified by
+    ``recurrence_closes``; AssertionError names the first n that does not
+    close."""
+    triples = match_recurrence(chain, degrees)
+    stop = max(triples, default=0) + 1
+    tables = {}
+    for n, t in triples.items():
+        for k in range(max(n - 1, 0), n + 2):
+            if k not in tables:
+                tables[k] = integer_table(chain[k], stop)
+        if not recurrence_closes(t, n, tables):
+            raise AssertionError(not_closed(spec, n))
+    return triples
+
+
+def not_closed(spec: FamilySpec, n: int) -> str:
+    """The report of a recurrence that fails to close at n."""
+    return f"three-term recurrence failed to close at n = {n} for {spec!r}"

@@ -26,7 +26,6 @@ from functools import reduce
 from operator import add, mul, neg, sub
 
 from .quadext import QuadExt
-from .rational import rational
 
 _SCALARS = (int, Fraction, float, QuadExt)
 _ZERO = Fraction(0)
@@ -102,10 +101,6 @@ class ScalarPoly:
     @classmethod
     def monomial(cls, k: int, c=Fraction(1)) -> "ScalarPoly":
         return cls((Fraction(0),) * k + (c,))
-
-    @classmethod
-    def from_rationals(cls, items) -> "ScalarPoly":
-        return cls(tuple(rational(v) for v in items))
 
     @property
     def degree(self) -> int:

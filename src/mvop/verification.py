@@ -3,16 +3,34 @@ with their check results and reports.
 
 ``run_verification`` sweeps the probe grid (coupling values x mass-quotient
 values) once.  Each probe builds Q_0..Q_top and the closing Q_(top+1) a single
-time and runs the exact orthogonality, eigenfunction and recurrence checks on
-that one list; each probe instance is itself an exact rational identity
-check, and the grid oversamples the identities' degrees in the formal
-parameters.  Infinite supports (and ``truncated=True``) check orthogonality
-by truncated float sums on the spec's own couplings, with the true
-transcendental quotients.  All work runs inline: it is pure-Python
-``Fraction`` arithmetic, which threads do not speed up.
+time, and one integer value table per polynomial
+(``construction.integer_table``): the coefficients over their least common
+denominator L, evaluated at x = -1..X.  The three exact suites read only
+these tables, and scaling by nonzero integers changes no zero:
+
+* orthogonality on a finite support sums every Gram pair in integers over
+  the support points 0..N and divides each entry once (``gram_sum``);
+* the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
+  d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
+  actual degrees, and is certified zero at the d_n + 1 points x = 0..d_n,
+  D acting on values through Q(x - 1), Q(x) and Q(x + 1);
+* the recurrence residual x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1), with
+  A_n, B_n, C_n from the top coefficients, has degree at most n + 1 and is
+  certified zero at x = 0..n+1 (``operators.recurrence_closes``).
+
+A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
+check is an exact identity, and X covers the support and every bound.  The
+polynomial residual is rebuilt only for a failing eigenfunction check, to
+name its first nonzero entry.  Each probe instance is an exact rational
+identity check, and the grid oversamples the identities' degrees in the
+formal parameters.  Infinite supports (and ``truncated=True``) check
+orthogonality by truncated float sums on the spec's own couplings, with the
+true transcendental quotients.  All work runs inline: it is pure-Python
+arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +42,7 @@ from .construction import (
     gram_ratio,
     gram_sum,
     inner_product,
+    integer_table,
     needs_mass_probe,
     orthogonal_polynomial,
     successor_polynomial,
@@ -31,7 +50,12 @@ from .construction import (
     weight_table,
 )
 from .errors import SpecError
-from .operators import canonical_operator, match_recurrence
+from .operators import (
+    canonical_operator,
+    match_recurrence,
+    not_closed,
+    recurrence_closes,
+)
 from .poly import MatrixPoly
 
 
@@ -115,11 +139,11 @@ def _first_nonzero(P: MatrixPoly) -> str:
 
 def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
-                         tol: float = 1e-9) -> list:
+                         tol: float = 1e-9, tables=None) -> list:
     """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec``:
-    exactly over the finite support, from one value table per polynomial and
-    one weight table, or with ``truncated`` by the relative bound of
-    truncated float sums against ``tol``, with one self inner product per
+    exactly over the finite support from their integer ``tables`` and one
+    weight table, or with ``truncated`` by the relative bound of truncated
+    float sums against ``tol``, with one self inner product per
     polynomial."""
     if truncated:
         def size(i, j):
@@ -133,7 +157,7 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
         self_sizes = {}
     else:
         weights = weight_table(spec)
-        tables = [value_table(P, spec) for P in polys]
+        values = [value_table(t, spec) for t in tables]
     checks = []
     for n in range(len(polys)):
         for k in range(n):
@@ -146,7 +170,7 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
             else:
-                gram = gram_sum(tables[n], tables[k], weights)
+                gram = gram_sum(values[n], values[k], weights)
                 passed = linalg.is_zero_matrix(gram)
                 detail = f"k = {k}" + ("" if passed else f"; gram = {gram}")
             checks.append(CheckResult(
@@ -156,36 +180,61 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
     return checks
 
 
-def _eigenfunction_checks(operator, polys, probe_a, probe_tau) -> list:
-    """Q_n . D - Lambda_n Q_n = 0 identically, with the first nonzero entry
-    of the residual recorded on failure."""
+def _eigenfunction_vanishes(stencil, eigenvalues, table) -> bool:
+    """Whether Q . D - Lambda Q is zero, from Q's integer table and D's
+    ``IntegerStencil``: with Lambda scaled by the stencil's scale and then
+    by the common denominator d of the result, d (Q . D) - Lambda Q is
+    checked at x = 0..deg Q + extra_degree."""
+    scaled = [v * stencil.scale for v in eigenvalues]
+    d = math.lcm(*(v.denominator for v in scaled))
+    lam = [int(v * d) for v in scaled]
+    values, points = table.values, stencil.points
+    for x in range(table.degree + stencil.extra_degree + 1):
+        below, here, above = values[x], values[x + 1], values[x + 2]
+        plus, zero, minus = points[x]
+        for i, (b, h, a) in enumerate(zip(below, here, above)):
+            li = lam[i]
+            for j, hj in enumerate(h):
+                acc = 0
+                for k, v in plus[j]:
+                    acc += a[k] * v
+                for k, v in zero[j]:
+                    acc += h[k] * v
+                for k, v in minus[j]:
+                    acc += b[k] * v
+                if d * acc != li * hj:
+                    return False
+    return True
+
+
+def _eigenfunction_checks(operator, stencil, polys, tables, probe_a, probe_tau) -> list:
+    """Q_n . D - Lambda_n Q_n = 0 identically, certified on the integer
+    tables; on failure the polynomial residual is built to record its first
+    nonzero entry."""
     D, eig = operator
     checks = []
-    for n, Q in enumerate(polys):
-        residual = D.apply(Q) - eig.matrix(n) @ Q
-        ok = residual.is_zero
+    for n, (Q, table) in enumerate(zip(polys, tables)):
+        ok = _eigenfunction_vanishes(stencil, eig.diagonal(n), table)
+        detail = "" if ok else _first_nonzero(D.apply(Q) - eig.matrix(n) @ Q)
         checks.append(CheckResult(
             name="eigenfunction", n=n, probe_a=probe_a, probe_tau=probe_tau,
-            passed=ok, detail="" if ok else _first_nonzero(residual),
+            passed=ok, detail=detail,
         ))
     return checks
 
 
-def verify_recurrence(spec: FamilySpec, polys, probe_a, probe_tau) -> list:
+def verify_recurrence(spec: FamilySpec, chain, tables, probe_a, probe_tau,
+                      inverses=None) -> list:
     """Exact closure of the three-term recurrence at every degree of
-    ``polys`` but the last, which is the closing Q_(top+1)."""
+    ``chain`` but the last, which is the closing Q_(top+1), certified on the
+    chain's integer ``tables``; ``inverses`` as in ``match_recurrence``."""
     checks = []
-    for n in range(len(polys) - 1):
-        try:
-            match_recurrence(spec, n, polys[n - 1] if n else None, polys[n], polys[n + 1])
-            checks.append(CheckResult(
-                name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau, passed=True
-            ))
-        except AssertionError as err:
-            checks.append(CheckResult(
-                name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
-                passed=False, detail=str(err),
-            ))
+    for n, t in match_recurrence(chain, inverses=inverses).items():
+        ok = recurrence_closes(t, n, tables)
+        checks.append(CheckResult(
+            name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
+            passed=ok, detail="" if ok else not_closed(spec, n),
+        ))
     return checks
 
 
@@ -207,9 +256,14 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     for a_val in a_vals:
         probe = _probe(spec, a_val)
         operator = canonical_operator(probe, force=force)
+        stop = n_max + operator[0].extra_degree + 1
+        stencil = operator[0].stencil(stop - 1)
         for tau in tau_vals:
-            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(n_max + 1)]
-            checks.extend(_eigenfunction_checks(operator, _perturbed(polys, perturb), a_val, tau))
+            polys = _perturbed(
+                [orthogonal_polynomial(probe, n, tau=tau) for n in range(n_max + 1)], perturb
+            )
+            tables = [integer_table(Q, stop) for Q in polys]
+            checks.extend(_eigenfunction_checks(operator, stencil, polys, tables, a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -244,16 +298,30 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         operators = [None] * len(probes)
         notes.append(f"bispectral suite skipped: {err}")
 
+    inverses = {}  # each distinct leading coefficient inverted once per run
     for (a_val, probe), operator in zip(probes, operators):
+        # the tables reach x = X: the support, the recurrence's top + 1 and
+        # the eigenfunction's top + extra + 1, for Q(x + 1) at its last point
+        extra = 0 if operator is None else operator[0].extra_degree
+        stop = max(spec.support_N or 0, top + extra + 1)
+        stencil = None if operator is None else operator[0].stencil(stop - 1)
         for tau in tau_vals:
-            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
-            closing = successor_polynomial(probe, top, tau=tau)
-            checked = _perturbed(polys, perturb)
+            chain = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
+            chain.append(successor_polynomial(probe, top, tau=tau))
+            tables = [integer_table(Q, stop) for Q in chain]
+            checked = _perturbed(chain[:-1], perturb)
+            checked_tables = (
+                [integer_table(Q, stop) for Q in checked] if perturb else tables[:-1]
+            )
             if exact_gram:
-                orthogonality.extend(verify_orthogonality(probe, checked, a_val, tau))
+                orthogonality.extend(verify_orthogonality(
+                    probe, checked, a_val, tau, tables=checked_tables,
+                ))
             if operator is not None:
-                eigenfunction.extend(_eigenfunction_checks(operator, checked, a_val, tau))
-            recurrence.extend(verify_recurrence(probe, polys + [closing], a_val, tau))
+                eigenfunction.extend(_eigenfunction_checks(
+                    operator, stencil, checked, checked_tables, a_val, tau,
+                ))
+            recurrence.extend(verify_recurrence(probe, chain, tables, a_val, tau, inverses))
 
     return VerificationReport(
         checks=tuple(orthogonality + eigenfunction + recurrence),

@@ -277,6 +277,15 @@ class TestExport:
         assert "--n" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("what", ["Q", "recurrence"])
+    @pytest.mark.parametrize("n", ["-1", "9"])
+    def test_index_out_of_range_names_n(self, spec_files, what, n):
+        # kraw44 has degrees 0..4 only
+        res = run_cli("export", "--spec", spec_files["kraw44"], "--what", what, "--n", n)
+        assert res.returncode == 2
+        assert f"--n must satisfy 0 <= n <= N = 4, got {n}" in res.stderr
+        assert res.stdout == ""
+
     def test_operator_json_lists_every_degree(self, spec_files):
         res = run_cli("export", "--spec", spec_files["kraw44"], "--what", "D", "--n", "4")
         assert res.returncode == 0

@@ -1,5 +1,6 @@
-"""The exact Gram engine: value tables of P U, channel weight tables and
-their pairwise sums, against the pointwise sum of P(x) W(x) Q(x)^T."""
+"""The exact Gram engine: integer value tables of P U, channel weight
+tables and their pairwise sums, against the pointwise sum of
+P(x) W(x) Q(x)^T."""
 from fractions import Fraction as F
 
 import pytest
@@ -10,32 +11,15 @@ from mvop.construction import (
     gram_schmidt_oracle,
     gram_sum,
     inner_product,
+    integer_table,
     orthogonal_polynomial,
     value_table,
-    weight_matrix,
     weight_table,
 )
 from mvop.families import Hahn, Krawtchouk
 from mvop.poly import MatrixPoly, ScalarPoly
 
-
-def brute_force_gram(P, Q, spec, diagonal=False):
-    """sum_x P(x) W(x) Q(x)^T, with W(x) from ``weight_matrix`` (or the
-    uncoupled diag(w_i(x)) with ``diagonal``)."""
-    total = linalg.zeros(P.rows, Q.rows)
-    for xv in range(spec.support_N + 1):
-        if diagonal:
-            W = tuple(
-                tuple(ch.weight(xv) if i == j else F(0) for j, _ in enumerate(spec.channels))
-                for i, ch in enumerate(spec.channels)
-            )
-        else:
-            W = weight_matrix(spec, xv)
-        term = linalg.mat_mul(
-            linalg.mat_mul(P.evaluate(xv), W), linalg.transpose(Q.evaluate(xv))
-        )
-        total = linalg.mat_add(total, term)
-    return total
+from residual_oracle import brute_force_gram
 
 
 def kraw(m, couplings, N=3):
@@ -81,7 +65,7 @@ def test_engine_matches_brute_force(name, diagonal):
     spec = SPECS[name]
     polys = sample_polys(spec)
     weights = weight_table(spec)
-    tables = [value_table(P, spec, diagonal) for P in polys]
+    tables = [value_table(integer_table(P, spec.support_N), spec, diagonal) for P in polys]
     for P, p_table in zip(polys, tables):
         for Q, q_table in zip(polys, tables):
             want = brute_force_gram(P, Q, spec, diagonal)
@@ -109,8 +93,10 @@ def test_gram_schmidt_oracle_distinct_couplings():
 def test_verification_builds_each_value_once(monkeypatch):
     weight_calls = []
     evaluated = []
+    tables = []
     real_weight_matrix = construction.weight_matrix
     real_evaluate = MatrixPoly.evaluate
+    real_integer_table = verification.integer_table
 
     def counting_weight_matrix(spec, xv):
         weight_calls.append(xv)
@@ -120,18 +106,27 @@ def test_verification_builds_each_value_once(monkeypatch):
         evaluated.append(x0)
         return real_evaluate(self, x0)
 
+    def counting_integer_table(P, stop):
+        tables.append((P, stop))
+        return real_integer_table(P, stop)
+
     monkeypatch.setattr(construction, "weight_matrix", counting_weight_matrix)
     monkeypatch.setattr(MatrixPoly, "evaluate", counting_evaluate)
+    monkeypatch.setattr(verification, "integer_table", counting_integer_table)
     spec = SPECS["krawtchouk m=3"]
     report = verification.run_verification(spec)
     assert report.all_passed
     assert weight_calls == []
-    # 5 coupling probes x Q_0..Q_3 x the support points 0..3
-    probes, degrees, points = len(report.a_probes), 4, 4
-    assert len(evaluated) == probes * degrees * points
-    assert {xv: evaluated.count(xv) for xv in set(evaluated)} == {
-        xv: probes * degrees for xv in range(points)
-    }
+    assert evaluated == []
+    # 5 coupling probes x Q_0..Q_3 and the closing Q_4, each tabulated once
+    # at every x = -1..X
+    probes, degrees = len(report.a_probes), 5
+    assert len(tables) == probes * degrees
+    assert len({P for P, _ in tables}) == probes * degrees
+    # X covers the support 0..3, the recurrence's points 0..4 and the
+    # eigenfunction's points 0..3 + 1 with Q(x + 1) at the last of them
+    extra = verification.canonical_operator(spec)[0].extra_degree
+    assert {stop for _, stop in tables} == {max(3, 3 + extra + 1)}
 
 
 def test_perturbed_gram_detail_shows_fractions():
