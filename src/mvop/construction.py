@@ -10,7 +10,20 @@ The orthogonal sequence for W is assembled in closed form from the scalar
 monic polynomials and their squared-norm ratios; the only non-rational
 constants are cross-channel total-mass quotients, which exact identity
 checks replace by a rational probe value (tau) and numeric checks evaluate
-as floats.
+as floats.  With p, q, r the channel polynomials of degrees n, n + 1,
+n - 1, A holding a at 0-based pattern positions (i, j) and the norm-ratio
+matrix theta = R_n on the transposed positions, Q_n has four kinds of
+nonzero entries, and ``_assemble`` builds only those:
+
+    diagonal (i, i):            p_i + x sum_k theta_ik r_k a_ki
+    pattern (i, j):             a q_j - (p_i a) x
+    transposed pattern (j, i):  -theta_ji r_i
+    even channels j != l:       x sum_k theta_jk r_k a_kl   (1-based even)
+
+so building Q_n costs O(m) scalar polynomial products, not m^3.  The
+closure companion is the same form with theta = 0.  W(x)_ij is the sum
+over r of w_r U_ir U_jr (``_weight_entries``), exact for ``weight_matrix``
+and rounded once for the float weights.
 
 Exact identity checks work on integer value tables.  ``integer_table``
 puts a matrix polynomial's coefficients over their least common
@@ -40,6 +53,7 @@ from . import linalg
 from .errors import ProbeError, SpecError, TruncationError
 from .families import (
     Mass,
+    ladder,
     monic_polynomial,
     squared_norm,
     weight_spec_from_json,
@@ -175,16 +189,32 @@ def unipotent_factor(spec: FamilySpec) -> MatrixPoly:
 
 def weight_matrix(spec: FamilySpec, x: int):
     """W(x) = U(x) diag(w_i(x)) U(x)^T, exactly; zero matrix off support."""
-    m = spec.m
     top = spec.support_N
     if x < 0 or (top is not None and x > top):
-        return linalg.zeros(m)
-    diag = tuple(
-        tuple(spec.channels[i].weight(x) if i == j else Fraction(0) for j in range(m))
-        for i in range(m)
-    )
-    u = unipotent_factor(spec).evaluate(x)
-    return linalg.mat_mul(linalg.mat_mul(u, diag), linalg.transpose(u))
+        return linalg.zeros(spec.m)
+    return _weight_entries(spec, x, zip(staggered_positions(spec.m), spec.a))
+
+
+def _weight_entries(spec: FamilySpec, x: int, couplings):
+    """W(x)_ij = sum_r w_r(x) U_ir U_jr, exactly, for U = I plus a x at each
+    ((i, j), a) of ``couplings``.
+
+    Row i of U(x) is e_i plus a_k x e_j for each pattern position (i, j), so
+    the sum runs over the columns r the two rows share, as ``value_table``
+    applies U.
+    """
+    m = spec.m
+    w = [ch.weight(x) for ch in spec.channels]
+    u = [{i: 1} for i in range(m)]
+    for (i, j), a in couplings:
+        u[i][j] = a * x
+    W = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            W[i][j] = W[j][i] = sum(
+                (w[r] * u[i][r] * u[j][r] for r in u[i].keys() & u[j].keys()), Fraction(0)
+            )
+    return tuple(map(tuple, W))
 
 
 # --------------------------------------------------------------------------
@@ -244,21 +274,49 @@ def _norm_ratio_matrix(spec: FamilySpec, n: int, tau=None):
 # the orthogonal sequence
 
 
-def diagonal_polynomial(spec: FamilySpec, n: int) -> MatrixPoly:
-    """diag(p_n^(w_1), ..., p_n^(w_m)); n = N+1 uses the closure extension."""
-    return MatrixPoly.diagonal(
-        tuple(monic_polynomial(ch, n) for ch in spec.channels)
-    )
+def _assemble(spec: FamilySpec, p, q, r, theta) -> MatrixPoly:
+    """P_n + A P_(n+1) - R P_(n-1) - P_n A x + R P_(n-1) A x, entry by entry,
+    from the channel polynomials p (degree n), q (n + 1) and r (n - 1, or
+    zeros) and the norm-ratio matrix theta = R_n.
 
+    With A on the staggered pattern and R_n on its transpose, the product
+    has four kinds of nonzero entries (0-based (i, j) a pattern position
+    with coupling a):
 
-def _assemble(spec: FamilySpec, P_prev: MatrixPoly, P_n: MatrixPoly,
-              P_next: MatrixPoly, theta) -> MatrixPoly:
-    A = nilpotent_matrix(spec)
+    * diagonal (i, i): p_i + x sum_k theta_ik r_k a_ki;
+    * pattern (i, j): a q_j - (p_i a) x;
+    * transposed pattern (j, i): -theta_ji r_i;
+    * between two even (1-based) channels j != l: x sum_k theta_jk r_k a_kl.
+
+    Each scalar product and sum is the one the matrix products form, in the
+    same order, with only the zero terms left out.
+    """
+    m = spec.m
     x = ScalarPoly.x()
-    theta_mp = MatrixPoly.from_scalar_matrix(theta)
-    out = P_n + A @ P_next - theta_mp @ P_prev
-    out = out - (P_n @ A).scale(x) + (theta_mp @ P_prev @ A).scale(x)
-    return out
+    zero = ScalarPoly()
+    entries = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        entries[i][i] = p[i]
+    coupled = {}  # k -> [(l, a_kl)] along row k of A
+    for (i, j), a in zip(staggered_positions(m), spec.a):
+        a = ScalarPoly.constant(a)
+        coupled.setdefault(i, []).append((j, a))
+        entries[i][j] = a * q[j] - (p[i] * a) * x
+    # R P_(n-1) is theta_jk r_k at (j, k); (R P_(n-1) A)_jl sums its
+    # products with a_kl in increasing k
+    sums = {}
+    for k in sorted(coupled):
+        for j, _ in coupled[k]:
+            t = ScalarPoly.constant(theta[j][k]) * r[k]
+            if t.is_zero:
+                continue
+            entries[j][k] = zero - t
+            for l, a in coupled[k]:
+                term = t * a
+                sums[j, l] = sums[j, l] + term if (j, l) in sums else term
+    for (j, l), total in sums.items():
+        entries[j][l] = entries[j][l] + total * x
+    return MatrixPoly(entries)
 
 
 def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
@@ -268,7 +326,9 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
 
         P_n + A P_(n+1) - R_n P_(n-1) - P_n A x + R_n P_(n-1) A x,
 
-    where R_n = |P_n|^2 A^T |P_(n-1)|^(-2) and P_(-1) = 0.  On a finite
+    where R_n = |P_n|^2 A^T |P_(n-1)|^(-2), P_k = diag(p_k^(w_1), ...,
+    p_k^(w_m)) and P_(-1) = 0, entry by entry on the staggered pattern (see
+    ``_assemble``), so the cost follows the pattern, not m^3.  On a finite
     support, n = N uses the degree-(N+1) closure polynomial for P_(n+1).
     Degree is exactly n and the leading coefficient is unimodular.
     """
@@ -276,16 +336,16 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     if n < 0 or (top is not None and n > top):
         limit = "" if top is None else f" <= {top}"
         raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
-    m = spec.m
-    P_n = diagonal_polynomial(spec, n)
-    P_next = diagonal_polynomial(spec, n + 1)
+    channels = spec.channels
+    p = [monic_polynomial(ch, n) for ch in channels]
+    q = [monic_polynomial(ch, n + 1) for ch in channels]
     if n == 0:
-        P_prev = MatrixPoly.zeros(m)
-        theta = linalg.zeros(m)
+        r = [ScalarPoly()] * spec.m
+        theta = linalg.zeros(spec.m)
     else:
-        P_prev = diagonal_polynomial(spec, n - 1)
+        r = [monic_polynomial(ch, n - 1) for ch in channels]
         theta = _norm_ratio_matrix(spec, n, tau)
-    return _assemble(spec, P_prev, P_n, P_next, theta)
+    return _assemble(spec, p, q, r, theta)
 
 
 def successor_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
@@ -300,22 +360,19 @@ def closure_polynomial(spec: FamilySpec, tau=None) -> MatrixPoly:
     """The degree-(N+1) companion closing the three-term recurrence at n = N.
 
     Uses the vanishing of the degree-(N+1) scalar norms (so the norm-ratio
-    matrix is zero) and one further recurrence step for P_(N+2).
+    matrix is zero and only the diagonal and pattern entries remain) and one
+    further recurrence step for P_(N+2).
     """
     top = spec.support_N
     if top is None:
         raise SpecError("the closure companion needs a finite support")
     n = top + 1
-    P_n = diagonal_polynomial(spec, n)
-    x = ScalarPoly.x()
-    nxt = []
-    for ch in spec.channels:
-        b_n, c_n = ch.recurrence_bc(n)
-        p = monic_polynomial(ch, n) * ScalarPoly((-b_n, 1)) - monic_polynomial(ch, n - 1) * c_n
-        nxt.append(p)
-    P_next = MatrixPoly.diagonal(tuple(nxt))
-    P_prev = diagonal_polynomial(spec, n - 1)
-    return _assemble(spec, P_prev, P_n, P_next, linalg.zeros(spec.m))
+    p = [monic_polynomial(ch, n) for ch in spec.channels]
+    q = []
+    for ch, p_n in zip(spec.channels, p):
+        b_n, c_n = ladder(ch).coefficients(n)
+        q.append(p_n * ScalarPoly((-b_n, 1)) - monic_polynomial(ch, n - 1) * c_n)
+    return _assemble(spec, p, q, [ScalarPoly()] * spec.m, linalg.zeros(spec.m))
 
 
 # --------------------------------------------------------------------------
@@ -503,28 +560,13 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
 @lru_cache(maxsize=64)
 def _float_weight_table(spec: FamilySpec, stop: int, diagonal: bool):
     """Float weight matrices at x = 0..stop: each exact entry of
-    W(x) = U(x) diag(w(x)) U(x)^T, rounded to float once.
-
-    Row i of U(x) = I + A x is e_i plus a_k x e_j for each pattern position
-    (i, j), so W_ij sums w_r U_ir U_jr over the columns r the two rows
-    share, as ``value_table`` applies U; ``diagonal`` drops A.
-    """
-    m = spec.m
-    couplings = () if diagonal else tuple(zip(staggered_positions(m), spec.a))
-    out = []
-    for x in range(stop + 1):
-        w = [ch.weight(x) for ch in spec.channels]
-        u = [{i: 1} for i in range(m)]
-        for (i, j), a in couplings:
-            u[i][j] = a * x
-        W = [[0.0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                W[i][j] = W[j][i] = float(
-                    sum(w[r] * u[i][r] * u[j][r] for r in u[i].keys() & u[j].keys())
-                )
-        out.append(tuple(map(tuple, W)))
-    return tuple(out)
+    W(x) = U(x) diag(w(x)) U(x)^T (``_weight_entries``) rounded to float
+    once; ``diagonal`` drops A."""
+    couplings = () if diagonal else tuple(zip(staggered_positions(spec.m), spec.a))
+    return tuple(
+        tuple(tuple(map(float, row)) for row in _weight_entries(spec, x, couplings))
+        for x in range(stop + 1)
+    )
 
 
 @lru_cache(maxsize=512)
@@ -589,7 +631,7 @@ def gram_schmidt_oracle(spec: FamilySpec, n: int) -> MatrixPoly:
         for r, r_table, r_inverse in basis:
             overlap = gram_sum(table, r_table, weights)
             coeff = linalg.mat_mul(overlap, r_inverse)
-            candidate = candidate - MatrixPoly.from_scalar_matrix(coeff) @ r
+            candidate = candidate - MatrixPoly(coeff) @ r
         table = value_table(integer_table(candidate, top), spec)
         gram = gram_sum(table, table, weights)
         basis.append((candidate, table, linalg.mat_inverse(gram)))

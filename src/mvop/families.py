@@ -308,6 +308,8 @@ class Hahn:
     parameters can make the recurrence denominators (2n + alpha + beta),
     (2n + alpha + beta + 1), (2n + alpha + beta + 2) vanish for some needed
     n; such specs are rejected at construction with the offending n named.
+    The gate is one test, not a loop over n: the denominators vanish for
+    some n = 0..N exactly when -(alpha + beta) is an integer in 1..2N+2.
     """
 
     alpha: Fraction
@@ -328,17 +330,16 @@ class Hahn:
                 "hahn weight needs alpha, beta > -1 or alpha, beta < -N, got "
                 f"alpha = {self.alpha}, beta = {self.beta}, N = {self.N}"
             )
-        sigma = self.alpha + self.beta
-        for n in range(0, self.N + 1):
-            if 2 * n + sigma + 1 == 0 or 2 * n + sigma + 2 == 0:
-                raise SpecError(
-                    f"hahn recurrence degenerates at n = {n}: "
-                    f"2n + alpha + beta + 1 or + 2 vanishes"
-                )
-            if n >= 1 and 2 * n + sigma == 0:
-                raise SpecError(
-                    f"hahn recurrence degenerates at n = {n}: 2n + alpha + beta vanishes"
-                )
+        # 2n + s + 1 or 2n + s + 2 (s = alpha + beta) vanishes for some
+        # n = 0..N exactly when -s is an integer in 1..2N+2, first at
+        # n = (-s - 1) // 2; 2n + s = 0 at n >= 1 is 2(n-1) + s + 2 = 0,
+        # met one degree earlier
+        s = -(self.alpha + self.beta)
+        if s.denominator == 1 and 1 <= s <= 2 * self.N + 2:
+            raise SpecError(
+                f"hahn recurrence degenerates at n = {(s.numerator - 1) // 2}: "
+                f"2n + alpha + beta + 1 or + 2 vanishes"
+            )
 
     @property
     def support_N(self) -> int:
@@ -491,18 +492,49 @@ def _check_degree(spec, n: int):
         )
 
 
+class _Ladder:
+    """One channel's monic polynomials and squared norms, grown by the
+    three-term recurrence as far as any caller has asked: each recurrence
+    coefficient pair (b_k, c_k) is evaluated once, p_(k+1) is built from
+    p_k and p_(k-1), and |p_k|^2 = c_k |p_(k-1)|^2 from the total mass."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.bc = []
+        self.polys = [ScalarPoly.one()]
+        self.norms = []
+
+    def coefficients(self, k: int):
+        """recurrence_bc(k), once."""
+        while len(self.bc) <= k:
+            self.bc.append(self.spec.recurrence_bc(len(self.bc)))
+        return self.bc[k]
+
+    def polynomial(self, n: int) -> ScalarPoly:
+        polys = self.polys
+        x = ScalarPoly.x()
+        while len(polys) <= n:
+            k = len(polys) - 1
+            b_k, c_k = self.coefficients(k)
+            nxt = polys[k] * x - polys[k] * b_k
+            if k >= 1:
+                nxt = nxt - polys[k - 1] * c_k
+            polys.append(nxt)
+        return polys[n]
+
+    def norm(self, n: int) -> NormValue:
+        norms = self.norms
+        if not norms:
+            norms.append(self.spec.total_mass())
+        while len(norms) <= n:
+            norms.append(norms[-1].scaled(self.coefficients(len(norms))[1]))
+        return norms[n]
+
+
 @lru_cache(maxsize=None)
-def _monic_ladder(spec, n: int):
-    """Monic polynomials p_0..p_n by the three-term recurrence (immutable)."""
-    polys = [ScalarPoly.one()]
-    x = ScalarPoly.x()
-    for k in range(n):
-        b_k, c_k = spec.recurrence_bc(k)
-        nxt = polys[k] * x - polys[k] * b_k
-        if k >= 1:
-            nxt = nxt - polys[k - 1] * c_k
-        polys.append(nxt)
-    return tuple(polys)
+def ladder(spec) -> _Ladder:
+    """The channel's one growing ladder."""
+    return _Ladder(spec)
 
 
 def monic_polynomial(spec, n: int) -> ScalarPoly:
@@ -512,7 +544,7 @@ def monic_polynomial(spec, n: int) -> ScalarPoly:
     extension x(x-1)...(x-N), which the recurrence itself produces.
     """
     _check_degree(spec, n)
-    return _monic_ladder(spec, n)[n]
+    return ladder(spec).polynomial(n)
 
 
 def extended_polynomial(spec) -> ScalarPoly:
@@ -536,7 +568,6 @@ def extended_polynomial(spec) -> ScalarPoly:
     return product
 
 
-@lru_cache(maxsize=None)
 def squared_norm(spec, n: int) -> NormValue:
     """Squared norm of the degree-n monic polynomial.
 
@@ -547,11 +578,7 @@ def squared_norm(spec, n: int) -> NormValue:
     top = spec.support_N
     if top is not None and n == top + 1:
         return NormValue(Fraction(0), Mass.one())
-    out = spec.total_mass()
-    for k in range(1, n + 1):
-        _, c_k = spec.recurrence_bc(k)
-        out = out.scaled(c_k)
-    return out
+    return ladder(spec).norm(n)
 
 
 def rodrigues_polynomial(spec, n: int) -> ScalarPoly:

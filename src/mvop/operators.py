@@ -10,9 +10,12 @@ channel operators are written Delta f + k - nabla g, so they embed with
 G = -g on the diagonal.
 
 ``conjugated_operator`` implements the closed-form conjugation of a diagonal
-operator by the unipotent factor U(x) = I + A x, and ``canonical_operator``
-builds the per-family normalized operator whose eigenvalues interlace across
-odd and even channels.  ``match_recurrence`` recovers the three-term
+operator by the unipotent factor U(x) = I + A x.  The commutator of A with
+a diagonal matrix lies on A's staggered pattern, so F, K and G of the
+conjugated operator are nonzero only on the diagonal and the pattern, and
+are built there entry by entry.  ``canonical_operator`` builds the
+per-family normalized operator whose eigenvalues interlace across odd and
+even channels.  ``match_recurrence`` recovers the three-term
 recurrence matrices of a chain of consecutive polynomials from the top
 coefficients of the identity, with no inner products, and
 ``recurrence_closes`` certifies an identity by integer evaluation: its
@@ -33,6 +36,7 @@ from .construction import (
     needs_mass_probe,
     nilpotent_matrix,
     orthogonal_polynomial,
+    staggered_positions,
     successor_polynomial,
 )
 from .errors import ProbeError, SpecError
@@ -123,10 +127,6 @@ class RecurrenceTriple:
     C: tuple
 
 
-def _commutator(A: MatrixPoly, M: MatrixPoly) -> MatrixPoly:
-    return A @ M - M @ A
-
-
 def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
                         G: MatrixPoly) -> DifferenceOperator:
     """Conjugate the diagonal operator diag(Delta f_i + k_i - nabla g_i) by
@@ -135,15 +135,39 @@ def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
         D = Delta((I+A) F + [A,F] x) + A (F - G) + K + [A,K] x
             - Nabla((I-A) G + [A,G] x).
 
-    F, K, G are the diagonal matrix polynomials of the f_i, k_i, g_i.
+    F, K, G are the diagonal matrix polynomials of the f_i, k_i, g_i, and A
+    is supported on the staggered pattern.  The commutator of A with a
+    diagonal matrix lives on the pattern too, so F^, K^ and G^ are built on
+    the diagonal and the pattern only: at a pattern position (i, j) holding
+    a,
+
+        F^_ij = a f_j + (a f_j - f_i a) x,
+        K^_ij = a (f_j - g_j) + (a k_j - k_i a) x,
+        G^_ij = (-a) g_j + (a g_j - g_i a) x,
+
+    with F^_ii = f_i, K^_ii = k_i and G^_ii = g_i; D = (F^, K^, -G^).  Each
+    scalar product and sum is the one the matrix products form, in the same
+    order, with only the zero terms left out.
     """
     m = A.rows
-    ident = MatrixPoly.identity(m)
     x = ScalarPoly.x()
-    F_hat = (ident + A) @ F + _commutator(A, F).scale(x)
-    K_hat = A @ (F - G) + K + _commutator(A, K).scale(x)
-    G_hat = (ident - A) @ G + _commutator(A, G).scale(x)
-    return DifferenceOperator(F=F_hat, K=K_hat, G=-G_hat)
+    one = ScalarPoly.one()
+    zero = ScalarPoly()
+    f, k, g = ([M.entries[i][i] for i in range(m)] for M in (F, K, G))
+    F_hat, K_hat, G_hat = ([[zero] * m for _ in range(m)] for _ in range(3))
+    for i in range(m):
+        F_hat[i][i] = one * f[i]
+        K_hat[i][i] = zero + k[i]
+        G_hat[i][i] = one * g[i]
+    for i, j in staggered_positions(m):
+        a = A.entries[i][j]
+        af = a * f[j]
+        F_hat[i][j] = af + (af - f[i] * a) * x
+        K_hat[i][j] = a * (f[j] - g[j]) + (a * k[j] - k[i] * a) * x
+        G_hat[i][j] = (zero - a) * g[j] + (a * g[j] - g[i] * a) * x
+    return DifferenceOperator(
+        F=MatrixPoly(F_hat), K=MatrixPoly(K_hat), G=-MatrixPoly(G_hat)
+    )
 
 
 def _normalized_channel(ch, position: int) -> tuple[ScalarOperator, object]:

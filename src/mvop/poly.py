@@ -300,10 +300,6 @@ class MatrixPoly:
         zero = ScalarPoly.zero()
         return cls(tuple(tuple(polys[i] if i == j else zero for j in range(m)) for i in range(m)))
 
-    @classmethod
-    def from_scalar_matrix(cls, rows) -> "MatrixPoly":
-        return cls(tuple(tuple(ScalarPoly.constant(v) for v in row) for row in rows))
-
     @property
     def rows(self) -> int:
         return len(self.entries)

@@ -123,7 +123,7 @@ def _perturbed(polys, perturb: bool):
     if not perturb or not polys:
         return polys
     m = polys[0].rows
-    bump = MatrixPoly.from_scalar_matrix(
+    bump = MatrixPoly(
         tuple(tuple(Fraction(int((i, j) == (0, 0))) for j in range(m)) for i in range(m))
     )
     return [Q if n == 0 else Q + bump for n, Q in enumerate(polys)]
@@ -139,11 +139,12 @@ def _first_nonzero(P: MatrixPoly) -> str:
 
 def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
-                         tol: float = 1e-9, tables=None) -> list:
+                         tol: float = 1e-9, tables=None, weights=None) -> list:
     """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec``:
-    exactly over the finite support from their integer ``tables`` and one
-    weight table, or with ``truncated`` by the relative bound of truncated
-    float sums against ``tol``, with one self inner product per
+    exactly over the finite support from their integer ``tables`` and the
+    spec's ``weights`` (``construction.weight_table``, which does not depend
+    on the couplings), or with ``truncated`` by the relative bound of
+    truncated float sums against ``tol``, with one self inner product per
     polynomial."""
     if truncated:
         def size(i, j):
@@ -156,7 +157,6 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
         # TruncationError raised is the same
         self_sizes = {}
     else:
-        weights = weight_table(spec)
         values = [value_table(t, spec) for t in tables]
     checks = []
     for n in range(len(polys)):
@@ -271,7 +271,9 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
                      tau_probes=None, x_max: int = 400, tol: float = 1e-9,
                      perturb: bool = False, truncated: bool = False) -> VerificationReport:
     """The full suite: orthogonality, bispectrality (when the family carries
-    a canonical operator), and recurrence residuals, reported in that order."""
+    a canonical operator), and recurrence residuals, reported in that order.
+    ``perturb`` bumps the whole chain, the closing Q_(top+1) included, before
+    any suite reads it."""
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
     if n_max < 0:
@@ -281,6 +283,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
     exact_gram = spec.is_finite and not truncated
+    weights = weight_table(spec) if exact_gram else None
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
     if not exact_gram:
         # the float path: the spec's own couplings and float mass quotients
@@ -308,14 +311,12 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         for tau in tau_vals:
             chain = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
             chain.append(successor_polynomial(probe, top, tau=tau))
+            chain = _perturbed(chain, perturb)
             tables = [integer_table(Q, stop) for Q in chain]
-            checked = _perturbed(chain[:-1], perturb)
-            checked_tables = (
-                [integer_table(Q, stop) for Q in checked] if perturb else tables[:-1]
-            )
+            checked, checked_tables = chain[:-1], tables[:-1]
             if exact_gram:
                 orthogonality.extend(verify_orthogonality(
-                    probe, checked, a_val, tau, tables=checked_tables,
+                    probe, checked, a_val, tau, tables=checked_tables, weights=weights,
                 ))
             if operator is not None:
                 eigenfunction.extend(_eigenfunction_checks(

@@ -1,0 +1,91 @@
+"""The matrix-product oracle for the entrywise construction layer.
+
+These are the constructions ``mvop.construction`` and ``mvop.operators``
+used before Q_n, the closure companion, D and W were built entry by entry
+on the staggered pattern: every term is a general ``MatrixPoly`` product of
+diagonal and constant matrices.  Tests compare the entrywise code with them
+coefficient by coefficient, types and signed zeros included.
+"""
+from fractions import Fraction
+
+from mvop import linalg
+from mvop.construction import (
+    _norm_ratio_matrix,
+    nilpotent_matrix,
+    unipotent_factor,
+)
+from mvop.families import monic_polynomial
+from mvop.poly import MatrixPoly, ScalarPoly
+
+
+def diagonal_polynomial(spec, n):
+    """diag(p_n^(w_1), ..., p_n^(w_m)); n = N+1 uses the closure extension."""
+    return MatrixPoly.diagonal(tuple(monic_polynomial(ch, n) for ch in spec.channels))
+
+
+def assemble(spec, P_prev, P_n, P_next, theta):
+    """P_n + A P_(n+1) - R P_(n-1) - P_n A x + R P_(n-1) A x by matrix
+    products, R = theta as a constant matrix."""
+    A = nilpotent_matrix(spec)
+    x = ScalarPoly.x()
+    theta_mp = MatrixPoly(theta)
+    out = P_n + A @ P_next - theta_mp @ P_prev
+    out = out - (P_n @ A).scale(x) + (theta_mp @ P_prev @ A).scale(x)
+    return out
+
+
+def orthogonal_polynomial(spec, n, tau=None):
+    m = spec.m
+    P_n = diagonal_polynomial(spec, n)
+    P_next = diagonal_polynomial(spec, n + 1)
+    if n == 0:
+        P_prev = MatrixPoly.zeros(m)
+        theta = linalg.zeros(m)
+    else:
+        P_prev = diagonal_polynomial(spec, n - 1)
+        theta = _norm_ratio_matrix(spec, n, tau)
+    return assemble(spec, P_prev, P_n, P_next, theta)
+
+
+def closure_polynomial(spec, tau=None):
+    n = spec.support_N + 1
+    nxt = []
+    for ch in spec.channels:
+        b_n, c_n = ch.recurrence_bc(n)
+        nxt.append(
+            monic_polynomial(ch, n) * ScalarPoly((-b_n, 1)) - monic_polynomial(ch, n - 1) * c_n
+        )
+    return assemble(
+        spec,
+        diagonal_polynomial(spec, n - 1),
+        diagonal_polynomial(spec, n),
+        MatrixPoly.diagonal(tuple(nxt)),
+        linalg.zeros(spec.m),
+    )
+
+
+def _commutator(A, M):
+    return A @ M - M @ A
+
+
+def conjugated_operator(A, F, K, G):
+    """(F^, K^, -G^) of the conjugated operator by matrix products:
+    F^ = (I+A) F + [A,F] x, K^ = A (F - G) + K + [A,K] x,
+    G^ = (I-A) G + [A,G] x."""
+    ident = MatrixPoly.identity(A.rows)
+    x = ScalarPoly.x()
+    F_hat = (ident + A) @ F + _commutator(A, F).scale(x)
+    K_hat = A @ (F - G) + K + _commutator(A, K).scale(x)
+    G_hat = (ident - A) @ G + _commutator(A, G).scale(x)
+    return F_hat, K_hat, -G_hat
+
+
+def weight_matrix(spec, x):
+    """W(x) = U(x) diag(w_i(x)) U(x)^T by constant matrix products."""
+    m = spec.m
+    diag = tuple(
+        tuple(spec.channels[i].weight(x) if i == j else Fraction(0) for j in range(m))
+        for i in range(m)
+    )
+    u = unipotent_factor(spec).evaluate(x)
+    return linalg.mat_mul(linalg.mat_mul(u, diag), linalg.transpose(u))

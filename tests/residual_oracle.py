@@ -52,7 +52,7 @@ def recurrence_residual(n, Q_prev, Q_n, Q_next):
     """x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) by coefficient matching
     on matrix polynomials, one inverse per use of a leading coefficient."""
     def const(rows):
-        return MatrixPoly.from_scalar_matrix(rows)
+        return MatrixPoly(rows)
 
     target = Q_n.scale(ScalarPoly.x())
     A_n = linalg.mat_mul(target.coefficient(n + 1), linalg.mat_inverse(Q_next.coefficient(n + 1)))
@@ -104,8 +104,9 @@ def oracle_verification(spec, n_max=None, a_probes=None, tau_probes=None,
     for (a_val, probe), operator in zip(probes, operators):
         for tau in tau_vals:
             polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
-            chain = polys + [successor_polynomial(probe, top, tau=tau)]
-            checked = _perturbed(polys, perturb)
+            # --perturb bumps the whole chain, the closing Q_(top+1) included
+            chain = _perturbed(polys + [successor_polynomial(probe, top, tau=tau)], perturb)
+            checked = chain[:-1]
             if exact_gram:
                 for n in range(len(checked)):
                     for k in range(n):

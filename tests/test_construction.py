@@ -25,6 +25,8 @@ from mvop.errors import ProbeError, SpecError, TruncationError
 from mvop.families import Charlier, Hahn, Krawtchouk, monic_polynomial, squared_norm
 from mvop.poly import MatrixPoly, ScalarPoly
 
+from construction_oracle import diagonal_polynomial
+
 x = ScalarPoly.x()
 
 
@@ -182,12 +184,12 @@ class TestConstruction:
         # Q_n (I + A x) agrees with the three-term core built from the
         # diagonal scalar polynomials and the norm-ratio matrix
         spec = kraw_pair(p=F(1, 3), s=F(1, 4), N=5, a=F(2))
-        from mvop.construction import _norm_ratio_matrix, diagonal_polynomial
+        from mvop.construction import _norm_ratio_matrix
 
         for n in range(1, 6):
             Q = orthogonal_polynomial(spec, n)
             lhs = Q @ unipotent_factor(spec)
-            theta = MatrixPoly.from_scalar_matrix(_norm_ratio_matrix(spec, n))
+            theta = MatrixPoly(_norm_ratio_matrix(spec, n))
             A = nilpotent_matrix(spec)
             rhs = (
                 diagonal_polynomial(spec, n)
@@ -243,8 +245,6 @@ class TestOrthogonality:
 
     def test_diagonal_inner_product_is_norm_matrix(self):
         spec = kraw_pair(p=F(1, 3), s=F(1, 4), N=5)
-        from mvop.construction import diagonal_polynomial
-
         for n in range(5):
             P = diagonal_polynomial(spec, n)
             g = inner_product(P, P, spec, diagonal=True)
@@ -264,7 +264,7 @@ class TestGramSchmidtOracle:
             Q = orthogonal_polynomial(spec, n)
             R = gram_schmidt_oracle(spec, n)
             lead_inv = linalg.mat_inverse(Q.leading_coefficient())
-            assert MatrixPoly.from_scalar_matrix(lead_inv) @ Q == R
+            assert MatrixPoly(lead_inv) @ Q == R
 
     def test_hahn_span_agreement(self):
         spec = FamilySpec(

@@ -87,7 +87,7 @@ def test_gram_schmidt_oracle_distinct_couplings():
     for n in range(spec.support_N + 1):
         Q = orthogonal_polynomial(spec, n)
         lead_inv = linalg.mat_inverse(Q.leading_coefficient())
-        assert gram_schmidt_oracle(spec, n) == MatrixPoly.from_scalar_matrix(lead_inv) @ Q
+        assert gram_schmidt_oracle(spec, n) == MatrixPoly(lead_inv) @ Q
 
 
 def test_verification_builds_each_value_once(monkeypatch):

@@ -253,9 +253,9 @@ class TestRecurrenceExtraction:
 
                 Q_next = closure_polynomial(spec)
             reco = (
-                MatrixPoly.from_scalar_matrix(t.A) @ Q_next
-                + MatrixPoly.from_scalar_matrix(t.B) @ Q_n
-                + MatrixPoly.from_scalar_matrix(t.C) @ Q_prev
+                MatrixPoly(t.A) @ Q_next
+                + MatrixPoly(t.B) @ Q_n
+                + MatrixPoly(t.C) @ Q_prev
             )
             assert reco == Q_n.scale(x)
 

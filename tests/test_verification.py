@@ -25,3 +25,32 @@ def test_each_polynomial_built_once(monkeypatch):
     # closure_polynomial
     assert len(built) == 5 * 4
     assert set(built.values()) == {1}
+
+
+def test_one_weight_table_per_run(monkeypatch):
+    # the channel weights do not depend on the couplings, so the five
+    # a-probes share one table
+    calls = []
+    real = verification.weight_table
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(verification, "weight_table", counting)
+    spec = FamilySpec(
+        a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3))
+    )
+    assert verification.run_verification(spec).all_passed
+    assert len(calls) == 1
+
+
+def test_perturb_reaches_the_recurrence_suite():
+    # the bump is a constant, so the three matched top coefficients still
+    # close n = 0 and 1; from n = 2 on the residual's constant term is left
+    spec = FamilySpec(
+        a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=4), Krawtchouk(p=F(3, 4), N=4))
+    )
+    report = verification.run_verification(spec, a_probes=(F(1),), perturb=True)
+    failed = {c.n for c in report.failures if c.name == "recurrence"}
+    assert failed == {2, 3, 4}
