@@ -33,6 +33,7 @@ from . import linalg
 from .construction import (
     FamilySpec,
     integer_table,
+    is_staggered,
     needs_mass_probe,
     nilpotent_matrix,
     orthogonal_polynomial,
@@ -148,8 +149,18 @@ def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
     with F^_ii = f_i, K^_ii = k_i and G^_ii = g_i; D = (F^, K^, -G^).  Each
     scalar product and sum is the one the matrix products form, in the same
     order, with only the zero terms left out.
+
+    Raises ValueError unless A is constant and on the staggered pattern and
+    F, K, G are diagonal of the same size, since no other entry is read.
     """
     m = A.rows
+    if A.cols != m or A.degree > 0 or not is_staggered(A.coefficient(0)):
+        raise ValueError("A must be a constant square matrix on the staggered pattern")
+    for name, M in (("F", F), ("K", K), ("G", G)):
+        if (M.rows, M.cols) != (m, m) or any(
+            not M.entries[i][j].is_zero for i in range(m) for j in range(m) if i != j
+        ):
+            raise ValueError(f"{name} must be a diagonal {m}x{m} matrix polynomial")
     x = ScalarPoly.x()
     one = ScalarPoly.one()
     zero = ScalarPoly()

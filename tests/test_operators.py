@@ -69,6 +69,24 @@ class TestConjugatedOperator:
         assert D.F.is_zero and D.G.is_zero
         assert D.K == K + (A @ K - K @ A).scale(x)
 
+    def test_rejects_what_it_would_not_read(self):
+        # only A's pattern entries and the diagonals of F, K, G are read
+        Z = MatrixPoly.zeros(3)
+        I = MatrixPoly.identity(3)
+        off_pattern = MatrixPoly(((0, F(1), F(2)), (0, 0, 0), (0, F(1), 0)))
+        with pytest.raises(ValueError, match="staggered pattern"):
+            conjugated_operator(off_pattern, I, Z, I)
+        varying = MatrixPoly(((0, x, 0), (0, 0, 0), (0, 0, 0)))
+        with pytest.raises(ValueError, match="staggered pattern"):
+            conjugated_operator(varying, I, Z, I)
+        A = MatrixPoly(((0, F(1), 0), (0, 0, 0), (0, F(1), 0)))
+        full = MatrixPoly(((1, 0, 0), (F(1, 2), 1, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="K must be a diagonal 3x3"):
+            conjugated_operator(A, I, full, I)
+        with pytest.raises(ValueError, match="G must be a diagonal 3x3"):
+            conjugated_operator(A, I, Z, MatrixPoly.identity(2))
+        conjugated_operator(A, I, Z, I)
+
     def test_charlier_forward_part(self):
         b, c, a = F(1), F(2), F(1)
         spec = FamilySpec(a=(a,), channels=(Charlier(b=b), Charlier(b=c)))
