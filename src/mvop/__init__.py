@@ -22,7 +22,6 @@ from .construction import (
 from .errors import ProbeError, SpecError, TruncationError
 from .families import (
     Charlier,
-    CustomWeight,
     Hahn,
     Krawtchouk,
     Mass,
@@ -32,10 +31,8 @@ from .families import (
     extended_polynomial,
     monic_polynomial,
     rodrigues_polynomial,
-    scalar_operator,
     squared_norm,
     weight_spec_from_json,
-    weight_value,
 )
 from .limits import (
     AgreementReport,
@@ -53,7 +50,6 @@ from .operators import (
     DifferenceOperator,
     EigenvalueMap,
     RecurrenceTriple,
-    apply_operator,
     canonical_operator,
     conjugated_operator,
     extract_recurrence,
@@ -71,7 +67,6 @@ __all__ = [
     "AgreementReport",
     "Charlier",
     "ConvergenceReport",
-    "CustomWeight",
     "DifferenceOperator",
     "EigenvalueMap",
     "FamilySpec",
@@ -91,7 +86,6 @@ __all__ = [
     "TransitionSpec",
     "TruncationError",
     "VerificationReport",
-    "apply_operator",
     "canonical_operator",
     "conjugated_operator",
     "continuous_target",
@@ -116,12 +110,10 @@ __all__ = [
     "rodrigues_polynomial",
     "run_transition",
     "run_verification",
-    "scalar_operator",
     "squared_norm",
     "transition_spec_from_json",
     "unipotent_factor",
     "verify_eigenfunction",
     "weight_matrix",
     "weight_spec_from_json",
-    "weight_value",
 ]

@@ -68,8 +68,16 @@ class _IOFailure(RuntimeError):
     pass
 
 
-def _parse_probe_list(text: str):
-    return tuple(rational(v) for v in text.split(","))
+def _option_rational(text: str, option: str):
+    """A rational command-line value, or a SpecError naming ``option``."""
+    try:
+        return rational(text)
+    except ValueError as err:
+        raise SpecError(f"{option}: {err}") from None
+
+
+def _parse_probe_list(text: str, option: str):
+    return tuple(_option_rational(v, option) for v in text.split(","))
 
 
 def _load_family(path: str) -> FamilySpec:
@@ -81,7 +89,26 @@ def _tau_for(spec: FamilySpec, args) -> object:
         return None
     if args.tau == "numeric":
         return "numeric"
-    return rational(args.tau)
+    return _option_rational(args.tau, "--tau")
+
+
+def _matrix_json(mat):
+    return [[format_rational(v) for v in row] for row in mat]
+
+
+def _weights_json(spec: FamilySpec, x_hi: int):
+    """W(x) at x = 0..x_hi, keyed by x."""
+    return {str(x): _matrix_json(weight_matrix(spec, x)) for x in range(x_hi + 1)}
+
+
+def _eigenvalues_json(eig, n_hi: int):
+    """The diagonals of Lambda_0..Lambda_n_hi."""
+    return [[format_rational(v) for v in eig.diagonal(n)] for n in range(n_hi + 1)]
+
+
+def _triple_json(t):
+    """A recurrence triple as {"A", "B", "C"}."""
+    return {key: _matrix_json(mat) for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))}
 
 
 def cmd_family(args) -> int:
@@ -113,16 +140,11 @@ def cmd_family(args) -> int:
         "spec": spec.to_json(),
         "tau": None if tau is None else str(tau),
         "Q": [matpoly_to_json(P) for P in polys],
-        "W": {
-            str(x): [[format_rational(v) for v in row] for row in weight_matrix(spec, x)]
-            for x in range(x_hi + 1)
-        },
+        "W": _weights_json(spec, x_hi),
     }
     if operator is not None:
         artifact["D"] = operator_to_json(operator)
-        artifact["Lambda"] = [
-            [format_rational(v) for v in eig.diagonal(n)] for n in range(n_hi + 1)
-        ]
+        artifact["Lambda"] = _eigenvalues_json(eig, n_hi)
     else:
         artifact["D"] = None
         artifact["Lambda"] = None
@@ -130,11 +152,7 @@ def cmd_family(args) -> int:
     if args.recurrence:
         chain = polys + [successor_polynomial(spec, n_hi, tau=exact_tau(spec, tau))]
         artifact["recurrence"] = [
-            {
-                key: [[format_rational(v) for v in row] for row in mat]
-                for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))
-            }
-            for t in closed_recurrence(spec, chain).values()
+            _triple_json(t) for t in closed_recurrence(spec, chain).values()
         ]
     _write_out(json_dumps(artifact), args.out)
     return EXIT_OK
@@ -142,8 +160,8 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_family(args.spec)
-    a_probes = _parse_probe_list(args.probes) if args.probes else None
-    tau_probes = _parse_probe_list(args.tau_probes) if args.tau_probes else None
+    a_probes = _parse_probe_list(args.probes, "--probes") if args.probes else None
+    tau_probes = _parse_probe_list(args.tau_probes, "--tau-probes") if args.tau_probes else None
     report = run_verification(
         spec,
         n_max=args.n_max,
@@ -203,12 +221,7 @@ def cmd_export(args) -> int:
             else json_dumps(matpoly_to_json(P))
         )
     elif what == "W":
-        top = spec.support_N if spec.is_finite else 10
-        data = {
-            str(x): [[format_rational(v) for v in row] for row in weight_matrix(spec, x)]
-            for x in range(top + 1)
-        }
-        text = json_dumps(data)
+        text = json_dumps(_weights_json(spec, spec.support_N if spec.is_finite else 10))
     elif what == "D":
         D, eig = canonical_operator(spec)
         if args.format == "latex":
@@ -217,23 +230,12 @@ def cmd_export(args) -> int:
             # the JSON lists Lambda_0..Lambda_n
             _check_export_degree(spec, args.n)
             text = json_dumps(
-                {
-                    "D": operator_to_json(D),
-                    "Lambda": [
-                        [format_rational(v) for v in eig.diagonal(n)]
-                        for n in range(args.n + 1)
-                    ],
-                }
+                {"D": operator_to_json(D), "Lambda": _eigenvalues_json(eig, args.n)}
             )
     elif what == "recurrence":
         _check_export_degree(spec, args.n)
         t = extract_recurrence(spec, args.n, tau=tau)
-        text = json_dumps(
-            {
-                key: [[format_rational(v) for v in row] for row in mat]
-                for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))
-            }
-        )
+        text = json_dumps(_triple_json(t))
     else:
         raise SpecError(f"unknown export artifact {what!r}")
     _write_out(text, args.out)

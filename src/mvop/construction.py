@@ -40,13 +40,16 @@ with the couplings over their common denominator), ``weight_table`` puts
 the channel weights over one denominator once per spec, and ``gram_sum``
 sums any pair in integers and divides each entry once, so a caller checking
 many pairs builds each table once and gets the exact ``Fraction`` Gram.
+The truncated float Gram has the same shape: ``float_value_table`` per
+polynomial, ``float_weight_table`` once, and ``float_gram`` per pair, which
+``inner_product(mode="truncated")`` also calls; ``converged`` raises on a
+tail above tolerance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from . import linalg
@@ -60,7 +63,7 @@ from .families import (
 )
 from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
-from .rational import format_rational, rational
+from .rational import format_rational, json_int, json_list, rational, spec_field
 
 # Default probe grids for evaluation-based identity certification.  The
 # identities in scope have degree <= 3 in the coupling parameter and are at
@@ -131,13 +134,12 @@ class FamilySpec:
 
 
 def family_spec_from_json(data: dict) -> FamilySpec:
-    try:
-        channels = tuple(weight_spec_from_json(ch) for ch in data["channels"])
-        a = tuple(rational(v) for v in data["a"])
-    except KeyError as missing:
-        raise SpecError(f"family spec lacks field {missing}") from None
-    spec = FamilySpec(a=a, channels=channels)
-    if "m" in data and int(data["m"]) != spec.m:
+    def field(key, convert):
+        return spec_field(data, key, convert, "family spec")
+
+    channels = field("channels", lambda v: json_list(v, weight_spec_from_json))
+    spec = FamilySpec(a=field("a", json_list), channels=channels)
+    if "m" in data and field("m", json_int) != spec.m:
         raise SpecError(
             f"family spec declares m = {data['m']} but has {spec.m} channels"
         )
@@ -497,7 +499,7 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
 
     Exact mode needs a finite support and exact coefficients, and sums
     integer tables through ``gram_sum``.  Truncated mode sums
-    x = 0..x_max in floats and records the tail estimate (last term
+    x = 0..x_max in floats through ``float_gram`` and records the tail estimate (last term
     relative to the accumulated absolute sum); a tail above tolerance raises
     rather than returning a silent value.  ``diagonal=True`` replaces W by
     the uncoupled diag(w_i) weight.
@@ -517,51 +519,20 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
 
     if mode != "truncated":
         raise ValueError(f"unknown inner product mode {mode!r}")
-
-    top = spec.support_N
-    stop = min(x_max, top) if top is not None else x_max
-    weights = _float_weight_table(spec, stop, diagonal)
-    pvals = _float_value_table(P, stop)
-    qvals = _float_value_table(Q, stop)
-    m = spec.m
-    total = [[0.0] * Q.rows for _ in range(P.rows)]
-    scale = [[0.0] * Q.rows for _ in range(P.rows)]
-    last = 0.0
-    for w, px, qx in zip(weights, pvals, qvals):
-        last = 0.0
-        for prow, trow, srow in zip(px, total, scale):
-            # the (r, s) products left to right, as the builtin sum of
-            # Python <= 3.11 adds them (later versions compensate)
-            pw = [[prow[r] * w[r][s] for s in range(m)] for r in range(m)]
-            for j, qrow in enumerate(qx):
-                term = 0.0
-                for pwr in pw:
-                    for s, v in enumerate(pwr):
-                        term += v * qrow[s]
-                trow[j] += term
-                srow[j] += abs(term)
-                last = max(last, abs(term))
-    scale_max = max(max(row) for row in scale)
-    tail = last / scale_max if scale_max > 0 else 0.0
-    if top is None and tail > tol:
-        raise TruncationError(
-            f"truncated inner product tail {tail:.3e} exceeds tolerance {tol:.1e} "
-            f"at x_max = {x_max}"
-        )
-    return GramMatrix(
-        entries=tuple(tuple(row) for row in total),
-        mode="truncated",
-        x_max=x_max,
-        tol=tol,
-        tail=tail,
-    )
+    weights = float_weight_table(spec, x_max, diagonal)
+    stop = len(weights) - 1
+    gram = float_gram(float_value_table(P, stop), float_value_table(Q, stop), weights, x_max, tol)
+    return converged(gram, spec)
 
 
-@lru_cache(maxsize=64)
-def _float_weight_table(spec: FamilySpec, stop: int, diagonal: bool):
-    """Float weight matrices at x = 0..stop: each exact entry of
+def float_weight_table(spec: FamilySpec, x_max: int, diagonal: bool = False):
+    """Float weight matrices at x = 0..min(x_max, N): each exact entry of
     W(x) = U(x) diag(w(x)) U(x)^T (``_weight_entries``) rounded to float
     once; ``diagonal`` drops A."""
+    if x_max < 0:
+        raise SpecError(f"x_max must be >= 0, got {x_max}")
+    top = spec.support_N
+    stop = x_max if top is None else min(x_max, top)
     couplings = () if diagonal else tuple(zip(staggered_positions(spec.m), spec.a))
     return tuple(
         tuple(tuple(map(float, row)) for row in _weight_entries(spec, x, couplings))
@@ -569,8 +540,7 @@ def _float_weight_table(spec: FamilySpec, stop: int, diagonal: bool):
     )
 
 
-@lru_cache(maxsize=512)
-def _float_value_table(P: MatrixPoly, stop: int):
+def float_value_table(P: MatrixPoly, stop: int):
     """Float values of every entry at x = 0..stop, by float Horner."""
     coeffs = tuple(
         tuple(tuple(float(c) for c in e.coeffs) for e in row) for row in P.entries
@@ -591,13 +561,60 @@ def _float_value_table(P: MatrixPoly, stop: int):
     return tuple(out)
 
 
+def float_gram(p_values, q_values, weights, x_max: int, tol: float) -> GramMatrix:
+    """The truncated <P, Q> from two float value tables and the float weight
+    table, with its tail estimate: the largest term at the last point
+    relative to the largest accumulated absolute sum.  ``converged`` judges
+    the tail."""
+    m = len(weights[0])  # x_max >= 0, so there is a point x = 0
+    total = [[0.0] * len(q_values[0]) for _ in p_values[0]]
+    scale = [[0.0] * len(q_values[0]) for _ in p_values[0]]
+    last = 0.0
+    for w, px, qx in zip(weights, p_values, q_values):
+        last = 0.0
+        for prow, trow, srow in zip(px, total, scale):
+            # the (r, s) products left to right, as the builtin sum of
+            # Python <= 3.11 adds them (later versions compensate)
+            pw = [[prow[r] * w[r][s] for s in range(m)] for r in range(m)]
+            for j, qrow in enumerate(qx):
+                term = 0.0
+                for pwr in pw:
+                    for s, v in enumerate(pwr):
+                        term += v * qrow[s]
+                trow[j] += term
+                srow[j] += abs(term)
+                last = max(last, abs(term))
+    scale_max = max(max(row) for row in scale)
+    return GramMatrix(
+        entries=tuple(tuple(row) for row in total),
+        mode="truncated",
+        x_max=x_max,
+        tol=tol,
+        tail=last / scale_max if scale_max > 0 else 0.0,
+    )
+
+
+def converged(gram: GramMatrix, spec: FamilySpec) -> GramMatrix:
+    """``gram``, unless it truncates an infinite support with its tail above
+    tolerance: then a TruncationError rather than a silent value."""
+    if spec.support_N is None and gram.tail > gram.tol:
+        raise TruncationError(
+            f"truncated inner product tail {gram.tail:.3e} exceeds tolerance "
+            f"{gram.tol:.1e} at x_max = {gram.x_max}"
+        )
+    return gram
+
+
 def relative_gram_bound(P, Q, spec, x_max: int = 400, tol: float = 1e-9) -> float:
     """max |<P,Q>_ij| relative to the larger of the two self inner products;
-    the truncated-orthogonality figure of merit."""
-    g = inner_product(P, Q, spec, mode="truncated", x_max=x_max, tol=tol)
-    gn = inner_product(P, P, spec, mode="truncated", x_max=x_max, tol=tol)
-    gk = inner_product(Q, Q, spec, mode="truncated", x_max=x_max, tol=tol)
-    return gram_ratio(g.max_abs(), gn.max_abs(), gk.max_abs())
+    the truncated-orthogonality figure of merit.  The three sums share one
+    weight table, and their tails are judged in the order <P, Q>, <P, P>,
+    <Q, Q>."""
+    weights = float_weight_table(spec, x_max)
+    p, q = (float_value_table(S, len(weights) - 1) for S in (P, Q))
+    grams = (float_gram(p, q, weights, x_max, tol), float_gram(p, p, weights, x_max, tol),
+             float_gram(q, q, weights, x_max, tol))
+    return gram_ratio(*(converged(g, spec).max_abs() for g in grams))
 
 
 def gram_ratio(pair: float, p_self: float, q_self: float) -> float:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import SpecError
 from .poly import ScalarPoly, lagrange_interpolate
-from .rational import binomial, format_rational, pochhammer, rational
+from .rational import binomial, format_rational, json_int, pochhammer, rational, spec_field
 
 
 @dataclass(frozen=True)
@@ -419,48 +419,6 @@ class Hahn:
         }
 
 
-@dataclass(frozen=True)
-class CustomWeight:
-    """Hook for a user-supplied discrete weight via recurrence coefficients.
-
-    ``recurrence`` maps n to the pair (b_n, c_n) of exact recurrence
-    coefficients; ``weight_fn`` gives the pointwise weight; ``mass`` anchors
-    the squared-norm ladder.  Rodrigues and difference-operator services are
-    not provided for custom weights.
-    """
-
-    name: str
-    weight_fn: object
-    recurrence: object
-    mass: NormValue
-    N: int | None = None
-    kind = "custom"
-
-    @property
-    def support_N(self):
-        return self.N
-
-    def weight(self, x: int) -> Fraction:
-        if x < 0 or (self.N is not None and x > self.N):
-            return Fraction(0)
-        return self.weight_fn(x)
-
-    def recurrence_bc(self, n: int):
-        return self.recurrence(n)
-
-    def total_mass(self) -> NormValue:
-        return self.mass
-
-    def operator(self):
-        raise SpecError("custom weights do not carry a difference operator")
-
-    def rodrigues_value(self, n, x):
-        raise SpecError("custom weights do not carry a Rodrigues formula")
-
-    def to_json(self):
-        raise SpecError("custom weights do not serialize")
-
-
 def brute_force_mass(spec) -> Fraction:
     """Total mass by direct summation; the oracle for the closed forms."""
     return sum((spec.weight(x) for x in range(spec.support_N + 1)), Fraction(0))
@@ -593,16 +551,6 @@ def rodrigues_polynomial(spec, n: int) -> ScalarPoly:
     return lagrange_interpolate(points)
 
 
-def scalar_operator(spec) -> ScalarOperator:
-    """The family's difference operator delta = Delta f + k - nabla g."""
-    return spec.operator()
-
-
-def weight_value(spec, x: int) -> Fraction:
-    """Exact weight at an integer point; zero off the support."""
-    return spec.weight(x)
-
-
 # --------------------------------------------------------------------------
 # JSON wire format
 
@@ -610,20 +558,16 @@ _KINDS = {"charlier", "meixner", "krawtchouk", "hahn"}
 
 
 def weight_spec_from_json(data: dict):
-    kind = data.get("kind")
+    def field(key, convert=rational):
+        return spec_field(data, key, convert, f"scalar weight spec {data!r}")
+
+    kind = field("kind", str)
     if kind not in _KINDS:
         raise SpecError(f"unknown scalar weight kind: {kind!r}")
-    try:
-        if kind == "charlier":
-            return Charlier(b=rational(data["b"]))
-        if kind == "meixner":
-            return Meixner(beta=rational(data["beta"]), c=rational(data["c"]))
-        if kind == "krawtchouk":
-            return Krawtchouk(p=rational(data["p"]), N=int(data["N"]))
-        return Hahn(
-            alpha=rational(data["alpha"]),
-            beta=rational(data["beta"]),
-            N=int(data["N"]),
-        )
-    except KeyError as missing:
-        raise SpecError(f"scalar weight spec {data!r} lacks field {missing}") from None
+    if kind == "charlier":
+        return Charlier(b=field("b"))
+    if kind == "meixner":
+        return Meixner(beta=field("beta"), c=field("c"))
+    if kind == "krawtchouk":
+        return Krawtchouk(p=field("p"), N=field("N", json_int))
+    return Hahn(alpha=field("alpha"), beta=field("beta"), N=field("N", json_int))

@@ -23,7 +23,7 @@ from .errors import SpecError
 from .families import Charlier, Hahn, Krawtchouk, Meixner
 from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
-from .rational import format_rational, rational
+from .rational import format_rational, json_int, json_list, json_typed, rational, spec_field
 
 TRANSITION_NAMES = (
     "krawtchouk->charlier",
@@ -123,16 +123,19 @@ class TransitionSpec:
 
 
 def transition_spec_from_json(data: dict) -> TransitionSpec:
-    try:
-        return TransitionSpec(
-            name=data["name"],
-            n=int(data["n"]),
-            a=rational(data["a"]),
-            ladder=tuple(rational(v) for v in data["ladder"]),
-            params=tuple(data.get("params", {}).items()),
-        )
-    except KeyError as missing:
-        raise SpecError(f"transition spec lacks field {missing}") from None
+    def field(key, convert):
+        return spec_field(data, key, convert, "transition spec")
+
+    def params(value):
+        return tuple((k, rational(v)) for k, v in json_typed(value, dict).items())
+
+    return TransitionSpec(
+        name=field("name", str),
+        n=field("n", json_int),
+        a=field("a", rational),
+        ladder=field("ladder", json_list),
+        params=field("params", params) if "params" in data else (),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .construction import (
     successor_polynomial,
 )
 from .errors import ProbeError, SpecError
-from .families import Charlier, Hahn, Krawtchouk, Meixner, ScalarOperator
+from .families import Hahn, ScalarOperator
 from .poly import MatrixPoly, ScalarPoly
 
 
@@ -98,10 +98,6 @@ class IntegerStencil:
     extra_degree: int
     scale: int
     points: tuple
-
-
-def apply_operator(P: MatrixPoly, D: DifferenceOperator) -> MatrixPoly:
-    return D.apply(P)
 
 
 @dataclass(frozen=True)
@@ -181,40 +177,27 @@ def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
     )
 
 
-def _normalized_channel(ch, position: int) -> tuple[ScalarOperator, object]:
-    """Channel operator scaled so the eigenvalue is n, then shifted by +1 on
-    odd (1-based) channels so eigenvalues interlace across the coupling."""
-    odd = position % 2 == 1
-    shift = Fraction(1) if odd else Fraction(0)
-    if isinstance(ch, Charlier):
-        f, g = ScalarPoly.constant(-ch.b), -ScalarPoly.x()
-    elif isinstance(ch, Krawtchouk):
-        f = ScalarPoly((-ch.p * ch.N, ch.p))
-        g = ScalarPoly((Fraction(0), -(1 - ch.p)))
-    elif isinstance(ch, Meixner):
-        scale = 1 / (ch.c - 1)
-        f = ScalarPoly((ch.c * ch.beta, ch.c)) * scale
-        g = ScalarPoly.x() * scale
-    else:
-        raise SpecError(f"no normalized operator for channel kind {ch.kind!r}")
-    op = ScalarOperator(
-        f=f,
-        k=ScalarPoly.constant(shift),
-        g=g,
-        eigenvalue=lambda n, s=shift: Fraction(n) + s,
-    )
-    return op, op.eigenvalue
+def _normalized_channel(ch, position: int, hahn_sum) -> tuple[ScalarOperator, object]:
+    """The channel's own operator (``ch.operator()``) normalized so that
+    eigenvalues interlace across the coupling, for its 1-based ``position``.
 
-
-def _hahn_channel(ch: Hahn, position: int, base_sum: Fraction) -> tuple[ScalarOperator, object]:
+    Charlier, Meixner and Krawtchouk operators are scaled by 1/lambda(1), so
+    the eigenvalue is n, and shifted by +1 on odd channels.  Hahn operators
+    keep their scale and quadratic eigenvalue, shifted by -``hahn_sum``
+    (alpha_1 + beta_1) on even channels.  Every base operator has k = 0, so
+    the shift is the whole of k.
+    """
     base = ch.operator()
     odd = position % 2 == 1
-    shift = Fraction(0) if odd else -base_sum
+    if isinstance(ch, Hahn):
+        scale, shift = 1, Fraction(0) if odd else -hahn_sum
+    else:
+        scale, shift = 1 / base.eigenvalue(1), Fraction(int(odd))
     op = ScalarOperator(
-        f=base.f,
+        f=base.f * scale,
         k=ScalarPoly.constant(shift),
-        g=base.g,
-        eigenvalue=lambda n, b=base.eigenvalue, s=shift: b(n) + s,
+        g=base.g * scale,
+        eigenvalue=lambda n: base.eigenvalue(n) * scale + shift,
     )
     return op, op.eigenvalue
 
@@ -239,12 +222,9 @@ def _channel_operators(spec: FamilySpec, force: bool):
                                 f"by channels ({i + 1}, {j + 1}): "
                                 f"{sums[i]} != {sums[j]} + 2"
                             )
-        base_sum = spec.channels[0].alpha + spec.channels[0].beta
-        return [
-            _hahn_channel(ch, pos + 1, base_sum)
-            for pos, ch in enumerate(spec.channels)
-        ]
-    return [_normalized_channel(ch, pos + 1) for pos, ch in enumerate(spec.channels)]
+    first = spec.channels[0]
+    hahn_sum = first.alpha + first.beta if kinds == {Hahn} else None
+    return [_normalized_channel(ch, pos + 1, hahn_sum) for pos, ch in enumerate(spec.channels)]
 
 
 def canonical_operator(spec: FamilySpec, force: bool = False):

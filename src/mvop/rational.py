@@ -10,18 +10,58 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import SpecError
+
 
 def rational(value) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
+    """Coerce ints, Fractions and "p/q" strings to an exact Fraction; any
+    other value (a bool or a float included) is a TypeError, and a string
+    that is no rational (a zero denominator included) a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def json_typed(value, kind: type):
+    """``value`` if JSON gave it as a ``kind`` (a bool is no int), else a
+    TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_int(value) -> int:
+    return json_typed(value, int)
+
+
+def json_list(value, convert=rational) -> tuple:
+    return tuple(convert(v) for v in json_typed(value, list))
+
+
+def spec_field(data, key: str, convert, owner: str):
+    """``convert(data[key])`` for the JSON object ``owner`` names.  Data that
+    is no object, a missing key, or a value ``convert`` rejects with a
+    TypeError or ValueError is a SpecError that names it; a SpecError passes
+    unchanged."""
+    if not isinstance(data, dict):
+        raise SpecError(f"{owner} is not a JSON object")
+    if key not in data:
+        raise SpecError(f"{owner} lacks field {key!r}")
+    try:
+        return convert(data[key])
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise SpecError(f"{owner} field {key!r}: {err}") from None
 
 
 def format_rational(q) -> str:

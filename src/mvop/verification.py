@@ -1,9 +1,11 @@
 """Verification suites: orthogonality, bispectrality, recurrence residual,
 with their check results and reports.
 
-``run_verification`` sweeps the probe grid (coupling values x mass-quotient
-values) once.  Each probe builds Q_0..Q_top and the closing Q_(top+1) a single
-time, and one integer value table per polynomial
+One private sweep (``_sweep``) walks the probe grid (coupling values x
+mass-quotient values) once, for ``run_verification`` and
+``verify_eigenfunction`` alike.  Each coupling probe builds its operator
+and stencil once; each (a, tau) probe builds Q_0..Q_top and the closing
+Q_(top+1) a single time, and one integer value table per polynomial
 (``construction.integer_table``): the coefficients over their least common
 denominator L, evaluated at x = -1..X.  The three exact suites read only
 these tables, and scaling by nonzero integers changes no zero:
@@ -25,8 +27,9 @@ name its first nonzero entry.  Each probe instance is an exact rational
 identity check, and the grid oversamples the identities' degrees in the
 formal parameters.  Infinite supports (and ``truncated=True``) check
 orthogonality by truncated float sums on the spec's own couplings, with the
-true transcendental quotients.  All work runs inline: it is pure-Python
-arithmetic, which threads do not speed up.
+true transcendental quotients, from one float value table per polynomial
+and one float weight table per run.  All work runs inline: it is
+pure-Python arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
@@ -39,9 +42,12 @@ from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
+    converged,
+    float_gram,
+    float_value_table,
+    float_weight_table,
     gram_ratio,
     gram_sum,
-    inner_product,
     integer_table,
     needs_mass_probe,
     orthogonal_polynomial,
@@ -144,29 +150,27 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
     exactly over the finite support from their integer ``tables`` and the
     spec's ``weights`` (``construction.weight_table``, which does not depend
     on the couplings), or with ``truncated`` by the relative bound of
-    truncated float sums against ``tol``, with one self inner product per
-    polynomial."""
-    if truncated:
-        def size(i, j):
-            return inner_product(
-                polys[i], polys[j], spec, mode="truncated", x_max=x_max, tol=tol
-            ).max_abs()
+    truncated float sums against ``tol``.
 
-        # each self inner product once, when a pair first needs it: the sums
-        # run in the order relative_gram_bound runs them, so the first
-        # TruncationError raised is the same
-        self_sizes = {}
+    The truncated sums read one float value table per polynomial and one
+    float weight table, and each self inner product is summed once.  Tails
+    are judged in the order ``relative_gram_bound`` sums them (the pair,
+    then both self products), so the first TruncationError raised is the
+    one that would be raised pair by pair."""
+    if truncated:
+        weights = float_weight_table(spec, x_max)
+        values = [float_value_table(Q, len(weights) - 1) for Q in polys]
+        selves = [float_gram(v, v, weights, x_max, tol) for v in values]
     else:
         values = [value_table(t, spec) for t in tables]
     checks = []
     for n in range(len(polys)):
         for k in range(n):
             if truncated:
-                pair = size(n, k)
-                for i in (n, k):
-                    if i not in self_sizes:
-                        self_sizes[i] = size(i, i)
-                bound = gram_ratio(pair, self_sizes[n], self_sizes[k])
+                grams = (float_gram(values[n], values[k], weights, x_max, tol),
+                         selves[n], selves[k])
+                pair, p_self, q_self = (converged(g, spec).max_abs() for g in grams)
+                bound = gram_ratio(pair, p_self, q_self)
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
             else:
@@ -242,28 +246,47 @@ def _probe(spec: FamilySpec, a_val) -> FamilySpec:
     return spec.with_a((a_val,) * (spec.m - 1))
 
 
+def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operators, perturb: bool):
+    """The probe sweep every suite reads, as (a, tau, probe spec, operator,
+    stencil, chain, tables): per coupling probe its operator (one per a
+    value in ``operators``, or None) and D's integer stencil; per tau the
+    chain Q_0..Q_top plus the closing Q_(top+1), perturbed with
+    ``perturb``, and one integer table per polynomial, each built once.
+
+    The tables reach x = X: the support, the recurrence's top + 1 and the
+    eigenfunction's top + extra + 1, for Q(x + 1) at its last point.
+    """
+    for a_val, operator in zip(a_vals, operators):
+        probe = _probe(spec, a_val)
+        extra = 0 if operator is None else operator[0].extra_degree
+        stop = max(spec.support_N or 0, top + extra + 1)
+        stencil = None if operator is None else operator[0].stencil(stop - 1)
+        for tau in tau_vals:
+            chain = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
+            chain.append(successor_polynomial(probe, top, tau=tau))
+            chain = _perturbed(chain, perturb)
+            tables = [integer_table(Q, stop) for Q in chain]
+            yield a_val, tau, probe, operator, stencil, chain, tables
+
+
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
                          tau_probes=None, force: bool = False,
                          perturb: bool = False) -> VerificationReport:
     """Check Q_n . D - Lambda_n Q_n = 0 identically over the probe grid.
 
     The canonical operator is rebuilt for each probe value of the coupling
-    constant (the operator depends on it).  Failures are recorded per
-    (n, probe) with the first nonzero entry; nothing raises.
+    constant (the operator depends on it), and the polynomials and tables
+    come from the sweep ``run_verification`` reads.  Failures are recorded
+    per (n, probe) with the first nonzero entry; nothing raises.
     """
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
+    operators = [canonical_operator(_probe(spec, a_val), force=force) for a_val in a_vals]
     checks = []
-    for a_val in a_vals:
-        probe = _probe(spec, a_val)
-        operator = canonical_operator(probe, force=force)
-        stop = n_max + operator[0].extra_degree + 1
-        stencil = operator[0].stencil(stop - 1)
-        for tau in tau_vals:
-            polys = _perturbed(
-                [orthogonal_polynomial(probe, n, tau=tau) for n in range(n_max + 1)], perturb
-            )
-            tables = [integer_table(Q, stop) for Q in polys]
-            checks.extend(_eigenfunction_checks(operator, stencil, polys, tables, a_val, tau))
+    for a_val, tau, _, operator, stencil, chain, tables in _sweep(
+            spec, n_max, a_vals, tau_vals, operators, perturb):
+        checks.extend(_eigenfunction_checks(
+            operator, stencil, chain[:-1], tables[:-1], a_val, tau,
+        ))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -294,35 +317,25 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
             tau, truncated=True, x_max=x_max, tol=tol,
         )
 
-    probes = [(a_val, _probe(spec, a_val)) for a_val in a_vals]
     try:
-        operators = [canonical_operator(probe) for _, probe in probes]
+        operators = [canonical_operator(_probe(spec, a_val)) for a_val in a_vals]
     except SpecError as err:
-        operators = [None] * len(probes)
+        operators = [None] * len(a_vals)
         notes.append(f"bispectral suite skipped: {err}")
 
     inverses = {}  # each distinct leading coefficient inverted once per run
-    for (a_val, probe), operator in zip(probes, operators):
-        # the tables reach x = X: the support, the recurrence's top + 1 and
-        # the eigenfunction's top + extra + 1, for Q(x + 1) at its last point
-        extra = 0 if operator is None else operator[0].extra_degree
-        stop = max(spec.support_N or 0, top + extra + 1)
-        stencil = None if operator is None else operator[0].stencil(stop - 1)
-        for tau in tau_vals:
-            chain = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
-            chain.append(successor_polynomial(probe, top, tau=tau))
-            chain = _perturbed(chain, perturb)
-            tables = [integer_table(Q, stop) for Q in chain]
-            checked, checked_tables = chain[:-1], tables[:-1]
-            if exact_gram:
-                orthogonality.extend(verify_orthogonality(
-                    probe, checked, a_val, tau, tables=checked_tables, weights=weights,
-                ))
-            if operator is not None:
-                eigenfunction.extend(_eigenfunction_checks(
-                    operator, stencil, checked, checked_tables, a_val, tau,
-                ))
-            recurrence.extend(verify_recurrence(probe, chain, tables, a_val, tau, inverses))
+    for a_val, tau, probe, operator, stencil, chain, tables in _sweep(
+            spec, top, a_vals, tau_vals, operators, perturb):
+        checked, checked_tables = chain[:-1], tables[:-1]
+        if exact_gram:
+            orthogonality.extend(verify_orthogonality(
+                probe, checked, a_val, tau, tables=checked_tables, weights=weights,
+            ))
+        if operator is not None:
+            eigenfunction.extend(_eigenfunction_checks(
+                operator, stencil, checked, checked_tables, a_val, tau,
+            ))
+        recurrence.extend(verify_recurrence(probe, chain, tables, a_val, tau, inverses))
 
     return VerificationReport(
         checks=tuple(orthogonality + eigenfunction + recurrence),

@@ -4,7 +4,10 @@ These are the constructions ``mvop.construction`` and ``mvop.operators``
 used before Q_n, the closure companion, D and W were built entry by entry
 on the staggered pattern: every term is a general ``MatrixPoly`` product of
 diagonal and constant matrices.  Tests compare the entrywise code with them
-coefficient by coefficient, types and signed zeros included.
+coefficient by coefficient, types and signed zeros included.  The channel
+normalizations of Charlier, Meixner and Krawtchouk operators are kept as
+they were written by hand before they were derived from each family's own
+operator.
 """
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from mvop.construction import (
     nilpotent_matrix,
     unipotent_factor,
 )
-from mvop.families import monic_polynomial
+from mvop.families import Charlier, Krawtchouk, Meixner, ScalarOperator, monic_polynomial
 from mvop.poly import MatrixPoly, ScalarPoly
 
 
@@ -89,3 +92,23 @@ def weight_matrix(spec, x):
     )
     u = unipotent_factor(spec).evaluate(x)
     return linalg.mat_mul(linalg.mat_mul(u, diag), linalg.transpose(u))
+
+
+def normalized_channel(ch, position):
+    """The Charlier, Meixner or Krawtchouk channel operator with eigenvalue
+    n, shifted by +1 on odd (1-based) positions, written out by hand."""
+    shift = Fraction(1) if position % 2 == 1 else Fraction(0)
+    if isinstance(ch, Charlier):
+        f, g = ScalarPoly.constant(-ch.b), -ScalarPoly.x()
+    elif isinstance(ch, Krawtchouk):
+        f = ScalarPoly((-ch.p * ch.N, ch.p))
+        g = ScalarPoly((Fraction(0), -(1 - ch.p)))
+    elif isinstance(ch, Meixner):
+        scale = 1 / (ch.c - 1)
+        f = ScalarPoly((ch.c * ch.beta, ch.c)) * scale
+        g = ScalarPoly.x() * scale
+    else:
+        raise ValueError(f"no hand-written normalization for {ch.kind!r}")
+    return ScalarOperator(
+        f=f, k=ScalarPoly.constant(shift), g=g, eigenvalue=lambda n: Fraction(n) + shift
+    )

@@ -158,6 +158,39 @@ class TestFamily:
         assert "nonzero" in res.stderr
 
 
+def _with_channel(**changes):
+    return {**KRAW44, "channels": [{**KRAW44["channels"][0], **changes}, KRAW44["channels"][1]]}
+
+
+# (command, spec payload, extra arguments, text the message must hold)
+BAD_INPUTS = {
+    "float-p": ("family", _with_channel(p=0.5), (), "field 'p'"),
+    "zero-denominator-a": ("family", {**KRAW44, "a": ["1/0"]}, (), "field 'a'"),
+    "zero-denominator-probes": ("verify", KRAW44, ("--probes", "1/0"), "--probes"),
+    "zero-denominator-tau-probes": (
+        "verify", CHARLIER_BC, ("--tau-probes", "1/0"), "--tau-probes"),
+    "zero-denominator-tau": ("family", CHARLIER_BC, ("--tau", "1/0"), "--tau"),
+    "top-level-list": ("family", [KRAW44], (), "family spec is not a JSON object"),
+    "scalar-a": ("family", {**KRAW44, "a": 1}, (), "field 'a'"),
+    "list-params": ("limits", {**KC_TRANSITION, "params": [["b", 1]]}, (), "'params'"),
+    "float-N": ("family", _with_channel(N=4.7), (), "field 'N'"),
+    "bool-N": ("family", _with_channel(N=True), (), "field 'N'"),
+    "float-n": ("limits", {**KC_TRANSITION, "n": 1.5}, (), "field 'n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_and_names_the_field(tmp_path, case):
+    command, payload, extra, named = BAD_INPUTS[case]
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(payload))
+    res = run_cli(command, "--spec", str(p), *extra)
+    assert res.returncode == 2
+    assert res.stderr.startswith("invalid input: ")
+    assert named in res.stderr
+    assert res.stdout == ""
+
+
 class TestVerify:
     def test_pass_exits_0(self, spec_files, tmp_path):
         out = tmp_path / "report.json"
@@ -188,6 +221,15 @@ class TestVerify:
         )
         assert res.returncode == 2
         assert "--x-max" in res.stderr
+        assert res.stdout == ""
+
+    def test_truncation_failure_stderr(self, spec_files):
+        res = run_cli("verify", "--spec", spec_files["charlier_bc"], "--x-max", "6")
+        assert res.returncode == 1
+        assert res.stderr == (
+            "verification failed: truncated inner product tail 1.900e-01 exceeds "
+            "tolerance 1.0e-09 at x_max = 6\n"
+        )
         assert res.stdout == ""
 
     def test_perturbed_exits_1(self, spec_files):

@@ -152,6 +152,32 @@ def test_canonical_operator_equals_matrix_products(data):
     assert_same(D.G, G_hat)
 
 
+NORMALIZED_SPECS = {
+    "charlier": (Charlier(F(3, 2)), Charlier(F(7))),
+    "meixner": (Meixner(F(1, 2), F(1, 3)), Meixner(F(5, 2), F(7, 9))),
+    "krawtchouk": (Krawtchouk(F(2, 5), 6), Krawtchouk(F(1, 3), 6), Krawtchouk(F(2, 5), 6)),
+    "charlier-meixner": (Charlier(F(3, 2)), Meixner(F(5, 2), F(7, 9)), Charlier(F(7))),
+    "meixner-charlier": (Meixner(F(1, 2), F(1, 3)), Charlier(F(7)),
+                         Meixner(F(5, 2), F(7, 9)), Charlier(F(3, 2))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NORMALIZED_SPECS))
+def test_canonical_operator_equals_hand_normalization(family):
+    channels = NORMALIZED_SPECS[family]
+    spec = FamilySpec(a=COUPLINGS[:len(channels) - 1], channels=channels)
+    ops = [oracle.normalized_channel(ch, pos + 1) for pos, ch in enumerate(channels)]
+    D, eig = canonical_operator(spec)
+    want = conjugated_operator(
+        nilpotent_matrix(spec),
+        *(MatrixPoly.diagonal(tuple(getattr(op, name) for op in ops)) for name in "fkg"),
+    )
+    for new, old in zip((D.F, D.K, D.G), (want.F, want.K, want.G)):
+        assert_same(new, old)
+    for n in range(6):
+        assert eig.diagonal(n) == tuple(op.eigenvalue(n) for op in ops)
+
+
 # int coefficients too, which a sum or product started from Fraction(0) lifts
 polys = st.lists(st.sampled_from((0, 2, F(0), F(1), F(-2), F(1, 3), F(5, 2))),
                  max_size=3).map(ScalarPoly)

@@ -6,7 +6,6 @@ import pytest
 from mvop.errors import SpecError
 from mvop.families import (
     Charlier,
-    CustomWeight,
     Hahn,
     Krawtchouk,
     Mass,
@@ -15,10 +14,8 @@ from mvop.families import (
     extended_polynomial,
     monic_polynomial,
     rodrigues_polynomial,
-    scalar_operator,
     squared_norm,
     weight_spec_from_json,
-    weight_value,
 )
 from mvop.poly import ScalarPoly
 
@@ -38,17 +35,17 @@ FAMILIES = (
 
 class TestWeights:
     def test_charlier_value(self):
-        assert weight_value(Charlier(b=F(2)), 3) == F(4, 3)
+        assert Charlier(b=F(2)).weight(3) == F(4, 3)
 
     def test_krawtchouk_value(self):
-        assert weight_value(Krawtchouk(p=F(1, 2), N=4), 2) == F(3, 8)
+        assert Krawtchouk(p=F(1, 2), N=4).weight(2) == F(3, 8)
 
     def test_meixner_value(self):
-        assert weight_value(Meixner(beta=F(1), c=F(1, 2)), 2) == F(1, 4)
+        assert Meixner(beta=F(1), c=F(1, 2)).weight(2) == F(1, 4)
 
     def test_off_support(self):
-        assert weight_value(Charlier(b=F(2)), -1) == 0
-        assert weight_value(Krawtchouk(p=F(1, 2), N=4), 5) == 0
+        assert Charlier(b=F(2)).weight(-1) == 0
+        assert Krawtchouk(p=F(1, 2), N=4).weight(5) == 0
 
     @pytest.mark.parametrize("spec", [f for f in FAMILIES if f.support_N is not None])
     def test_closed_form_mass(self, spec):
@@ -223,48 +220,29 @@ class TestRodrigues:
 
 class TestOperators:
     def test_charlier_action(self):
-        op = scalar_operator(Charlier(b=F(3)))
+        op = Charlier(b=F(3)).operator()
         p = x - 3
         assert op.apply(p) == -p
         assert op.eigenvalue(1) == -1
 
     def test_meixner_eigenvalue(self):
-        op = scalar_operator(Meixner(beta=F(1), c=F(1, 2)))
+        op = Meixner(beta=F(1), c=F(1, 2)).operator()
         assert op.eigenvalue(2) == 2 * (F(1, 2) - 1) == -1
 
     def test_krawtchouk_extension_eigenvalue(self):
         spec = Krawtchouk(p=F(1, 2), N=4)
-        op = scalar_operator(spec)
+        op = spec.operator()
         ext = extended_polynomial(spec)
         assert op.apply(ext) == ext * F(-5)
         assert op.eigenvalue(5) == -5
 
     @pytest.mark.parametrize("spec", FAMILIES)
     def test_eigen_relation_all_degrees(self, spec):
-        op = scalar_operator(spec)
+        op = spec.operator()
         top = spec.support_N + 1 if spec.support_N is not None else 8
         for n in range(top + 1):
             p = monic_polynomial(spec, n)
             assert op.apply(p) == p * op.eigenvalue(n), (spec, n)
-
-
-class TestCustomWeightHook:
-    def test_recurrence_driven_orthogonality(self):
-        # feed the krawtchouk data through the custom hook and check the
-        # resulting polynomials are orthogonal for the supplied weight
-        base = Krawtchouk(p=F(2, 5), N=5)
-        spec = CustomWeight(
-            name="resampled",
-            weight_fn=base.weight,
-            recurrence=base.recurrence_bc,
-            mass=base.total_mass(),
-            N=5,
-        )
-        for n in range(6):
-            assert monic_polynomial(spec, n) == monic_polynomial(base, n)
-        assert squared_norm(spec, 3).coefficient == squared_norm(base, 3).coefficient
-        with pytest.raises(SpecError):
-            scalar_operator(spec)
 
 
 class TestJson:

@@ -1,12 +1,13 @@
 """The float truncated path: weight tables rounded once from exact entries,
-and one self inner product per polynomial in the orthogonality sweep."""
+and one table per polynomial and one self inner product per polynomial in
+the orthogonality sweep."""
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from mvop import construction, verification
-from mvop.construction import FamilySpec, _float_weight_table, weight_matrix
+from mvop.construction import FamilySpec, float_weight_table, weight_matrix
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 
 SPECS = {
@@ -44,7 +45,7 @@ def reference_table(spec, stop, diagonal):
 def test_weight_table_is_exact_entries_rounded_once(name, diagonal):
     spec = SPECS[name]
     stop = 40 if spec.support_N is None else spec.support_N
-    got = _float_weight_table(spec, stop, diagonal)
+    got = float_weight_table(spec, stop, diagonal)
     want = reference_table(spec, stop, diagonal)
     # repr tells 0.0 from -0.0 and shows every bit of the rounding
     assert repr(got) == repr(want)
@@ -52,22 +53,28 @@ def test_weight_table_is_exact_entries_rounded_once(name, diagonal):
 
 def test_sweep_computes_each_self_gram_once(monkeypatch):
     calls = Counter()
-    real_inner = verification.inner_product
-    real_weight_matrix = construction.weight_matrix
+    tables = []  # the polynomials given float value tables
 
-    def counting_inner(P, Q, spec, mode="exact", **kw):
-        calls[mode] += 1
-        return real_inner(P, Q, spec, mode=mode, **kw)
+    def counting(name, real, record=None):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            if record is not None:
+                record.append(args[0])
+            return real(*args, **kw)
+        return wrapper
 
-    def counting_weight_matrix(spec, x):
-        calls["weight_matrix"] += 1
-        return real_weight_matrix(spec, x)
-
-    monkeypatch.setattr(verification, "inner_product", counting_inner)
-    monkeypatch.setattr(construction, "weight_matrix", counting_weight_matrix)
-    construction._float_weight_table.cache_clear()
+    for module, name, record in (
+        (verification, "float_value_table", tables),
+        (verification, "float_weight_table", None),
+        (verification, "float_gram", None),
+        (construction, "weight_matrix", None),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name), record))
     spec = SPECS["charlier-charlier"]
     report = verification.run_verification(spec, n_max=3, x_max=100)
     assert report.all_passed
-    # 6 pairs among Q_0..Q_3 plus the 4 self inner products
-    assert calls == Counter({"truncated": 10})
+    # one table per Q_0..Q_3 and one weight table, no W(x) by weight_matrix;
+    # 6 pair sums among Q_0..Q_3 plus the 4 self sums
+    polys = [construction.orthogonal_polynomial(spec, n, tau="numeric") for n in range(4)]
+    assert tables == polys
+    assert calls == Counter(float_value_table=4, float_weight_table=1, float_gram=10)

@@ -6,7 +6,7 @@ import pytest
 from mvop import linalg
 from mvop.construction import FamilySpec, orthogonal_polynomial, unipotent_factor
 from mvop.errors import SpecError
-from mvop.families import Charlier, Hahn, Krawtchouk, Meixner, scalar_operator
+from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
     DifferenceOperator,
     canonical_operator,
@@ -43,7 +43,7 @@ class TestApply:
         assert D.apply(MatrixPoly.identity(2)) == D.K
 
     def test_scalar_channel_action(self):
-        op = scalar_operator(Charlier(b=F(3)))
+        op = Charlier(b=F(3)).operator()
         p = x - 3
         assert p.delta() * op.f + p * op.k - p.nabla() * op.g == -p
 
