@@ -23,7 +23,9 @@ from .errors import ProbeError, SpecError, TruncationError
 from .families import (
     Charlier,
     Hahn,
+    Hermite,
     Krawtchouk,
+    Laguerre,
     Mass,
     Meixner,
     NormValue,
@@ -40,8 +42,6 @@ from .limits import (
     TransitionSpec,
     continuous_target,
     hermite_limit_agreement,
-    monic_hermite,
-    monic_laguerre,
     ode_residual,
     run_transition,
     transition_spec_from_json,
@@ -72,7 +72,9 @@ __all__ = [
     "FamilySpec",
     "GramMatrix",
     "Hahn",
+    "Hermite",
     "Krawtchouk",
+    "Laguerre",
     "Mass",
     "MatrixPoly",
     "Meixner",
@@ -97,8 +99,6 @@ __all__ = [
     "hermite_limit_agreement",
     "inner_product",
     "lagrange_interpolate",
-    "monic_hermite",
-    "monic_laguerre",
     "monic_polynomial",
     "needs_mass_probe",
     "nilpotent_matrix",

@@ -85,11 +85,10 @@ def _load_family(path: str) -> FamilySpec:
 
 
 def _tau_for(spec: FamilySpec, args) -> object:
-    if not needs_mass_probe(spec):
-        return None
-    if args.tau == "numeric":
-        return "numeric"
-    return _option_rational(args.tau, "--tau")
+    """--tau, parsed on every spec, for a spec with a transcendental mass
+    quotient; None otherwise."""
+    tau = args.tau if args.tau == "numeric" else _option_rational(args.tau, "--tau")
+    return tau if needs_mass_probe(spec) else None
 
 
 def _matrix_json(mat):

@@ -354,16 +354,16 @@ def successor_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     """The polynomial after Q_n in the three-term recurrence: Q_(n+1), or at
     n = N the degree-(N+1) closure companion."""
     if n == spec.support_N:
-        return closure_polynomial(spec, tau=tau)
+        return closure_polynomial(spec)
     return orthogonal_polynomial(spec, n + 1, tau=tau)
 
 
-def closure_polynomial(spec: FamilySpec, tau=None) -> MatrixPoly:
+def closure_polynomial(spec: FamilySpec) -> MatrixPoly:
     """The degree-(N+1) companion closing the three-term recurrence at n = N.
 
     Uses the vanishing of the degree-(N+1) scalar norms (so the norm-ratio
-    matrix is zero and only the diagonal and pattern entries remain) and one
-    further recurrence step for P_(N+2).
+    matrix is zero, no mass quotient is read, and only the diagonal and
+    pattern entries remain) and one further recurrence step for P_(N+2).
     """
     top = spec.support_N
     if top is None:

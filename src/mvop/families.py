@@ -4,6 +4,9 @@ Each weight spec knows its pointwise value, its three-term recurrence
 coefficients (the primary construction path for the monic polynomials), its
 total mass, its second-order difference operator and eigenvalues, and a
 pointwise Rodrigues-formula evaluator that serves as an independent oracle.
+The continuous Hermite and Laguerre channels carry only the recurrence and
+the total mass, which is all the ladder reads: the limit targets are the
+same closed form built on them.
 
 Squared norms are carried as an exact rational coefficient times a symbolic
 mass factor, so that ratios of norms inside one family are exact rationals
@@ -417,6 +420,43 @@ class Hahn:
             "beta": format_rational(self.beta),
             "N": self.N,
         }
+
+
+# --------------------------------------------------------------------------
+# continuous channels: only what the ladder reads, for the limit targets
+
+
+@dataclass(frozen=True)
+class Hermite:
+    """Weight e^(-x^2) on the real line, normalized to total mass 1."""
+
+    support_N = None
+
+    def recurrence_bc(self, n: int):
+        return Fraction(0), Fraction(n, 2)
+
+    def total_mass(self) -> NormValue:
+        return NormValue(Fraction(1), Mass.one())
+
+
+@dataclass(frozen=True)
+class Laguerre:
+    """Weight x^alpha e^(-x) on x > 0, alpha > -1, normalized to total mass 1."""
+
+    alpha: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", rational(self.alpha))
+        if self.alpha <= -1:
+            raise SpecError(f"laguerre weight needs alpha > -1, got alpha = {self.alpha}")
+
+    support_N = None
+
+    def recurrence_bc(self, n: int):
+        return 2 * n + self.alpha + 1, n * (n + self.alpha)
+
+    def total_mass(self) -> NormValue:
+        return NormValue(Fraction(1), Mass.one())
 
 
 def brute_force_mass(spec) -> Fraction:

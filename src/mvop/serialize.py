@@ -135,7 +135,7 @@ def convergence_to_json(report):
         "transition": report.name,
         "n": report.n,
         "a": format_rational(report.a),
-        "precision": report.precision,
+        "precision": "float64",
         "monotone": report.monotone,
         "steps": [s.to_json() for s in report.steps],
         "target": matpoly_to_json(report.target),

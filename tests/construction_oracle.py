@@ -7,7 +7,8 @@ diagonal and constant matrices.  Tests compare the entrywise code with them
 coefficient by coefficient, types and signed zeros included.  The channel
 normalizations of Charlier, Meixner and Krawtchouk operators are kept as
 they were written by hand before they were derived from each family's own
-operator.
+operator, and so are the 2x2 continuous Hermite and Laguerre limit targets
+with the recurrence loops of their monic scalar polynomials.
 """
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from mvop.construction import (
 )
 from mvop.families import Charlier, Krawtchouk, Meixner, ScalarOperator, monic_polynomial
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.rational import rational
 
 
 def diagonal_polynomial(spec, n):
@@ -50,7 +52,7 @@ def orthogonal_polynomial(spec, n, tau=None):
     return assemble(spec, P_prev, P_n, P_next, theta)
 
 
-def closure_polynomial(spec, tau=None):
+def closure_polynomial(spec):
     n = spec.support_N + 1
     nxt = []
     for ch in spec.channels:
@@ -111,4 +113,58 @@ def normalized_channel(ch, position):
         raise ValueError(f"no hand-written normalization for {ch.kind!r}")
     return ScalarOperator(
         f=f, k=ScalarPoly.constant(shift), g=g, eigenvalue=lambda n: Fraction(n) + shift
+    )
+
+
+def monic_hermite(n):
+    """Monic Hermite ladder: x h_k = h_(k+1) + (k/2) h_(k-1)."""
+    polys = [ScalarPoly.one()]
+    x = ScalarPoly.x()
+    for k in range(n):
+        nxt = polys[k] * x
+        if k >= 1:
+            nxt = nxt - polys[k - 1] * Fraction(k, 2)
+        polys.append(nxt)
+    return polys[n]
+
+
+def monic_laguerre(alpha, n):
+    """Monic Laguerre ladder: x l_k = l_(k+1) + (2k+alpha+1) l_k + k(k+alpha) l_(k-1)."""
+    alpha = rational(alpha)
+    polys = [ScalarPoly.one()]
+    x = ScalarPoly.x()
+    for k in range(n):
+        nxt = polys[k] * x - polys[k] * (2 * k + alpha + 1)
+        if k >= 1:
+            nxt = nxt - polys[k - 1] * (k * (k + alpha))
+        polys.append(nxt)
+    return polys[n]
+
+
+def continuous_target(kind, n, a, alpha=None):
+    """The 2x2 Hermite or Laguerre target written out by hand from the monic
+    polynomials of degrees n - 1, n, n + 1 and the norm ratio c_n."""
+    a = rational(a)
+    x = ScalarPoly.x()
+    if kind == "hermite":
+        h_prev = monic_hermite(n - 1) if n >= 1 else ScalarPoly.zero()
+        h_n = monic_hermite(n)
+        h_next = monic_hermite(n + 1)
+        ratio = Fraction(n, 2)
+        return MatrixPoly(
+            (
+                (h_n, (h_next - h_n * x) * a),
+                ((h_prev * ratio) * (-a), (h_prev * ratio * x) * a**2 + h_n),
+            )
+        )
+    alpha = rational(alpha)
+    l_prev = monic_laguerre(alpha, n - 1) if n >= 1 else ScalarPoly.zero()
+    l_n = monic_laguerre(alpha, n)
+    l_next = monic_laguerre(alpha, n + 1)
+    ratio = Fraction(n) * (n + alpha)
+    return MatrixPoly(
+        (
+            (l_n, (l_next - l_n * x) * a),
+            ((l_prev * ratio) * (-a), (l_prev * ratio * x) * a**2 + l_n),
+        )
     )

@@ -27,6 +27,22 @@ CHARLIER_BC = {
     "a": ["1"],
     "channels": [{"kind": "charlier", "b": "1"}, {"kind": "charlier", "b": "2"}],
 }
+# every mass quotient rational, so neither command reads --tau
+KRAW_MIXED = {
+    "m": 2,
+    "a": ["1"],
+    "channels": [
+        {"kind": "krawtchouk", "p": "1/3", "N": 5},
+        {"kind": "krawtchouk", "p": "2/5", "N": 5},
+    ],
+}
+HK_TRANSITION = {
+    "name": "hahn->krawtchouk",
+    "n": 1,
+    "a": "1",
+    "ladder": ["100", "1000"],
+    "params": {"p": "1/2", "N": "4"},
+}
 KC_TRANSITION = {
     "name": "krawtchouk->charlier",
     "n": 2,
@@ -176,6 +192,23 @@ BAD_INPUTS = {
     "float-N": ("family", _with_channel(N=4.7), (), "field 'N'"),
     "bool-N": ("family", _with_channel(N=True), (), "field 'N'"),
     "float-n": ("limits", {**KC_TRANSITION, "n": 1.5}, (), "field 'n'"),
+    "family-tau-on-rational-masses": ("family", KRAW_MIXED, ("--tau", "1/0"), "--tau"),
+    "export-tau-on-rational-masses": (
+        "export", KRAW_MIXED, ("--what", "Q", "--tau", "abc"), "--tau"),
+    "fractional-transition-N": (
+        "limits", {**HK_TRANSITION, "params": {"p": "1/2", "N": "9/2"}}, (), "N = 9/2"),
+    "unknown-transition-param": (
+        "limits", {**KC_TRANSITION, "params": {"b": "2", "bogus": "7"}}, (), "'bogus'"),
+    "missing-transition-param": ("limits", {**KC_TRANSITION, "params": {}}, (), "['b']"),
+    "degree-above-ladder-N": (
+        "limits", {**KC_TRANSITION, "n": 5, "ladder": ["3", "100"]}, (), "n = 5"),
+    "zero-ladder-step": ("limits", {**KC_TRANSITION, "ladder": ["0", "100"]}, (), "N = 0"),
+    "zero-p-hermite": (
+        "limits",
+        {**KC_TRANSITION, "name": "krawtchouk->hermite", "params": {"p": "0"}},
+        (),
+        "p = 0",
+    ),
 }
 
 

@@ -95,7 +95,7 @@ def test_orthogonal_polynomial_equals_matrix_products(data, finite, tau):
         assert_same(orthogonal_polynomial(spec, n, tau=tau),
                     oracle.orthogonal_polynomial(spec, n, tau=tau))
     if finite:
-        assert_same(closure_polynomial(spec, tau=tau), oracle.closure_polynomial(spec, tau=tau))
+        assert_same(closure_polynomial(spec), oracle.closure_polynomial(spec))
 
 
 def test_numeric_tau_reaches_float_coefficients():

@@ -4,33 +4,65 @@ from fractions import Fraction as F
 import pytest
 
 from mvop.errors import SpecError
+from mvop.families import Hermite, Laguerre, monic_polynomial
 from mvop.limits import (
     TransitionSpec,
     continuous_target,
     hermite_limit_agreement,
-    monic_hermite,
-    monic_laguerre,
     ode_residual,
     run_transition,
     transition_spec_from_json,
 )
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.serialize import json_dumps, matpoly_to_json
+
+import construction_oracle as oracle
 
 x = ScalarPoly.x()
+
+COUPLINGS = (F(1), F(-2), F(1, 3), F(7, 5))
+ALPHAS = (F(0), F(1, 2), F(3), F(-1, 3))
+
+
+def coefficient_types(P):
+    return [[[type(c) for c in e.coeffs] for e in row] for row in P.entries]
 
 
 class TestContinuousTargets:
     def test_hermite_ladder(self):
-        assert monic_hermite(0) == ScalarPoly.one()
-        assert monic_hermite(1) == x
-        assert monic_hermite(2) == x * x - F(1, 2)
-        assert monic_hermite(3) == x * x * x - x * F(3, 2)
+        assert monic_polynomial(Hermite(), 0) == ScalarPoly.one()
+        assert monic_polynomial(Hermite(), 1) == x
+        assert monic_polynomial(Hermite(), 2) == x * x - F(1, 2)
+        assert monic_polynomial(Hermite(), 3) == x * x * x - x * F(3, 2)
 
     def test_laguerre_ladder(self):
         a = F(1, 2)
-        assert monic_laguerre(a, 1) == x - (a + 1)
-        l2 = monic_laguerre(a, 2)
+        assert monic_polynomial(Laguerre(a), 1) == x - (a + 1)
+        l2 = monic_polynomial(Laguerre(a), 2)
         assert l2.degree == 2 and l2.leading == 1
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_monic_ladders_equal_the_recurrence_loops(self, n):
+        pairs = [(monic_polynomial(Hermite(), n), oracle.monic_hermite(n))]
+        pairs += [(monic_polynomial(Laguerre(al), n), oracle.monic_laguerre(al, n)) for al in ALPHAS]
+        for new, old in pairs:
+            assert repr(new) == repr(old)
+            assert [type(c) for c in new.coeffs] == [type(c) for c in old.coeffs]
+
+    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("a", COUPLINGS)
+    def test_targets_equal_the_hand_written_forms(self, n, a):
+        cases = [("hermite", None)] + [("laguerre", alpha) for alpha in ALPHAS]
+        for kind, alpha in cases:
+            new = continuous_target(kind, n, a, alpha=alpha)
+            old = oracle.continuous_target(kind, n, a, alpha=alpha)
+            assert repr(new) == repr(old)
+            assert coefficient_types(new) == coefficient_types(old)
+            assert json_dumps(matpoly_to_json(new)) == json_dumps(matpoly_to_json(old))
+
+    def test_laguerre_needs_alpha_above_minus_one(self):
+        with pytest.raises(SpecError, match="alpha > -1"):
+            continuous_target("laguerre", 1, F(1), alpha=F(-1))
 
     def test_hermite_degree_zero_is_identity(self):
         assert continuous_target("hermite", 0, F(1)) == MatrixPoly.identity(2)
@@ -136,6 +168,26 @@ class TestLadderValidation:
     def test_hahn_ladder_cap(self):
         with pytest.raises(SpecError, match="capped"):
             spec_of("hahn->meixner", 1, {"beta": F(1), "c": F(1, 2)}, (500, 5000))
+
+    def test_fractional_N_rejected(self):
+        with pytest.raises(SpecError, match=r"N = 9/2 in params must be an integer"):
+            spec_of("hahn->krawtchouk", 1, {"p": F(1, 2), "N": F(9, 2)}, (100, 1000))
+
+    def test_missing_param_rejected(self):
+        with pytest.raises(SpecError, match=r"takes params \['beta', 'c'\], got \['beta'\]"):
+            spec_of("hahn->meixner", 1, {"beta": F(1)}, (125, 500))
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(SpecError, match=r"takes params \['b'\], got \['b', 'bogus'\]"):
+            spec_of("krawtchouk->charlier", 2, {"b": F(2), "bogus": F(7)}, (100, 1000))
+
+    @pytest.mark.parametrize("name, params, ladder", [
+        ("krawtchouk->charlier", {"b": F(2)}, (3, 100)),
+        ("hahn->krawtchouk", {"p": F(1, 2), "N": F(3)}, (100, 1000)),
+    ])
+    def test_degree_above_source_N_names_n(self, name, params, ladder):
+        with pytest.raises(SpecError, match=r"degree n = 5 exceeds .*N = 3"):
+            spec_of(name, 5, params, ladder)
 
     def test_unknown_name(self):
         with pytest.raises(SpecError, match="unknown transition"):
