@@ -417,21 +417,28 @@ def weight_table(spec: FamilySpec):
 class IntegerTable:
     """L P(x) at x = -1..stop as integer matrices, where L (``scale``) is the
     least common denominator of P's coefficients: ``values[x + 1]`` is the
-    matrix at x.  ``degree`` is P's degree."""
+    matrix at x.  ``degree`` is P's degree and ``coefficients`` holds each
+    entry's coefficients times L, lowest degree first."""
 
     degree: int
     scale: int
+    coefficients: tuple
     values: tuple
+
+    def coefficient(self, j: int):
+        """L [P]_j, the integer matrix of the coefficients of x^j."""
+        return tuple(tuple(cs[j] if 0 <= j < len(cs) else 0 for cs in row)
+                     for row in self.coefficients)
 
 
 def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
     """Evaluate P, exact coefficients put over one denominator once, at
     x = -1..stop by integer Horner."""
     scale = math.lcm(*(c.denominator for row in P.entries for e in row for c in e.coeffs))
-    entries = [
-        [tuple(c.numerator * (scale // c.denominator) for c in reversed(e.coeffs)) for e in row]
+    entries = tuple(
+        tuple(tuple(c.numerator * (scale // c.denominator) for c in e.coeffs) for e in row)
         for row in P.entries
-    ]
+    )
     values = []
     for x in range(-1, stop + 1):
         rows = []
@@ -439,12 +446,12 @@ def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
             vals = []
             for cs in row:
                 acc = 0
-                for c in cs:
+                for c in reversed(cs):
                     acc = acc * x + c
                 vals.append(acc)
             rows.append(tuple(vals))
         values.append(tuple(rows))
-    return IntegerTable(degree=P.degree, scale=scale, values=tuple(values))
+    return IntegerTable(degree=P.degree, scale=scale, coefficients=entries, values=tuple(values))
 
 
 def value_table(table: IntegerTable, spec: FamilySpec, diagonal: bool = False):

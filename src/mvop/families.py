@@ -459,11 +459,6 @@ class Laguerre:
         return NormValue(Fraction(1), Mass.one())
 
 
-def brute_force_mass(spec) -> Fraction:
-    """Total mass by direct summation; the oracle for the closed forms."""
-    return sum((spec.weight(x) for x in range(spec.support_N + 1)), Fraction(0))
-
-
 def _iterated_nabla(fn, n: int, x: int) -> Fraction:
     """nabla^n applied to a pointwise function, evaluated at integer x."""
     return sum(

@@ -15,10 +15,6 @@ def zeros(rows: int, cols: int | None = None):
     return ((Fraction(0),) * cols,) * rows
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:

@@ -15,15 +15,19 @@ a diagonal matrix lies on A's staggered pattern, so F, K and G of the
 conjugated operator are nonzero only on the diagonal and the pattern, and
 are built there entry by entry.  ``canonical_operator`` builds the
 per-family normalized operator whose eigenvalues interlace across odd and
-even channels.  ``match_recurrence`` recovers the three-term
-recurrence matrices of a chain of consecutive polynomials from the top
-coefficients of the identity, with no inner products, and
-``recurrence_closes`` certifies an identity by integer evaluation: its
-residual has degree at most d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)),
-so it is zero when it vanishes at the d + 1 points x = 0..d.
+even channels.  ``match_recurrence`` recovers the three-term recurrence
+matrices of a chain of consecutive polynomials from the top coefficients of
+the identity, in integers read off the chain's integer tables, with no inner
+products: each leading coefficient is [[I, N], [0, T]] on the even, then the
+odd channels, so only its odd-channel block T is inverted
+(``lead_inverse``).  ``recurrence_closes`` certifies an identity by integer
+evaluation: its residual has degree at most
+d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)), so it is zero when it
+vanishes at the d + 1 points x = 0..d.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,17 +254,6 @@ def canonical_operator(spec: FamilySpec, force: bool = False):
     return D, eig
 
 
-def diagonal_operator(spec: FamilySpec, force: bool = False) -> DifferenceOperator:
-    """The uncoupled diag(delta_i) companion of ``canonical_operator``,
-    in the same normalization (eigenvalues interlaced)."""
-    ops = [p[0] for p in _channel_operators(spec, force)]
-    return DifferenceOperator(
-        F=MatrixPoly.diagonal(tuple(op.f for op in ops)),
-        K=MatrixPoly.diagonal(tuple(op.k for op in ops)),
-        G=MatrixPoly.diagonal(tuple(-op.g for op in ops)),
-    )
-
-
 # --------------------------------------------------------------------------
 # three-term recurrence extraction
 
@@ -302,10 +295,42 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     return closed_recurrence(spec, chain, (n,))[n]
 
 
-def match_recurrence(chain, degrees=None, inverses=None) -> dict:
-    """The recurrence matrices {n: RecurrenceTriple} at each n of ``degrees``
-    (by default every n with a successor in ``chain``), where ``chain[k]``
-    is Q_k, a list or a dict holding the degrees n - 1, n, n + 1.
+def lead_inverse(lead, scale: int):
+    """The inverse of a Q_k's leading coefficient ``lead`` / ``scale``
+    (``lead`` integer), as an (integer matrix, denominator) pair.
+
+    In L_k = I + (A diag([q]_k) - diag([p]_(k-1)) A) + R_k A, the middle
+    term lies on A's pattern (even rows, odd columns, 0-based) and R_k A on
+    odd rows and columns at distance 0 or 2.  So L_k = [[I, N], [0, T]] on
+    the even, then the odd channels, with T tridiagonal, and only T is
+    inverted for L_k^(-1) = [[I, -N T^(-1)], [0, T^(-1)]]: a reciprocal for
+    m <= 3.  A lead of any other form is a construction fault.
+    """
+    m = len(lead)
+    even, odd = range(0, m, 2), range(1, m, 2)
+    if (any(lead[i][j] != (scale if i == j else 0) for i in even for j in even)
+            or any(lead[i][j] for i in odd for j in range(m) if j % 2 == 0 or abs(i - j) > 2)):
+        raise AssertionError(f"leading coefficient {lead} / {scale} is not [[I, N], [0, T]]")
+    T = [[lead[i][j] for j in odd] for i in odd]  # scale times the block T
+    # the inverse of this integer block is Y / d, odd channel i at Y's i // 2
+    Y, d = (((1,),), T[0][0]) if m <= 3 else _scaled(linalg.mat_inverse(T))
+    if d == 0:
+        raise ZeroDivisionError("leading coefficient is singular")
+
+    def entry(i, j):
+        if j % 2 == 0:
+            return d if i == j else 0
+        if i % 2:
+            return scale * Y[i // 2][j // 2]
+        return -sum(lead[i][k] * Y[k // 2][j // 2] for k in odd)
+    return tuple(tuple(entry(i, j) for j in range(m)) for i in range(m)), d
+
+
+def match_recurrence(tables, degrees=None) -> dict:
+    """The recurrence matrices {n: (A_n, B_n, C_n)} at each n of ``degrees``
+    (by default every n with a successor in ``tables``), where ``tables[k]``
+    is the integer table of Q_k (``construction.integer_table``), a list or
+    a dict holding the degrees n - 1, n, n + 1.
 
     They come from the top three coefficients of the identity, unique
     because leading coefficients are invertible:
@@ -314,40 +339,35 @@ def match_recurrence(chain, degrees=None, inverses=None) -> dict:
         B_n = ([Q_n]_(n-1) - A_n [Q_(n+1)]_n) L_n^(-1),
         C_n = ([Q_n]_(n-2) - A_n [Q_(n+1)]_(n-1) - B_n [Q_n]_(n-1)) L_(n-1)^(-1),
 
-    with L_k = [Q_k]_k; each distinct L_k is inverted once, and once over
-    several chains that share one ``inverses`` dict (lead -> inverse).
-    Closure is not checked here; see ``recurrence_closes``.
+    with L_k = [Q_k]_k inverted once per degree (``lead_inverse``), all on
+    (integer matrix, denominator) pairs read from the tables' integer
+    coefficients.  Closure is not checked here; see ``recurrence_closes``.
     """
     if degrees is None:
-        degrees = range(len(chain) - 1)
-    if inverses is None:
-        inverses = {}
+        degrees = range(len(tables) - 1)
 
-    def lead_inverse(k):
-        lead = chain[k].coefficient(k)
-        if lead not in inverses:
-            inverses[lead] = _scaled(linalg.mat_inverse(lead))
-        return inverses[lead]
+    @functools.cache
+    def inverse(k):
+        return lead_inverse(*coefficient(k, k))
 
+    @functools.cache
     def coefficient(k, j):
-        return _scaled(chain[k].coefficient(j))
+        return tables[k].coefficient(j), tables[k].scale
 
     triples = {}
     for n in degrees:
-        # the algebra runs on (integer matrix, denominator) pairs, and each
-        # entry is reduced to a Fraction once
-        A_n = _mul(coefficient(n, n), lead_inverse(n + 1))
+        A_n = _mul(coefficient(n, n), inverse(n + 1))
         top = _sub(coefficient(n, n - 1), _mul(A_n, coefficient(n + 1, n)))
-        B_n = _mul(top, lead_inverse(n))
+        B_n = _mul(top, inverse(n))
         if n == 0:
-            C_n = linalg.zeros(len(A_n[0]))
+            C_n = (((0,) * len(A_n[0]),) * len(A_n[0]), 1)
         else:
             top = _sub(
                 _sub(coefficient(n, n - 2), _mul(A_n, coefficient(n + 1, n - 1))),
                 _mul(B_n, coefficient(n, n - 1)),
             )
-            C_n = _fractions(_mul(top, lead_inverse(n - 1)))
-        triples[n] = RecurrenceTriple(A=_fractions(A_n), B=_fractions(B_n), C=C_n)
+            C_n = _mul(top, inverse(n - 1))
+        triples[n] = (A_n, B_n, C_n)
     return triples
 
 
@@ -379,35 +399,32 @@ def _fractions(a):
 
 
 def _sparse_rows(mat, factor):
-    """Each row of ``factor`` * mat (integral) as its nonzero (column, value)
-    pairs."""
-    return tuple(
-        tuple((k, int(v * factor)) for k, v in enumerate(row) if v) for row in mat
-    )
+    """Each row of ``factor`` * mat as its nonzero (column, value) pairs."""
+    return tuple(tuple((k, v * factor) for k, v in enumerate(row) if v) for row in mat)
 
 
-def recurrence_closes(t: RecurrenceTriple, n: int, tables) -> bool:
+def recurrence_closes(t, n: int, tables) -> bool:
     """Whether x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) is zero, from the
-    integer tables ``tables[k]`` of Q_k (``construction.integer_table``).
+    scaled triple ``t`` of ``match_recurrence`` and the integer tables
+    ``tables[k]`` of Q_k (``construction.integer_table``).
 
     On the tables, L_n times the residual is
 
         x V_n - (A_n L_n / L_(n+1)) V_(n+1) - B_n V_n - (C_n L_n / L_(n-1)) V_(n-1),
 
-    for V_k = L_k Q_k; it is scaled once more by the common denominator of
-    the three matrices and checked at x = 0..d for d its degree bound.
+    for V_k = L_k Q_k; with each matrix M / d, it is scaled once more by
+    the lcm of the d L_k and checked at x = 0..deg for deg its degree bound.
     """
     t_n = tables[n]
-    parts = [(t.A, tables[n + 1]), (t.B, t_n)]
+    parts = [(t[0], tables[n + 1]), (t[1], t_n)]
     if n > 0:
-        parts.append((t.C, tables[n - 1]))
+        parts.append((t[2], tables[n - 1]))
     degree = max(t_n.degree + 1, *(table.degree for _, table in parts))
-    mats = []
-    for mat, table in parts:
-        ratio = Fraction(t_n.scale, table.scale)
-        mats.append([[v * ratio for v in row] for row in mat])
-    den = math.lcm(*(v.denominator for mat in mats for row in mat for v in row))
-    sparse = [(_sparse_rows(mat, den), table.values) for mat, (_, table) in zip(mats, parts)]
+    den = math.lcm(*(d * table.scale for (_, d), table in parts))
+    sparse = [
+        (_sparse_rows(mat, t_n.scale * den // (d * table.scale)), table.values)
+        for (mat, d), table in parts
+    ]
     own = t_n.values
     for x in range(degree + 1):
         vn = own[x + 1]
@@ -425,18 +442,17 @@ def recurrence_closes(t: RecurrenceTriple, n: int, tables) -> bool:
 
 
 def closed_recurrence(spec: FamilySpec, chain, degrees=None) -> dict:
-    """``match_recurrence``, each identity certified by
-    ``recurrence_closes``; AssertionError names the first n that does not
-    close."""
-    triples = match_recurrence(chain, degrees)
-    stop = max(triples, default=0) + 1
-    tables = {}
-    for n, t in triples.items():
-        for k in range(max(n - 1, 0), n + 2):
-            if k not in tables:
-                tables[k] = integer_table(chain[k], stop)
+    """``match_recurrence`` on the integer tables of ``chain`` (Q_k at
+    ``chain[k]``, a list or a dict), each identity certified by
+    ``recurrence_closes`` and reduced to a ``RecurrenceTriple`` of
+    Fractions; AssertionError names the first n that does not close."""
+    chain = chain if isinstance(chain, dict) else dict(enumerate(chain))
+    tables = {k: integer_table(Q, max(chain)) for k, Q in chain.items()}
+    triples = {}
+    for n, t in match_recurrence(tables, degrees).items():
         if not recurrence_closes(t, n, tables):
             raise AssertionError(not_closed(spec, n))
+        triples[n] = RecurrenceTriple(*map(_fractions, t))
     return triples
 
 

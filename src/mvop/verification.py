@@ -17,7 +17,8 @@ these tables, and scaling by nonzero integers changes no zero:
   actual degrees, and is certified zero at the d_n + 1 points x = 0..d_n,
   D acting on values through Q(x - 1), Q(x) and Q(x + 1);
 * the recurrence residual x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1), with
-  A_n, B_n, C_n from the top coefficients, has degree at most n + 1 and is
+  A_n, B_n, C_n matched in integers from the tables' top coefficients
+  (``operators.match_recurrence``), has degree at most n + 1 and is
   certified zero at x = 0..n+1 (``operators.recurrence_closes``).
 
 A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
@@ -227,13 +228,12 @@ def _eigenfunction_checks(operator, stencil, polys, tables, probe_a, probe_tau) 
     return checks
 
 
-def verify_recurrence(spec: FamilySpec, chain, tables, probe_a, probe_tau,
-                      inverses=None) -> list:
-    """Exact closure of the three-term recurrence at every degree of
-    ``chain`` but the last, which is the closing Q_(top+1), certified on the
-    chain's integer ``tables``; ``inverses`` as in ``match_recurrence``."""
+def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau) -> list:
+    """Exact closure of the three-term recurrence at every degree of the
+    chain's integer ``tables`` but the last, which is the closing
+    Q_(top+1), matched and certified on the tables alone."""
     checks = []
-    for n, t in match_recurrence(chain, inverses=inverses).items():
+    for n, t in match_recurrence(tables).items():
         ok = recurrence_closes(t, n, tables)
         checks.append(CheckResult(
             name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
@@ -303,6 +303,8 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         raise SpecError(f"n_max must be >= 0, got {n_max}")
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
+    if not 0 < tol < math.inf:
+        raise SpecError(f"tol (--tol) must be a positive finite number, got {tol}")
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
     exact_gram = spec.is_finite and not truncated
@@ -323,7 +325,6 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         operators = [None] * len(a_vals)
         notes.append(f"bispectral suite skipped: {err}")
 
-    inverses = {}  # each distinct leading coefficient inverted once per run
     for a_val, tau, probe, operator, stencil, chain, tables in _sweep(
             spec, top, a_vals, tau_vals, operators, perturb):
         checked, checked_tables = chain[:-1], tables[:-1]
@@ -335,7 +336,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
             eigenfunction.extend(_eigenfunction_checks(
                 operator, stencil, checked, checked_tables, a_val, tau,
             ))
-        recurrence.extend(verify_recurrence(probe, chain, tables, a_val, tau, inverses))
+        recurrence.extend(verify_recurrence(probe, tables, a_val, tau))
 
     return VerificationReport(
         checks=tuple(orthogonality + eigenfunction + recurrence),

@@ -3,10 +3,15 @@
 These are the checks ``mvop.verification`` certified before it worked on
 integer value tables: each residual is built as a ``Fraction`` matrix
 polynomial and tested for being identically zero, and every Gram matrix is
-the pointwise sum of P(x) W(x) Q(x)^T.  Tests compare the evaluation
-certificate's verdicts and report bytes against them.
+the pointwise sum of P(x) W(x) Q(x)^T.  ``match_recurrence`` is the
+coefficient matcher of the three-term recurrence as it read the polynomials'
+``Fraction`` coefficients and inverted each whole leading coefficient.
+Tests compare the evaluation certificate's verdicts and report bytes, and
+the integer matcher's triples, against them.
 """
-from fractions import Fraction as F
+import math
+from fractions import Fraction
+from operator import mul
 
 from mvop import linalg
 from mvop.construction import (
@@ -16,7 +21,7 @@ from mvop.construction import (
     weight_matrix,
 )
 from mvop.errors import SpecError
-from mvop.operators import canonical_operator
+from mvop.operators import RecurrenceTriple, canonical_operator
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.verification import (
     CheckResult,
@@ -29,6 +34,10 @@ from mvop.verification import (
 )
 
 
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def brute_force_gram(P, Q, spec, diagonal=False):
     """sum_x P(x) W(x) Q(x)^T, with W(x) from ``weight_matrix`` (or the
     uncoupled diag(w_i(x)) with ``diagonal``)."""
@@ -36,7 +45,7 @@ def brute_force_gram(P, Q, spec, diagonal=False):
     for xv in range(spec.support_N + 1):
         if diagonal:
             W = tuple(
-                tuple(ch.weight(xv) if i == j else F(0) for j, _ in enumerate(spec.channels))
+                tuple(ch.weight(xv) if i == j else Fraction(0) for j, _ in enumerate(spec.channels))
                 for i, ch in enumerate(spec.channels)
             )
         else:
@@ -44,7 +53,7 @@ def brute_force_gram(P, Q, spec, diagonal=False):
         term = linalg.mat_mul(
             linalg.mat_mul(P.evaluate(xv), W), linalg.transpose(Q.evaluate(xv))
         )
-        total = linalg.mat_add(total, term)
+        total = mat_add(total, term)
     return total
 
 
@@ -63,6 +72,82 @@ def recurrence_residual(n, Q_prev, Q_n, Q_next):
         C_n = linalg.mat_mul(rem.coefficient(n - 1), linalg.mat_inverse(Q_prev.coefficient(n - 1)))
         rem = rem - const(C_n) @ Q_prev
     return rem
+
+
+def match_recurrence(chain, degrees=None, inverses=None) -> dict:
+    """The recurrence matrices {n: RecurrenceTriple} at each n of ``degrees``
+    (by default every n with a successor in ``chain``), where ``chain[k]``
+    is Q_k, a list or a dict holding the degrees n - 1, n, n + 1.
+
+    They come from the top three coefficients of the identity, unique
+    because leading coefficients are invertible:
+
+        A_n = [Q_n]_n L_(n+1)^(-1),
+        B_n = ([Q_n]_(n-1) - A_n [Q_(n+1)]_n) L_n^(-1),
+        C_n = ([Q_n]_(n-2) - A_n [Q_(n+1)]_(n-1) - B_n [Q_n]_(n-1)) L_(n-1)^(-1),
+
+    with L_k = [Q_k]_k; each distinct L_k is inverted once, and once over
+    several chains that share one ``inverses`` dict (lead -> inverse).
+    Closure is not checked here; see ``recurrence_closes``.
+    """
+    if degrees is None:
+        degrees = range(len(chain) - 1)
+    if inverses is None:
+        inverses = {}
+
+    def lead_inverse(k):
+        lead = chain[k].coefficient(k)
+        if lead not in inverses:
+            inverses[lead] = _scaled(linalg.mat_inverse(lead))
+        return inverses[lead]
+
+    def coefficient(k, j):
+        return _scaled(chain[k].coefficient(j))
+
+    triples = {}
+    for n in degrees:
+        # the algebra runs on (integer matrix, denominator) pairs, and each
+        # entry is reduced to a Fraction once
+        A_n = _mul(coefficient(n, n), lead_inverse(n + 1))
+        top = _sub(coefficient(n, n - 1), _mul(A_n, coefficient(n + 1, n)))
+        B_n = _mul(top, lead_inverse(n))
+        if n == 0:
+            C_n = linalg.zeros(len(A_n[0]))
+        else:
+            top = _sub(
+                _sub(coefficient(n, n - 2), _mul(A_n, coefficient(n + 1, n - 1))),
+                _mul(B_n, coefficient(n, n - 1)),
+            )
+            C_n = _fractions(_mul(top, lead_inverse(n - 1)))
+        triples[n] = RecurrenceTriple(A=_fractions(A_n), B=_fractions(B_n), C=C_n)
+    return triples
+
+
+def _scaled(mat):
+    """A rational matrix as (M, d): integers M over the least common
+    denominator d of its entries."""
+    d = math.lcm(*(v.denominator for row in mat for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in mat), d
+
+
+def _mul(a, b):
+    (ma, da), (mb, db) = a, b
+    cols = tuple(zip(*mb))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in ma), da * db
+
+
+def _sub(a, b):
+    (ma, da), (mb, db) = a, b
+    d = math.lcm(da, db)
+    fa, fb = d // da, d // db
+    return tuple(
+        tuple(x * fa - y * fb for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
+    ), d
+
+
+def _fractions(a):
+    m, d = a
+    return tuple(tuple(Fraction(v, d) for v in row) for row in m)
 
 
 def eigenfunction_checks(operator, polys, a_val, tau):

@@ -203,6 +203,13 @@ BAD_INPUTS = {
     "degree-above-ladder-N": (
         "limits", {**KC_TRANSITION, "n": 5, "ladder": ["3", "100"]}, (), "n = 5"),
     "zero-ladder-step": ("limits", {**KC_TRANSITION, "ladder": ["0", "100"]}, (), "N = 0"),
+    # the default tolerance rejects this truncation (tail 2.357e-01)
+    "infinite-tol": (
+        "verify", {**CHARLIER_BC, "a": ["2"]}, ("--tol", "inf", "--x-max", "3", "--n-max", "2"),
+        "--tol"),
+    "nan-tol": ("verify", CHARLIER_BC, ("--tol", "nan", "--n-max", "2"), "--tol"),
+    "negative-tol": ("verify", CHARLIER_BC, ("--tol", "-1", "--n-max", "2"), "--tol"),
+    "zero-tol": ("verify", CHARLIER_BC, ("--tol", "0", "--n-max", "2"), "--tol"),
     "zero-p-hermite": (
         "limits",
         {**KC_TRANSITION, "name": "krawtchouk->hermite", "params": {"p": "0"}},

@@ -10,8 +10,8 @@ from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
     DifferenceOperator,
     canonical_operator,
+    _channel_operators,
     conjugated_operator,
-    diagonal_operator,
     extract_recurrence,
 )
 from mvop.poly import MatrixPoly, ScalarPoly
@@ -27,6 +27,17 @@ from reference_recurrences import (
 )
 
 x = ScalarPoly.x()
+
+
+def diagonal_operator(spec, force=False):
+    """The uncoupled diag(delta_i) companion of ``canonical_operator``,
+    in the same normalization (eigenvalues interlaced)."""
+    ops = [p[0] for p in _channel_operators(spec, force)]
+    return DifferenceOperator(
+        F=MatrixPoly.diagonal(tuple(op.f for op in ops)),
+        K=MatrixPoly.diagonal(tuple(op.k for op in ops)),
+        G=MatrixPoly.diagonal(tuple(-op.g for op in ops)),
+    )
 
 
 def kraw_pair(p=F(1, 2), s=F(1, 2), N=4, a=F(1)):
