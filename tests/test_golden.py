@@ -51,6 +51,9 @@ CASES = {
     "verify-krawtchouk-m3": (KRAW3, ("verify", "--n-max", "2")),
     "verify-charlier-meixner": (CHARLIER_MEIXNER, ("verify",) + INFINITE),
     "verify-charlier10-charlier20": (CHARLIER_10_20, ("verify",) + INFINITE),
+    "verify-cmc": (CMC, ("verify",) + INFINITE),
+    "verify-krawtchouk-truncated": (KRAW, ("verify", "--truncated")),
+    "verify-charlier-meixner-x400": (CHARLIER_MEIXNER, ("verify", "--n-max", "2")),
     "family-charlier-numeric": (CHARLIER_BC, ("family", "--n", "2")),
     "family-cmc-recurrence": (CMC, ("family", "--n", "2", "--tau", "3/2", "--recurrence")),
     "export-Q": (KRAW3, ("export", "--what", "Q", "--n", "2")),
