@@ -20,10 +20,17 @@ nonzero entries, and ``_assemble`` builds only those:
     transposed pattern (j, i):  -theta_ji r_i
     even channels j != l:       x sum_k theta_jk r_k a_kl   (1-based even)
 
-so building Q_n costs O(m) scalar polynomial products, not m^3.  The
-closure companion is the same form with theta = 0.  W(x)_ij is the sum
-over r of w_r U_ir U_jr (``_weight_entries``), exact for ``weight_matrix``
-and rounded once for the float weights.
+so building Q_n costs O(m) scalar polynomial products, not m^3; each
+product with x is a shift of coefficients (``ScalarPoly.times_x``), and
+each norm ratio's rational part and mass quotient are formed once per
+(channel, degree, channel, degree) (``_norm_quotient``), so a probe only
+resolves tau and multiplies.  The closure companion is the same form with
+theta = 0.  With the channel weights at x over one denominator d and the
+couplings over q, d q^2 W(x)_ij = sum_r (d w_r) (q U_ir) (q U_jr) is an
+integer sum (``_weight_entries``): ``weight_matrix`` reduces it to the
+exact ``Fraction``, and the float weights divide it once, correctly
+rounded.  Runs of weights grow each channel by its exact ratio
+w(x + 1) / w(x) (``families.weight_sequence``).
 
 Exact identity checks work on integer value tables.  ``integer_table``
 puts a matrix polynomial's coefficients over their least common
@@ -41,16 +48,18 @@ the channel weights over one denominator once per spec, and ``gram_sum``
 sums any pair in integers and divides each entry once, so a caller checking
 many pairs builds each table once and gets the exact ``Fraction`` Gram.
 The truncated float Gram has the same shape: ``float_value_table`` per
-polynomial, ``float_weight_table`` once, and ``float_gram`` per pair, which
-``inner_product(mode="truncated")`` also calls; ``converged`` raises on a
-tail above tolerance.
+polynomial, ``float_weight_table`` once, and ``float_grams`` for any set of
+pairs in one pass over x, which ``inner_product(mode="truncated")`` and
+``relative_gram_bound`` also call; ``converged`` raises on a tail above
+tolerance, and the tolerance must be positive and finite.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from . import linalg
 from .errors import ProbeError, SpecError, TruncationError
@@ -59,6 +68,7 @@ from .families import (
     ladder,
     monic_polynomial,
     squared_norm,
+    weight_sequence,
     weight_spec_from_json,
 )
 from .poly import MatrixPoly, ScalarPoly
@@ -194,29 +204,43 @@ def weight_matrix(spec: FamilySpec, x: int):
     top = spec.support_N
     if x < 0 or (top is not None and x > top):
         return linalg.zeros(spec.m)
-    return _weight_entries(spec, x, zip(staggered_positions(spec.m), spec.a))
+    W, den = _weight_entries([ch.weight(x) for ch in spec.channels], x,
+                             *_integer_couplings(spec))
+    return tuple(tuple(Fraction(v, den) for v in row) for row in W)
 
 
-def _weight_entries(spec: FamilySpec, x: int, couplings):
-    """W(x)_ij = sum_r w_r(x) U_ir U_jr, exactly, for U = I plus a x at each
-    ((i, j), a) of ``couplings``.
+def _integer_couplings(spec: FamilySpec):
+    """The couplings over their common denominator q: (q, ((i, j, q a), ...))
+    for each pattern position (i, j) holding a."""
+    if not all(isinstance(a, Fraction) for a in spec.a):
+        raise SpecError(f"W(x) needs rational couplings, got {spec.a}")
+    q = math.lcm(*(a.denominator for a in spec.a))
+    return q, tuple(
+        (i, j, a.numerator * (q // a.denominator))
+        for (i, j), a in zip(staggered_positions(spec.m), spec.a)
+    )
 
-    Row i of U(x) is e_i plus a_k x e_j for each pattern position (i, j), so
-    the sum runs over the columns r the two rows share, as ``value_table``
-    applies U.
+
+def _weight_entries(w, x: int, q: int, couplings):
+    """d q^2 W(x) as integers and its denominator d q^2, from the channel
+    weights ``w`` at x, put over their common denominator d, and the
+    couplings over q (``_integer_couplings``).
+
+    W(x)_ij = sum_r w_r U_ir U_jr, and row i of q U(x) is q e_i plus
+    (q a_k) x e_j for each pattern position (i, j), so the integer sum runs
+    over the columns r the two rows share, as ``value_table`` applies U.
     """
-    m = spec.m
-    w = [ch.weight(x) for ch in spec.channels]
-    u = [{i: 1} for i in range(m)]
-    for (i, j), a in couplings:
-        u[i][j] = a * x
-    W = [[Fraction(0)] * m for _ in range(m)]
+    m = len(w)
+    d = math.lcm(*(v.denominator for v in w))
+    wd = [v.numerator * (d // v.denominator) for v in w]
+    u = [{i: q} for i in range(m)]
+    for i, j, c in couplings:
+        u[i][j] = c * x
+    W = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            W[i][j] = W[j][i] = sum(
-                (w[r] * u[i][r] * u[j][r] for r in u[i].keys() & u[j].keys()), Fraction(0)
-            )
-    return tuple(map(tuple, W))
+            W[i][j] = W[j][i] = sum(wd[r] * u[i][r] * u[j][r] for r in u[i].keys() & u[j].keys())
+    return W, d * q * q
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +275,20 @@ def _resolve_quotient(quotient: Mass, tau):
 
 def norm_ratio(spec: FamilySpec, ch_num: int, n_num: int, ch_den: int, n_den: int, tau=None):
     """|p_n^(ch_num)|^2 / |p_n_den^(ch_den)|^2 with the mass quotient resolved."""
-    num = squared_norm(spec.channels[ch_num], n_num)
-    den = squared_norm(spec.channels[ch_den], n_den)
-    quotient = num.mass / den.mass
-    return num.coefficient / den.coefficient * _resolve_quotient(quotient, tau)
+    coefficient, quotient = _norm_quotient(
+        spec.channels[ch_num], n_num, spec.channels[ch_den], n_den
+    )
+    return coefficient * _resolve_quotient(quotient, tau)
+
+
+@lru_cache(maxsize=None)
+def _norm_quotient(num_channel, n_num: int, den_channel, n_den: int):
+    """The coefficient ratio and the Mass quotient of two squared norms,
+    once per (channel, degree, channel, degree), as ``ladder`` is once per
+    channel: every probe of a sweep reads the same pairs."""
+    num = squared_norm(num_channel, n_num)
+    den = squared_norm(den_channel, n_den)
+    return num.coefficient / den.coefficient, num.mass / den.mass
 
 
 def _norm_ratio_matrix(spec: FamilySpec, n: int, tau=None):
@@ -294,7 +328,6 @@ def _assemble(spec: FamilySpec, p, q, r, theta) -> MatrixPoly:
     same order, with only the zero terms left out.
     """
     m = spec.m
-    x = ScalarPoly.x()
     zero = ScalarPoly()
     entries = [[zero] * m for _ in range(m)]
     for i in range(m):
@@ -303,7 +336,7 @@ def _assemble(spec: FamilySpec, p, q, r, theta) -> MatrixPoly:
     for (i, j), a in zip(staggered_positions(m), spec.a):
         a = ScalarPoly.constant(a)
         coupled.setdefault(i, []).append((j, a))
-        entries[i][j] = a * q[j] - (p[i] * a) * x
+        entries[i][j] = a * q[j] - (p[i] * a).times_x()
     # R P_(n-1) is theta_jk r_k at (j, k); (R P_(n-1) A)_jl sums its
     # products with a_kl in increasing k
     sums = {}
@@ -317,7 +350,7 @@ def _assemble(spec: FamilySpec, p, q, r, theta) -> MatrixPoly:
                 term = t * a
                 sums[j, l] = sums[j, l] + term if (j, l) in sums else term
     for (j, l), total in sums.items():
-        entries[j][l] = entries[j][l] + total * x
+        entries[j][l] = entries[j][l] + total.times_x()
     return MatrixPoly(entries)
 
 
@@ -405,10 +438,16 @@ def _support(spec: FamilySpec) -> range:
     return range(spec.support_N + 1)
 
 
+def _channel_weights(spec: FamilySpec, stop: int):
+    """The rows (w_1(x), ..., w_m(x)) at x = 0..stop, each channel grown by
+    its exact ratio (``families.weight_sequence``)."""
+    return list(zip(*(weight_sequence(ch, stop) for ch in spec.channels)))
+
+
 def weight_table(spec: FamilySpec):
     """The channel weights at every support point over one denominator:
     (scale, [(scale w_1(x), ..., scale w_m(x)) for each x]), all integers."""
-    weights = [tuple(ch.weight(x) for ch in spec.channels) for x in _support(spec)]
+    weights = _channel_weights(spec, _support(spec)[-1])
     scale = math.lcm(*(w.denominator for row in weights for w in row))
     return scale, [tuple(w.numerator * (scale // w.denominator) for w in row) for row in weights]
 
@@ -463,11 +502,7 @@ def value_table(table: IntegerTable, spec: FamilySpec, diagonal: bool = False):
     scales every column by q and adds (q a_k) x times column i to column j,
     reading the unscaled row.
     """
-    q = 1 if diagonal else math.lcm(*(a.denominator for a in spec.a))
-    couplings = () if diagonal else tuple(
-        (i, j, a.numerator * (q // a.denominator))
-        for (i, j), a in zip(staggered_positions(spec.m), spec.a)
-    )
+    q, couplings = (1, ()) if diagonal else _integer_couplings(spec)
     out = []
     for x in _support(spec):
         rows = table.values[x + 1]
@@ -505,11 +540,12 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
     Exact mode needs a finite support and exact coefficients, and sums
-    integer tables through ``gram_sum``.  Truncated mode sums
-    x = 0..x_max in floats through ``float_gram`` and records the tail estimate (last term
-    relative to the accumulated absolute sum); a tail above tolerance raises
-    rather than returning a silent value.  ``diagonal=True`` replaces W by
-    the uncoupled diag(w_i) weight.
+    integer tables through ``gram_sum``.  Truncated mode sums x = 0..x_max
+    in floats through ``float_grams`` and records the tail estimate (last
+    term relative to the accumulated absolute sum); a tail above ``tol``,
+    which must be positive and finite, raises rather than returning a
+    silent value.  ``diagonal=True`` replaces W by the uncoupled diag(w_i)
+    weight.
     """
     if P.cols != spec.m or Q.cols != spec.m:
         raise ValueError("polynomial width does not match the family size")
@@ -527,24 +563,26 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     if mode != "truncated":
         raise ValueError(f"unknown inner product mode {mode!r}")
     weights = float_weight_table(spec, x_max, diagonal)
-    stop = len(weights) - 1
-    gram = float_gram(float_value_table(P, stop), float_value_table(Q, stop), weights, x_max, tol)
-    return converged(gram, spec)
+    values = [float_value_table(S, len(weights) - 1) for S in (P, Q)]
+    return converged(float_grams(values, weights, ((0, 1),), x_max, tol)[0, 1], spec)
 
 
 def float_weight_table(spec: FamilySpec, x_max: int, diagonal: bool = False):
     """Float weight matrices at x = 0..min(x_max, N): each exact entry of
-    W(x) = U(x) diag(w(x)) U(x)^T (``_weight_entries``) rounded to float
-    once; ``diagonal`` drops A."""
+    W(x) = U(x) diag(w(x)) U(x)^T rounded to float once; ``diagonal`` drops
+    A.  The entries are integer sums over d q^2 (``_weight_entries``, from
+    the grown channel weights), and integer true division rounds correctly,
+    so each float is the one ``float(Fraction)`` gives."""
     if x_max < 0:
         raise SpecError(f"x_max must be >= 0, got {x_max}")
     top = spec.support_N
     stop = x_max if top is None else min(x_max, top)
-    couplings = () if diagonal else tuple(zip(staggered_positions(spec.m), spec.a))
-    return tuple(
-        tuple(tuple(map(float, row)) for row in _weight_entries(spec, x, couplings))
-        for x in range(stop + 1)
-    )
+    q, couplings = (1, ()) if diagonal else _integer_couplings(spec)
+    out = []
+    for x, w in enumerate(_channel_weights(spec, stop)):
+        W, den = _weight_entries(w, x, q, couplings)
+        out.append(tuple(tuple(v / den for v in row) for row in W))
+    return tuple(out)
 
 
 def float_value_table(P: MatrixPoly, stop: int):
@@ -568,42 +606,65 @@ def float_value_table(P: MatrixPoly, stop: int):
     return tuple(out)
 
 
-def float_gram(p_values, q_values, weights, x_max: int, tol: float) -> GramMatrix:
-    """The truncated <P, Q> from two float value tables and the float weight
-    table, with its tail estimate: the largest term at the last point
-    relative to the largest accumulated absolute sum.  ``converged`` judges
-    the tail."""
+def float_grams(values, weights, pairs, x_max: int, tol: float) -> dict:
+    """The truncated <P_n, P_k> for each (n, k) of ``pairs``, keyed by the
+    pair, from the float value tables ``values[n]`` and the float weight
+    table, in one pass over x; each carries its tail estimate, the largest
+    term at the last point relative to the largest accumulated absolute
+    sum, which ``converged`` judges.
+
+    At each x every left factor's rows times W(x) are formed once, as flat
+    r-major lists, and every right factor's rows repeated m times to match.
+    A term adds its (r, s) products left to right from 0.0, as the builtin
+    ``sum`` of Python <= 3.11 did: ``reduce(add, ...)`` never compensates,
+    where the builtin ``sum`` of floats does from 3.12 on and would move the
+    reported bounds.  Entry (i, j) of a pair is kept at i * cols + j.
+    """
     m = len(weights[0])  # x_max >= 0, so there is a point x = 0
-    total = [[0.0] * len(q_values[0]) for _ in p_values[0]]
-    scale = [[0.0] * len(q_values[0]) for _ in p_values[0]]
-    last = 0.0
-    for w, px, qx in zip(weights, p_values, q_values):
-        last = 0.0
-        for prow, trow, srow in zip(px, total, scale):
-            # the (r, s) products left to right, as the builtin sum of
-            # Python <= 3.11 adds them (later versions compensate)
-            pw = [[prow[r] * w[r][s] for s in range(m)] for r in range(m)]
-            for j, qrow in enumerate(qx):
-                term = 0.0
-                for pwr in pw:
-                    for s, v in enumerate(pwr):
-                        term += v * qrow[s]
-                trow[j] += term
-                srow[j] += abs(term)
-                last = max(last, abs(term))
-    scale_max = max(max(row) for row in scale)
-    return GramMatrix(
-        entries=tuple(tuple(row) for row in total),
-        mode="truncated",
-        x_max=x_max,
-        tol=tol,
-        tail=last / scale_max if scale_max > 0 else 0.0,
-    )
+    shapes = [(len(values[n][0]), len(values[k][0])) for n, k in pairs]
+    totals = [[0.0] * (rows * cols) for rows, cols in shapes]
+    scales = [[0.0] * (rows * cols) for rows, cols in shapes]
+    lasts = [0.0] * len(pairs)
+    lefts, rights = {n for n, _ in pairs}, {k for _, k in pairs}
+    stop = len(weights) - 1
+    for x, w in enumerate(weights):
+        pw = {n: [[p * v for p, wrow in zip(prow, w) for v in wrow] for prow in values[n][x]]
+              for n in lefts}
+        qs = {k: [qrow * m for qrow in values[k][x]] for k in rights}
+        for t, (n, k) in enumerate(pairs):
+            qrows = qs[k]
+            terms = [reduce(add, map(mul, prow, qrow), 0.0) for prow in pw[n] for qrow in qrows]
+            sizes = list(map(abs, terms))
+            totals[t] = list(map(add, totals[t], terms))
+            scales[t] = list(map(add, scales[t], sizes))
+            if x == stop:
+                lasts[t] = max(0.0, *sizes)
+    grams = {}
+    for (rows, cols), total, scale, last, pair in zip(shapes, totals, scales, lasts, pairs):
+        scale_max = max(max(scale[i * cols:(i + 1) * cols]) for i in range(rows))
+        grams[pair] = GramMatrix(
+            entries=tuple(tuple(total[i * cols:(i + 1) * cols]) for i in range(rows)),
+            mode="truncated",
+            x_max=x_max,
+            tol=tol,
+            tail=last / scale_max if scale_max > 0 else 0.0,
+        )
+    return grams
+
+
+def check_tol(tol, name: str = "tol"):
+    """A SpecError naming ``name`` unless ``tol`` is a positive finite
+    number: a nan or infinite tolerance would never reject a tail."""
+    if not 0 < tol < math.inf:
+        raise SpecError(f"{name} must be a positive finite number, got {tol}")
 
 
 def converged(gram: GramMatrix, spec: FamilySpec) -> GramMatrix:
     """``gram``, unless it truncates an infinite support with its tail above
-    tolerance: then a TruncationError rather than a silent value."""
+    tolerance: then a TruncationError rather than a silent value.  A
+    tolerance that is not positive and finite is a SpecError on any
+    support."""
+    check_tol(gram.tol)
     if spec.support_N is None and gram.tail > gram.tol:
         raise TruncationError(
             f"truncated inner product tail {gram.tail:.3e} exceeds tolerance "
@@ -615,13 +676,12 @@ def converged(gram: GramMatrix, spec: FamilySpec) -> GramMatrix:
 def relative_gram_bound(P, Q, spec, x_max: int = 400, tol: float = 1e-9) -> float:
     """max |<P,Q>_ij| relative to the larger of the two self inner products;
     the truncated-orthogonality figure of merit.  The three sums share one
-    weight table, and their tails are judged in the order <P, Q>, <P, P>,
-    <Q, Q>."""
+    pass over one weight table, and their tails are judged in the order
+    <P, Q>, <P, P>, <Q, Q>; ``tol`` must be positive and finite."""
     weights = float_weight_table(spec, x_max)
-    p, q = (float_value_table(S, len(weights) - 1) for S in (P, Q))
-    grams = (float_gram(p, q, weights, x_max, tol), float_gram(p, p, weights, x_max, tol),
-             float_gram(q, q, weights, x_max, tol))
-    return gram_ratio(*(converged(g, spec).max_abs() for g in grams))
+    values = [float_value_table(S, len(weights) - 1) for S in (P, Q)]
+    grams = float_grams(values, weights, ((0, 1), (0, 0), (1, 1)), x_max, tol)
+    return gram_ratio(*(converged(g, spec).max_abs() for g in grams.values()))
 
 
 def gram_ratio(pair: float, p_self: float, q_self: float) -> float:

@@ -154,6 +154,10 @@ class Charlier:
             return Fraction(0)
         return self.b**x / math.factorial(x)
 
+    def weight_ratio(self, x: int) -> Fraction:
+        """w(x + 1) / w(x)."""
+        return self.b / (x + 1)
+
     def recurrence_bc(self, n: int):
         return Fraction(n) + self.b, Fraction(n) * self.b
 
@@ -198,6 +202,10 @@ class Meixner:
         if x < 0:
             return Fraction(0)
         return pochhammer(self.beta, x) * self.c**x / math.factorial(x)
+
+    def weight_ratio(self, x: int) -> Fraction:
+        """w(x + 1) / w(x)."""
+        return (self.beta + x) * self.c / (x + 1)
 
     def recurrence_bc(self, n: int):
         beta, c = self.beta, self.c
@@ -266,6 +274,10 @@ class Krawtchouk:
         if x < 0 or x > self.N:
             return Fraction(0)
         return binomial(self.N, x) * self.p**x * (1 - self.p) ** (self.N - x)
+
+    def weight_ratio(self, x: int) -> Fraction:
+        """w(x + 1) / w(x), for 0 <= x < N."""
+        return (self.N - x) * self.p / ((x + 1) * (1 - self.p))
 
     def recurrence_bc(self, n: int):
         p, N = self.p, self.N
@@ -352,6 +364,11 @@ class Hahn:
         if x < 0 or x > self.N:
             return Fraction(0)
         return binomial(self.alpha + x, x) * binomial(self.beta + self.N - x, self.N - x)
+
+    def weight_ratio(self, x: int) -> Fraction:
+        """w(x + 1) / w(x), for 0 <= x < N; no factor vanishes under the
+        parameter gate."""
+        return (self.alpha + x + 1) * (self.N - x) / ((x + 1) * (self.beta + self.N - x))
 
     def _t(self, n: int) -> Fraction:
         alpha, beta, N = self.alpha, self.beta, self.N
@@ -505,11 +522,10 @@ class _Ladder:
 
     def polynomial(self, n: int) -> ScalarPoly:
         polys = self.polys
-        x = ScalarPoly.x()
         while len(polys) <= n:
             k = len(polys) - 1
             b_k, c_k = self.coefficients(k)
-            nxt = polys[k] * x - polys[k] * b_k
+            nxt = polys[k].times_x() - polys[k] * b_k
             if k >= 1:
                 nxt = nxt - polys[k - 1] * c_k
             polys.append(nxt)
@@ -559,6 +575,17 @@ def extended_polynomial(spec) -> ScalarPoly:
             f"x(x-1)...(x-N) for {spec!r}"
         )
     return product
+
+
+def weight_sequence(spec, stop: int) -> list:
+    """w(0), ..., w(stop) of a discrete weight, each grown from the last by
+    the exact ratio w(x + 1) / w(x): O(1) rational operations per point,
+    where ``weight(x)`` rebuilds powers, factorials and Pochhammer symbols.
+    ``stop`` must not pass a finite support's N."""
+    out = [spec.weight(0)]
+    for x in range(stop):
+        out.append(out[-1] * spec.weight_ratio(x))
+    return out
 
 
 def squared_norm(spec, n: int) -> NormValue:

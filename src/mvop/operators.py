@@ -161,7 +161,6 @@ def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
             not M.entries[i][j].is_zero for i in range(m) for j in range(m) if i != j
         ):
             raise ValueError(f"{name} must be a diagonal {m}x{m} matrix polynomial")
-    x = ScalarPoly.x()
     one = ScalarPoly.one()
     zero = ScalarPoly()
     f, k, g = ([M.entries[i][i] for i in range(m)] for M in (F, K, G))
@@ -173,9 +172,9 @@ def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
     for i, j in staggered_positions(m):
         a = A.entries[i][j]
         af = a * f[j]
-        F_hat[i][j] = af + (af - f[i] * a) * x
-        K_hat[i][j] = a * (f[j] - g[j]) + (a * k[j] - k[i] * a) * x
-        G_hat[i][j] = (zero - a) * g[j] + (a * g[j] - g[i] * a) * x
+        F_hat[i][j] = af + (af - f[i] * a).times_x()
+        K_hat[i][j] = a * (f[j] - g[j]) + (a * k[j] - k[i] * a).times_x()
+        G_hat[i][j] = (zero - a) * g[j] + (a * g[j] - g[i] * a).times_x()
     return DifferenceOperator(
         F=MatrixPoly(F_hat), K=MatrixPoly(K_hat), G=-MatrixPoly(G_hat)
     )
@@ -304,7 +303,8 @@ def lead_inverse(lead, scale: int):
     odd rows and columns at distance 0 or 2.  So L_k = [[I, N], [0, T]] on
     the even, then the odd channels, with T tridiagonal, and only T is
     inverted for L_k^(-1) = [[I, -N T^(-1)], [0, T^(-1)]]: a reciprocal for
-    m <= 3.  A lead of any other form is a construction fault.
+    m <= 3, and no inversion when T = I, as for Q_0 and the closure
+    companion.  A lead of any other form is a construction fault.
     """
     m = len(lead)
     even, odd = range(0, m, 2), range(1, m, 2)
@@ -313,7 +313,13 @@ def lead_inverse(lead, scale: int):
         raise AssertionError(f"leading coefficient {lead} / {scale} is not [[I, N], [0, T]]")
     T = [[lead[i][j] for j in odd] for i in odd]  # scale times the block T
     # the inverse of this integer block is Y / d, odd channel i at Y's i // 2
-    Y, d = (((1,),), T[0][0]) if m <= 3 else _scaled(linalg.mat_inverse(T))
+    eye = [[int(i == j) for j in range(len(T))] for i in range(len(T))]
+    if m <= 3:
+        Y, d = eye, T[0][0]
+    elif T == [[scale * v for v in row] for row in eye]:
+        Y, d = eye, scale
+    else:
+        Y, d = _scaled(linalg.mat_inverse(T))
     if d == 0:
         raise ZeroDivisionError("leading coefficient is singular")
 

@@ -164,6 +164,16 @@ class ScalarPoly:
 
     __rmul__ = __mul__
 
+    def times_x(self) -> "ScalarPoly":
+        """x p, with no convolution: the coefficients move up one degree,
+        each lifted, under a lifted c_0 * 0.  For coefficients of one type
+        (Fraction, finite float, QuadExt) these are the values
+        ``self * ScalarPoly.x()`` gives, each c_k * 1 + c_(k+1) * 0."""
+        c = self.coeffs
+        if not c:
+            return self
+        return _poly(_lift([c[0] * _ZERO, *c]))
+
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:

@@ -29,8 +29,9 @@ identity check, and the grid oversamples the identities' degrees in the
 formal parameters.  Infinite supports (and ``truncated=True``) check
 orthogonality by truncated float sums on the spec's own couplings, with the
 true transcendental quotients, from one float value table per polynomial
-and one float weight table per run.  All work runs inline: it is
-pure-Python arithmetic, which threads do not speed up.
+and one float weight table per run, every pair summed in one pass over x
+(``construction.float_grams``).  All work runs inline: it is pure-Python
+arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
@@ -43,8 +44,9 @@ from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
+    check_tol,
     converged,
-    float_gram,
+    float_grams,
     float_value_table,
     float_weight_table,
     gram_ratio,
@@ -154,23 +156,24 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
     truncated float sums against ``tol``.
 
     The truncated sums read one float value table per polynomial and one
-    float weight table, and each self inner product is summed once.  Tails
-    are judged in the order ``relative_gram_bound`` sums them (the pair,
-    then both self products), so the first TruncationError raised is the
-    one that would be raised pair by pair."""
+    float weight table, and every <Q_n, Q_k> with k <= n is summed in one
+    pass (``float_grams``), each self product once.  Tails are judged in
+    the order ``relative_gram_bound`` judges them (the pair, then both self
+    products), so the first TruncationError raised is the one that would be
+    raised pair by pair."""
     if truncated:
         weights = float_weight_table(spec, x_max)
         values = [float_value_table(Q, len(weights) - 1) for Q in polys]
-        selves = [float_gram(v, v, weights, x_max, tol) for v in values]
+        pairs = [(n, k) for n in range(len(polys)) for k in range(n + 1)]
+        grams = float_grams(values, weights, pairs, x_max, tol)
     else:
         values = [value_table(t, spec) for t in tables]
     checks = []
     for n in range(len(polys)):
         for k in range(n):
             if truncated:
-                grams = (float_gram(values[n], values[k], weights, x_max, tol),
-                         selves[n], selves[k])
-                pair, p_self, q_self = (converged(g, spec).max_abs() for g in grams)
+                pair, p_self, q_self = (converged(grams[key], spec).max_abs()
+                                        for key in ((n, k), (n, n), (k, k)))
                 bound = gram_ratio(pair, p_self, q_self)
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
@@ -303,8 +306,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         raise SpecError(f"n_max must be >= 0, got {n_max}")
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
-    if not 0 < tol < math.inf:
-        raise SpecError(f"tol (--tol) must be a positive finite number, got {tol}")
+    check_tol(tol, "tol (--tol)")
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
     exact_gram = spec.is_finite and not truncated

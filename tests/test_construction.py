@@ -1,4 +1,5 @@
 """Weight matrices, the closed-form orthogonal sequence, inner products."""
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from mvop import linalg
 from mvop.construction import (
     A_PROBES,
     FamilySpec,
+    converged,
     family_spec_from_json,
     gram_schmidt_oracle,
     inner_product,
@@ -148,6 +150,12 @@ class TestWeightMatrix:
             W = weight_matrix(spec, xv)
             w2 = spec.channels[1].weight(xv)
             assert W[0][2] == w2 * F(1) * F(2) * xv * xv
+
+    def test_needs_rational_couplings(self):
+        # W(x) is summed in integers over the couplings' common denominator
+        spec = FamilySpec(a=(0.5,), channels=kraw_pair().channels)
+        with pytest.raises(SpecError, match="rational couplings"):
+            weight_matrix(spec, 1)
 
     @pytest.mark.parametrize("spec", FINITE_SPECS[:4])
     def test_positive_definite_on_support(self, spec):
@@ -302,6 +310,34 @@ class TestTruncatedInnerProducts:
         Q2 = orthogonal_polynomial(spec, 2)
         with pytest.raises(TruncationError):
             inner_product(Q2, Q2, spec, mode="truncated", x_max=6)
+
+    # nan and inf tolerances never reject a tail; without the gate these
+    # three returned a Gram with tail 0.236 and a bound of 0.133 silently
+    BAD_TOLS = [float("nan"), float("inf"), -1e-9, 0.0]
+
+    @staticmethod
+    def short_charlier():
+        spec = FamilySpec(a=(2,), channels=(Charlier(b=F(1)), Charlier(b=F(2))))
+        return spec, [orthogonal_polynomial(spec, n, tau="numeric") for n in (1, 2)]
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_inner_product_rejects_tol(self, tol):
+        spec, (Q1, Q2) = self.short_charlier()
+        with pytest.raises(SpecError, match="tol"):
+            inner_product(Q1, Q2, spec, mode="truncated", x_max=3, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_relative_gram_bound_rejects_tol(self, tol):
+        spec, (Q1, Q2) = self.short_charlier()
+        with pytest.raises(SpecError, match="tol"):
+            relative_gram_bound(Q1, Q2, spec, x_max=3, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_converged_rejects_tol(self, tol):
+        spec, (Q1, Q2) = self.short_charlier()
+        gram = inner_product(Q1, Q2, spec, mode="truncated", x_max=400)
+        with pytest.raises(SpecError, match="tol"):
+            converged(dataclasses.replace(gram, tol=tol), spec)
 
     def test_exact_mode_needs_finite_support(self):
         spec = FamilySpec(a=(1,), channels=(Charlier(b=F(1)), Charlier(b=F(1))))

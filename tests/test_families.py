@@ -14,6 +14,7 @@ from mvop.families import (
     monic_polynomial,
     rodrigues_polynomial,
     squared_norm,
+    weight_sequence,
     weight_spec_from_json,
 )
 from mvop.poly import ScalarPoly
@@ -65,6 +66,16 @@ class TestWeights:
             Krawtchouk(p=F(0), N=4)
         with pytest.raises(SpecError):
             Hahn(alpha=F(-2), beta=F(0), N=3)
+
+    @pytest.mark.parametrize("spec", FAMILIES + (
+        Charlier(b=F(7, 3)),
+        Meixner(beta=F(3, 2), c=F(2, 3)),
+        Hahn(alpha=F(-19, 2), beta=F(-23, 2), N=7),  # alpha, beta < -N
+        Hahn(alpha=F(-9), beta=F(-11), N=7),
+    ))
+    def test_grown_weights_equal_closed_form(self, spec):
+        stop = 60 if spec.support_N is None else spec.support_N
+        assert weight_sequence(spec, stop) == [spec.weight(x) for x in range(stop + 1)]
 
     def test_hahn_degenerate_denominator_named(self):
         # alpha + beta = -6 makes 2n + alpha + beta + 2 vanish at n = 2

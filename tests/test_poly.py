@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvop.poly import MatrixPoly, ScalarPoly, lagrange_interpolate
+from mvop.quadext import QuadExt
 
 
 def poly(*coeffs):
@@ -156,6 +157,34 @@ class TestInvariants:
             assert (p * q).is_zero
         else:
             assert (p * q).degree == p.degree + q.degree
+
+
+def coefficient_bits(p):
+    """Each coefficient's type, repr and extension: repr alone shows a
+    QuadExt with v = 0 as its rational part."""
+    return [(type(c), repr(c), getattr(c, "d", None)) for c in p.coeffs]
+
+
+small = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float", "quadext"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_times_x_equals_product_with_x(kind, data):
+    if kind == "fraction":
+        coeffs = data.draw(st.lists(small, max_size=6))
+    elif kind == "float":
+        # interior -0.0 and 0.0 both read as 0.0 in a product
+        coeffs = data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)),
+            max_size=6))
+    else:
+        d = data.draw(st.sampled_from([2, 3, F(8, 3)]))
+        coeffs = [QuadExt(u, v, d) for u, v in data.draw(st.lists(st.tuples(small, small),
+                                                                   max_size=6))]
+    p = ScalarPoly(coeffs)
+    assert coefficient_bits(p.times_x()) == coefficient_bits(p * ScalarPoly.x())
 
 
 def test_lagrange_interpolation_roundtrip():

@@ -147,3 +147,27 @@ def test_lead_off_the_block_pattern_is_rejected(case, data):
     with pytest.raises(AssertionError, match=r"not \[\[I, N\], \[0, T\]\]"):
         lead_inverse(tuple(map(tuple, lead)), table.scale)
 
+
+
+def test_identity_block_is_not_inverted(monkeypatch):
+    # m = 4: Q_0 and the closure companion have T = I, Q_1 and Q_2 do not
+    spec = FamilySpec(a=(F(2), F(-1, 3), F(1, 2)),
+                      channels=tuple(Krawtchouk(p, 2) for p in KRAW_P))
+    chain = [orthogonal_polynomial(spec, n) for n in range(3)] + [successor_polynomial(spec, 2)]
+    want = residual_oracle.match_recurrence(chain)
+    exact = {k: fractions((t.coefficient(k), t.scale)) for k, t in enumerate(tables_of(chain))}
+    inverses = {k: linalg.mat_inverse(lead) for k, lead in exact.items()}
+    inverted = []
+    real = linalg.mat_inverse
+
+    def counting(a):
+        inverted.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "mat_inverse", counting)
+    assert closed_recurrence(spec, chain) == want
+    assert len(inverted) == 2
+    for k, table in enumerate(tables_of(chain)):
+        inverted.clear()
+        assert fractions(lead_inverse(table.coefficient(k), table.scale)) == inverses[k]
+        assert len(inverted) == (0 if k in (0, 3) else 1)
