@@ -9,14 +9,12 @@ from .construction import (
     FamilySpec,
     GramMatrix,
     family_spec_from_json,
-    gram_schmidt_oracle,
     inner_product,
     needs_mass_probe,
     nilpotent_matrix,
     norm_ratio,
     orthogonal_polynomial,
     relative_gram_bound,
-    unipotent_factor,
     weight_matrix,
 )
 from .errors import ProbeError, SpecError, TruncationError
@@ -30,19 +28,14 @@ from .families import (
     Meixner,
     NormValue,
     ScalarOperator,
-    extended_polynomial,
     monic_polynomial,
-    rodrigues_polynomial,
     squared_norm,
     weight_spec_from_json,
 )
 from .limits import (
-    AgreementReport,
     ConvergenceReport,
     TransitionSpec,
     continuous_target,
-    hermite_limit_agreement,
-    ode_residual,
     run_transition,
     transition_spec_from_json,
 )
@@ -54,7 +47,7 @@ from .operators import (
     conjugated_operator,
     extract_recurrence,
 )
-from .poly import MatrixPoly, ScalarPoly, lagrange_interpolate
+from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
 from .rational import format_rational, rational
 from .verification import VerificationReport, run_verification, verify_eigenfunction
@@ -64,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "A_PROBES",
     "TAU_PROBES",
-    "AgreementReport",
     "Charlier",
     "ConvergenceReport",
     "DifferenceOperator",
@@ -91,28 +83,21 @@ __all__ = [
     "canonical_operator",
     "conjugated_operator",
     "continuous_target",
-    "extended_polynomial",
     "extract_recurrence",
     "family_spec_from_json",
     "format_rational",
-    "gram_schmidt_oracle",
-    "hermite_limit_agreement",
     "inner_product",
-    "lagrange_interpolate",
     "monic_polynomial",
     "needs_mass_probe",
     "nilpotent_matrix",
     "norm_ratio",
-    "ode_residual",
     "orthogonal_polynomial",
     "rational",
     "relative_gram_bound",
-    "rodrigues_polynomial",
     "run_transition",
     "run_verification",
     "squared_norm",
     "transition_spec_from_json",
-    "unipotent_factor",
     "verify_eigenfunction",
     "weight_matrix",
     "weight_spec_from_json",

@@ -51,7 +51,9 @@ The truncated float Gram has the same shape: ``float_value_table`` per
 polynomial, ``float_weight_table`` once, and ``float_grams`` for any set of
 pairs in one pass over x, which ``inner_product(mode="truncated")`` and
 ``relative_gram_bound`` also call; ``converged`` raises on a tail above
-tolerance, and the tolerance must be positive and finite.
+tolerance, and the tolerance must be positive and finite.  The block
+Gram-Schmidt oracle that checks the construction, summing pointwise with
+no table, is in ``tests/construction_oracle.py``.
 """
 from __future__ import annotations
 
@@ -87,8 +89,10 @@ class FamilySpec:
     """m coupled scalar channels plus the m-1 nonzero coupling constants.
 
     All channels must share one support: all finite with the same N, or all
-    infinite.  Coupling constants are exact rationals on verification paths;
-    floats are admitted for limit studies with irrational rescalings.
+    infinite.  Coupling constants are exact rationals.  The limit studies
+    that rescale by one square root couple in the quadratic extension
+    (``QuadExt``); W(x) and the verify paths need rational couplings.  A
+    float coupling is a SpecError naming ``a``.
     """
 
     a: tuple
@@ -96,9 +100,10 @@ class FamilySpec:
 
     def __post_init__(self):
         channels = tuple(self.channels)
-        a = tuple(
-            v if isinstance(v, (float, QuadExt)) else rational(v) for v in self.a
-        )
+        try:
+            a = tuple(v if isinstance(v, QuadExt) else rational(v) for v in self.a)
+        except (TypeError, ValueError) as err:
+            raise SpecError(f"coupling constants a: {err}") from None
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "a", a)
         m = len(channels)
@@ -190,13 +195,6 @@ def nilpotent_matrix(spec: FamilySpec) -> MatrixPoly:
     for k, (i, j) in enumerate(staggered_positions(m)):
         entries[i][j] = ScalarPoly.constant(spec.a[k])
     return MatrixPoly(entries)
-
-
-def unipotent_factor(spec: FamilySpec) -> MatrixPoly:
-    """U(x) = I + A x; its inverse is I - A x."""
-    m = spec.m
-    A = nilpotent_matrix(spec)
-    return MatrixPoly.identity(m) + A.scale(ScalarPoly.x())
 
 
 def weight_matrix(spec: FamilySpec, x: int):
@@ -493,28 +491,25 @@ def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
     return IntegerTable(degree=P.degree, scale=scale, coefficients=entries, values=tuple(values))
 
 
-def value_table(table: IntegerTable, spec: FamilySpec, diagonal: bool = False):
+def value_table(table: IntegerTable, spec: FamilySpec):
     """(P U)(x) at every support point from P's integer table, over one
-    denominator: (scale, [integer rows at each x]); U = I with ``diagonal``.
+    denominator: (scale, [integer rows at each x]).
 
     A holds a_k at pattern position (i, j), so P U adds a_k x times column i
     to column j; with the couplings over their common denominator q, q P U
     scales every column by q and adds (q a_k) x times column i to column j,
     reading the unscaled row.
     """
-    q, couplings = (1, ()) if diagonal else _integer_couplings(spec)
+    q, couplings = _integer_couplings(spec)
     out = []
     for x in _support(spec):
-        rows = table.values[x + 1]
-        if couplings:
-            scaled = []
-            for row in rows:
-                new = [q * v for v in row]
-                for i, j, c in couplings:
-                    new[j] += c * x * row[i]
-                scaled.append(new)
-            rows = scaled
-        out.append(rows)
+        scaled = []
+        for row in table.values[x + 1]:
+            new = [q * v for v in row]
+            for i, j, c in couplings:
+                new[j] += c * x * row[i]
+            scaled.append(new)
+        out.append(scaled)
     return table.scale * q, out
 
 
@@ -536,7 +531,7 @@ def gram_sum(p_table, q_table, weights):
 
 
 def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "exact",
-                  x_max: int = 400, tol: float = 1e-9, diagonal: bool = False) -> GramMatrix:
+                  x_max: int = 400, tol: float = 1e-9) -> GramMatrix:
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
     Exact mode needs a finite support and exact coefficients, and sums
@@ -544,8 +539,7 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     in floats through ``float_grams`` and records the tail estimate (last
     term relative to the accumulated absolute sum); a tail above ``tol``,
     which must be positive and finite, raises rather than returning a
-    silent value.  ``diagonal=True`` replaces W by the uncoupled diag(w_i)
-    weight.
+    silent value.
     """
     if P.cols != spec.m or Q.cols != spec.m:
         raise ValueError("polynomial width does not match the family size")
@@ -554,30 +548,30 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
         weights = weight_table(spec)
         top = spec.support_N
         entries = gram_sum(
-            value_table(integer_table(P, top), spec, diagonal),
-            value_table(integer_table(Q, top), spec, diagonal),
+            value_table(integer_table(P, top), spec),
+            value_table(integer_table(Q, top), spec),
             weights,
         )
         return GramMatrix(entries=entries, mode="exact")
 
     if mode != "truncated":
         raise ValueError(f"unknown inner product mode {mode!r}")
-    weights = float_weight_table(spec, x_max, diagonal)
+    weights = float_weight_table(spec, x_max)
     values = [float_value_table(S, len(weights) - 1) for S in (P, Q)]
     return converged(float_grams(values, weights, ((0, 1),), x_max, tol)[0, 1], spec)
 
 
-def float_weight_table(spec: FamilySpec, x_max: int, diagonal: bool = False):
+def float_weight_table(spec: FamilySpec, x_max: int):
     """Float weight matrices at x = 0..min(x_max, N): each exact entry of
-    W(x) = U(x) diag(w(x)) U(x)^T rounded to float once; ``diagonal`` drops
-    A.  The entries are integer sums over d q^2 (``_weight_entries``, from
-    the grown channel weights), and integer true division rounds correctly,
-    so each float is the one ``float(Fraction)`` gives."""
+    W(x) = U(x) diag(w(x)) U(x)^T rounded to float once.  The entries are
+    integer sums over d q^2 (``_weight_entries``, from the grown channel
+    weights), and integer true division rounds correctly, so each float is
+    the one ``float(Fraction)`` gives."""
     if x_max < 0:
         raise SpecError(f"x_max must be >= 0, got {x_max}")
     top = spec.support_N
     stop = x_max if top is None else min(x_max, top)
-    q, couplings = (1, ()) if diagonal else _integer_couplings(spec)
+    q, couplings = _integer_couplings(spec)
     out = []
     for x, w in enumerate(_channel_weights(spec, stop)):
         W, den = _weight_entries(w, x, q, couplings)
@@ -688,35 +682,3 @@ def gram_ratio(pair: float, p_self: float, q_self: float) -> float:
     """``relative_gram_bound`` from the max-abs entries of <P, Q>, <P, P> and
     <Q, Q>, for a caller that computes each self inner product once."""
     return pair / max(p_self, q_self, 1e-300)
-
-
-# --------------------------------------------------------------------------
-# independent oracle: exact block Gram-Schmidt
-
-
-def gram_schmidt_oracle(spec: FamilySpec, n: int) -> MatrixPoly:
-    """Monic matrix orthogonal polynomial via exact block Gram-Schmidt on
-    {I, I x, ..., I x^n}; finite support only."""
-    if not spec.is_finite:
-        raise SpecError("the Gram-Schmidt oracle needs a finite support")
-    if n > spec.support_N:
-        raise SpecError(
-            f"only degrees up to N = {spec.support_N} are orthogonalizable"
-        )
-    top = spec.support_N
-    weights = weight_table(spec)
-    basis = []  # (R_r, its value table, <R_r, R_r>^(-1))
-    for j in range(n + 1):
-        monomial = MatrixPoly.diagonal((ScalarPoly.monomial(j),) * spec.m)
-        table = value_table(integer_table(monomial, top), spec)
-        candidate = monomial
-        # the R_r are mutually orthogonal, so projecting the monomial itself
-        # gives the same exact result as projecting the running candidate
-        for r, r_table, r_inverse in basis:
-            overlap = gram_sum(table, r_table, weights)
-            coeff = linalg.mat_mul(overlap, r_inverse)
-            candidate = candidate - MatrixPoly(coeff) @ r
-        table = value_table(integer_table(candidate, top), spec)
-        gram = gram_sum(table, table, weights)
-        basis.append((candidate, table, linalg.mat_inverse(gram)))
-    return basis[n][0]

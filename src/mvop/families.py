@@ -1,12 +1,14 @@
 """The four classical discrete scalar weights and their orthogonal polynomials.
 
-Each weight spec knows its pointwise value, its three-term recurrence
-coefficients (the primary construction path for the monic polynomials), its
-total mass, its second-order difference operator and eigenvalues, and a
-pointwise Rodrigues-formula evaluator that serves as an independent oracle.
-The continuous Hermite and Laguerre channels carry only the recurrence and
-the total mass, which is all the ladder reads: the limit targets are the
-same closed form built on them.
+Each weight spec knows its pointwise value and its exact ratio
+w(x + 1) / w(x), its three-term recurrence coefficients (the one
+construction path for the monic polynomials), its total mass, and its
+second-order difference operator and eigenvalues.  The independent oracles
+that check the ladder, the Rodrigues formulas with Lagrange interpolation
+and the degree-(N+1) closure x(x-1)...(x-N), live in the tests
+(``tests/scalar_oracle.py``).  The continuous Hermite and Laguerre channels
+carry only the recurrence and the total mass, which is all the ladder
+reads: the limit targets are the same closed form built on them.
 
 Squared norms are carried as an exact rational coefficient times a symbolic
 mass factor, so that ratios of norms inside one family are exact rationals
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SpecError
-from .poly import ScalarPoly, lagrange_interpolate
+from .poly import ScalarPoly
 from .rational import binomial, format_rational, json_int, pochhammer, rational, spec_field
 
 
@@ -172,10 +174,6 @@ class Charlier:
             eigenvalue=lambda n: Fraction(-n),
         )
 
-    def rodrigues_value(self, n: int, x: int) -> Fraction:
-        nabla_n = _iterated_nabla(self.weight, n, x)
-        return (-self.b) ** n * math.factorial(x) / self.b**x * nabla_n
-
     def to_json(self):
         return {"kind": "charlier", "b": format_rational(self.b)}
 
@@ -224,24 +222,6 @@ class Meixner:
             g=ScalarPoly.x(),
             eigenvalue=lambda n: Fraction(n) * (c - 1),
         )
-
-    def rodrigues_value(self, n: int, x: int) -> Fraction:
-        beta, c = self.beta, self.c
-
-        def bracket(y: int) -> Fraction:
-            if y < 0:
-                return Fraction(0)
-            return pochhammer(beta + n, y) * c**y / math.factorial(y)
-
-        nabla_n = _iterated_nabla(bracket, n, x)
-        prefactor = (
-            pochhammer(beta, n)
-            * c**n
-            / (c - 1) ** n
-            * math.factorial(x)
-            / (pochhammer(beta, x) * c**x)
-        )
-        return prefactor * nabla_n
 
     def to_json(self):
         return {
@@ -297,19 +277,6 @@ class Krawtchouk:
             g=ScalarPoly((Fraction(0), 1 - p)),
             eigenvalue=lambda n: Fraction(-n),
         )
-
-    def rodrigues_value(self, n: int, x: int) -> Fraction:
-        p, N = self.p, self.N
-        ratio = p / (1 - p)
-
-        def bracket(y: int) -> Fraction:
-            if y < 0:
-                return Fraction(0)
-            return binomial(N - n, y) * ratio**y
-
-        nabla_n = _iterated_nabla(bracket, n, x)
-        prefactor = pochhammer(Fraction(-N), n) * p**n / (binomial(N, x) * ratio**x)
-        return prefactor * nabla_n
 
     def to_json(self):
         return {"kind": "krawtchouk", "p": format_rational(self.p), "N": self.N}
@@ -411,25 +378,6 @@ class Hahn:
             eigenvalue=lambda n: Fraction(n) * (n + alpha + beta + 1),
         )
 
-    def rodrigues_value(self, n: int, x: int) -> Fraction:
-        alpha, beta, N = self.alpha, self.beta, self.N
-
-        def bracket(y: int) -> Fraction:
-            return binomial(alpha + n + y, y) * binomial(beta + N - y, N - n - y)
-
-        nabla_n = _iterated_nabla(bracket, n, x)
-        denom = pochhammer(n + alpha + beta + 1, n)
-        if denom == 0:
-            raise SpecError(f"hahn rodrigues prefactor degenerates at n = {n}")
-        prefactor = (
-            (-1) ** n
-            * pochhammer(alpha + 1, n)
-            * pochhammer(beta + 1, n)
-            / denom
-            / self.weight(x)
-        )
-        return prefactor * nabla_n
-
     def to_json(self):
         return {
             "kind": "hahn",
@@ -474,17 +422,6 @@ class Laguerre:
 
     def total_mass(self) -> NormValue:
         return NormValue(Fraction(1), Mass.one())
-
-
-def _iterated_nabla(fn, n: int, x: int) -> Fraction:
-    """nabla^n applied to a pointwise function, evaluated at integer x."""
-    return sum(
-        (
-            (-1) ** j * binomial(n, j) * fn(x - j)
-            for j in range(n + 1)
-        ),
-        Fraction(0),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -556,27 +493,6 @@ def monic_polynomial(spec, n: int) -> ScalarPoly:
     return ladder(spec).polynomial(n)
 
 
-def extended_polynomial(spec) -> ScalarPoly:
-    """The degree-(N+1) closure polynomial x(x-1)...(x-N) on finite support.
-
-    Asserts that the recurrence-built polynomial of degree N+1 agrees with
-    the falling-factorial product exactly.
-    """
-    top = spec.support_N
-    if top is None:
-        raise SpecError("the degree-(N+1) extension needs a finite support")
-    product = ScalarPoly.one()
-    for root in range(top + 1):
-        product = product * ScalarPoly((-Fraction(root), 1))
-    via_recurrence = monic_polynomial(spec, top + 1)
-    if via_recurrence != product:
-        raise AssertionError(
-            "recurrence-built degree-(N+1) polynomial does not close on "
-            f"x(x-1)...(x-N) for {spec!r}"
-        )
-    return product
-
-
 def weight_sequence(spec, stop: int) -> list:
     """w(0), ..., w(stop) of a discrete weight, each grown from the last by
     the exact ratio w(x + 1) / w(x): O(1) rational operations per point,
@@ -599,18 +515,6 @@ def squared_norm(spec, n: int) -> NormValue:
     if top is not None and n == top + 1:
         return NormValue(Fraction(0), Mass.one())
     return ladder(spec).norm(n)
-
-
-def rodrigues_polynomial(spec, n: int) -> ScalarPoly:
-    """Independent oracle: evaluate the Rodrigues formula at x = 0..n and
-    recover the polynomial by exact Lagrange interpolation."""
-    if n < 0:
-        raise SpecError(f"polynomial degree must be >= 0, got {n}")
-    top = spec.support_N
-    if top is not None and n > top:
-        raise SpecError(f"rodrigues formula applies for n <= N = {top}, got n = {n}")
-    points = [(Fraction(x), spec.rodrigues_value(n, x)) for x in range(n + 1)]
-    return lagrange_interpolate(points)
 
 
 # --------------------------------------------------------------------------

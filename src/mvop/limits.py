@@ -6,12 +6,13 @@ Convergence is measured coefficientwise: each ladder step reports the max
 absolute difference between the transformed source polynomial and the target.
 
 Every target is the closed-form construction on its channel pair, discrete
-or continuous; the continuous Hermite/Laguerre targets are verified exactly
-against their second-order differential equations.  ``TRANSITIONS`` holds
-each transition's parameter names, ladder checks, source step and target
-channels.  Rescalings by a single square root are carried in the exact
-quadratic extension, so reported errors reflect the mathematical limit, not
-float noise.
+or continuous.  The tests check the continuous Hermite/Laguerre targets
+exactly against their second-order differential equations, and the two
+Hermite routes against each other (``tests/limit_oracle.py``).
+``TRANSITIONS`` holds each transition's parameter names, ladder checks,
+source step and target channels.  Rescalings by a single square root are
+carried in the exact quadratic extension, so reported errors reflect the
+mathematical limit, not float noise.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Callable
 from .construction import FamilySpec, norm_ratio, orthogonal_polynomial
 from .errors import SpecError
 from .families import Charlier, Hahn, Hermite, Krawtchouk, Laguerre, Meixner
-from .poly import MatrixPoly, ScalarPoly
+from .poly import MatrixPoly
 from .quadext import QuadExt
 from .rational import format_rational, json_int, json_list, json_typed, rational, spec_field
 
@@ -122,31 +123,6 @@ def continuous_target(kind: str, n: int, a, alpha=None) -> MatrixPoly:
     else:
         raise SpecError(f"unknown continuous target kind {kind!r}")
     return orthogonal_polynomial(_pair_spec(rational(a), ch, ch), n)
-
-
-def ode_residual(kind: str, n: int, a, alpha=None) -> MatrixPoly:
-    """Exact residual of the target's second-order differential equation;
-    identically zero when the displayed equation holds.  ``continuous_target``
-    rejects any kind but "hermite" and "laguerre"."""
-    a = rational(a)
-    P = continuous_target(kind, n, a, alpha=alpha)
-    x = ScalarPoly.x()
-    if kind == "hermite":
-        coeff1 = MatrixPoly(((x * (-2), ScalarPoly.constant(2 * a)), (0, x * (-2))))
-        coeff0 = MatrixPoly(((0, 0), (0, 2)))
-        eigen = MatrixPoly.diagonal((Fraction(-2 * n), Fraction(-2 * n + 2)))
-        return P.derivative().derivative() + P.derivative() @ coeff1 + P @ coeff0 - eigen @ P
-    alpha = rational(alpha)
-    linear = ScalarPoly((alpha + 1, -1))
-    coeff1 = MatrixPoly(((linear, x * (2 * a)), (0, linear)))
-    coeff0 = MatrixPoly(((0, ScalarPoly.constant(a * (alpha + 1))), (0, 1)))
-    eigen = MatrixPoly.diagonal((Fraction(-n), Fraction(-n + 1)))
-    return (
-        P.derivative().derivative().scale(x)
-        + P.derivative() @ coeff1
-        + P @ coeff0
-        - eigen @ P
-    )
 
 
 # --------------------------------------------------------------------------
@@ -389,39 +365,3 @@ def run_transition(t: TransitionSpec) -> ConvergenceReport:
             )
         )
     return ConvergenceReport(name=t.name, n=t.n, a=t.a, steps=tuple(steps), target=target)
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    """Cross-check that the two Hermite routes land on one target."""
-
-    n: int
-    a: Fraction
-    krawtchouk_error: float
-    charlier_error: float
-    agreement: float  # max coefficient gap between the two transformed sources
-
-    @property
-    def consistent(self) -> bool:
-        return self.agreement <= self.krawtchouk_error + self.charlier_error
-
-
-def hermite_limit_agreement(n: int, a, p=Fraction(1, 2), scale: int = 10**14) -> AgreementReport:
-    """Push both Hermite routes to a matched large parameter and compare the
-    transformed sources against each other and the common target."""
-    a = rational(a)
-
-    def route(source, params):
-        t = TransitionSpec(f"{source}->hermite", n, a, (scale // 10, scale), params)
-        return TRANSITIONS[t.name].step(t, Fraction(scale))[:2]
-
-    src_k, scale_k = route("krawtchouk", (("p", p),))
-    src_c, scale_c = route("charlier", ())
-    target = continuous_target("hermite", n, a)
-    err_k, _ = coefficient_error(src_k, target, src_scale=scale_k)
-    err_c, _ = coefficient_error(src_c, target, src_scale=scale_c)
-    # scale_c is 1.0: the Charlier route carries its rescaling exactly
-    gap, _ = coefficient_error(src_k, src_c, src_scale=scale_k)
-    return AgreementReport(
-        n=n, a=a, krawtchouk_error=err_k, charlier_error=err_c, agreement=gap
-    )

@@ -232,9 +232,6 @@ class ScalarPoly:
         """Backward difference p(x) - p(x-1)."""
         return self - self.shift(-1)
 
-    def derivative(self) -> "ScalarPoly":
-        return ScalarPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def __repr__(self):
         if self.is_zero:
             return "0"
@@ -257,24 +254,6 @@ def _as_poly(value):
     if isinstance(value, _SCALARS):
         return ScalarPoly((value,))
     return NotImplemented
-
-
-def lagrange_interpolate(points) -> ScalarPoly:
-    """Exact interpolation through (x_i, y_i) with distinct rational nodes."""
-    points = list(points)
-    out = ScalarPoly()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = ScalarPoly.constant(Fraction(1))
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * ScalarPoly((-xj, 1))
-            denom *= Fraction(xi) - Fraction(xj)
-        out = out + basis * (Fraction(yi) / denom)
-    return out
 
 
 class MatrixPoly:
@@ -416,9 +395,6 @@ class MatrixPoly:
 
     def nabla(self) -> "MatrixPoly":
         return self.map(lambda e: e.nabla())
-
-    def derivative(self) -> "MatrixPoly":
-        return self.map(lambda e: e.derivative())
 
     def compose_affine(self, alpha, beta) -> "MatrixPoly":
         return self.map(lambda e: e.compose_affine(alpha, beta))

@@ -1,17 +1,18 @@
 """JSON, LaTeX and CSV renderings of the package's values.
 
 All output is deterministic: fixed key order, fixed iteration order, floats
-via repr.  Rationals serialize as "p/q" strings ("p" for integers) and every
-JSON artifact re-parses to a structurally equal object.
+via repr.  Rationals serialize as "p/q" strings ("p" for integers).  The
+program only writes these formats; the parsers that read a polynomial,
+matrix polynomial or operator back to an equal object, and so check the
+round trip, are in ``tests/test_serialize.py``.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
-from .errors import SpecError
 from .poly import MatrixPoly, ScalarPoly
-from .rational import format_rational, rational
+from .rational import format_rational
 
 
 def json_dumps(data) -> str:
@@ -26,26 +27,12 @@ def poly_to_json(p: ScalarPoly):
     return [format_rational(c) for c in p.coeffs]
 
 
-def poly_from_json(data) -> ScalarPoly:
-    return ScalarPoly(tuple(rational(c) for c in data))
-
-
 def matpoly_to_json(P: MatrixPoly):
     return {
         "rows": P.rows,
         "cols": P.cols,
         "entries": [[poly_to_json(e) for e in row] for row in P.entries],
     }
-
-
-def matpoly_from_json(data) -> MatrixPoly:
-    entries = tuple(
-        tuple(poly_from_json(e) for e in row) for row in data["entries"]
-    )
-    P = MatrixPoly(entries)
-    if P.rows != data["rows"] or P.cols != data["cols"]:
-        raise SpecError("matrix polynomial shape does not match its declaration")
-    return P
 
 
 def _rational_latex(c: Fraction) -> str:
@@ -102,16 +89,6 @@ def operator_to_json(D):
         "K": matpoly_to_json(D.K),
         "G": matpoly_to_json(D.G),
     }
-
-
-def operator_from_json(data):
-    from .operators import DifferenceOperator
-
-    return DifferenceOperator(
-        F=matpoly_from_json(data["F"]),
-        K=matpoly_from_json(data["K"]),
-        G=matpoly_from_json(data["G"]),
-    )
 
 
 def operator_to_latex(D) -> str:

@@ -303,12 +303,15 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
     if n_max < 0:
-        raise SpecError(f"n_max must be >= 0, got {n_max}")
+        raise SpecError(f"n_max (--n-max) must be >= 0, got {n_max}")
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
     check_tol(tol, "tol (--tol)")
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
+    if any(v == 0 for v in a_vals):
+        shown = ", ".join(map(str, a_vals))
+        raise SpecError(f"coupling probes (--probes) must be nonzero, got {shown}")
     exact_gram = spec.is_finite and not truncated
     weights = weight_table(spec) if exact_gram else None
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []

@@ -9,18 +9,26 @@ normalizations of Charlier, Meixner and Krawtchouk operators are kept as
 they were written by hand before they were derived from each family's own
 operator, and so are the 2x2 continuous Hermite and Laguerre limit targets
 with the recurrence loops of their monic scalar polynomials.
+``gram_schmidt_oracle`` reaches the monic orthogonal polynomials by exact
+block Gram-Schmidt instead, with every inner product the pointwise sum of
+``residual_oracle.brute_force_gram``, not the value-table engine.
 """
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.construction import (
-    _norm_ratio_matrix,
-    nilpotent_matrix,
-    unipotent_factor,
-)
+from mvop.construction import _norm_ratio_matrix, nilpotent_matrix
+from mvop.errors import SpecError
 from mvop.families import Charlier, Krawtchouk, Meixner, ScalarOperator, monic_polynomial
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.rational import rational
+
+from residual_oracle import brute_force_gram
+
+
+def unipotent_factor(spec):
+    """U(x) = I + A x; its inverse is I - A x."""
+    A = nilpotent_matrix(spec)
+    return MatrixPoly.identity(spec.m) + A.scale(ScalarPoly.x())
 
 
 def diagonal_polynomial(spec, n):
@@ -168,3 +176,26 @@ def continuous_target(kind, n, a, alpha=None):
             ((l_prev * ratio) * (-a), (l_prev * ratio * x) * a**2 + l_n),
         )
     )
+
+
+def gram_schmidt_oracle(spec, n):
+    """Monic matrix orthogonal polynomial via exact block Gram-Schmidt on
+    {I, I x, ..., I x^n}; finite support only."""
+    if not spec.is_finite:
+        raise SpecError("the Gram-Schmidt oracle needs a finite support")
+    if n > spec.support_N:
+        raise SpecError(
+            f"only degrees up to N = {spec.support_N} are orthogonalizable"
+        )
+    basis = []  # (R_r, <R_r, R_r>^(-1))
+    for j in range(n + 1):
+        monomial = MatrixPoly.diagonal((ScalarPoly.monomial(j),) * spec.m)
+        candidate = monomial
+        # the R_r are mutually orthogonal, so projecting the monomial itself
+        # gives the same exact result as projecting the running candidate
+        for r, r_inverse in basis:
+            overlap = brute_force_gram(monomial, r, spec)
+            candidate = candidate - MatrixPoly(linalg.mat_mul(overlap, r_inverse)) @ r
+        gram = brute_force_gram(candidate, candidate, spec)
+        basis.append((candidate, linalg.mat_inverse(gram)))
+    return basis[n][0]

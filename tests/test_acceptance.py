@@ -18,26 +18,21 @@ from mvop.families import (
     Hahn,
     Krawtchouk,
     Meixner,
-    extended_polynomial,
     monic_polynomial,
-    rodrigues_polynomial,
 )
-from mvop.limits import (
-    TransitionSpec,
-    hermite_limit_agreement,
-    ode_residual,
-    run_transition,
-)
+from mvop.limits import TransitionSpec, run_transition
 from mvop.operators import extract_recurrence
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.verification import verify_eigenfunction
 
+from limit_oracle import hermite_limit_agreement, ode_residual
 from reference_recurrences import (
     charlier_meixner_triple,
     charlier_triple,
     krawtchouk_triple,
     meixner_equal_c_triple,
 )
+from scalar_oracle import extended_polynomial, rodrigues_polynomial
 
 x = ScalarPoly.x()
 

@@ -183,6 +183,8 @@ BAD_INPUTS = {
     "float-p": ("family", _with_channel(p=0.5), (), "field 'p'"),
     "zero-denominator-a": ("family", {**KRAW44, "a": ["1/0"]}, (), "field 'a'"),
     "zero-denominator-probes": ("verify", KRAW44, ("--probes", "1/0"), "--probes"),
+    "zero-probe": ("verify", KRAW44, ("--probes", "1,0"), "--probes"),
+    "negative-n-max": ("verify", KRAW44, ("--n-max", "-1"), "--n-max"),
     "zero-denominator-tau-probes": (
         "verify", CHARLIER_BC, ("--tau-probes", "1/0"), "--tau-probes"),
     "zero-denominator-tau": ("family", CHARLIER_BC, ("--tau", "1/0"), "--tau"),

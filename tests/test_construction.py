@@ -11,7 +11,6 @@ from mvop.construction import (
     FamilySpec,
     converged,
     family_spec_from_json,
-    gram_schmidt_oracle,
     inner_product,
     is_staggered,
     needs_mass_probe,
@@ -20,14 +19,15 @@ from mvop.construction import (
     orthogonal_polynomial,
     relative_gram_bound,
     staggered_positions,
-    unipotent_factor,
     weight_matrix,
 )
 from mvop.errors import ProbeError, SpecError, TruncationError
 from mvop.families import Charlier, Hahn, Krawtchouk, monic_polynomial, squared_norm
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.quadext import QuadExt
 
-from construction_oracle import diagonal_polynomial
+from construction_oracle import diagonal_polynomial, gram_schmidt_oracle, unipotent_factor
+from residual_oracle import brute_force_gram
 
 x = ScalarPoly.x()
 
@@ -152,8 +152,12 @@ class TestWeightMatrix:
             assert W[0][2] == w2 * F(1) * F(2) * xv * xv
 
     def test_needs_rational_couplings(self):
-        # W(x) is summed in integers over the couplings' common denominator
-        spec = FamilySpec(a=(0.5,), channels=kraw_pair().channels)
+        # a float coupling is refused where the spec is built
+        with pytest.raises(SpecError, match="coupling constants a"):
+            FamilySpec(a=(0.5,), channels=kraw_pair().channels)
+        # W(x) is summed in integers over the couplings' common denominator,
+        # so a coupling in the quadratic extension is refused there
+        spec = FamilySpec(a=(QuadExt.root(2),), channels=kraw_pair().channels)
         with pytest.raises(SpecError, match="rational couplings"):
             weight_matrix(spec, 1)
 
@@ -255,11 +259,11 @@ class TestOrthogonality:
         spec = kraw_pair(p=F(1, 3), s=F(1, 4), N=5)
         for n in range(5):
             P = diagonal_polynomial(spec, n)
-            g = inner_product(P, P, spec, diagonal=True)
+            g = brute_force_gram(P, P, spec, diagonal=True)
             for i in range(2):
                 for j in range(2):
                     want = squared_norm(spec.channels[i], n).rational_value() if i == j else 0
-                    assert g.entries[i][j] == want
+                    assert g[i][j] == want
 
 
 class TestGramSchmidtOracle:
@@ -267,12 +271,12 @@ class TestGramSchmidtOracle:
         assert gram_schmidt_oracle(kraw_pair(), 0) == MatrixPoly.identity(2)
 
     def test_matches_normalized_construction(self):
-        spec = kraw_pair()
-        for n in range(5):
-            Q = orthogonal_polynomial(spec, n)
-            R = gram_schmidt_oracle(spec, n)
-            lead_inv = linalg.mat_inverse(Q.leading_coefficient())
-            assert MatrixPoly(lead_inv) @ Q == R
+        for spec in FINITE_SPECS:
+            for n in range(spec.support_N + 1):
+                Q = orthogonal_polynomial(spec, n)
+                R = gram_schmidt_oracle(spec, n)
+                lead_inv = linalg.mat_inverse(Q.leading_coefficient())
+                assert MatrixPoly(lead_inv) @ Q == R, (spec, n)
 
     def test_hahn_span_agreement(self):
         spec = FamilySpec(

@@ -107,23 +107,17 @@ def test_numeric_tau_reaches_float_coefficients():
 
 @st.composite
 def limit_specs(draw):
-    """Limit-path couplings: a / sqrt(d) carried in the quadratic extension,
-    or a float."""
+    """Limit-path couplings: a / sqrt(d) carried in the quadratic extension
+    (``FamilySpec`` refuses float couplings)."""
     m = draw(st.integers(2, 4))
     if draw(st.booleans()):
         N = draw(st.integers(2, 5))
         channels = [Krawtchouk(p=draw(st.sampled_from(KRAW_P)), N=N) for _ in range(m)]
     else:
         channels = [Charlier(b=draw(st.sampled_from(CHARLIER_B))) for _ in range(m)]
-    if draw(st.booleans()):
-        d = draw(st.sampled_from((F(2), F(6), F(9, 2), F(10))))
-        root = QuadExt.root(d)
-        a = tuple(c * root / d for c in draw(distinct_couplings(m)))
-    else:
-        a = tuple(draw(st.lists(
-            st.floats(-4, 4).filter(lambda v: abs(v) > 1e-3),
-            min_size=m - 1, max_size=m - 1, unique=True,
-        )))
+    d = draw(st.sampled_from((F(2), F(6), F(9, 2), F(10))))
+    root = QuadExt.root(d)
+    a = tuple(c * root / d for c in draw(distinct_couplings(m)))
     return FamilySpec(a=a, channels=tuple(channels))
 
 

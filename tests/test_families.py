@@ -10,14 +10,14 @@ from mvop.families import (
     Krawtchouk,
     Mass,
     Meixner,
-    extended_polynomial,
     monic_polynomial,
-    rodrigues_polynomial,
     squared_norm,
     weight_sequence,
     weight_spec_from_json,
 )
 from mvop.poly import ScalarPoly
+
+from scalar_oracle import extended_polynomial, rodrigues_polynomial
 
 x = ScalarPoly.x()
 

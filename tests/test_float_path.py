@@ -28,26 +28,20 @@ SPECS = {
 }
 
 
-def reference_table(spec, stop, diagonal):
-    """float() of every exact entry of W(x), or of diag(w_i(x))."""
-    out = []
-    for x in range(stop + 1):
-        if diagonal:
-            W = [[ch.weight(x) if i == j else F(0) for j in range(spec.m)]
-                 for i, ch in enumerate(spec.channels)]
-        else:
-            W = weight_matrix(spec, x)
-        out.append(tuple(tuple(float(v) for v in row) for row in W))
-    return tuple(out)
+def reference_table(spec, stop):
+    """float() of every exact entry of W(x)."""
+    return tuple(
+        tuple(tuple(float(v) for v in row) for row in weight_matrix(spec, x))
+        for x in range(stop + 1)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_weight_table_is_exact_entries_rounded_once(name, diagonal):
+def test_weight_table_is_exact_entries_rounded_once(name):
     spec = SPECS[name]
     stop = 40 if spec.support_N is None else spec.support_N
-    got = float_weight_table(spec, stop, diagonal)
-    want = reference_table(spec, stop, diagonal)
+    got = float_weight_table(spec, stop)
+    want = reference_table(spec, stop)
     # repr tells 0.0 from -0.0 and shows every bit of the rounding
     assert repr(got) == repr(want)
 

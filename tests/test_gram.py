@@ -8,7 +8,6 @@ import pytest
 from mvop import construction, linalg, verification
 from mvop.construction import (
     FamilySpec,
-    gram_schmidt_oracle,
     gram_sum,
     inner_product,
     integer_table,
@@ -19,6 +18,7 @@ from mvop.construction import (
 from mvop.families import Hahn, Krawtchouk
 from mvop.poly import MatrixPoly, ScalarPoly
 
+from construction_oracle import gram_schmidt_oracle
 from residual_oracle import brute_force_gram
 
 
@@ -60,17 +60,16 @@ def sample_polys(spec):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_engine_matches_brute_force(name, diagonal):
+def test_engine_matches_brute_force(name):
     spec = SPECS[name]
     polys = sample_polys(spec)
     weights = weight_table(spec)
-    tables = [value_table(integer_table(P, spec.support_N), spec, diagonal) for P in polys]
+    tables = [value_table(integer_table(P, spec.support_N), spec) for P in polys]
     for P, p_table in zip(polys, tables):
         for Q, q_table in zip(polys, tables):
-            want = brute_force_gram(P, Q, spec, diagonal)
+            want = brute_force_gram(P, Q, spec)
             assert gram_sum(p_table, q_table, weights) == want
-            assert inner_product(P, Q, spec, diagonal=diagonal).entries == want
+            assert inner_product(P, Q, spec).entries == want
 
 
 def test_entries_stay_fractions_for_integer_values():

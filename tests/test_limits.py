@@ -8,8 +8,6 @@ from mvop.families import Hermite, Laguerre, monic_polynomial
 from mvop.limits import (
     TransitionSpec,
     continuous_target,
-    hermite_limit_agreement,
-    ode_residual,
     run_transition,
     transition_spec_from_json,
 )
@@ -17,6 +15,7 @@ from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps, matpoly_to_json
 
 import construction_oracle as oracle
+from limit_oracle import hermite_limit_agreement, ode_residual
 
 x = ScalarPoly.x()
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mvop import linalg
-from mvop.construction import FamilySpec, orthogonal_polynomial, unipotent_factor
+from mvop.construction import FamilySpec, orthogonal_polynomial
 from mvop.errors import SpecError
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
@@ -17,6 +17,7 @@ from mvop.operators import (
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.verification import verify_eigenfunction
 
+from construction_oracle import unipotent_factor
 from reference_recurrences import (
     charlier_meixner_triple,
     charlier_triple,

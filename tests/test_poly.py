@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvop.poly import MatrixPoly, ScalarPoly, lagrange_interpolate
+from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.quadext import QuadExt
+
+from scalar_oracle import lagrange_interpolate
 
 
 def poly(*coeffs):

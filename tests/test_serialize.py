@@ -2,26 +2,51 @@
 from fractions import Fraction as F
 
 from mvop.construction import FamilySpec, family_spec_from_json, orthogonal_polynomial
+from mvop.errors import SpecError
 from mvop.families import Charlier, Krawtchouk
 from mvop.limits import TransitionSpec, run_transition
-from mvop.operators import canonical_operator
-from mvop.poly import ScalarPoly
+from mvop.operators import DifferenceOperator, canonical_operator
+from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.rational import rational
 from mvop.serialize import (
     convergence_to_csv,
     convergence_to_json,
     json_dumps,
-    matpoly_from_json,
     matpoly_to_json,
     matpoly_to_latex,
-    operator_from_json,
     operator_to_json,
     operator_to_latex,
-    poly_from_json,
     poly_to_json,
     poly_to_latex,
 )
 
 x = ScalarPoly.x()
+
+
+# The parsers that read the wire format back: the program only writes it,
+# and a round trip to an equal object checks that nothing is lost.
+
+
+def poly_from_json(data) -> ScalarPoly:
+    return ScalarPoly(tuple(rational(c) for c in data))
+
+
+def matpoly_from_json(data) -> MatrixPoly:
+    entries = tuple(
+        tuple(poly_from_json(e) for e in row) for row in data["entries"]
+    )
+    P = MatrixPoly(entries)
+    if P.rows != data["rows"] or P.cols != data["cols"]:
+        raise SpecError("matrix polynomial shape does not match its declaration")
+    return P
+
+
+def operator_from_json(data) -> DifferenceOperator:
+    return DifferenceOperator(
+        F=matpoly_from_json(data["F"]),
+        K=matpoly_from_json(data["K"]),
+        G=matpoly_from_json(data["G"]),
+    )
 
 
 def kraw_pair():
