@@ -39,6 +39,10 @@ CHARLIER_10_20 = _family(["3"], {"kind": "charlier", "b": "10"},
                          {"kind": "charlier", "b": "20"})
 CMC = _family(["2", "-1/3"], {"kind": "charlier", "b": "2"},
               {"kind": "meixner", "beta": "1/2", "c": "1/2"}, {"kind": "charlier", "b": "1"})
+HAHN = _family(["1"], {"kind": "hahn", "alpha": "3/2", "beta": "5/2", "N": 4},
+               {"kind": "hahn", "alpha": "1/2", "beta": "3/2", "N": 4})
+KRAW_TO_HERMITE = {"name": "krawtchouk->hermite", "n": 2, "a": "1",
+                   "ladder": ["100", "1000", "10000"], "params": {"p": "1/3"}}
 KRAW_TO_CHARLIER = {"name": "krawtchouk->charlier", "n": 2, "a": "-3",
                     "ladder": ["100", "1000", "10000"], "params": {"b": "2"}}
 
@@ -56,12 +60,16 @@ CASES = {
     "verify-charlier-meixner-x400": (CHARLIER_MEIXNER, ("verify", "--n-max", "2")),
     "family-charlier-numeric": (CHARLIER_BC, ("family", "--n", "2")),
     "family-cmc-recurrence": (CMC, ("family", "--n", "2", "--tau", "3/2", "--recurrence")),
+    # N = 3, so the triple at n = N reads the closure companion
+    "family-krawtchouk-m3-recurrence": (KRAW3, ("family", "--n", "3", "--recurrence")),
     "export-Q": (KRAW3, ("export", "--what", "Q", "--n", "2")),
     "export-W": (CHARLIER_MEIXNER, ("export", "--what", "W")),
     "export-D": (KRAW3, ("export", "--what", "D", "--n", "3")),
+    "export-D-hahn-latex": (HAHN, ("export", "--what", "D", "--format", "latex")),
     "export-recurrence": (CMC, ("export", "--what", "recurrence", "--n", "2", "--tau", "2")),
     "limits-json": (KRAW_TO_CHARLIER, ("limits", "--format", "json")),
     "limits-csv": (KRAW_TO_CHARLIER, ("limits", "--format", "csv")),
+    "limits-krawtchouk-hermite-json": (KRAW_TO_HERMITE, ("limits", "--format", "json")),
 }
 
 
