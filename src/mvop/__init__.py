@@ -11,7 +11,6 @@ from .construction import (
     family_spec_from_json,
     inner_product,
     needs_mass_probe,
-    nilpotent_matrix,
     norm_ratio,
     orthogonal_polynomial,
     relative_gram_bound,
@@ -89,7 +88,6 @@ __all__ = [
     "inner_product",
     "monic_polynomial",
     "needs_mass_probe",
-    "nilpotent_matrix",
     "norm_ratio",
     "orthogonal_polynomial",
     "rational",

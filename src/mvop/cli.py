@@ -77,7 +77,11 @@ def _option_rational(text: str, option: str):
 
 
 def _parse_probe_list(text: str, option: str):
-    return tuple(_option_rational(v, option) for v in text.split(","))
+    """Comma-separated rationals, each value once."""
+    values = tuple(_option_rational(v, option) for v in text.split(","))
+    if len(set(values)) < len(values):
+        raise SpecError(f"{option}: each probe value must appear once, got {text}")
+    return values
 
 
 def _load_family(path: str) -> FamilySpec:

@@ -23,8 +23,9 @@ nonzero entries, and ``_assemble`` builds only those:
 so building Q_n costs O(m) scalar polynomial products, not m^3; each
 product with x is a shift of coefficients (``ScalarPoly.times_x``), and
 each norm ratio's rational part and mass quotient are formed once per
-(channel, degree, channel, degree) (``_norm_quotient``), so a probe only
-resolves tau and multiplies.  The closure companion is the same form with
+(ladder, degree, ladder, degree) (``_norm_quotient``), so a probe only
+resolves tau and multiplies.  The closure companion Q_(N+1) is the same
+form at n = N + 1, where each channel ladder's zero norm |p_(N+1)|^2 makes
 theta = 0.  With the channel weights at x over one denominator d and the
 couplings over q, d q^2 W(x)_ij = sum_r (d w_r) (q U_ir) (q U_jr) is an
 integer sum (``_weight_entries``): ``weight_matrix`` reduces it to the
@@ -68,7 +69,6 @@ from .errors import ProbeError, SpecError, TruncationError
 from .families import (
     Mass,
     ladder,
-    monic_polynomial,
     squared_norm,
     weight_sequence,
     weight_spec_from_json,
@@ -176,27 +176,6 @@ def staggered_positions(m: int):
     return tuple(positions)
 
 
-def is_staggered(mat) -> bool:
-    """Whether a constant matrix is supported on the staggered pattern."""
-    m = len(mat)
-    allowed = set(staggered_positions(m))
-    return all(
-        mat[i][j] == 0
-        for i in range(m)
-        for j in range(len(mat[i]))
-        if (i, j) not in allowed
-    )
-
-
-def nilpotent_matrix(spec: FamilySpec) -> MatrixPoly:
-    """The constant coupling matrix A with A @ A = 0."""
-    m = spec.m
-    entries = [[ScalarPoly.zero() for _ in range(m)] for _ in range(m)]
-    for k, (i, j) in enumerate(staggered_positions(m)):
-        entries[i][j] = ScalarPoly.constant(spec.a[k])
-    return MatrixPoly(entries)
-
-
 def weight_matrix(spec: FamilySpec, x: int):
     """W(x) = U(x) diag(w_i(x)) U(x)^T, exactly; zero matrix off support."""
     top = spec.support_N
@@ -273,35 +252,19 @@ def _resolve_quotient(quotient: Mass, tau):
 
 def norm_ratio(spec: FamilySpec, ch_num: int, n_num: int, ch_den: int, n_den: int, tau=None):
     """|p_n^(ch_num)|^2 / |p_n_den^(ch_den)|^2 with the mass quotient resolved."""
-    coefficient, quotient = _norm_quotient(
-        spec.channels[ch_num], n_num, spec.channels[ch_den], n_den
-    )
-    return coefficient * _resolve_quotient(quotient, tau)
+    num = squared_norm(spec.channels[ch_num], n_num)
+    den = squared_norm(spec.channels[ch_den], n_den)
+    return num.coefficient / den.coefficient * _resolve_quotient(num.mass / den.mass, tau)
 
 
 @lru_cache(maxsize=None)
-def _norm_quotient(num_channel, n_num: int, den_channel, n_den: int):
-    """The coefficient ratio and the Mass quotient of two squared norms,
-    once per (channel, degree, channel, degree), as ``ladder`` is once per
-    channel: every probe of a sweep reads the same pairs."""
-    num = squared_norm(num_channel, n_num)
-    den = squared_norm(den_channel, n_den)
+def _norm_quotient(num, n_num: int, den, n_den: int):
+    """The coefficient ratio and the Mass quotient of the squared norms of
+    two channel ladders, once per (ladder, degree, ladder, degree), as
+    ``ladder`` is once per channel: every probe of a sweep reads the same
+    pairs, and a ladder hashes by identity."""
+    num, den = num.norm(n_num), den.norm(n_den)
     return num.coefficient / den.coefficient, num.mass / den.mass
-
-
-def _norm_ratio_matrix(spec: FamilySpec, n: int, tau=None):
-    """The constant matrix |P_n|^2 A^T |P_(n-1)|^(-2) (zero for n = 0).
-
-    Supported on the transposed staggered pattern: entry (j, i) for each
-    pattern position (i, j), with value a * |p_n^(w_j)|^2 / |p_(n-1)^(w_i)|^2.
-    """
-    m = spec.m
-    out = [[Fraction(0)] * m for _ in range(m)]
-    if n == 0:
-        return tuple(tuple(row) for row in out)
-    for k, (i, j) in enumerate(staggered_positions(m)):
-        out[j][i] = spec.a[k] * norm_ratio(spec, j, n, i, n - 1, tau)
-    return tuple(tuple(row) for row in out)
 
 
 # --------------------------------------------------------------------------
@@ -352,33 +315,35 @@ def _assemble(spec: FamilySpec, p, q, r, theta) -> MatrixPoly:
     return MatrixPoly(entries)
 
 
+def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
+    """P_n + A P_(n+1) - R_n P_(n-1) - P_n A x + R_n P_(n-1) A x, where
+    R_n = |P_n|^2 A^T |P_(n-1)|^(-2), P_k = diag(p_k^(w_1), ..., p_k^(w_m))
+    and P_(-1) = 0, by ``_assemble`` from each channel's ladder, read once;
+    at n = N + 1 the ladder's |p_(N+1)|^2 = c_(N+1) |p_N|^2 is 0, so R_n = 0."""
+    m = spec.m
+    ladders = [ladder(ch) for ch in spec.channels]
+    p = [lad.polynomial(n) for lad in ladders]
+    q = [lad.polynomial(n + 1) for lad in ladders]
+    r = [lad.polynomial(n - 1) if n else ScalarPoly() for lad in ladders]
+    # theta = R_n holds a |p_n^(w_j)|^2 / |p_(n-1)^(w_i)|^2 at (j, i) for
+    # each pattern position (i, j) holding a
+    theta = [[Fraction(0)] * m for _ in range(m)]
+    for k, (i, j) in enumerate(staggered_positions(m) if n else ()):
+        coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
+        theta[j][i] = spec.a[k] * (coefficient * _resolve_quotient(quotient, tau))
+    return _assemble(spec, p, q, r, theta)
+
+
 def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
-    """The degree-n matrix orthogonal polynomial for W.
-
-    Built from the scalar channels as
-
-        P_n + A P_(n+1) - R_n P_(n-1) - P_n A x + R_n P_(n-1) A x,
-
-    where R_n = |P_n|^2 A^T |P_(n-1)|^(-2), P_k = diag(p_k^(w_1), ...,
-    p_k^(w_m)) and P_(-1) = 0, entry by entry on the staggered pattern (see
-    ``_assemble``), so the cost follows the pattern, not m^3.  On a finite
-    support, n = N uses the degree-(N+1) closure polynomial for P_(n+1).
-    Degree is exactly n and the leading coefficient is unimodular.
-    """
+    """The degree-n matrix orthogonal polynomial for W (``_closed_form``),
+    0 <= n, and n <= N on a finite support, where n = N reads the
+    degree-(N+1) extension x(x-1)...(x-N) for P_(n+1).  Degree is exactly n
+    and the leading coefficient is unimodular."""
     top = spec.support_N
     if n < 0 or (top is not None and n > top):
         limit = "" if top is None else f" <= {top}"
         raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
-    channels = spec.channels
-    p = [monic_polynomial(ch, n) for ch in channels]
-    q = [monic_polynomial(ch, n + 1) for ch in channels]
-    if n == 0:
-        r = [ScalarPoly()] * spec.m
-        theta = linalg.zeros(spec.m)
-    else:
-        r = [monic_polynomial(ch, n - 1) for ch in channels]
-        theta = _norm_ratio_matrix(spec, n, tau)
-    return _assemble(spec, p, q, r, theta)
+    return _closed_form(spec, n, tau)
 
 
 def successor_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
@@ -390,22 +355,14 @@ def successor_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
 
 
 def closure_polynomial(spec: FamilySpec) -> MatrixPoly:
-    """The degree-(N+1) companion closing the three-term recurrence at n = N.
-
-    Uses the vanishing of the degree-(N+1) scalar norms (so the norm-ratio
-    matrix is zero, no mass quotient is read, and only the diagonal and
-    pattern entries remain) and one further recurrence step for P_(N+2).
-    """
+    """The degree-(N+1) companion closing the three-term recurrence at n = N:
+    the closed form at n = N + 1, where the norm-ratio matrix is zero, so
+    only the diagonal and pattern entries remain (finite-support masses are
+    rational, so no tau is needed)."""
     top = spec.support_N
     if top is None:
         raise SpecError("the closure companion needs a finite support")
-    n = top + 1
-    p = [monic_polynomial(ch, n) for ch in spec.channels]
-    q = []
-    for ch, p_n in zip(spec.channels, p):
-        b_n, c_n = ladder(ch).coefficients(n)
-        q.append(p_n * ScalarPoly((-b_n, 1)) - monic_polynomial(ch, n - 1) * c_n)
-    return _assemble(spec, p, q, [ScalarPoly()] * spec.m, linalg.zeros(spec.m))
+    return _closed_form(spec, top + 1, None)
 
 
 # --------------------------------------------------------------------------

@@ -292,6 +292,8 @@ class Hahn:
     n; such specs are rejected at construction with the offending n named.
     The gate is one test, not a loop over n: the denominators vanish for
     some n = 0..N exactly when -(alpha + beta) is an integer in 1..2N+2.
+    ``recurrence_bc`` raises the same SpecError for b_(N+1), which only the
+    closure companion reads, at -(alpha + beta) in {2N+3, 2N+4}.
     """
 
     alpha: Fraction
@@ -355,10 +357,16 @@ class Hahn:
         return n * (n + s + N + 1) * (n + beta) / ((2 * n + s) * (2 * n + s + 1))
 
     def recurrence_bc(self, n: int):
-        # c_0 multiplies the trivial p_(-1); defining it as 0 avoids the
-        # 0/0 form t_(-1) s_0 at alpha + beta in {0, -1}.
-        c_n = Fraction(0) if n == 0 else self._t(n - 1) * self._s(n)
-        return self._t(n) + self._s(n), c_n
+        # c_0 = t_(-1) s_0 and c_(N+1) = t_N s_(N+1) (t_N = 0) are 0, which
+        # avoids 0/0 at alpha + beta in {0, -1} and 0 (1/0) at -(2N + 3)
+        c_n = Fraction(0) if n in (0, self.N + 1) else self._t(n - 1) * self._s(n)
+        try:
+            return self._t(n) + self._s(n), c_n
+        except ZeroDivisionError:
+            raise SpecError(
+                f"hahn recurrence degenerates at n = {n}: "
+                f"2n + alpha + beta + 1 or + 2 vanishes"
+            ) from None
 
     def total_mass(self) -> NormValue:
         # Vandermonde: sum_x binom(alpha+x,x) binom(beta+N-x,N-x)
@@ -508,12 +516,10 @@ def squared_norm(spec, n: int) -> NormValue:
     """Squared norm of the degree-n monic polynomial.
 
     Computed by the exact ladder |p_n|^2 = c_n |p_(n-1)|^2 anchored at the
-    total mass.  On finite support the degree-(N+1) extension has norm zero.
+    total mass.  On finite support c_(N+1) = 0, so the degree-(N+1)
+    extension has norm zero.
     """
     _check_degree(spec, n)
-    top = spec.support_N
-    if top is not None and n == top + 1:
-        return NormValue(Fraction(0), Mass.one())
     return ladder(spec).norm(n)
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 from .construction import FamilySpec, norm_ratio, orthogonal_polynomial
 from .errors import SpecError
 from .families import Charlier, Hahn, Hermite, Krawtchouk, Laguerre, Meixner
-from .poly import MatrixPoly
+from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
 from .rational import format_rational, json_int, json_list, json_typed, rational, spec_field
 
@@ -129,16 +129,16 @@ def continuous_target(kind: str, n: int, a, alpha=None) -> MatrixPoly:
 # coefficient comparison
 
 
-def coefficient_error(src: MatrixPoly, tgt: MatrixPoly, src_scale: float = 1.0):
+def coefficient_error(src: MatrixPoly, tgt: MatrixPoly):
     """(max absolute, max relative) coefficient difference between two
-    matrix polynomials, with an optional global float scale on the source."""
+    matrix polynomials."""
     deg = max(src.degree, tgt.degree, 0)
     abs_err = 0.0
     tgt_max = 0.0
     for i in range(src.rows):
         for j in range(src.cols):
             for k in range(deg + 1):
-                s = float(src.entry(i, j).coefficient(k)) * src_scale
+                s = float(src.entry(i, j).coefficient(k))
                 t = float(tgt.entry(i, j).coefficient(k))
                 abs_err = max(abs_err, abs(s - t))
                 tgt_max = max(tgt_max, abs(t))
@@ -164,7 +164,7 @@ def _discrete(pair, extras=lambda t, spec: ()):
 
     def step(t: TransitionSpec, value):
         spec = _pair_spec(t.a, *pair(t, value))
-        return orthogonal_polynomial(spec, t.n), 1.0, extras(t, spec)
+        return orthogonal_polynomial(spec, t.n), extras(t, spec)
 
     return step
 
@@ -180,14 +180,13 @@ def _hermite_source(t: TransitionSpec, ch, d, center):
 
 
 def _kraw_to_hermite(t: TransitionSpec, value):
+    """The source times the float (N!/(N-n)! (2p(1-p))^n)^(-1/2)."""
     p = t.param("p")
     N = int(value)
     transformed = _hermite_source(t, Krawtchouk(p=p, N=N), 2 * N * p * (1 - p), p * N)
-    log_pref = -0.5 * (
-        sum(math.log(j) for j in range(N - t.n + 1, N + 1))
-        + t.n * math.log(float(2 * p * (1 - p)))
-    )
-    return transformed, math.exp(log_pref), ()
+    scale = math.exp(-0.5 * (sum(math.log(j) for j in range(N - t.n + 1, N + 1))
+                             + t.n * math.log(float(2 * p * (1 - p)))))
+    return transformed.map(lambda e: ScalarPoly(tuple(float(c) * scale for c in e.coeffs))), ()
 
 
 def _charlier_to_hermite(t: TransitionSpec, b):
@@ -198,14 +197,14 @@ def _charlier_to_hermite(t: TransitionSpec, b):
     inv_root_pow = QuadExt(1, 0, d)
     for _ in range(t.n):
         inv_root_pow = inv_root_pow * root / d
-    return transformed.scale(inv_root_pow), 1.0, ()
+    return transformed.scale(inv_root_pow), ()
 
 
 def _meixner_to_laguerre(t: TransitionSpec, c):
     ch = Meixner(beta=t.param("alpha") + 1, c=c)
     Q = orthogonal_polynomial(_pair_spec(t.a * (1 - c), ch, ch), t.n)
     composed = Q.compose_affine(Fraction(1) / (1 - c), Fraction(0))
-    return composed.scale((1 - c) ** t.n), 1.0, ()
+    return composed.scale((1 - c) ** t.n), ()
 
 
 def _meixner_to_charlier(t: TransitionSpec, beta):
@@ -244,7 +243,7 @@ class Transition:
 
     params: tuple  # the names of the fixed parameters, sorted
     checks: tuple
-    step: Callable  # (t, v) -> (source at step v, float scale, extras)
+    step: Callable  # (t, v) -> (source at step v, extras)
     target: Callable  # t -> the target's channel pair
 
 
@@ -354,8 +353,8 @@ def run_transition(t: TransitionSpec) -> ConvergenceReport:
     target = orthogonal_polynomial(_pair_spec(t.a, *transition.target(t)), t.n)
     steps = []
     for value in t.ladder:
-        src, scale, extras = transition.step(t, value)
-        abs_err, rel_err = coefficient_error(src, target, src_scale=scale)
+        src, extras = transition.step(t, value)
+        abs_err, rel_err = coefficient_error(src, target)
         steps.append(
             TransitionStep(
                 ladder_value=value,

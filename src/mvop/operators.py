@@ -9,13 +9,14 @@ with Delta(f) = f(x+1) - f(x) and Nabla(f) = f(x) - f(x-1).  The scalar
 channel operators are written Delta f + k - nabla g, so they embed with
 G = -g on the diagonal.
 
-``conjugated_operator`` implements the closed-form conjugation of a diagonal
-operator by the unipotent factor U(x) = I + A x.  The commutator of A with
-a diagonal matrix lies on A's staggered pattern, so F, K and G of the
-conjugated operator are nonzero only on the diagonal and the pattern, and
-are built there entry by entry.  ``canonical_operator`` builds the
-per-family normalized operator whose eigenvalues interlace across odd and
-even channels.  ``match_recurrence`` recovers the three-term recurrence
+``conjugated_operator`` conjugates the diagonal of the channel operators by
+the unipotent factor U(x) = I + A x, in closed form, from the couplings and
+each operator's f, k and g.  The commutator of A with a diagonal matrix
+lies on A's staggered pattern, so F, K and G of the conjugated operator are
+nonzero only on the diagonal and the pattern, and are built there entry by
+entry.  ``canonical_operator`` passes it the spec's couplings and the
+per-family normalized channel operators, whose eigenvalues interlace across
+odd and even channels.  ``match_recurrence`` recovers the three-term recurrence
 matrices of a chain of consecutive polynomials from the top coefficients of
 the identity, in integers read off the chain's integer tables, with no inner
 products: each leading coefficient is [[I, N], [0, T]] on the even, then the
@@ -37,9 +38,7 @@ from . import linalg
 from .construction import (
     FamilySpec,
     integer_table,
-    is_staggered,
     needs_mass_probe,
-    nilpotent_matrix,
     orthogonal_polynomial,
     staggered_positions,
     successor_polynomial,
@@ -128,19 +127,18 @@ class RecurrenceTriple:
     C: tuple
 
 
-def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
-                        G: MatrixPoly) -> DifferenceOperator:
-    """Conjugate the diagonal operator diag(Delta f_i + k_i - nabla g_i) by
-    the unipotent factor I + A x, in closed form:
+def conjugated_operator(a, ops) -> DifferenceOperator:
+    """Conjugate the diagonal operator diag(Delta f_i + k_i - nabla g_i) of
+    the channel operators ``ops`` by the unipotent factor I + A x, where A
+    holds the couplings ``a`` on the staggered pattern, in closed form:
 
         D = Delta((I+A) F + [A,F] x) + A (F - G) + K + [A,K] x
-            - Nabla((I-A) G + [A,G] x).
+            - Nabla((I-A) G + [A,G] x),
 
-    F, K, G are the diagonal matrix polynomials of the f_i, k_i, g_i, and A
-    is supported on the staggered pattern.  The commutator of A with a
-    diagonal matrix lives on the pattern too, so F^, K^ and G^ are built on
-    the diagonal and the pattern only: at a pattern position (i, j) holding
-    a,
+    with F, K, G the diagonal matrix polynomials of the f_i, k_i, g_i.  The
+    commutator of A with a diagonal matrix lives on the pattern too, so F^,
+    K^ and G^ are built on the diagonal and the pattern only: at a pattern
+    position (i, j) holding a,
 
         F^_ij = a f_j + (a f_j - f_i a) x,
         K^_ij = a (f_j - g_j) + (a k_j - k_i a) x,
@@ -149,38 +147,28 @@ def conjugated_operator(A: MatrixPoly, F: MatrixPoly, K: MatrixPoly,
     with F^_ii = f_i, K^_ii = k_i and G^_ii = g_i; D = (F^, K^, -G^).  Each
     scalar product and sum is the one the matrix products form, in the same
     order, with only the zero terms left out.
-
-    Raises ValueError unless A is constant and on the staggered pattern and
-    F, K, G are diagonal of the same size, since no other entry is read.
     """
-    m = A.rows
-    if A.cols != m or A.degree > 0 or not is_staggered(A.coefficient(0)):
-        raise ValueError("A must be a constant square matrix on the staggered pattern")
-    for name, M in (("F", F), ("K", K), ("G", G)):
-        if (M.rows, M.cols) != (m, m) or any(
-            not M.entries[i][j].is_zero for i in range(m) for j in range(m) if i != j
-        ):
-            raise ValueError(f"{name} must be a diagonal {m}x{m} matrix polynomial")
+    m = len(ops)
     one = ScalarPoly.one()
     zero = ScalarPoly()
-    f, k, g = ([M.entries[i][i] for i in range(m)] for M in (F, K, G))
+    f, k, g = ([getattr(op, name) for op in ops] for name in "fkg")
     F_hat, K_hat, G_hat = ([[zero] * m for _ in range(m)] for _ in range(3))
     for i in range(m):
         F_hat[i][i] = one * f[i]
         K_hat[i][i] = zero + k[i]
         G_hat[i][i] = one * g[i]
-    for i, j in staggered_positions(m):
-        a = A.entries[i][j]
-        af = a * f[j]
-        F_hat[i][j] = af + (af - f[i] * a).times_x()
-        K_hat[i][j] = a * (f[j] - g[j]) + (a * k[j] - k[i] * a).times_x()
-        G_hat[i][j] = (zero - a) * g[j] + (a * g[j] - g[i] * a).times_x()
+    for (i, j), a_ij in zip(staggered_positions(m), a):
+        a_ij = ScalarPoly.constant(a_ij)
+        af = a_ij * f[j]
+        F_hat[i][j] = af + (af - f[i] * a_ij).times_x()
+        K_hat[i][j] = a_ij * (f[j] - g[j]) + (a_ij * k[j] - k[i] * a_ij).times_x()
+        G_hat[i][j] = (zero - a_ij) * g[j] + (a_ij * g[j] - g[i] * a_ij).times_x()
     return DifferenceOperator(
         F=MatrixPoly(F_hat), K=MatrixPoly(K_hat), G=-MatrixPoly(G_hat)
     )
 
 
-def _normalized_channel(ch, position: int, hahn_sum) -> tuple[ScalarOperator, object]:
+def _normalized_channel(ch, position: int, hahn_sum) -> ScalarOperator:
     """The channel's own operator (``ch.operator()``) normalized so that
     eigenvalues interlace across the coupling, for its 1-based ``position``.
 
@@ -196,16 +184,16 @@ def _normalized_channel(ch, position: int, hahn_sum) -> tuple[ScalarOperator, ob
         scale, shift = 1, Fraction(0) if odd else -hahn_sum
     else:
         scale, shift = 1 / base.eigenvalue(1), Fraction(int(odd))
-    op = ScalarOperator(
+    return ScalarOperator(
         f=base.f * scale,
         k=ScalarPoly.constant(shift),
         g=base.g * scale,
         eigenvalue=lambda n: base.eigenvalue(n) * scale + shift,
     )
-    return op, op.eigenvalue
 
 
 def _channel_operators(spec: FamilySpec, force: bool):
+    """The normalized channel operators, each carrying its eigenvalue."""
     kinds = {type(ch) for ch in spec.channels}
     if Hahn in kinds and kinds != {Hahn}:
         raise SpecError(
@@ -242,15 +230,9 @@ def canonical_operator(spec: FamilySpec, force: bool = False):
 
     ``force=True`` skips the Hahn parameter gate (negative-control use only).
     """
-    pairs = _channel_operators(spec, force)
-    ops = [p[0] for p in pairs]
-    F = MatrixPoly.diagonal(tuple(op.f for op in ops))
-    K = MatrixPoly.diagonal(tuple(op.k for op in ops))
-    G = MatrixPoly.diagonal(tuple(op.g for op in ops))
-    A = nilpotent_matrix(spec)
-    D = conjugated_operator(A, F, K, G)
-    eig = EigenvalueMap(channel_eigenvalues=tuple(p[1] for p in pairs))
-    return D, eig
+    ops = _channel_operators(spec, force)
+    eig = EigenvalueMap(channel_eigenvalues=tuple(op.eigenvalue for op in ops))
+    return conjugated_operator(spec.a, ops), eig
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 These are the constructions ``mvop.construction`` and ``mvop.operators``
 used before Q_n, the closure companion, D and W were built entry by entry
 on the staggered pattern: every term is a general ``MatrixPoly`` product of
-diagonal and constant matrices.  Tests compare the entrywise code with them
+diagonal and constant matrices, with the coupling matrix A as a
+``MatrixPoly`` (``nilpotent_matrix``), and the closure companion takes its
+own recurrence step for P_(N+2).  Tests compare the entrywise code with them
 coefficient by coefficient, types and signed zeros included.  The channel
 normalizations of Charlier, Meixner and Krawtchouk operators are kept as
 they were written by hand before they were derived from each family's own
@@ -16,13 +18,40 @@ block Gram-Schmidt instead, with every inner product the pointwise sum of
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.construction import _norm_ratio_matrix, nilpotent_matrix
+from mvop.construction import norm_ratio, staggered_positions
 from mvop.errors import SpecError
 from mvop.families import Charlier, Krawtchouk, Meixner, ScalarOperator, monic_polynomial
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.rational import rational
 
 from residual_oracle import brute_force_gram
+
+
+def nilpotent_matrix(spec):
+    """The constant coupling matrix A with A @ A = 0."""
+    m = spec.m
+    entries = [[ScalarPoly.zero() for _ in range(m)] for _ in range(m)]
+    for k, (i, j) in enumerate(staggered_positions(m)):
+        entries[i][j] = ScalarPoly.constant(spec.a[k])
+    return MatrixPoly(entries)
+
+
+def is_staggered(mat):
+    """Whether a constant matrix is supported on the staggered pattern."""
+    allowed = set(staggered_positions(len(mat)))
+    return all(v == 0 for i, row in enumerate(mat) for j, v in enumerate(row)
+               if (i, j) not in allowed)
+
+
+def norm_ratio_matrix(spec, n, tau=None):
+    """R_n = |P_n|^2 A^T |P_(n-1)|^(-2) (zero for n = 0): a times
+    |p_n^(w_j)|^2 / |p_(n-1)^(w_i)|^2 at (j, i) for each pattern position
+    (i, j) holding a, each ratio from ``norm_ratio``."""
+    m = spec.m
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for k, (i, j) in enumerate(staggered_positions(m) if n else ()):
+        out[j][i] = spec.a[k] * norm_ratio(spec, j, n, i, n - 1, tau)
+    return tuple(tuple(row) for row in out)
 
 
 def unipotent_factor(spec):
@@ -56,7 +85,7 @@ def orthogonal_polynomial(spec, n, tau=None):
         theta = linalg.zeros(m)
     else:
         P_prev = diagonal_polynomial(spec, n - 1)
-        theta = _norm_ratio_matrix(spec, n, tau)
+        theta = norm_ratio_matrix(spec, n, tau)
     return assemble(spec, P_prev, P_n, P_next, theta)
 
 

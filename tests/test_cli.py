@@ -1,10 +1,17 @@
 """End-to-end CLI contract: commands, exit codes, artifacts, determinism."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from mvop import cli
 
 KRAW44 = {
     "m": 2,
@@ -20,6 +27,24 @@ BAD_HAHN = {
     "channels": [
         {"kind": "hahn", "alpha": "1", "beta": "1", "N": 3},
         {"kind": "hahn", "alpha": "1", "beta": "1", "N": 3},
+    ],
+}
+# Hahn pairs below -N that pass every spec gate, with alpha + beta of the
+# first channel at -(2N + 3) and -(2N + 4) (N = 2)
+HAHN_2N3 = {
+    "m": 2,
+    "a": ["1"],
+    "channels": [
+        {"kind": "hahn", "alpha": "-3", "beta": "-4", "N": 2},
+        {"kind": "hahn", "alpha": "-5", "beta": "-4", "N": 2},
+    ],
+}
+HAHN_2N4 = {
+    "m": 2,
+    "a": ["1"],
+    "channels": [
+        {"kind": "hahn", "alpha": "-4", "beta": "-4", "N": 2},
+        {"kind": "hahn", "alpha": "-5", "beta": "-5", "N": 2},
     ],
 }
 CHARLIER_BC = {
@@ -109,6 +134,15 @@ class TestFamily:
         data = json.loads(res.stdout)
         assert data["D"] is None and "note" in data
 
+    @pytest.mark.parametrize("payload", [HAHN_2N3, HAHN_2N4])
+    def test_hahn_closure_degeneracy_leaves_family_intact(self, tmp_path, payload):
+        # Q_0..Q_N need b_n only up to n = N
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(payload))
+        res = run_cli("family", "--spec", str(p))
+        assert res.returncode == 0
+        assert len(json.loads(res.stdout)["Q"]) == 3
+
     def test_missing_file_exits_3(self, tmp_path):
         res = run_cli("family", "--spec", str(tmp_path / "absent.json"))
         assert res.returncode == 3
@@ -185,6 +219,10 @@ BAD_INPUTS = {
     "zero-denominator-probes": ("verify", KRAW44, ("--probes", "1/0"), "--probes"),
     "zero-probe": ("verify", KRAW44, ("--probes", "1,0"), "--probes"),
     "negative-n-max": ("verify", KRAW44, ("--n-max", "-1"), "--n-max"),
+    # equal after parsing: 2/2 is 1
+    "duplicate-probes": ("verify", KRAW44, ("--probes", "1,2/2"), "--probes"),
+    "duplicate-tau-probes": (
+        "verify", CHARLIER_BC, ("--tau-probes", "2,2", "--n-max", "1"), "--tau-probes"),
     "zero-denominator-tau-probes": (
         "verify", CHARLIER_BC, ("--tau-probes", "1/0"), "--tau-probes"),
     "zero-denominator-tau": ("family", CHARLIER_BC, ("--tau", "1/0"), "--tau"),
@@ -212,6 +250,12 @@ BAD_INPUTS = {
     "nan-tol": ("verify", CHARLIER_BC, ("--tol", "nan", "--n-max", "2"), "--tol"),
     "negative-tol": ("verify", CHARLIER_BC, ("--tol", "-1", "--n-max", "2"), "--tol"),
     "zero-tol": ("verify", CHARLIER_BC, ("--tol", "0", "--n-max", "2"), "--tol"),
+    # -(alpha + beta) = 2N + 3 and 2N + 4: b_(N+1) of the closure companion
+    # divides by zero; only the commands that close the recurrence read it
+    "hahn-closure-verify": ("verify", HAHN_2N3, (), "n = 3"),
+    "hahn-closure-family": ("family", HAHN_2N4, ("--recurrence",), "n = 3"),
+    "hahn-closure-export": (
+        "export", HAHN_2N3, ("--what", "recurrence", "--n", "2"), "n = 3"),
     "zero-p-hermite": (
         "limits",
         {**KC_TRANSITION, "name": "krawtchouk->hermite", "params": {"p": "0"}},
@@ -394,3 +438,67 @@ def test_byte_identical_reruns(spec_files):
     lim1 = run_cli("limits", "--spec", spec_files["kc"], "--format", "csv")
     lim2 = run_cli("limits", "--spec", spec_files["kc"], "--format", "csv")
     assert lim1.stdout == lim2.stdout
+
+
+# ---------------------------------------------------------------------------
+# no traceback on any valid spec
+
+FUZZ_COMMANDS = (
+    ("verify", "--n-max", "2", "--x-max", "40"),
+    ("family", "--n", "3", "--recurrence", "--tau", "2"),
+    ("export", "--what", "recurrence", "--tau", "2"),
+    ("export", "--what", "D"),
+)
+FUZZ_COUPLINGS = ("1", "-1", "2", "1/2", "-3/2", "5/3")
+FUZZ_RATIONALS = ("1/4", "1/3", "2/5", "1/2", "3/4")
+
+
+@st.composite
+def hahn_channels(draw, N):
+    """Hahn(alpha, beta, N) with alpha, beta > -1, or both below -N with
+    alpha + beta at -(2N + 3) or -(2N + 4)."""
+    if draw(st.booleans()):
+        alpha, beta = (draw(st.sampled_from(("-1/3", "0", "1/2", "1", "3/2", "5/2")))
+                       for _ in range(2))
+        return {"kind": "hahn", "alpha": alpha, "beta": beta, "N": N}
+    total = -(2 * N + draw(st.sampled_from((3, 4))))
+    # alpha = -N - t and beta = total - alpha both lie below -N for 0 < t < -total - 2N
+    alpha = -N - Fraction(draw(st.sampled_from(("1/2", "1", "3/2", "2", "5/2"))))
+    return {"kind": "hahn", "alpha": str(alpha), "beta": str(total - alpha), "N": N}
+
+
+@st.composite
+def valid_specs(draw):
+    m = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("krawtchouk", "hahn", "infinite")))
+    N = draw(st.integers(1, 3))
+    channels = []
+    for _ in range(m):
+        if kind == "krawtchouk":
+            ch = {"kind": "krawtchouk", "p": draw(st.sampled_from(FUZZ_RATIONALS)), "N": N}
+        elif kind == "hahn":
+            ch = draw(hahn_channels(N))
+        elif draw(st.booleans()):
+            ch = {"kind": "charlier", "b": draw(st.sampled_from(("1/2", "1", "2", "3")))}
+        else:
+            ch = {"kind": "meixner", "beta": draw(st.sampled_from(("1/2", "1", "3/2"))),
+                  "c": draw(st.sampled_from(FUZZ_RATIONALS))}
+        channels.append(ch)
+    a = [draw(st.sampled_from(FUZZ_COUPLINGS)) for _ in range(m - 1)]
+    return {"m": m, "a": a, "channels": channels}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=valid_specs())
+@example(spec=HAHN_2N3)
+@example(spec=HAHN_2N4)
+def test_no_command_raises_on_a_valid_spec(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        for argv in FUZZ_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([argv[0], "--spec", path, *argv[1:], "--out", out])
+            assert code in (0, 1, 2), argv

@@ -12,9 +12,7 @@ from mvop.construction import (
     converged,
     family_spec_from_json,
     inner_product,
-    is_staggered,
     needs_mass_probe,
-    nilpotent_matrix,
     norm_ratio,
     orthogonal_polynomial,
     relative_gram_bound,
@@ -26,7 +24,14 @@ from mvop.families import Charlier, Hahn, Krawtchouk, monic_polynomial, squared_
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.quadext import QuadExt
 
-from construction_oracle import diagonal_polynomial, gram_schmidt_oracle, unipotent_factor
+from construction_oracle import (
+    diagonal_polynomial,
+    gram_schmidt_oracle,
+    is_staggered,
+    nilpotent_matrix,
+    norm_ratio_matrix,
+    unipotent_factor,
+)
 from residual_oracle import brute_force_gram
 
 x = ScalarPoly.x()
@@ -196,12 +201,10 @@ class TestConstruction:
         # Q_n (I + A x) agrees with the three-term core built from the
         # diagonal scalar polynomials and the norm-ratio matrix
         spec = kraw_pair(p=F(1, 3), s=F(1, 4), N=5, a=F(2))
-        from mvop.construction import _norm_ratio_matrix
-
         for n in range(1, 6):
             Q = orthogonal_polynomial(spec, n)
             lhs = Q @ unipotent_factor(spec)
-            theta = MatrixPoly(_norm_ratio_matrix(spec, n))
+            theta = MatrixPoly(norm_ratio_matrix(spec, n))
             A = nilpotent_matrix(spec)
             rhs = (
                 diagonal_polynomial(spec, n)

@@ -17,13 +17,12 @@ from mvop.construction import (
     FamilySpec,
     closure_polynomial,
     needs_mass_probe,
-    nilpotent_matrix,
     orthogonal_polynomial,
     successor_polynomial,
     weight_matrix,
 )
 from mvop.errors import SpecError
-from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
+from mvop.families import Charlier, Hahn, Krawtchouk, Meixner, ScalarOperator
 from mvop.operators import _channel_operators, canonical_operator, conjugated_operator
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.quadext import QuadExt
@@ -136,9 +135,9 @@ def test_limit_path_couplings_equal_matrix_products(data):
 def test_canonical_operator_equals_matrix_products(data):
     spec = data.draw(finite_specs() | infinite_specs())
     D, _ = canonical_operator(spec, force=True)
-    ops = [op for op, _ in _channel_operators(spec, True)]
+    ops = _channel_operators(spec, True)
     F_hat, K_hat, G_hat = oracle.conjugated_operator(
-        nilpotent_matrix(spec),
+        oracle.nilpotent_matrix(spec),
         *(MatrixPoly.diagonal(tuple(getattr(op, name) for op in ops)) for name in "fkg"),
     )
     assert_same(D.F, F_hat)
@@ -162,10 +161,7 @@ def test_canonical_operator_equals_hand_normalization(family):
     spec = FamilySpec(a=COUPLINGS[:len(channels) - 1], channels=channels)
     ops = [oracle.normalized_channel(ch, pos + 1) for pos, ch in enumerate(channels)]
     D, eig = canonical_operator(spec)
-    want = conjugated_operator(
-        nilpotent_matrix(spec),
-        *(MatrixPoly.diagonal(tuple(getattr(op, name) for op in ops)) for name in "fkg"),
-    )
+    want = conjugated_operator(spec.a, ops)
     for new, old in zip((D.F, D.K, D.G), (want.F, want.K, want.G)):
         assert_same(new, old)
     for n in range(6):
@@ -183,11 +179,12 @@ def test_conjugated_operator_on_any_diagonals(data, m):
     # zero and nonzero f_i, k_i, g_i of every degree up to 2
     spec = FamilySpec(a=tuple(data.draw(distinct_couplings(m))),
                       channels=(Charlier(b=F(1)),) * m)
-    A = nilpotent_matrix(spec)
-    F_, K_, G_ = (MatrixPoly.diagonal(tuple(data.draw(polys) for _ in range(m)))
-                  for _ in range(3))
-    D = conjugated_operator(A, F_, K_, G_)
-    for new, old in zip((D.F, D.K, D.G), oracle.conjugated_operator(A, F_, K_, G_)):
+    ops = [ScalarOperator(f=data.draw(polys), k=data.draw(polys), g=data.draw(polys),
+                          eigenvalue=None) for _ in range(m)]
+    D = conjugated_operator(spec.a, ops)
+    F_, K_, G_ = (MatrixPoly.diagonal(tuple(getattr(op, name) for op in ops)) for name in "fkg")
+    want = oracle.conjugated_operator(oracle.nilpotent_matrix(spec), F_, K_, G_)
+    for new, old in zip((D.F, D.K, D.G), want):
         assert_same(new, old)
 
 

@@ -161,8 +161,9 @@ class TestNorms:
         assert nv.mass == Mass.exponential(F(1))
 
     def test_vanishing_extension_norm(self):
-        nv = squared_norm(Krawtchouk(p=F(1, 2), N=4), 5)
-        assert nv.coefficient == 0
+        # the ladder's c_(N+1) = 0
+        for spec in (Krawtchouk(p=F(1, 2), N=4), Hahn(F(3, 2), F(5, 2), 4)):
+            assert squared_norm(spec, 5).coefficient == 0
 
     @pytest.mark.parametrize("spec", FAMILIES)
     def test_positivity(self, spec):
