@@ -5,9 +5,9 @@ ladder was non-monotone; 2 invalid spec or arguments; 3 I/O failure.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .construction import (
     FamilySpec,
@@ -76,8 +76,13 @@ def _option_rational(text: str, option: str):
         raise SpecError(f"{option}: {err}") from None
 
 
-def _parse_probe_list(text: str, option: str):
-    """Comma-separated rationals, each value once."""
+def _parse_probe_list(text: str | None, option: str):
+    """Comma-separated rationals, at least one, each value once; None when
+    the option is not given."""
+    if text is None:
+        return None
+    if not text:
+        raise SpecError(f"{option} must list at least one value")
     values = tuple(_option_rational(v, option) for v in text.split(","))
     if len(set(values)) < len(values):
         raise SpecError(f"{option}: each probe value must appear once, got {text}")
@@ -163,13 +168,11 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_family(args.spec)
-    a_probes = _parse_probe_list(args.probes, "--probes") if args.probes else None
-    tau_probes = _parse_probe_list(args.tau_probes, "--tau-probes") if args.tau_probes else None
     report = run_verification(
         spec,
         n_max=args.n_max,
-        a_probes=a_probes,
-        tau_probes=tau_probes,
+        a_probes=_parse_probe_list(args.probes, "--probes"),
+        tau_probes=_parse_probe_list(args.tau_probes, "--tau-probes"),
         x_max=args.x_max,
         tol=args.tol,
         perturb=args.perturb,
@@ -245,64 +248,124 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mvop",
-        description="Matrix-valued discrete orthogonal polynomials: exact "
-        "construction, verification, and limit studies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Matrix-valued discrete orthogonal polynomials: exact construction, "
+    "verification, and limit studies."
+)
+REQUIRED = object()  # the default of an option that must be given
+_SPEC = (str, REQUIRED, None, "the spec JSON file")
+_OUT = (str, None, None, "write the output to this file instead of stdout")
+_TAU = (str, "numeric", None, "rational probe or 'numeric' for mass quotients")
 
-    family = sub.add_parser("family", help="construct and export a family")
-    family.add_argument("--spec", required=True)
-    family.add_argument("--n", type=int, default=4)
-    family.add_argument("--format", choices=("json", "latex"), default="json")
-    family.add_argument("--out")
-    family.add_argument("--tau", default="numeric",
-                        help="rational probe or 'numeric' for mass quotients")
-    family.add_argument("--operator", action="store_true",
-                        help="fail (exit 2) if no canonical operator exists")
-    family.add_argument("--recurrence", action="store_true")
-    family.set_defaults(fn=cmd_family)
+# command -> (help, handler name, {option -> (type, default, choices, help)});
+# a bool type marks a flag.  The handler is looked up by name when it is
+# called, so that a wrapper set on the module attribute runs in its place.
+COMMANDS = {
+    "family": ("construct and export a family", "cmd_family", {
+        "--spec": _SPEC,
+        "--n": (int, 4, None, "highest degree, at most N on a finite support"),
+        "--format": (str, "json", ("json", "latex"), "output format"),
+        "--out": _OUT,
+        "--tau": _TAU,
+        "--operator": (bool, False, None, "fail (exit 2) if no canonical operator exists"),
+        "--recurrence": (bool, False, None, "add the recurrence triples to the JSON"),
+    }),
+    "verify": ("run the verification suites", "cmd_verify", {
+        "--spec": _SPEC,
+        "--n-max": (int, None, None, "highest degree checked"),
+        "--x-max": (int, 400, None, "last point of truncated sums"),
+        "--tol": (float, 1e-9, None, "tolerance of the float orthogonality verdict"),
+        "--probes": (str, None, None, "comma-separated coupling probes"),
+        "--tau-probes": (str, None, None, "comma-separated mass-quotient probes"),
+        "--truncated": (bool, False, None, "force truncated float sums for orthogonality"),
+        "--perturb": (bool, False, None, "test fixture: corrupt the polynomials"),
+        "--out": _OUT,
+    }),
+    "limits": ("run a limit-transition ladder", "cmd_limits", {
+        "--spec": _SPEC,
+        "--format": (str, "json", ("json", "csv"), "output format"),
+        "--out": _OUT,
+    }),
+    "export": ("export one artifact", "cmd_export", {
+        "--spec": _SPEC,
+        "--what": (str, REQUIRED, ("Q", "W", "D", "recurrence"), "the artifact"),
+        "--n": (int, 2, None, "degree of Q or of the recurrence; last Lambda of D"),
+        "--format": (str, "json", ("json", "latex"), "output format"),
+        "--tau": _TAU,
+        "--out": _OUT,
+    }),
+}
 
-    verify = sub.add_parser("verify", help="run the verification suites")
-    verify.add_argument("--spec", required=True)
-    verify.add_argument("--n-max", type=int, default=None, dest="n_max")
-    verify.add_argument("--x-max", type=int, default=400, dest="x_max")
-    verify.add_argument("--tol", type=float, default=1e-9)
-    verify.add_argument("--probes", help="comma-separated coupling probes")
-    verify.add_argument("--tau-probes", dest="tau_probes",
-                        help="comma-separated mass-quotient probes")
-    verify.add_argument("--truncated", action="store_true",
-                        help="force truncated float sums for orthogonality")
-    verify.add_argument("--perturb", action="store_true",
-                        help="test fixture: corrupt the polynomials")
-    verify.add_argument("--out")
-    verify.set_defaults(fn=cmd_verify)
 
-    limits = sub.add_parser("limits", help="run a limit-transition ladder")
-    limits.add_argument("--spec", required=True)
-    limits.add_argument("--format", choices=("json", "csv"), default="json")
-    limits.add_argument("--out")
-    limits.set_defaults(fn=cmd_limits)
+def parse_args(argv):
+    """The command and one attribute per option of it (``--n-max`` sets
+    ``n_max``), from exact option names; the token after an option that takes
+    a value is that value, whatever it starts with, and the last occurrence
+    of an option wins.  A bad argument raises a SpecError naming it."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise SpecError(f"{got}; expected one of {', '.join(COMMANDS)}")
+    command, options = argv[0], COMMANDS[argv[0]][2]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, has_value, value = token.partition("=")
+        if name not in options:
+            raise SpecError(f"unknown option {token!r} for {command}")
+        if options[name][0] is bool:
+            if has_value:
+                raise SpecError(f"{name} takes no value, got {token!r}")
+            value = True
+        elif not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise SpecError(f"{name} expects a value")
+        given[name] = value
+    args = SimpleNamespace(command=command)
+    for name, (kind, default, choices, _) in options.items():
+        value = given.get(name, default)
+        if value is REQUIRED:
+            raise SpecError(f"{name} is required for {command}")
+        if name in given:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise SpecError(f"{name}: invalid {kind.__name__} value {value!r}") from None
+            if choices is not None and value not in choices:
+                raise SpecError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
 
-    export = sub.add_parser("export", help="export one artifact")
-    export.add_argument("--spec", required=True)
-    export.add_argument("--what", choices=("Q", "W", "D", "recurrence"), required=True)
-    export.add_argument("--n", type=int, default=2)
-    export.add_argument("--format", choices=("json", "latex"), default="json")
-    export.add_argument("--tau", default="numeric")
-    export.add_argument("--out")
-    export.set_defaults(fn=cmd_export)
 
-    return parser
+def help_text(command=None) -> str:
+    """The usage of one command, or of ``mvop`` when ``command`` names none."""
+    if command not in COMMANDS:
+        lines = ["usage: mvop <command> [options]", "", DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<8}{text}" for name, (text, _, _) in COMMANDS.items()]
+        lines += ["", "mvop <command> --help lists the options of a command."]
+        return "\n".join(lines) + "\n"
+    text, _, options = COMMANDS[command]
+    lines = [f"usage: mvop {command} [options]", "", text, "", "options:"]
+    for name, (kind, default, choices, note) in options.items():
+        if kind is not bool:
+            name += " " + ("{" + ",".join(choices) + "}" if choices
+                           else {int: "INT", float: "FLOAT"}.get(kind, "VALUE"))
+        if default is REQUIRED:
+            note += " (required)"
+        elif default not in (None, False):
+            note += f" (default {default})"
+        lines.append(f"  {name:<28}{note}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(help_text(argv[0] if argv else None))
+        return EXIT_OK
     try:
-        return args.fn(args)
+        args = parse_args(argv)
+        return globals()[COMMANDS[args.command][1]](args)
     except (SpecError, ProbeError, ValueError) as err:
         sys.stderr.write(f"invalid input: {err}\n")
         return EXIT_BAD_INPUT

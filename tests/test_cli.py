@@ -226,6 +226,8 @@ BAD_INPUTS = {
     "zero-denominator-tau-probes": (
         "verify", CHARLIER_BC, ("--tau-probes", "1/0"), "--tau-probes"),
     "zero-denominator-tau": ("family", CHARLIER_BC, ("--tau", "1/0"), "--tau"),
+    "empty-probes": ("verify", KRAW44, ("--probes", ""), "--probes"),
+    "empty-tau-probes": ("verify", CHARLIER_BC, ("--tau-probes", ""), "--tau-probes"),
     "top-level-list": ("family", [KRAW44], (), "family spec is not a JSON object"),
     "scalar-a": ("family", {**KRAW44, "a": 1}, (), "field 'a'"),
     "list-params": ("limits", {**KC_TRANSITION, "params": [["b", 1]]}, (), "'params'"),
@@ -275,6 +277,90 @@ def test_bad_input_exits_2_and_names_the_field(tmp_path, case):
     assert res.stderr.startswith("invalid input: ")
     assert named in res.stderr
     assert res.stdout == ""
+
+
+# The options of each command, written out apart from cli.COMMANDS:
+# name -> (attribute, default); None marks a required option
+OPTIONS = {
+    "family": {"--spec": ("spec", None), "--n": ("n", 4), "--format": ("format", "json"),
+               "--out": ("out", None), "--tau": ("tau", "numeric"),
+               "--operator": ("operator", False), "--recurrence": ("recurrence", False)},
+    "verify": {"--spec": ("spec", None), "--n-max": ("n_max", None), "--x-max": ("x_max", 400),
+               "--tol": ("tol", 1e-9), "--probes": ("probes", None),
+               "--tau-probes": ("tau_probes", None), "--truncated": ("truncated", False),
+               "--perturb": ("perturb", False), "--out": ("out", None)},
+    "limits": {"--spec": ("spec", None), "--format": ("format", "json"), "--out": ("out", None)},
+    "export": {"--spec": ("spec", None), "--what": ("what", None), "--n": ("n", 2),
+               "--format": ("format", "json"), "--tau": ("tau", "numeric"),
+               "--out": ("out", None)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_namespace_holds_every_option_with_its_default(command):
+    given = {"--spec": "s.json", "--what": "Q"}
+    argv = [command, *(t for name in OPTIONS[command] if name in given
+                       for t in (name, given[name]))]
+    expected = {attr: given.get(name, default)
+                for name, (attr, default) in OPTIONS[command].items()}
+    assert vars(cli.parse_args(argv)) == {"command": command, **expected}
+
+
+def test_equals_form_last_occurrence_and_dash_values():
+    args = cli.parse_args(["family", "--spec=a=b.json", "--n", "1", "--n=3",
+                           "--tau", "-2", "--out", "--recurrence", "--recurrence"])
+    assert (args.spec, args.n, args.tau, args.out, args.recurrence) == (
+        "a=b.json", 3, "-2", "--recurrence", True)
+    args = cli.parse_args(["verify", "--spec", "s", "--tol", "1e-3", "--n-max", "-1"])
+    assert (args.tol, args.n_max) == (1e-3, -1)
+
+
+# (arguments after "mvop", text the message must hold); {spec} is a valid spec
+ARGUMENT_ERRORS = {
+    "unknown-option": (("verify", "--spec", "{spec}", "--bogus"), "--bogus"),
+    "missing-value": (("family", "--spec", "{spec}", "--n"), "--n"),
+    "non-integer": (("family", "--spec", "{spec}", "--n", "abc"), "--n"),
+    "non-float": (("verify", "--spec", "{spec}", "--tol", "tiny"), "--tol"),
+    "bad-choice": (("export", "--spec", "{spec}", "--what", "Q", "--format", "csv"), "--format"),
+    "missing-spec": (("family",), "--spec"),
+    "missing-what": (("export", "--spec", "{spec}"), "--what"),
+    "no-command": ((), "command"),
+    "unknown-command": (("bogus", "--spec", "{spec}"), "bogus"),
+    "flag-with-value": (("verify", "--spec", "{spec}", "--perturb=1"), "--perturb"),
+    # a prefix of --n-max is no option
+    "prefix-of-option": (("verify", "--spec", "{spec}", "--n", "3"), "'--n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
+def test_argument_error_exits_2_and_names_it(spec_files, capsys, case):
+    argv, named = ARGUMENT_ERRORS[case]
+    code = cli.main([a.replace("{spec}", spec_files["kraw44"]) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("invalid input: ")
+    assert named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("--help",), tuple(OPTIONS)),
+    *(((command, "--spec", "s.json", "-h"), tuple(OPTIONS[command])) for command in OPTIONS),
+    (("verify", "--bogus", "--help"), tuple(OPTIONS["verify"])),
+], ids=["mvop", *OPTIONS, "after-a-bad-option"])
+def test_help_lists_every_name(capsys, argv, names):
+    assert cli.main(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: mvop") and err == ""
+    assert all(name in out.split() for name in names)
+
+
+def test_import_leaves_argparse_out():
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, mvop.cli; assert 'argparse' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
 
 
 class TestVerify:
@@ -341,6 +427,21 @@ class TestVerify:
         )
         assert res.returncode == 0
         assert json.loads(out.read_text())["probe_grid"]["a"] == ["1", "2", "-1/2"]
+
+    @pytest.mark.parametrize("option, values, key", [
+        ("--probes", "-1,2", "a"),
+        ("--probes", "-1/2", "a"),
+        ("--tau-probes", "-1/2", "tau"),
+    ])
+    def test_negative_probe_values(self, tmp_path, option, values, key):
+        spec = {**CHARLIER_BC, "channels": [CHARLIER_BC["channels"][0],
+                                            {"kind": "meixner", "beta": "1/2", "c": "1/2"}]}
+        p, out = tmp_path / "spec.json", tmp_path / "report.json"
+        p.write_text(json.dumps(spec))
+        res = run_cli("verify", "--spec", str(p), option, values, "--n-max", "2",
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(out.read_text())["probe_grid"][key] == values.split(",")
 
     def test_worker_pool_env(self, spec_files, tmp_path):
         out = tmp_path / "pooled.json"
