@@ -45,6 +45,10 @@ KRAW_TO_HERMITE = {"name": "krawtchouk->hermite", "n": 2, "a": "1",
                    "ladder": ["100", "1000", "10000"], "params": {"p": "1/3"}}
 KRAW_TO_CHARLIER = {"name": "krawtchouk->charlier", "n": 2, "a": "-3",
                     "ladder": ["100", "1000", "10000"], "params": {"b": "2"}}
+CHARLIER_TO_HERMITE = {"name": "charlier->hermite", "n": 2, "a": "1/2",
+                       "ladder": ["1000", "100000", "10000000"]}
+MEIXNER_TO_LAGUERRE = {"name": "meixner->laguerre", "n": 2, "a": "2",
+                       "ladder": ["9/10", "99/100", "999/1000"], "params": {"alpha": "1/2"}}
 
 INFINITE = ("--n-max", "2", "--x-max", "60")
 
@@ -53,6 +57,8 @@ CASES = {
     "verify-krawtchouk": (KRAW, ("verify",)),
     "verify-krawtchouk-perturb": (KRAW, ("verify", "--perturb")),
     "verify-krawtchouk-m3": (KRAW3, ("verify", "--n-max", "2")),
+    # the failure details multiply 3x3 matrix polynomials and apply D
+    "verify-krawtchouk-m3-perturb": (KRAW3, ("verify", "--perturb")),
     "verify-charlier-meixner": (CHARLIER_MEIXNER, ("verify",) + INFINITE),
     "verify-charlier10-charlier20": (CHARLIER_10_20, ("verify",) + INFINITE),
     "verify-cmc": (CMC, ("verify",) + INFINITE),
@@ -70,6 +76,10 @@ CASES = {
     "limits-json": (KRAW_TO_CHARLIER, ("limits", "--format", "json")),
     "limits-csv": (KRAW_TO_CHARLIER, ("limits", "--format", "csv")),
     "limits-krawtchouk-hermite-json": (KRAW_TO_HERMITE, ("limits", "--format", "json")),
+    # a QuadExt matrix product in the Hermite source
+    "limits-charlier-hermite-json": (CHARLIER_TO_HERMITE, ("limits", "--format", "json")),
+    # an affine substitution and a scalar rescaling of the source
+    "limits-meixner-laguerre-csv": (MEIXNER_TO_LAGUERRE, ("limits", "--format", "csv")),
 }
 
 
