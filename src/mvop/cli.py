@@ -14,7 +14,6 @@ from .construction import (
     family_spec_from_json,
     needs_mass_probe,
     orthogonal_polynomial,
-    successor_polynomial,
     weight_matrix,
 )
 from .errors import ProbeError, SpecError, TruncationError
@@ -158,9 +157,10 @@ def cmd_family(args) -> int:
         artifact["Lambda"] = None
         artifact["note"] = operator_note
     if args.recurrence:
-        chain = polys + [successor_polynomial(spec, n_hi, tau=exact_tau(spec, tau))]
+        tau = exact_tau(spec, tau)
+        chain = polys + [orthogonal_polynomial(spec, n_hi + 1, tau=tau)]
         artifact["recurrence"] = [
-            _triple_json(t) for t in closed_recurrence(spec, chain).values()
+            _triple_json(t) for t in closed_recurrence(spec, chain, tau=tau).values()
         ]
     _write_out(json_dumps(artifact), args.out)
     return EXIT_OK
@@ -215,9 +215,11 @@ def _check_export_degree(spec: FamilySpec, n: int):
 
 
 def cmd_export(args) -> int:
+    what = args.what
+    if args.format == "latex" and what not in ("Q", "D"):
+        raise SpecError(f"--format latex exists for --what Q and D only, got --what {what}")
     spec = _load_family(args.spec)
     tau = _tau_for(spec, args)
-    what = args.what
     if what == "Q":
         _check_export_degree(spec, args.n)
         P = orthogonal_polynomial(spec, args.n, tau=tau)

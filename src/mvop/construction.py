@@ -68,8 +68,8 @@ from . import linalg
 from .errors import ProbeError, SpecError, TruncationError
 from .families import (
     Mass,
+    check_degree,
     ladder,
-    squared_norm,
     weight_sequence,
     weight_spec_from_json,
 )
@@ -251,10 +251,13 @@ def _resolve_quotient(quotient: Mass, tau):
 
 
 def norm_ratio(spec: FamilySpec, ch_num: int, n_num: int, ch_den: int, n_den: int, tau=None):
-    """|p_n^(ch_num)|^2 / |p_n_den^(ch_den)|^2 with the mass quotient resolved."""
-    num = squared_norm(spec.channels[ch_num], n_num)
-    den = squared_norm(spec.channels[ch_den], n_den)
-    return num.coefficient / den.coefficient * _resolve_quotient(num.mass / den.mass, tau)
+    """|p_n^(ch_num)|^2 / |p_n_den^(ch_den)|^2 with the mass quotient resolved,
+    from the channel ladders as ``_closed_form`` reads them."""
+    num, den = spec.channels[ch_num], spec.channels[ch_den]
+    check_degree(num, n_num)
+    check_degree(den, n_den)
+    coefficient, quotient = _norm_quotient(ladder(num), n_num, ladder(den), n_den)
+    return coefficient * _resolve_quotient(quotient, tau)
 
 
 @lru_cache(maxsize=None)
@@ -336,22 +339,20 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
 
 def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     """The degree-n matrix orthogonal polynomial for W (``_closed_form``),
-    0 <= n, and n <= N on a finite support, where n = N reads the
-    degree-(N+1) extension x(x-1)...(x-N) for P_(n+1).  Degree is exactly n
-    and the leading coefficient is unimodular."""
+    0 <= n, and n <= N + 1 on a finite support, where n = N reads the
+    degree-(N+1) extension x(x-1)...(x-N) for P_(n+1) and n = N + 1 is the
+    closure companion (``closure_polynomial``), so that consecutive degrees
+    0..N + 1 form every chain the three-term recurrence reads.  Degree is
+    exactly n; the leading coefficient has the block form [[I, N], [0, T]]
+    (``operators.lead_inverse``), and a rational tau probe can make T
+    singular."""
     top = spec.support_N
-    if n < 0 or (top is not None and n > top):
-        limit = "" if top is None else f" <= {top}"
+    if n < 0 or (top is not None and n > top + 1):
+        limit = "" if top is None else f" <= {top + 1}"
         raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
-    return _closed_form(spec, n, tau)
-
-
-def successor_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
-    """The polynomial after Q_n in the three-term recurrence: Q_(n+1), or at
-    n = N the degree-(N+1) closure companion."""
-    if n == spec.support_N:
+    if top is not None and n == top + 1:
         return closure_polynomial(spec)
-    return orthogonal_polynomial(spec, n + 1, tau=tau)
+    return _closed_form(spec, n, tau)
 
 
 def closure_polynomial(spec: FamilySpec) -> MatrixPoly:

@@ -436,7 +436,9 @@ class Laguerre:
 # family-level operations
 
 
-def _check_degree(spec, n: int):
+def check_degree(spec, n: int):
+    """A SpecError unless the channel has a degree-n ladder step: 0 <= n,
+    and n <= N + 1 on a finite support."""
     if n < 0:
         raise SpecError(f"polynomial degree must be >= 0, got {n}")
     top = spec.support_N
@@ -497,7 +499,7 @@ def monic_polynomial(spec, n: int) -> ScalarPoly:
     On a finite support {0..N} the value n = N+1 returns the natural
     extension x(x-1)...(x-N), which the recurrence itself produces.
     """
-    _check_degree(spec, n)
+    check_degree(spec, n)
     return ladder(spec).polynomial(n)
 
 
@@ -519,7 +521,7 @@ def squared_norm(spec, n: int) -> NormValue:
     total mass.  On finite support c_(N+1) = 0, so the degree-(N+1)
     extension has norm zero.
     """
-    _check_degree(spec, n)
+    check_degree(spec, n)
     return ladder(spec).norm(n)
 
 

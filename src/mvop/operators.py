@@ -41,7 +41,6 @@ from .construction import (
     needs_mass_probe,
     orthogonal_polynomial,
     staggered_positions,
-    successor_polynomial,
 )
 from .errors import ProbeError, SpecError
 from .families import Hahn, ScalarOperator
@@ -258,8 +257,9 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     sequence; see ``closed_recurrence``.
 
     On a finite support, n = N closes through the degree-(N+1) companion
-    built from the vanishing-norm extension.  Exact closure needs exact
-    coefficients, so a transcendental mass quotient needs a rational tau.
+    ``orthogonal_polynomial(spec, N + 1)``, built from the vanishing-norm
+    extension.  Exact closure needs exact coefficients, so a transcendental
+    mass quotient needs a rational tau.
     """
     if n < 0:
         raise SpecError(f"recurrence index must be >= 0, got {n}")
@@ -267,13 +267,8 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
     tau = exact_tau(spec, tau)
-    chain = {
-        n: orthogonal_polynomial(spec, n, tau=tau),
-        n + 1: successor_polynomial(spec, n, tau=tau),
-    }
-    if n >= 1:
-        chain[n - 1] = orthogonal_polynomial(spec, n - 1, tau=tau)
-    return closed_recurrence(spec, chain, (n,))[n]
+    chain = {k: orthogonal_polynomial(spec, k, tau=tau) for k in range(max(n - 1, 0), n + 2)}
+    return closed_recurrence(spec, chain, (n,), tau)[n]
 
 
 def lead_inverse(lead, scale: int):
@@ -314,11 +309,15 @@ def lead_inverse(lead, scale: int):
     return tuple(tuple(entry(i, j) for j in range(m)) for i in range(m)), d
 
 
-def match_recurrence(tables, degrees=None) -> dict:
+def match_recurrence(tables, degrees=None, tau=None, probe="--tau") -> dict:
     """The recurrence matrices {n: (A_n, B_n, C_n)} at each n of ``degrees``
     (by default every n with a successor in ``tables``), where ``tables[k]``
     is the integer table of Q_k (``construction.integer_table``), a list or
-    a dict holding the degrees n - 1, n, n + 1.
+    a dict holding the degrees n - 1, n, n + 1, built at the mass-quotient
+    probe ``tau``.  A leading coefficient that is singular at a rational
+    ``tau`` is a ProbeError naming the value and ``probe``, the option it
+    came from (by default --tau); with no probe it is a construction fault
+    and propagates.
 
     They come from the top three coefficients of the identity, unique
     because leading coefficients are invertible:
@@ -336,7 +335,15 @@ def match_recurrence(tables, degrees=None) -> dict:
 
     @functools.cache
     def inverse(k):
-        return lead_inverse(*coefficient(k, k))
+        try:
+            return lead_inverse(*coefficient(k, k))
+        except ZeroDivisionError:
+            if tau is None:
+                raise
+            raise ProbeError(
+                f"{probe} value {tau} makes the leading coefficient of Q_{k} singular, so "
+                "the three-term recurrence cannot be matched; choose another value"
+            ) from None
 
     @functools.cache
     def coefficient(k, j):
@@ -429,15 +436,16 @@ def recurrence_closes(t, n: int, tables) -> bool:
     return True
 
 
-def closed_recurrence(spec: FamilySpec, chain, degrees=None) -> dict:
+def closed_recurrence(spec: FamilySpec, chain, degrees=None, tau=None) -> dict:
     """``match_recurrence`` on the integer tables of ``chain`` (Q_k at
-    ``chain[k]``, a list or a dict), each identity certified by
-    ``recurrence_closes`` and reduced to a ``RecurrenceTriple`` of
-    Fractions; AssertionError names the first n that does not close."""
+    ``chain[k]``, a list or a dict, built at the probe ``tau`` of --tau),
+    each identity certified by ``recurrence_closes`` and reduced to a
+    ``RecurrenceTriple`` of Fractions; AssertionError names the first n that
+    does not close."""
     chain = chain if isinstance(chain, dict) else dict(enumerate(chain))
     tables = {k: integer_table(Q, max(chain)) for k, Q in chain.items()}
     triples = {}
-    for n, t in match_recurrence(tables, degrees).items():
+    for n, t in match_recurrence(tables, degrees, tau).items():
         if not recurrence_closes(t, n, tables):
             raise AssertionError(not_closed(spec, n))
         triples[n] = RecurrenceTriple(*map(_fractions, t))

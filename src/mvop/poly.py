@@ -6,12 +6,19 @@ rectangular grid of scalar polynomials with noncommutative products.  Both are
 immutable; all operations return fresh values.  Coefficients are Fractions on
 exact paths but any field scalar (float) works through the same code.
 
-The kernel keeps three invariants:
+Only the operations the construction repeats get kernels of their own: the
+scalar product (``_convolve``), the sum and difference, and ``times_x``,
+which build every entry of Q_n and of the channel ladders.  Everything else
+is written in terms of them: a matrix product is a plain sum of scalar
+products per entry, and a shift is a Horner composition, since only failure
+details and the Hermite limit ladders reach them.
+
+The kernels keep three invariants:
 
 * Canonical trimming: every result drops its trailing zero coefficients, so
   the zero polynomial has no coefficients at all.
-* Zero entries are skipped: products work on the coefficient tuples
-  directly, and a matrix product never multiplies a zero entry.
+* Zero operands are skipped: a scalar product with a zero factor returns
+  the zero polynomial without a convolution.
 * Coefficient types are preserved: a result holds exactly the values the
   schoolbook loops produce from a ``Fraction(0)`` start, summed in the same
   order.  Each coefficient of a product, and of the longer operand's tail in
@@ -198,25 +205,8 @@ class ScalarPoly:
         return out
 
     def shift(self, k) -> "ScalarPoly":
-        """p(x + k), exact for rational k, by a Taylor shift in place: one
-        synthetic division by x - k per degree, O(n^2) scalar operations.
-        Exact coefficients give the rationals ``compose`` gives; floats may
-        round differently."""
-        if k == 0:
-            return self
-        if k == 1:
-            step = add
-        elif k == -1:
-            step = sub
-        else:
-            def step(c, d):
-                return c + k * d
-        c = list(self.coeffs)
-        n = len(c) - 1
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                c[j] = step(c[j], c[j + 1])
-        return _poly(_lift(c))
+        """p(x + k), the composition with x + k."""
+        return self.compose(ScalarPoly((k, 1)))
 
     def compose_affine(self, alpha, beta) -> "ScalarPoly":
         """p(alpha*x + beta); alpha must be nonzero (degree is preserved)."""
@@ -338,28 +328,11 @@ class MatrixPoly:
                 f"dimension mismatch in matrix product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        columns = [
-            [(k, e.coeffs) for k, e in enumerate(col) if e.coeffs]
-            for col in zip(*other.entries)
-        ]
-        out = []
-        for row in self.entries:
-            out_row = []
-            for column in columns:
-                # the products in increasing k, each summed onto the last
-                acc = []
-                for k, b in column:
-                    a = row[k].coeffs
-                    if not a:
-                        continue
-                    prod = _convolve(a, b)
-                    if len(acc) < len(prod):
-                        acc = list(map(add, acc, prod)) + prod[len(acc):]
-                    else:
-                        acc[:len(prod)] = map(add, acc, prod)
-                out_row.append(_poly(acc))
-            out.append(tuple(out_row))
-        return MatrixPoly(tuple(out))
+        columns = tuple(zip(*other.entries))
+        return MatrixPoly(tuple(
+            tuple(reduce(add, map(mul, row, col), ScalarPoly()) for col in columns)
+            for row in self.entries
+        ))
 
     def scale(self, s) -> "MatrixPoly":
         """Multiply every entry by a scalar or scalar polynomial (x commutes)."""

@@ -54,7 +54,6 @@ from .construction import (
     integer_table,
     needs_mass_probe,
     orthogonal_polynomial,
-    successor_polynomial,
     value_table,
     weight_table,
 )
@@ -236,7 +235,8 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau) -> list:
     chain's integer ``tables`` but the last, which is the closing
     Q_(top+1), matched and certified on the tables alone."""
     checks = []
-    for n, t in match_recurrence(tables).items():
+    probe = f"at coupling probe a = {probe_a}, --tau-probes"
+    for n, t in match_recurrence(tables, tau=probe_tau, probe=probe).items():
         ok = recurrence_closes(t, n, tables)
         checks.append(CheckResult(
             name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
@@ -253,7 +253,7 @@ def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operators, perturb: boo
     """The probe sweep every suite reads, as (a, tau, probe spec, operator,
     stencil, chain, tables): per coupling probe its operator (one per a
     value in ``operators``, or None) and D's integer stencil; per tau the
-    chain Q_0..Q_top plus the closing Q_(top+1), perturbed with
+    chain Q_0..Q_(top+1), the last closing the recurrence, perturbed with
     ``perturb``, and one integer table per polynomial, each built once.
 
     The tables reach x = X: the support, the recurrence's top + 1 and the
@@ -265,9 +265,9 @@ def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operators, perturb: boo
         stop = max(spec.support_N or 0, top + extra + 1)
         stencil = None if operator is None else operator[0].stencil(stop - 1)
         for tau in tau_vals:
-            chain = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
-            chain.append(successor_polynomial(probe, top, tau=tau))
-            chain = _perturbed(chain, perturb)
+            chain = _perturbed(
+                [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 2)], perturb
+            )
             tables = [integer_table(Q, stop) for Q in chain]
             yield a_val, tau, probe, operator, stencil, chain, tables
 

@@ -17,7 +17,6 @@ from mvop import linalg
 from mvop.construction import (
     needs_mass_probe,
     orthogonal_polynomial,
-    successor_polynomial,
     weight_matrix,
 )
 from mvop.errors import SpecError
@@ -188,9 +187,10 @@ def oracle_verification(spec, n_max=None, a_probes=None, tau_probes=None,
         notes.append(f"bispectral suite skipped: {err}")
     for (a_val, probe), operator in zip(probes, operators):
         for tau in tau_vals:
-            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
             # --perturb bumps the whole chain, the closing Q_(top+1) included
-            chain = _perturbed(polys + [successor_polynomial(probe, top, tau=tau)], perturb)
+            chain = _perturbed(
+                [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 2)], perturb
+            )
             checked = chain[:-1]
             if exact_gram:
                 for n in range(len(checked)):

@@ -198,7 +198,7 @@ def test_checks_build_no_polynomial_products(monkeypatch, name):
             return fn(*args, **kwargs)
         return wrapped
 
-    for fn in ("orthogonal_polynomial", "successor_polynomial", "canonical_operator"):
+    for fn in ("orthogonal_polynomial", "canonical_operator"):
         monkeypatch.setattr(verification, fn, construction_step(getattr(verification, fn)))
     monkeypatch.setattr(MatrixPoly, "__matmul__",
                         outside_construction("matmul", MatrixPoly.__matmul__))

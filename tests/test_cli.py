@@ -47,6 +47,14 @@ HAHN_2N4 = {
         {"kind": "hahn", "alpha": "-5", "beta": "-5", "N": 2},
     ],
 }
+KRAW3 = {
+    "m": 2,
+    "a": ["2"],
+    "channels": [
+        {"kind": "krawtchouk", "p": "1/3", "N": 3},
+        {"kind": "krawtchouk", "p": "3/4", "N": 3},
+    ],
+}
 CHARLIER_BC = {
     "m": 2,
     "a": ["1"],
@@ -264,6 +272,17 @@ BAD_INPUTS = {
         (),
         "p = 0",
     ),
+    # tau = -1/2 makes the lead of Q_1 singular: no recurrence can be matched
+    "singular-tau-probe": (
+        "verify", CHARLIER_BC, ("--tau-probes", "-1/2"), "a = 1, --tau-probes value -1/2"),
+    "singular-tau-family": (
+        "family", CHARLIER_BC, ("--tau", "-1/2", "--recurrence"), "--tau value -1/2"),
+    "singular-tau-export": (
+        "export", CHARLIER_BC, ("--what", "recurrence", "--tau", "-1/2"), "--tau value -1/2"),
+    # LaTeX exists for Q and D only
+    "latex-W": ("export", KRAW3, ("--what", "W", "--format", "latex"), "--format"),
+    "latex-recurrence": (
+        "export", KRAW3, ("--what", "recurrence", "--format", "latex"), "--format"),
 }
 
 

@@ -9,6 +9,7 @@ from mvop import linalg
 from mvop.construction import (
     A_PROBES,
     FamilySpec,
+    closure_polynomial,
     converged,
     family_spec_from_json,
     inner_product,
@@ -214,10 +215,13 @@ class TestConstruction:
             assert lhs == rhs
 
     def test_index_bounds(self):
+        # N = 4: degree N + 1 is the closure companion, N + 2 does not exist
+        spec = kraw_pair()
+        assert orthogonal_polynomial(spec, 5) == closure_polynomial(spec)
+        with pytest.raises(SpecError, match="<= 5"):
+            orthogonal_polynomial(spec, 6)
         with pytest.raises(SpecError):
-            orthogonal_polynomial(kraw_pair(), 5)
-        with pytest.raises(SpecError):
-            orthogonal_polynomial(kraw_pair(), -1)
+            orthogonal_polynomial(spec, -1)
 
     def test_missing_probe_raises(self):
         spec = FamilySpec(a=(1,), channels=(Charlier(b=F(1)), Charlier(b=F(2))))
@@ -366,3 +370,10 @@ class TestNormRatio:
         with pytest.raises(ProbeError):
             norm_ratio(spec, 1, 2, 0, 1)
         assert norm_ratio(spec, 1, 2, 0, 1, tau=F(2)) == F(2) * 2 * 4  # 2 c^2/b^1 tau
+
+    def test_degrees_outside_the_ladder_raise(self):
+        spec = kraw_pair(N=3)
+        assert norm_ratio(spec, 1, 4, 0, 3) == 0  # |p_(N+1)|^2 = 0
+        for degrees in ((1, 5, 0, 4), (1, 2, 0, -1)):
+            with pytest.raises(SpecError, match="degree"):
+                norm_ratio(spec, *degrees)

@@ -18,7 +18,6 @@ from mvop.construction import (
     closure_polynomial,
     needs_mass_probe,
     orthogonal_polynomial,
-    successor_polynomial,
     weight_matrix,
 )
 from mvop.errors import SpecError
@@ -218,11 +217,10 @@ def test_recurrence_coefficients_evaluated_once(monkeypatch, spec, top):
     families.ladder.cache_clear()
     try:
         tau = F(2) if needs_mass_probe(spec) else None
+        if spec.is_finite:
+            top += 1  # the closure companion takes (b, c) at N + 1 once more
         for n in range(top + 1):
             orthogonal_polynomial(spec, n, tau=tau)
-        if spec.is_finite:
-            successor_polynomial(spec, top, tau=tau)
-            top += 1  # the closure takes (b, c) at N + 1 once more
     finally:
         families.ladder.cache_clear()
     assert set(calls) == {(ch, k) for ch in spec.channels for k in range(top + 1)}

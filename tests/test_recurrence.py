@@ -11,7 +11,6 @@ from mvop.construction import (
     FamilySpec,
     integer_table,
     orthogonal_polynomial,
-    successor_polynomial,
 )
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
@@ -53,8 +52,7 @@ def finite_chains(draw):
     else:
         channels = [Hahn(*draw(st.sampled_from(HAHN)), N=N) for _ in range(m)]
     spec = FamilySpec(a=draw(couplings(m)), channels=tuple(channels))
-    return spec, [orthogonal_polynomial(spec, n) for n in range(N + 1)] + [
-        successor_polynomial(spec, N)]
+    return spec, [orthogonal_polynomial(spec, n) for n in range(N + 2)]
 
 
 @st.composite
@@ -153,7 +151,7 @@ def test_identity_block_is_not_inverted(monkeypatch):
     # m = 4: Q_0 and the closure companion have T = I, Q_1 and Q_2 do not
     spec = FamilySpec(a=(F(2), F(-1, 3), F(1, 2)),
                       channels=tuple(Krawtchouk(p, 2) for p in KRAW_P))
-    chain = [orthogonal_polynomial(spec, n) for n in range(3)] + [successor_polynomial(spec, 2)]
+    chain = [orthogonal_polynomial(spec, n) for n in range(4)]
     want = residual_oracle.match_recurrence(chain)
     exact = {k: fractions((t.coefficient(k), t.scale)) for k, t in enumerate(tables_of(chain))}
     inverses = {k: linalg.mat_inverse(lead) for k, lead in exact.items()}

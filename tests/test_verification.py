@@ -21,9 +21,8 @@ def test_each_polynomial_built_once(monkeypatch):
         a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3))
     )
     assert verification.run_verification(spec).all_passed
-    # Q_0..Q_3 for each of the 5 coupling probes; Q_4 closes through
-    # closure_polynomial
-    assert len(built) == 5 * 4
+    # Q_0..Q_3 and the closure companion Q_4 for each of the 5 coupling probes
+    assert len(built) == 5 * 5
     assert set(built.values()) == {1}
 
 
