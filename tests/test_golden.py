@@ -63,6 +63,10 @@ CASES = {
     "verify-charlier10-charlier20": (CHARLIER_10_20, ("verify",) + INFINITE),
     "verify-cmc": (CMC, ("verify",) + INFINITE),
     "verify-krawtchouk-truncated": (KRAW, ("verify", "--truncated")),
+    # quadratic Hahn eigenvalues in the eigenfunction failure details
+    "verify-hahn-perturb": (HAHN, ("verify", "--perturb")),
+    # eigenfunction failure details at tau probes, m = 3
+    "verify-cmc-perturb": (CMC, ("verify", "--perturb", "--n-max", "3", "--x-max", "100")),
     "verify-charlier-meixner-x400": (CHARLIER_MEIXNER, ("verify", "--n-max", "2")),
     "family-charlier-numeric": (CHARLIER_BC, ("family", "--n", "2")),
     "family-cmc-recurrence": (CMC, ("family", "--n", "2", "--tau", "3/2", "--recurrence")),
