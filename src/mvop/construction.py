@@ -49,7 +49,8 @@ the channel weights over one denominator once per spec, and ``gram_sum``
 sums any pair in integers and divides each entry once, so a caller checking
 many pairs builds each table once and gets the exact ``Fraction`` Gram.
 The truncated float Gram has the same shape: ``float_value_table`` per
-polynomial, ``float_weight_table`` once, and ``float_grams`` for any set of
+polynomial, ``float_weight_table`` once (at x = 0..x_max on an infinite
+support, over the whole of a finite one), and ``float_grams`` for any set of
 pairs in one pass over x, which ``inner_product(mode="truncated")`` and
 ``relative_gram_bound`` also call; ``converged`` raises on a tail above
 tolerance, and the tolerance must be positive and finite.  The block
@@ -493,8 +494,9 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
     Exact mode needs a finite support and exact coefficients, and sums
-    integer tables through ``gram_sum``.  Truncated mode sums x = 0..x_max
-    in floats through ``float_grams`` and records the tail estimate (last
+    integer tables through ``gram_sum``.  Truncated mode sums in floats
+    through ``float_grams``, over x = 0..x_max on an infinite support and
+    the whole of 0..N on a finite one, and records the tail estimate (last
     term relative to the accumulated absolute sum); a tail above ``tol``,
     which must be positive and finite, raises rather than returning a
     silent value.
@@ -520,15 +522,16 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
 
 
 def float_weight_table(spec: FamilySpec, x_max: int):
-    """Float weight matrices at x = 0..min(x_max, N): each exact entry of
-    W(x) = U(x) diag(w(x)) U(x)^T rounded to float once.  The entries are
+    """Float weight matrices at x = 0..x_max on an infinite support and at
+    every point 0..N of a finite one, whatever x_max: only an infinite sum
+    is truncated, and a finite one has no tail to judge.  Each exact entry of
+    W(x) = U(x) diag(w(x)) U(x)^T is rounded to float once.  The entries are
     integer sums over d q^2 (``_weight_entries``, from the grown channel
     weights), and integer true division rounds correctly, so each float is
     the one ``float(Fraction)`` gives."""
     if x_max < 0:
         raise SpecError(f"x_max must be >= 0, got {x_max}")
-    top = spec.support_N
-    stop = x_max if top is None else min(x_max, top)
+    stop = x_max if spec.support_N is None else spec.support_N
     q, couplings = _integer_couplings(spec)
     out = []
     for x, w in enumerate(_channel_weights(spec, stop)):

@@ -3,9 +3,14 @@ with their check results and reports.
 
 One private sweep (``_sweep``) walks the probe grid (coupling values x
 mass-quotient values) once, for ``run_verification`` and
-``verify_eigenfunction`` alike.  Each coupling probe builds its operator
-and stencil once; each (a, tau) probe builds Q_0..Q_top and the closing
-Q_(top+1) a single time, and one integer value table per polynomial
+``verify_eigenfunction`` alike.  The canonical operator is built once per
+run, at the coupling probe a = 1, with one integer stencil: on the diagonal
+coupling line every pattern entry of F, K and G carries exactly one factor a
+and the diagonal entries none, so D(a) = D(0) + a (D(1) - D(0)), and the
+stencil of a probe a = p/q is q S_0 + p S_1 over q times D(1)'s scale, S_0
+the diagonal and S_1 the pattern of D(1)'s stencil (``_probe_stencil``).
+Each (a, tau) probe builds Q_0..Q_top and the closing Q_(top+1) a single
+time, and one integer value table per polynomial
 (``construction.integer_table``): the coefficients over their least common
 denominator L, evaluated at x = -1..X.  The three exact suites read only
 these tables, and scaling by nonzero integers changes no zero:
@@ -14,29 +19,30 @@ these tables, and scaling by nonzero integers changes no zero:
   the support points 0..N and divides each entry once (``gram_sum``);
 * the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
   d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
-  actual degrees, and is certified zero at the d_n + 1 points x = 0..d_n,
-  D acting on values through Q(x - 1), Q(x) and Q(x + 1);
+  actual degrees, and its scaled integer values are computed once at the
+  d_n + 1 points x = 0..d_n, D acting on values through Q(x - 1), Q(x) and
+  Q(x + 1); a failing check's first nonzero entry is interpolated from its
+  own values (``_interpolate``);
 * the recurrence residual x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1), with
   A_n, B_n, C_n matched in integers from the tables' top coefficients
   (``operators.match_recurrence``), has degree at most n + 1 and is
   certified zero at x = 0..n+1 (``operators.recurrence_closes``).
 
 A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
-check is an exact identity, and X covers the support and every bound.  The
-polynomial residual is rebuilt only for a failing eigenfunction check, to
-name its first nonzero entry.  Each probe instance is an exact rational
-identity check, and the grid oversamples the identities' degrees in the
-formal parameters.  Infinite supports (and ``truncated=True``) check
-orthogonality by truncated float sums on the spec's own couplings, with the
-true transcendental quotients, from one float value table per polynomial
-and one float weight table per run, every pair summed in one pass over x
-(``construction.float_grams``).  All work runs inline: it is pure-Python
-arithmetic, which threads do not speed up.
+check is an exact identity, and X covers the support and every bound.  No
+suite multiplies or differences matrix polynomials.  Each probe instance is
+an exact rational identity check, and the grid oversamples the identities'
+degrees in the formal parameters.  Infinite supports (and
+``truncated=True``) check orthogonality by truncated float sums on the
+spec's own couplings, with the true transcendental quotients, from one float
+value table per polynomial and one float weight table per run, every pair
+summed in one pass over x (``construction.float_grams``).  All work runs
+inline: it is pure-Python arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -64,7 +70,7 @@ from .operators import (
     not_closed,
     recurrence_closes,
 )
-from .poly import MatrixPoly
+from .poly import MatrixPoly, ScalarPoly
 
 
 @dataclass(frozen=True)
@@ -137,14 +143,6 @@ def _perturbed(polys, perturb: bool):
     return [Q if n == 0 else Q + bump for n, Q in enumerate(polys)]
 
 
-def _first_nonzero(P: MatrixPoly) -> str:
-    for i, row in enumerate(P.entries):
-        for j, e in enumerate(row):
-            if not e.is_zero:
-                return f"entry ({i + 1},{j + 1}) = {e!r}"
-    return ""
-
-
 def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
                          tol: float = 1e-9, tables=None, weights=None) -> list:
@@ -187,20 +185,22 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
     return checks
 
 
-def _eigenfunction_vanishes(stencil, eigenvalues, table) -> bool:
-    """Whether Q . D - Lambda Q is zero, from Q's integer table and D's
-    ``IntegerStencil``: with Lambda scaled by the stencil's scale and then
-    by the common denominator d of the result, d (Q . D) - Lambda Q is
-    checked at x = 0..deg Q + extra_degree."""
+def _eigenfunction_residual(stencil, eigenvalues, table):
+    """The values of Q . D - Lambda Q at x = 0..deg Q + extra_degree, entry
+    by entry, from Q's integer table and D's ``IntegerStencil``, as
+    (values, scale): ``values[i][j][x]`` is ``scale`` times entry (i, j) at
+    x, all integers.  With Lambda scaled by the stencil's scale s and then by
+    the common denominator e of the result, each value is e (L Q . s D) -
+    (e s Lambda) L Q, so ``scale`` = e L s for L the table's scale."""
     scaled = [v * stencil.scale for v in eigenvalues]
-    d = math.lcm(*(v.denominator for v in scaled))
-    lam = [int(v * d) for v in scaled]
+    e = math.lcm(*(v.denominator for v in scaled))
+    lam = [int(v * e) for v in scaled]
     values, points = table.values, stencil.points
+    residual = [[[] for _ in row] for row in values[0]]
     for x in range(table.degree + stencil.extra_degree + 1):
         below, here, above = values[x], values[x + 1], values[x + 2]
         plus, zero, minus = points[x]
-        for i, (b, h, a) in enumerate(zip(below, here, above)):
-            li = lam[i]
+        for b, h, a, li, out in zip(below, here, above, lam, residual):
             for j, hj in enumerate(h):
                 acc = 0
                 for k, v in plus[j]:
@@ -209,23 +209,49 @@ def _eigenfunction_vanishes(stencil, eigenvalues, table) -> bool:
                     acc += h[k] * v
                 for k, v in minus[j]:
                     acc += b[k] * v
-                if d * acc != li * hj:
-                    return False
-    return True
+                out[j].append(e * acc - li * hj)
+    return residual, e * table.scale * stencil.scale
 
 
-def _eigenfunction_checks(operator, stencil, polys, tables, probe_a, probe_tau) -> list:
+def _interpolate(values, scale: int) -> ScalarPoly:
+    """The polynomial of degree < len(values) through (x, values[x] / scale)
+    at x = 0, 1, ..., from the integers ``values``.  With d = len(values) - 1
+    and the integer forward differences Delta^k y_0, the Newton form
+    d! p(x) = sum_k (d! / k!) Delta^k y_0 x (x - 1) ... (x - k + 1) is
+    expanded by Horner in integers, and each coefficient divided once by
+    d! ``scale``."""
+    d = len(values) - 1
+    heads, diffs = [], list(values)
+    while diffs:
+        heads.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs, weight = [], 1  # weight = d! / k!
+    for k in range(d, -1, -1):
+        coeffs = [0] + coeffs  # times (x - k)
+        for t in range(len(coeffs) - 1):
+            coeffs[t] -= k * coeffs[t + 1]
+        coeffs[0] += weight * heads[k]
+        weight *= k
+    den = math.factorial(d) * scale
+    return ScalarPoly(Fraction(c, den) for c in coeffs)
+
+
+def _eigenfunction_checks(eig, stencil, tables, probe_a, probe_tau) -> list:
     """Q_n . D - Lambda_n Q_n = 0 identically, certified on the integer
-    tables; on failure the polynomial residual is built to record its first
-    nonzero entry."""
-    D, eig = operator
+    tables of Q_0, Q_1, ...; a failure records its first nonzero entry,
+    interpolated from that entry's residual values."""
     checks = []
-    for n, (Q, table) in enumerate(zip(polys, tables)):
-        ok = _eigenfunction_vanishes(stencil, eig.diagonal(n), table)
-        detail = "" if ok else _first_nonzero(D.apply(Q) - eig.matrix(n) @ Q)
+    for n, table in enumerate(tables):
+        residual, scale = _eigenfunction_residual(stencil, eig.diagonal(n), table)
+        failing = next(((i, j, ys) for i, row in enumerate(residual)
+                        for j, ys in enumerate(row) if any(ys)), None)
+        detail = ""
+        if failing is not None:
+            i, j, ys = failing
+            detail = f"entry ({i + 1},{j + 1}) = {_interpolate(ys, scale)!r}"
         checks.append(CheckResult(
             name="eigenfunction", n=n, probe_a=probe_a, probe_tau=probe_tau,
-            passed=ok, detail=detail,
+            passed=failing is None, detail=detail,
         ))
     return checks
 
@@ -249,47 +275,84 @@ def _probe(spec: FamilySpec, a_val) -> FamilySpec:
     return spec.with_a((a_val,) * (spec.m - 1))
 
 
-def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operators, perturb: bool):
-    """The probe sweep every suite reads, as (a, tau, probe spec, operator,
-    stencil, chain, tables): per coupling probe its operator (one per a
-    value in ``operators``, or None) and D's integer stencil; per tau the
-    chain Q_0..Q_(top+1), the last closing the recurrence, perturbed with
-    ``perturb``, and one integer table per polynomial, each built once.
+def _probe_stencil(stencil, a_val):
+    """The stencil of D(a) on the diagonal coupling line, from the stencil
+    s D(1) of the operator at a = 1.  Every pattern entry of F, K and G
+    carries exactly one factor a and the diagonal entries none, so for
+    a = p/q the diagonal pairs (row k = column j) are scaled by q, the
+    pattern pairs by p, and the scale becomes q s; a != 0 keeps every
+    nonzero pair nonzero and the degree bound unchanged."""
+    a = Fraction(a_val)
+    p, q = a.numerator, a.denominator
+    points = tuple(
+        tuple(
+            tuple(tuple((k, v * (q if k == j else p)) for k, v in col) for j, col in enumerate(part))
+            for part in point
+        )
+        for point in stencil.points
+    )
+    return replace(stencil, scale=q * stencil.scale, points=points)
+
+
+def _arguments(spec: FamilySpec, n_max: int, a_probes, tau_probes):
+    """The top degree, n_max clamped to N on a finite support, and the probe
+    grid the sweep walks; a SpecError naming the parameter for a negative
+    n_max, an empty probe list or a zero coupling probe."""
+    if n_max < 0:
+        raise SpecError(f"n_max (--n-max) must be >= 0, got {n_max}")
+    a_probes, tau_probes = (None if v is None else tuple(v) for v in (a_probes, tau_probes))
+    for name, probes in (("a_probes (--probes)", a_probes), ("tau_probes (--tau-probes)", tau_probes)):
+        if probes == ():
+            raise SpecError(f"{name} must hold at least one value")
+    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
+    if any(v == 0 for v in a_vals):
+        shown = ", ".join(map(str, a_vals))
+        raise SpecError(f"coupling probes (--probes) must be nonzero, got {shown}")
+    top = n_max if spec.support_N is None else min(n_max, spec.support_N)
+    return top, a_vals, tau_vals
+
+
+def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operator, perturb: bool):
+    """The probe sweep every suite reads, as (a, tau, probe spec, stencil,
+    chain, tables): per coupling probe D(a)'s integer stencil, formed from
+    the stencil of ``operator`` = D(1) (``_probe_stencil``; None without an
+    operator); per tau the chain Q_0..Q_(top+1), the last closing the
+    recurrence, perturbed with ``perturb``, and one integer table per
+    polynomial, each built once.
 
     The tables reach x = X: the support, the recurrence's top + 1 and the
     eigenfunction's top + extra + 1, for Q(x + 1) at its last point.
     """
-    for a_val, operator in zip(a_vals, operators):
+    extra = 0 if operator is None else operator.extra_degree
+    stop = max(spec.support_N or 0, top + extra + 1)
+    base = None if operator is None else operator.stencil(stop - 1)
+    for a_val in a_vals:
         probe = _probe(spec, a_val)
-        extra = 0 if operator is None else operator[0].extra_degree
-        stop = max(spec.support_N or 0, top + extra + 1)
-        stencil = None if operator is None else operator[0].stencil(stop - 1)
+        stencil = None if base is None else _probe_stencil(base, a_val)
         for tau in tau_vals:
             chain = _perturbed(
                 [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 2)], perturb
             )
             tables = [integer_table(Q, stop) for Q in chain]
-            yield a_val, tau, probe, operator, stencil, chain, tables
+            yield a_val, tau, probe, stencil, chain, tables
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
                          tau_probes=None, force: bool = False,
                          perturb: bool = False) -> VerificationReport:
-    """Check Q_n . D - Lambda_n Q_n = 0 identically over the probe grid.
+    """Check Q_n . D - Lambda_n Q_n = 0 identically over the probe grid, for
+    n up to n_max (clamped to N on a finite support).
 
-    The canonical operator is rebuilt for each probe value of the coupling
-    constant (the operator depends on it), and the polynomials and tables
+    The canonical operator is built once, at a = 1, and each coupling
+    probe's stencil is formed from its stencil; the polynomials and tables
     come from the sweep ``run_verification`` reads.  Failures are recorded
     per (n, probe) with the first nonzero entry; nothing raises.
     """
-    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
-    operators = [canonical_operator(_probe(spec, a_val), force=force) for a_val in a_vals]
+    top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
+    D, eig = canonical_operator(_probe(spec, 1), force=force)
     checks = []
-    for a_val, tau, _, operator, stencil, chain, tables in _sweep(
-            spec, n_max, a_vals, tau_vals, operators, perturb):
-        checks.extend(_eigenfunction_checks(
-            operator, stencil, chain[:-1], tables[:-1], a_val, tau,
-        ))
+    for a_val, tau, _, stencil, _, tables in _sweep(spec, top, a_vals, tau_vals, D, perturb):
+        checks.extend(_eigenfunction_checks(eig, stencil, tables[:-1], a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -302,16 +365,10 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     any suite reads it."""
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
-    if n_max < 0:
-        raise SpecError(f"n_max (--n-max) must be >= 0, got {n_max}")
+    top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
     check_tol(tol, "tol (--tol)")
-    top = n_max if spec.support_N is None else min(n_max, spec.support_N)
-    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
-    if any(v == 0 for v in a_vals):
-        shown = ", ".join(map(str, a_vals))
-        raise SpecError(f"coupling probes (--probes) must be nonzero, got {shown}")
     exact_gram = spec.is_finite and not truncated
     weights = weight_table(spec) if exact_gram else None
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
@@ -325,21 +382,21 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         )
 
     try:
-        operators = [canonical_operator(_probe(spec, a_val)) for a_val in a_vals]
+        D, eig = canonical_operator(_probe(spec, 1))
     except SpecError as err:
-        operators = [None] * len(a_vals)
+        D = None
         notes.append(f"bispectral suite skipped: {err}")
 
-    for a_val, tau, probe, operator, stencil, chain, tables in _sweep(
-            spec, top, a_vals, tau_vals, operators, perturb):
-        checked, checked_tables = chain[:-1], tables[:-1]
+    for a_val, tau, probe, stencil, chain, tables in _sweep(
+            spec, top, a_vals, tau_vals, D, perturb):
+        checked_tables = tables[:-1]
         if exact_gram:
             orthogonality.extend(verify_orthogonality(
-                probe, checked, a_val, tau, tables=checked_tables, weights=weights,
+                probe, chain[:-1], a_val, tau, tables=checked_tables, weights=weights,
             ))
-        if operator is not None:
+        if stencil is not None:
             eigenfunction.extend(_eigenfunction_checks(
-                operator, stencil, checked, checked_tables, a_val, tau,
+                eig, stencil, checked_tables, a_val, tau,
             ))
         recurrence.extend(verify_recurrence(probe, tables, a_val, tau))
 

@@ -2,7 +2,8 @@
 
 These are the checks ``mvop.verification`` certified before it worked on
 integer value tables: each residual is built as a ``Fraction`` matrix
-polynomial and tested for being identically zero, and every Gram matrix is
+polynomial and tested for being identically zero, a failing eigenfunction
+check reporting the residual's first nonzero entry, and every Gram matrix is
 the pointwise sum of P(x) W(x) Q(x)^T.  ``match_recurrence`` is the
 coefficient matcher of the three-term recurrence as it read the polynomials'
 ``Fraction`` coefficients and inverted each whole leading coefficient.
@@ -25,7 +26,6 @@ from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.verification import (
     CheckResult,
     VerificationReport,
-    _first_nonzero,
     _perturbed,
     _probe,
     probe_grid,
@@ -149,15 +149,30 @@ def _fractions(a):
     return tuple(tuple(Fraction(v, d) for v in row) for row in m)
 
 
+def first_nonzero(P: MatrixPoly) -> str:
+    """The report of the first nonzero entry of the residual ``P``, in
+    row-major order."""
+    for i, row in enumerate(P.entries):
+        for j, e in enumerate(row):
+            if not e.is_zero:
+                return f"entry ({i + 1},{j + 1}) = {e!r}"
+    return ""
+
+
+def eigenfunction_detail(D, eig, n, Q) -> str:
+    """The failure detail of the eigenfunction check of Q as Q_n, from the
+    polynomial residual Q . D - Lambda_n Q; empty when it vanishes."""
+    return first_nonzero(D.apply(Q) - eig.matrix(n) @ Q)
+
+
 def eigenfunction_checks(operator, polys, a_val, tau):
     D, eig = operator
     checks = []
     for n, Q in enumerate(polys):
-        residual = D.apply(Q) - eig.matrix(n) @ Q
+        detail = eigenfunction_detail(D, eig, n, Q)
         checks.append(CheckResult(
             name="eigenfunction", n=n, probe_a=a_val, probe_tau=tau,
-            passed=residual.is_zero,
-            detail="" if residual.is_zero else _first_nonzero(residual),
+            passed=not detail, detail=detail,
         ))
     return checks
 
@@ -221,13 +236,15 @@ def oracle_verification(spec, n_max=None, a_probes=None, tau_probes=None,
 
 def oracle_eigenfunction(spec, n_max, a_probes=None, tau_probes=None, force=False,
                          perturb=False):
-    """``verify_eigenfunction`` by polynomial residuals."""
+    """``verify_eigenfunction`` by polynomial residuals, n_max clamped to N
+    on a finite support."""
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
+    top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     checks = []
     for a_val in a_vals:
         probe = _probe(spec, a_val)
         operator = canonical_operator(probe, force=force)
         for tau in tau_vals:
-            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(n_max + 1)]
+            polys = [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 1)]
             checks.extend(eigenfunction_checks(operator, _perturbed(polys, perturb), a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)

@@ -1,6 +1,7 @@
 """The evaluation certificate of the exact suites: integer value tables, the
-degree bounds that fix how many points are checked, and agreement with the
-polynomial-residual oracle in verdicts and report bytes."""
+degree bounds that fix how many points are checked, the per-probe operator
+stencils, and agreement with the polynomial-residual oracle in verdicts and
+report bytes."""
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +13,19 @@ from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
     DifferenceOperator,
     EigenvalueMap,
+    canonical_operator,
     closed_recurrence,
     recurrence_closes,
 )
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps
 
-from residual_oracle import oracle_eigenfunction, oracle_verification, recurrence_residual
+from residual_oracle import (
+    eigenfunction_detail,
+    oracle_eigenfunction,
+    oracle_verification,
+    recurrence_residual,
+)
 
 RATIONALS = (F(1), F(2), F(-1), F(1, 2), F(-3, 2), F(5, 3), F(-2, 7))
 KRAW_P = (F(1, 3), F(2, 5), F(1, 4), F(3, 4))
@@ -124,10 +131,83 @@ def test_eigenfunction_bump_at_last_point_fails(d):
     assert D.extra_degree == d
     stop = Q.degree + D.extra_degree + 1
     checks = verification._eigenfunction_checks(
-        (D, eig), D.stencil(stop - 1), [Q], [integer_table(Q, stop)], None, None
+        eig, D.stencil(stop - 1), [integer_table(Q, stop)], None, None
     )
     assert not checks[0].passed
     assert checks[0].detail == f"entry (1,1) = {bump!r}"
+
+
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def residual_cases(draw):
+    """An arbitrary Q of degree <= 4, arbitrary diagonal F, K and G, and
+    arbitrary eigenvalues, for m = 2..6."""
+    m = draw(st.integers(2, 6))
+    degree = draw(st.integers(0, 4))
+
+    def poly(most):
+        return ScalarPoly(draw(st.lists(FRACTIONS, max_size=most + 1)))
+
+    def diagonal(most):
+        return MatrixPoly.diagonal(tuple(poly(most) for _ in range(m)))
+
+    Q = MatrixPoly(tuple(tuple(poly(degree) for _ in range(m)) for _ in range(m)))
+    D = DifferenceOperator(F=diagonal(2), K=diagonal(1), G=diagonal(2))
+    eigenvalues = tuple(draw(FRACTIONS) for _ in range(m))
+    return Q, D, EigenvalueMap(tuple(lambda n, v=v: v for v in eigenvalues))
+
+
+@settings(max_examples=60, deadline=None)
+@given(residual_cases())
+def test_detail_equals_polynomial_residual(case):
+    # the detail is interpolated from the residual's values at x = 0..d
+    Q, D, eig = case
+    stop = Q.degree + D.extra_degree + 1
+    (check,) = verification._eigenfunction_checks(
+        eig, D.stencil(stop - 1), [integer_table(Q, stop)], None, None
+    )
+    expected = eigenfunction_detail(D, eig, 0, Q)
+    assert (check.passed, check.detail) == (not expected, expected)
+
+
+@st.composite
+def operator_probes(draw):
+    """A spec of m = 2..6 channels of one of the four kinds (Hahn with the
+    gate met, or broken and forced), and a nonzero coupling probe."""
+    m = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("krawtchouk", "hahn", "forced hahn", "charlier/meixner")))
+    N = draw(st.integers(1, 3))
+    if kind == "krawtchouk":
+        channels = [Krawtchouk(p=draw(st.sampled_from(KRAW_P)), N=N) for _ in range(m)]
+    elif kind == "charlier/meixner":
+        channels = [draw(st.sampled_from((Charlier(F(1)), Charlier(F(3, 2)))))
+                    if draw(st.booleans()) else Meixner(*draw(st.sampled_from(MEIXNER)))
+                    for _ in range(m)]
+    else:
+        even = HAHN_EVEN + HAHN_ODD if kind == "forced hahn" else HAHN_EVEN[:-1]
+        channels = [Hahn(*draw(st.sampled_from(HAHN_ODD if i % 2 == 0 else even)), N=N)
+                    for i in range(m)]
+    spec = FamilySpec(a=(F(1),) * (m - 1), channels=tuple(channels))
+    return spec, draw(st.sampled_from(RATIONALS)), kind == "forced hahn"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=operator_probes(), stop=st.integers(0, 6))
+def test_probe_stencil_equals_probe_operator(case, stop):
+    # q s D(a) = q S_0 + p S_1 for a = p/q, from D(1)'s stencil s D(1)
+    spec, a, force = case
+    base, _ = canonical_operator(verification._probe(spec, 1), force=force)
+    got = verification._probe_stencil(base.stencil(stop), a)
+    want = canonical_operator(verification._probe(spec, a), force=force)[0].stencil(stop)
+    factor, rest = divmod(got.scale, want.scale)
+    assert rest == 0
+    assert got.extra_degree == want.extra_degree
+    assert got.points == tuple(
+        tuple(tuple(tuple((k, v * factor) for k, v in col) for col in part) for part in point)
+        for point in want.points
+    )
 
 
 def test_recurrence_bump_at_last_point_fails():
@@ -175,10 +255,12 @@ PASSING = {
 }
 
 
+@pytest.mark.parametrize("perturb", [False, True])
 @pytest.mark.parametrize("name", sorted(PASSING))
-def test_checks_build_no_polynomial_products(monkeypatch, name):
+def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
     """Outside the construction of Q_n and of D, run_verification neither
-    applies D to a polynomial nor multiplies matrix polynomials."""
+    applies D to a polynomial nor multiplies matrix polynomials, and a
+    failing eigenfunction check reads its detail off the tables too."""
     building = [0]
     calls = []
 
@@ -205,7 +287,9 @@ def test_checks_build_no_polynomial_products(monkeypatch, name):
     monkeypatch.setattr(DifferenceOperator, "apply",
                         outside_construction("apply", DifferenceOperator.apply))
     spec, n_max = PASSING[name]
-    assert verification.run_verification(spec, n_max=n_max, x_max=80).all_passed
+    report = verification.run_verification(spec, n_max=n_max, x_max=80, perturb=perturb)
+    assert report.all_passed is not perturb
+    assert any(c.name == "eigenfunction" for c in report.failures) is perturb
     assert calls == []
 
 

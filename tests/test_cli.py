@@ -438,6 +438,23 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["pass"] is True
 
+    def test_truncated_finite_support_sums_whole_support(self, tmp_path):
+        # --x-max used to cut the float sums of a finite support at x = 2 < N,
+        # a false failure with "relative bound = 3.549e-01"
+        spec = {"m": 2, "a": ["2"], "channels": [
+            {"kind": "krawtchouk", "p": "1/3", "N": 3},
+            {"kind": "krawtchouk", "p": "2/5", "N": 3},
+        ]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        short, full = (
+            run_cli("verify", "--spec", str(path), "--truncated", "--x-max", x_max)
+            for x_max in ("2", "400")
+        )
+        assert (short.returncode, short.stderr) == (0, "")
+        assert short.stdout == full.stdout
+        assert json.loads(short.stdout)["pass"] is True
+
     def test_probe_override(self, spec_files, tmp_path):
         out = tmp_path / "probes.json"
         res = run_cli(

@@ -350,6 +350,16 @@ class TestTruncatedInnerProducts:
         with pytest.raises(SpecError, match="tol"):
             converged(dataclasses.replace(gram, tol=tol), spec)
 
+    def test_finite_support_is_never_truncated(self):
+        # x_max = 1 < N = 3 used to drop the support points 2 and 3
+        spec = FamilySpec(a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3),
+                                               Krawtchouk(p=F(2, 5), N=3)))
+        Q0, Q1 = (orthogonal_polynomial(spec, n) for n in (0, 1))
+        short, full = (inner_product(Q1, Q0, spec, mode="truncated", x_max=x) for x in (1, 400))
+        assert short.entries == full.entries
+        assert relative_gram_bound(Q1, Q0, spec, x_max=1) == relative_gram_bound(Q1, Q0, spec)
+        assert relative_gram_bound(Q1, Q0, spec, x_max=1) < 1e-9
+
     def test_exact_mode_needs_finite_support(self):
         spec = FamilySpec(a=(1,), channels=(Charlier(b=F(1)), Charlier(b=F(1))))
         Q1 = orthogonal_polynomial(spec, 1)

@@ -1,10 +1,18 @@
-"""The verification sweep: one construction per probe and degree."""
+"""The verification sweep: one construction per probe and degree, one
+operator per run, and the arguments both entry points share."""
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
 from mvop import operators, verification
 from mvop.construction import FamilySpec
-from mvop.families import Krawtchouk
+from mvop.errors import SpecError
+from mvop.families import Charlier, Krawtchouk, Meixner
+
+KRAW = FamilySpec(a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3)))
+# a mass quotient is transcendental here, so the tau probes are swept
+CHARLIER_MEIXNER = FamilySpec(a=(F(2),), channels=(Charlier(F(1)), Meixner(F(1, 2), F(1, 2))))
 
 
 def test_each_polynomial_built_once(monkeypatch):
@@ -53,3 +61,45 @@ def test_perturb_reaches_the_recurrence_suite():
     report = verification.run_verification(spec, a_probes=(F(1),), perturb=True)
     failed = {c.n for c in report.failures if c.name == "recurrence"}
     assert failed == {2, 3, 4}
+
+
+def test_one_operator_per_run(monkeypatch):
+    built = []
+    real = verification.canonical_operator
+
+    def counting(spec, force=False):
+        built.append(spec.a)
+        return real(spec, force=force)
+
+    monkeypatch.setattr(verification, "canonical_operator", counting)
+    assert verification.run_verification(KRAW).all_passed
+    assert verification.verify_eigenfunction(KRAW, 3).all_passed
+    # D(1), whose stencil gives every coupling probe's
+    assert built == [(F(1),), (F(1),)]
+
+
+# with an empty probe list or a negative n_max, both entry points used to
+# return a passing report with no checks
+@pytest.mark.parametrize("spec, kwargs, name", [
+    (KRAW, dict(a_probes=[]), "a_probes"),
+    (CHARLIER_MEIXNER, dict(tau_probes=[]), "tau_probes"),
+    (KRAW, dict(n_max=-1), "n_max"),
+])
+@pytest.mark.parametrize("entry", ["run_verification", "verify_eigenfunction"])
+def test_empty_grid_is_rejected(entry, spec, kwargs, name):
+    kwargs = {"n_max": 2, **kwargs}
+    with pytest.raises(SpecError, match=name):
+        getattr(verification, entry)(spec, **kwargs)
+
+
+def test_eigenfunction_rejects_zero_probe():
+    with pytest.raises(SpecError, match="--probes"):
+        verification.verify_eigenfunction(KRAW, 2, a_probes=[F(1), F(0)])
+
+
+def test_eigenfunction_clamps_n_max_to_support():
+    # like run_verification; Q_6 does not exist on N = 3
+    report = verification.verify_eigenfunction(KRAW, 5)
+    assert report == verification.verify_eigenfunction(KRAW, 3)
+    assert report.all_passed
+    assert {c.n for c in report.checks} == {0, 1, 2, 3}
