@@ -149,20 +149,16 @@ def _fractions(a):
     return tuple(tuple(Fraction(v, d) for v in row) for row in m)
 
 
-def first_nonzero(P: MatrixPoly) -> str:
-    """The report of the first nonzero entry of the residual ``P``, in
-    row-major order."""
-    for i, row in enumerate(P.entries):
+def eigenfunction_detail(D, eig, n, Q) -> str:
+    """The failure detail of the eigenfunction check of Q as Q_n: the first
+    nonzero entry, in row-major order, of the polynomial residual
+    Q . D - Lambda_n Q; empty when it vanishes."""
+    residual = D.apply(Q) - eig.matrix(n) @ Q
+    for i, row in enumerate(residual.entries):
         for j, e in enumerate(row):
             if not e.is_zero:
                 return f"entry ({i + 1},{j + 1}) = {e!r}"
     return ""
-
-
-def eigenfunction_detail(D, eig, n, Q) -> str:
-    """The failure detail of the eigenfunction check of Q as Q_n, from the
-    polynomial residual Q . D - Lambda_n Q; empty when it vanishes."""
-    return first_nonzero(D.apply(Q) - eig.matrix(n) @ Q)
 
 
 def eigenfunction_checks(operator, polys, a_val, tau):
