@@ -255,8 +255,10 @@ PASSING = {
 }
 
 
-@pytest.mark.parametrize("perturb", [False, True])
-@pytest.mark.parametrize("name", sorted(PASSING))
+@pytest.mark.parametrize("name, perturb", [
+    *(pytest.param(name, False, id=name) for name in sorted(PASSING)),
+    *(pytest.param(name, True, id=f"{name} perturbed") for name in sorted(PASSING)),
+])
 def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
     """Outside the construction of Q_n and of D, run_verification neither
     applies D to a polynomial nor multiplies matrix polynomials, and a
