@@ -1,7 +1,8 @@
 """Command-line surface: construct families, verify, run limit studies, export.
 
 Exit codes: 0 success / all checks passed; 1 a verification check failed or a
-ladder was non-monotone; 2 invalid spec or arguments; 3 I/O failure.
+ladder was non-monotone (each step's error below the previous one's, or both
+exactly 0.0); 2 invalid spec or arguments; 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from types import SimpleNamespace
 from .construction import (
     FamilySpec,
     family_spec_from_json,
-    needs_mass_probe,
     orthogonal_polynomial,
+    spec_tau,
     weight_matrix,
 )
 from .errors import ProbeError, SpecError, TruncationError
@@ -21,10 +22,9 @@ from .limits import run_transition, transition_spec_from_json
 from .operators import (
     canonical_operator,
     closed_recurrence,
-    exact_tau,
     extract_recurrence,
 )
-from .rational import format_rational, rational
+from .rational import format_rational
 from .serialize import (
     convergence_to_csv,
     convergence_to_json,
@@ -67,36 +67,16 @@ class _IOFailure(RuntimeError):
     pass
 
 
-def _option_rational(text: str, option: str):
-    """A rational command-line value, or a SpecError naming ``option``."""
-    try:
-        return rational(text)
-    except ValueError as err:
-        raise SpecError(f"{option}: {err}") from None
-
-
-def _parse_probe_list(text: str | None, option: str):
-    """Comma-separated rationals, at least one, each value once; None when
-    the option is not given."""
+def _split(text: str | None):
+    """The values of a comma-separated option, None when it is not given;
+    ``run_verification`` reads them."""
     if text is None:
         return None
-    if not text:
-        raise SpecError(f"{option} must list at least one value")
-    values = tuple(_option_rational(v, option) for v in text.split(","))
-    if len(set(values)) < len(values):
-        raise SpecError(f"{option}: each probe value must appear once, got {text}")
-    return values
+    return tuple(text.split(",")) if text else ()
 
 
 def _load_family(path: str) -> FamilySpec:
     return family_spec_from_json(_read_json(path))
-
-
-def _tau_for(spec: FamilySpec, args) -> object:
-    """--tau, parsed on every spec, for a spec with a transcendental mass
-    quotient; None otherwise."""
-    tau = args.tau if args.tau == "numeric" else _option_rational(args.tau, "--tau")
-    return tau if needs_mass_probe(spec) else None
 
 
 def _matrix_json(mat):
@@ -120,7 +100,7 @@ def _triple_json(t):
 
 def cmd_family(args) -> int:
     spec = _load_family(args.spec)
-    tau = _tau_for(spec, args)
+    tau = spec_tau(spec, args.tau, "--tau")
     if args.n < 0:
         raise SpecError(f"--n must be >= 0, got {args.n}")
     top = spec.support_N
@@ -157,7 +137,7 @@ def cmd_family(args) -> int:
         artifact["Lambda"] = None
         artifact["note"] = operator_note
     if args.recurrence:
-        tau = exact_tau(spec, tau)
+        tau = spec_tau(spec, tau, "--tau", exact=True)
         chain = polys + [orthogonal_polynomial(spec, n_hi + 1, tau=tau)]
         artifact["recurrence"] = [
             _triple_json(t) for t in closed_recurrence(spec, chain, tau=tau).values()
@@ -171,8 +151,8 @@ def cmd_verify(args) -> int:
     report = run_verification(
         spec,
         n_max=args.n_max,
-        a_probes=_parse_probe_list(args.probes, "--probes"),
-        tau_probes=_parse_probe_list(args.tau_probes, "--tau-probes"),
+        a_probes=_split(args.probes),
+        tau_probes=_split(args.tau_probes),
         x_max=args.x_max,
         tol=args.tol,
         perturb=args.perturb,
@@ -219,7 +199,7 @@ def cmd_export(args) -> int:
     if args.format == "latex" and what not in ("Q", "D"):
         raise SpecError(f"--format latex exists for --what Q and D only, got --what {what}")
     spec = _load_family(args.spec)
-    tau = _tau_for(spec, args)
+    tau = spec_tau(spec, args.tau, "--tau", exact=what == "recurrence")
     if what == "Q":
         _check_export_degree(spec, args.n)
         P = orthogonal_polynomial(spec, args.n, tau=tau)

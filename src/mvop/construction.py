@@ -76,7 +76,7 @@ from .families import (
 )
 from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
-from .rational import format_rational, json_int, json_list, rational, spec_field
+from .rational import format_rational, json_int, json_list, named_rational, spec_field
 
 # Default probe grids for evaluation-based identity certification.  The
 # identities in scope have degree <= 3 in the coupling parameter and are at
@@ -101,10 +101,8 @@ class FamilySpec:
 
     def __post_init__(self):
         channels = tuple(self.channels)
-        try:
-            a = tuple(v if isinstance(v, QuadExt) else rational(v) for v in self.a)
-        except (TypeError, ValueError) as err:
-            raise SpecError(f"coupling constants a: {err}") from None
+        a = tuple(v if isinstance(v, QuadExt) else named_rational(v, "coupling constants a")
+                  for v in self.a)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "a", a)
         m = len(channels)
@@ -136,9 +134,6 @@ class FamilySpec:
         return self.support_N is not None
 
     def with_a(self, new_a) -> "FamilySpec":
-        new_a = tuple(new_a)
-        if len(new_a) == 1 and self.m > 2:
-            new_a = new_a * (self.m - 1)
         return FamilySpec(a=new_a, channels=self.channels)
 
     def to_json(self):
@@ -225,20 +220,46 @@ def _weight_entries(w, x: int, q: int, couplings):
 # norm ratios and the tau probe mechanism
 
 
-def mass_quotient(spec: FamilySpec, i: int, k: int):
-    """Mass of channel i over mass of channel k (0-based), as a Mass."""
-    return spec.channels[i].total_mass().mass / spec.channels[k].total_mass().mass
-
-
 def needs_mass_probe(spec: FamilySpec) -> bool:
     """Whether any norm-ratio entry carries a non-rational mass quotient."""
-    A_positions = staggered_positions(spec.m)
-    return any(
-        not mass_quotient(spec, j, i).is_rational for (i, j) in A_positions
-    )
+    return _transcendental(spec.channels)
+
+
+@lru_cache(maxsize=None)
+def _transcendental(channels) -> bool:
+    """``needs_mass_probe`` once per tuple of channels, as ``ladder`` is once
+    per channel: ``spec_tau`` reads it for every polynomial built."""
+    masses = [ch.total_mass().mass for ch in channels]
+    return any(not (masses[j] / masses[i]).is_rational
+               for i, j in staggered_positions(len(channels)))
+
+
+def spec_tau(spec: FamilySpec, tau, name: str = "tau", exact: bool = False):
+    """The tau the polynomials of ``spec`` read, decided here only: None when
+    every cross-channel mass quotient is rational, else ``tau``, an exact
+    rational probe or "numeric" for the float quotients.  ``tau`` is read on
+    every spec, through ``rational`` unless it is "numeric", so any other
+    value is a SpecError naming ``name``; "numeric" is a ProbeError where the
+    caller needs an exact value (``exact``) and the spec reads a tau.  None
+    stays None: a transcendental quotient read without a tau is a
+    ProbeError where it is read."""
+    if tau is None:
+        return None
+    if tau != "numeric":
+        tau = named_rational(tau, name)
+    if not needs_mass_probe(spec):
+        return None
+    if exact and tau == "numeric":
+        raise ProbeError(
+            "the three-term recurrence is extracted exactly and cannot use the "
+            f"float mass quotient; pass {name} a rational probe value such as 2, "
+            "not 'numeric'"
+        )
+    return tau
 
 
 def _resolve_quotient(quotient: Mass, tau):
+    """The quotient at ``tau`` as ``spec_tau`` returns it."""
     if quotient.is_rational:
         return quotient.rational_value()
     if tau is None:
@@ -246,9 +267,7 @@ def _resolve_quotient(quotient: Mass, tau):
             "a cross-channel mass quotient is transcendental; supply tau as a "
             "rational probe value or 'numeric' for the float value"
         )
-    if tau == "numeric":
-        return quotient.float_value()
-    return rational(tau) if not isinstance(tau, float) else tau
+    return quotient.float_value() if tau == "numeric" else tau
 
 
 def norm_ratio(spec: FamilySpec, ch_num: int, n_num: int, ch_den: int, n_den: int, tau=None):
@@ -258,7 +277,7 @@ def norm_ratio(spec: FamilySpec, ch_num: int, n_num: int, ch_den: int, n_den: in
     check_degree(num, n_num)
     check_degree(den, n_den)
     coefficient, quotient = _norm_quotient(ladder(num), n_num, ladder(den), n_den)
-    return coefficient * _resolve_quotient(quotient, tau)
+    return coefficient * _resolve_quotient(quotient, spec_tau(spec, tau))
 
 
 @lru_cache(maxsize=None)
@@ -346,11 +365,15 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     0..N + 1 form every chain the three-term recurrence reads.  Degree is
     exactly n; the leading coefficient has the block form [[I, N], [0, T]]
     (``operators.lead_inverse``), and a rational tau probe can make T
-    singular."""
+    singular.  ``tau`` is read by ``spec_tau``: an exact rational (an int, a
+    Fraction or a "p/q" string) or "numeric" for the float mass quotients,
+    needed only when a cross-channel mass quotient is transcendental; a float
+    tau is a SpecError naming tau."""
     top = spec.support_N
     if n < 0 or (top is not None and n > top + 1):
         limit = "" if top is None else f" <= {top + 1}"
         raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
+    tau = spec_tau(spec, tau)
     if top is not None and n == top + 1:
         return closure_polynomial(spec)
     return _closed_form(spec, n, tau)

@@ -339,8 +339,11 @@ class ConvergenceReport:
 
     @property
     def monotone(self) -> bool:
+        """Whether each step's error is below the previous one's, or both are
+        exactly 0.0: a route that lands on its target at every step (as at
+        degree 0) has nothing left to decrease."""
         errs = [s.max_abs_error for s in self.steps]
-        return all(b < a for a, b in zip(errs, errs[1:]))
+        return all(b < a or a == b == 0.0 for a, b in zip(errs, errs[1:]))
 
     @property
     def final_rel_error(self) -> float:

@@ -38,8 +38,8 @@ from . import linalg
 from .construction import (
     FamilySpec,
     integer_table,
-    needs_mass_probe,
     orthogonal_polynomial,
+    spec_tau,
     staggered_positions,
 )
 from .errors import ProbeError, SpecError
@@ -238,20 +238,6 @@ def canonical_operator(spec: FamilySpec, force: bool = False):
 # three-term recurrence extraction
 
 
-def exact_tau(spec: FamilySpec, tau):
-    """The tau under which a recurrence closes exactly: None when every mass
-    quotient is rational; a ProbeError for the float quotient."""
-    if not needs_mass_probe(spec):
-        return None
-    if tau == "numeric":
-        raise ProbeError(
-            "the three-term recurrence is extracted exactly and cannot use the "
-            "float mass quotient; pass --tau a rational probe value such as 2, "
-            "not 'numeric'"
-        )
-    return tau
-
-
 def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
     sequence; see ``closed_recurrence``.
@@ -259,14 +245,14 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     On a finite support, n = N closes through the degree-(N+1) companion
     ``orthogonal_polynomial(spec, N + 1)``, built from the vanishing-norm
     extension.  Exact closure needs exact coefficients, so a transcendental
-    mass quotient needs a rational tau.
+    mass quotient needs a rational tau (``spec_tau``).
     """
     if n < 0:
         raise SpecError(f"recurrence index must be >= 0, got {n}")
     top = spec.support_N
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
-    tau = exact_tau(spec, tau)
+    tau = spec_tau(spec, tau, exact=True)
     chain = {k: orthogonal_polynomial(spec, k, tau=tau) for k in range(max(n - 1, 0), n + 2)}
     return closed_recurrence(spec, chain, (n,), tau)[n]
 

@@ -10,8 +10,9 @@ Only the operations the construction repeats get kernels of their own: the
 scalar product (``_convolve``), the sum and difference, and ``times_x``,
 which build every entry of Q_n and of the channel ladders.  Everything else
 is written in terms of them: a matrix product is a plain sum of scalar
-products per entry, and a shift is a Horner composition, since only failure
-details and the Hermite limit ladders reach them.
+products per entry, and a shift is a Horner composition, since only
+``operators.DifferenceOperator.apply`` (a test oracle) and the Hermite and
+Laguerre limit sources reach them.
 
 The kernels keep three invariants:
 

@@ -31,6 +31,15 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def named_rational(value, name: str) -> Fraction:
+    """``rational(value)``, or a SpecError naming ``name``, the parameter or
+    option the value was given for."""
+    try:
+        return rational(value)
+    except (TypeError, ValueError) as err:
+        raise SpecError(f"{name}: {err}") from None
+
+
 def json_typed(value, kind: type):
     """``value`` if JSON gave it as a ``kind`` (a bool is no int), else a
     TypeError."""

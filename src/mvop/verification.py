@@ -2,13 +2,14 @@
 with their check results and reports.
 
 One private sweep (``_sweep``) walks the probe grid (coupling values x
-mass-quotient values) once, for ``run_verification`` and
-``verify_eigenfunction`` alike.  The canonical operator is built once per
-run, at the coupling probe a = 1, with one integer stencil: on the diagonal
-coupling line every pattern entry of F, K and G carries exactly one factor a
-and the diagonal entries none, so D(a) = D(0) + a (D(1) - D(0)), and the
-stencil of a probe a = p/q is q S_0 + p S_1 over q times D(1)'s scale, S_0
-the diagonal and S_1 the pattern of D(1)'s stencil (``_probe_stencil``).
+mass-quotient values) that ``_arguments`` decides, once, for
+``run_verification`` and ``verify_eigenfunction`` alike.  The canonical
+operator is built once per run, at the coupling probe a = 1, with one
+integer stencil: on the diagonal coupling line every pattern entry of F, K
+and G carries exactly one factor a and the diagonal entries none, so
+D(a) = D(0) + a (D(1) - D(0)), and the stencil of a probe a = p/q is
+q S_0 + p S_1 over q times D(1)'s scale, S_0 the diagonal and S_1 the
+pattern of D(1)'s stencil (``_probe_stencil``).
 Each (a, tau) probe builds Q_0..Q_top and the closing Q_(top+1) a single
 time, and one integer value table per polynomial
 (``construction.integer_table``): the coefficients over their least common
@@ -58,8 +59,8 @@ from .construction import (
     gram_ratio,
     gram_sum,
     integer_table,
-    needs_mass_probe,
     orthogonal_polynomial,
+    spec_tau,
     value_table,
     weight_table,
 )
@@ -71,6 +72,7 @@ from .operators import (
     recurrence_closes,
 )
 from .poly import MatrixPoly, ScalarPoly
+from .rational import named_rational
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,6 @@ class VerificationReport:
             "notes": list(self.notes),
             "checks": [c.to_json() for c in self.checks],
         }
-
-
-def probe_grid(spec: FamilySpec, a_probes=None, tau_probes=None):
-    """The (a, tau) pairs identity checks sweep.  tau collapses to (None,)
-    when every mass quotient in the family is rational."""
-    a_probes = A_PROBES if a_probes is None else tuple(a_probes)
-    if needs_mass_probe(spec):
-        taus = TAU_PROBES if tau_probes is None else tuple(tau_probes)
-    else:
-        taus = (None,)
-    return a_probes, taus
 
 
 def _perturbed(polys, perturb: bool):
@@ -294,20 +285,33 @@ def _probe_stencil(stencil, a_val):
     return replace(stencil, scale=q * stencil.scale, points=points)
 
 
+def _probe_list(values, default, name: str):
+    """``values``, or ``default`` when None, each read through ``rational``:
+    at least one value, each once, or a SpecError naming ``name``."""
+    values = default if values is None else tuple(named_rational(v, name) for v in values)
+    if not values:
+        raise SpecError(f"{name} must hold at least one value")
+    if len(set(values)) < len(values):
+        shown = ", ".join(map(str, values))
+        raise SpecError(f"{name}: each probe value must appear once, got {shown}")
+    return values
+
+
 def _arguments(spec: FamilySpec, n_max: int, a_probes, tau_probes):
     """The top degree, n_max clamped to N on a finite support, and the probe
-    grid the sweep walks; a SpecError naming the parameter for a negative
-    n_max, an empty probe list or a zero coupling probe."""
+    lists the sweep walks, decided here only (``_probe_list``): the coupling
+    probes are nonzero, and the tau probes are (None,) when the spec reads no
+    tau (``spec_tau``).  A negative n_max or a list that breaks a rule is a
+    SpecError naming the parameter."""
     if n_max < 0:
         raise SpecError(f"n_max (--n-max) must be >= 0, got {n_max}")
-    a_probes, tau_probes = (None if v is None else tuple(v) for v in (a_probes, tau_probes))
-    for name, probes in (("a_probes (--probes)", a_probes), ("tau_probes (--tau-probes)", tau_probes)):
-        if probes == ():
-            raise SpecError(f"{name} must hold at least one value")
-    a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
-    if any(v == 0 for v in a_vals):
+    a_vals = _probe_list(a_probes, A_PROBES, "a_probes (--probes)")
+    if 0 in a_vals:
         shown = ", ".join(map(str, a_vals))
         raise SpecError(f"coupling probes (--probes) must be nonzero, got {shown}")
+    tau_vals = _probe_list(tau_probes, TAU_PROBES, "tau_probes (--tau-probes)")
+    if spec_tau(spec, tau_vals[0]) is None:
+        tau_vals = (None,)
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     return top, a_vals, tau_vals
 
@@ -362,7 +366,15 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     """The full suite: orthogonality, bispectrality (when the family carries
     a canonical operator), and recurrence residuals, reported in that order.
     ``perturb`` bumps the whole chain, the closing Q_(top+1) included, before
-    any suite reads it."""
+    any suite reads it.
+
+    ``a_probes`` and ``tau_probes`` (by default ``A_PROBES`` and
+    ``TAU_PROBES``) are read through ``rational``: ints, Fractions and "p/q"
+    strings, no float and no "numeric".  Each list holds at least one value,
+    each value once, and the coupling probes are nonzero; a list that breaks
+    a rule is a SpecError naming it.  A spec whose mass quotients are all
+    rational reads no tau (``spec_tau``), so its tau probes become (None,).
+    The float path reads the spec's own couplings and "numeric"."""
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
@@ -374,7 +386,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
     if not exact_gram:
         # the float path: the spec's own couplings and float mass quotients
-        tau = "numeric" if needs_mass_probe(spec) else None
+        tau = spec_tau(spec, "numeric")
         polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)]
         orthogonality = verify_orthogonality(
             spec, _perturbed(polys, perturb), spec.a if len(spec.a) > 1 else spec.a[0],

@@ -16,6 +16,8 @@ from operator import mul
 
 from mvop import linalg
 from mvop.construction import (
+    A_PROBES,
+    TAU_PROBES,
     needs_mass_probe,
     orthogonal_polynomial,
     weight_matrix,
@@ -28,9 +30,18 @@ from mvop.verification import (
     VerificationReport,
     _perturbed,
     _probe,
-    probe_grid,
     verify_orthogonality,
 )
+
+
+def probe_grid(spec, a_probes=None, tau_probes=None):
+    """The coupling and tau probe lists as given, or the default grids when
+    None; the tau probes are (None,) when every mass quotient of the spec is
+    rational.  Repeats and empty lists pass: the program rejects them."""
+    a_vals = A_PROBES if a_probes is None else tuple(a_probes)
+    if not needs_mass_probe(spec):
+        return a_vals, (None,)
+    return a_vals, TAU_PROBES if tau_probes is None else tuple(tau_probes)
 
 
 def mat_add(a, b):

@@ -295,6 +295,7 @@ def test_bad_input_exits_2_and_names_the_field(tmp_path, case):
     assert res.returncode == 2
     assert res.stderr.startswith("invalid input: ")
     assert named in res.stderr
+    assert "Fraction(" not in res.stderr  # values print with str
     assert res.stdout == ""
 
 
@@ -519,6 +520,39 @@ class TestLimits:
         res = run_cli("limits", "--spec", str(p), "--format", "csv")
         assert res.returncode == 0
         assert "mu_n" in res.stdout.splitlines()[0]
+
+    def test_non_monotone_report_exits_1(self, spec_files, capsys, monkeypatch):
+        real = cli.run_transition
+
+        def rising(t):
+            report = real(t)
+            steps = report.steps[::-1]  # the errors now rise
+            return type(report)(report.name, report.n, report.a, steps, report.target)
+
+        monkeypatch.setattr(cli, "run_transition", rising)
+        code = cli.main(["limits", "--spec", spec_files["kc"]])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["monotone"] is False
+        assert err == "ladder errors are not strictly decreasing for krawtchouk->charlier\n"
+
+    # at degree 0 each step lands on the target: every error is exactly 0.0
+    @pytest.mark.parametrize("name, params", [
+        ("krawtchouk->charlier", {"b": "2"}),
+        ("meixner->charlier", {"b": "2"}),
+        ("charlier->hermite", {}),
+        ("krawtchouk->hermite", {"p": "1/3"}),
+    ])
+    def test_degree_zero_ladder_exits_0(self, tmp_path, name, params):
+        p = tmp_path / "t.json"
+        ladder = ["1000", "100000"] if name == "charlier->hermite" else ["100", "1000"]
+        p.write_text(json.dumps(
+            {"name": name, "n": 0, "a": "2", "ladder": ladder, "params": params}))
+        res = run_cli("limits", "--spec", str(p))
+        assert (res.returncode, res.stderr) == (0, "")
+        report = json.loads(res.stdout)
+        assert report["monotone"] is True
+        assert [s["max_abs_error"] for s in report["steps"]] == [0.0, 0.0]
 
 
 class TestExport:

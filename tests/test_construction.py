@@ -17,11 +17,13 @@ from mvop.construction import (
     norm_ratio,
     orthogonal_polynomial,
     relative_gram_bound,
+    spec_tau,
     staggered_positions,
     weight_matrix,
 )
 from mvop.errors import ProbeError, SpecError, TruncationError
 from mvop.families import Charlier, Hahn, Krawtchouk, monic_polynomial, squared_norm
+from mvop.operators import extract_recurrence
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.quadext import QuadExt
 
@@ -387,3 +389,32 @@ class TestNormRatio:
         for degrees in ((1, 5, 0, 4), (1, 2, 0, -1)):
             with pytest.raises(SpecError, match="degree"):
                 norm_ratio(spec, *degrees)
+
+
+# Charlier(1)/Charlier(2) reads a tau; a float one used to end in an
+# AttributeError or to give float coefficients silently
+CHARLIER_PAIR = FamilySpec(a=(1,), channels=(Charlier(b=F(1)), Charlier(b=F(2))))
+
+
+@pytest.mark.parametrize("call", [
+    lambda tau: orthogonal_polynomial(CHARLIER_PAIR, 1, tau=tau),
+    lambda tau: norm_ratio(CHARLIER_PAIR, 1, 1, 0, 0, tau=tau),
+    lambda tau: extract_recurrence(CHARLIER_PAIR, 1, tau=tau),
+], ids=["orthogonal_polynomial", "norm_ratio", "extract_recurrence"])
+def test_float_tau_is_rejected(call):
+    with pytest.raises(SpecError, match="^tau: "):
+        call(0.5)
+    assert call("2") == call(F(2))
+
+
+def test_spec_tau():
+    kraw = kraw_pair(N=3)
+    assert spec_tau(CHARLIER_PAIR, "3/2") == F(3, 2)
+    assert spec_tau(CHARLIER_PAIR, "numeric") == "numeric"
+    assert spec_tau(CHARLIER_PAIR, None) is None
+    # every mass quotient rational: no tau is read, yet the value is checked
+    assert spec_tau(kraw, "numeric", exact=True) is None and spec_tau(kraw, 2) is None
+    with pytest.raises(SpecError, match="^--tau: "):
+        spec_tau(kraw, "1/0", "--tau")
+    with pytest.raises(ProbeError, match="pass --tau a rational"):
+        spec_tau(CHARLIER_PAIR, "numeric", "--tau", exact=True)

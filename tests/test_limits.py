@@ -6,7 +6,9 @@ import pytest
 from mvop.errors import SpecError
 from mvop.families import Hermite, Laguerre, monic_polynomial
 from mvop.limits import (
+    ConvergenceReport,
     TransitionSpec,
+    TransitionStep,
     continuous_target,
     run_transition,
     transition_spec_from_json,
@@ -198,3 +200,40 @@ def test_transition_json_roundtrip():
     data = t.to_json()
     assert transition_spec_from_json(data) == t
     assert data["params"] == {"N": "4", "p": "1/2"}
+
+
+def report_of(errors):
+    steps = tuple(TransitionStep(ladder_value=F(10 ** k), max_abs_error=e, rel_error=e)
+                  for k, e in enumerate(errors, 1))
+    return ConvergenceReport(name="krawtchouk->charlier", n=0, a=F(1), steps=steps,
+                             target=MatrixPoly.identity(2))
+
+
+@pytest.mark.parametrize("errors, monotone", [
+    ((1e-3, 1e-5, 1e-7), True),
+    ((1e-3, 1e-2, 1e-7), False),  # rising
+    ((1e-3, 1e-3, 1e-7), False),  # equal and nonzero
+    ((2.2e-16, 4.4e-16), False),  # float noise on an exact route still rises
+    ((0.0, 0.0, 0.0), True),  # on the target at every step
+    ((1e-3, 0.0, 0.0), True),
+    ((0.0, 1e-16), False),
+])
+def test_monotone(errors, monotone):
+    assert report_of(errors).monotone is monotone
+
+
+# at degree 0 these routes land on the target at every step, error 0.0
+DEGREE_ZERO = {
+    "krawtchouk->charlier": {"b": F(2)},
+    "meixner->charlier": {"b": F(2)},
+    "charlier->hermite": {},
+    "krawtchouk->hermite": {"p": F(1, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ZERO))
+def test_degree_zero_ladder_is_monotone(name):
+    ladder = LADDERS[name].ladder
+    report = run_transition(spec_of(name, 0, DEGREE_ZERO[name], ladder, a=F(2)))
+    assert [s.max_abs_error for s in report.steps] == [0.0] * len(ladder)
+    assert report.monotone

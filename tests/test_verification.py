@@ -103,3 +103,43 @@ def test_eigenfunction_clamps_n_max_to_support():
     assert report == verification.verify_eigenfunction(KRAW, 3)
     assert report.all_passed
     assert {c.n for c in report.checks} == {0, 1, 2, 3}
+
+
+# a repeated probe used to be swept, and counted, once per repeat
+@pytest.mark.parametrize("spec, kwargs, name", [
+    (KRAW, dict(a_probes=[1, 1]), "a_probes"),
+    (KRAW, dict(a_probes=["1/2", F(1, 2)]), "a_probes"),
+    (CHARLIER_MEIXNER, dict(tau_probes=[2, F(2)]), "tau_probes"),
+    # read on every spec, like --tau-probes, though this one reads no tau
+    (KRAW, dict(tau_probes=["3", 3]), "tau_probes"),
+])
+@pytest.mark.parametrize("entry", ["run_verification", "verify_eigenfunction"])
+def test_repeated_probe_is_rejected(entry, spec, kwargs, name):
+    with pytest.raises(SpecError, match=f"{name} .*must appear once") as err:
+        getattr(verification, entry)(spec, n_max=1, **kwargs)
+    assert "Fraction(" not in str(err.value)
+
+
+# a float tau probe used to end in an AttributeError, and "numeric" has no
+# exact value to probe
+@pytest.mark.parametrize("spec, kwargs, name", [
+    (CHARLIER_MEIXNER, dict(tau_probes=[0.5]), "tau_probes"),
+    (CHARLIER_MEIXNER, dict(tau_probes=["numeric"]), "tau_probes"),
+    (KRAW, dict(a_probes=[0.5]), "a_probes"),
+])
+@pytest.mark.parametrize("entry", ["run_verification", "verify_eigenfunction"])
+def test_inexact_probe_is_rejected(entry, spec, kwargs, name):
+    with pytest.raises(SpecError, match=name):
+        getattr(verification, entry)(spec, n_max=1, **kwargs)
+
+
+def test_probes_are_read_as_rationals():
+    report = verification.run_verification(
+        CHARLIER_MEIXNER, n_max=1, a_probes=["1/2", 2], tau_probes=("3/2",), x_max=100)
+    assert (report.a_probes, report.tau_probes) == ((F(1, 2), F(2)), (F(3, 2),))
+    assert report == verification.run_verification(
+        CHARLIER_MEIXNER, n_max=1, a_probes=[F(1, 2), F(2)], tau_probes=[F(3, 2)], x_max=100)
+    # a spec that reads no tau sweeps tau = None whatever the probes
+    report = verification.verify_eigenfunction(KRAW, 1, a_probes=[1], tau_probes=[2, 3])
+    assert report.tau_probes == (None,)
+    assert {c.probe_tau for c in report.checks} == {None}
