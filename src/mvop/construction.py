@@ -48,6 +48,19 @@ with the couplings over their common denominator), ``weight_table`` puts
 the channel weights over one denominator once per spec, and ``gram_sum``
 sums any pair in integers and divides each entry once, so a caller checking
 many pairs builds each table once and gets the exact ``Fraction`` Gram.
+An infinite support has no finite sum, and its Gram is exact in the channel
+basis instead:
+
+    <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
+
+c_j[f] being f's coefficient on channel r's monic p_j.  ``channel_table``
+expands each entry of P U top-down on the ladder, ``channel_norms`` gives
+the ladders' norms in units of channel 1's |p_0|^2, with the cross-channel
+masses resolved along the pattern path at the tau probe
+(``channel_masses``), and ``channel_gram`` sums any pair.  Its trust base is
+the scalar theorem: each channel's ladder is orthogonal for its weight,
+with the ladder's norms (Koekoek, Lesky & Swarttouw, *Hypergeometric
+Orthogonal Polynomials*, Springer 2010, ch. 9).
 The truncated float Gram has the same shape: ``float_value_table`` per
 polynomial, ``float_weight_table`` once (at x = 0..x_max on an infinite
 support, over the whole of a finite one), and ``float_grams`` for any set of
@@ -628,6 +641,101 @@ def float_grams(values, weights, pairs, x_max: int, tol: float) -> dict:
             tail=last / scale_max if scale_max > 0 else 0.0,
         )
     return grams
+
+
+# --------------------------------------------------------------------------
+# exact Grams in the channel basis
+
+
+def channel_masses(spec: FamilySpec, tau=None) -> tuple:
+    """M_r / M_1 for every channel r, each cross-channel mass quotient
+    resolved at ``tau`` (read by ``spec_tau``) as ``_closed_form`` resolves
+    it, along the pattern path.
+
+    Consecutive channels r and r + 1 share one pattern position (i, j),
+    where Q_n reads the quotient M_j / M_i, and each mass follows from its
+    neighbour's through that quotient.  The pairwise quotient M_r / M_1
+    would disagree for m >= 3: at a probe tau the construction reads
+    M_2 / M_1 = tau and M_2 / M_3 = tau, so M_3 / M_1 is 1, not tau."""
+    tau = spec_tau(spec, tau)
+    ladders = [ladder(ch) for ch in spec.channels]
+    masses = [Fraction(1)] * spec.m
+    for i, j in sorted(staggered_positions(spec.m), key=max):
+        quotient = _resolve_quotient(_norm_quotient(ladders[j], 0, ladders[i], 0)[1], tau)
+        if j > i:
+            masses[j] = masses[i] * quotient
+        else:
+            masses[i] = masses[j] / quotient
+    return tuple(masses)
+
+
+def channel_norms(spec: FamilySpec, top: int, tau=None) -> tuple:
+    """|p_j^(r)|^2 / |p_0^(1)|^2 for j = 0..top on every channel r: the
+    ladders' coefficient ratios (``_norm_quotient``) times the path masses
+    (``channel_masses``).  On a finite support |p_(N+1)|^2 is 0."""
+    ladders = [ladder(ch) for ch in spec.channels]
+    return tuple(
+        tuple(_norm_quotient(lad, j, ladders[0], 0)[0] * mass for j in range(top + 1))
+        for lad, mass in zip(ladders, channel_masses(spec, tau))
+    )
+
+
+def channel_table(P: MatrixPoly, spec: FamilySpec) -> tuple:
+    """P U on the channel bases: entry (i, r) is {j: c_j} with
+    (P U)_ir = sum_j c_j p_j^(r), p_j^(r) channel r's monic degree-j
+    polynomial (``ladder``).
+
+    Column r of P U is P[:, r] plus a x P[:, k] for each pattern position
+    (k, r) holding a, since U = I + A x.  Each entry is expanded top-down:
+    take the leading coefficient c at degree d, subtract c p_d, and repeat.
+    On the unperturbed chain every entry is a single term."""
+    ladders = [ladder(ch) for ch in spec.channels]
+    coupled = [[] for _ in range(spec.m)]  # column r -> [(k, a)]
+    for (k, r), a in zip(staggered_positions(spec.m), spec.a):
+        coupled[r].append((k, a))
+    table = []
+    for row in P.entries:
+        out = []
+        for r, lad in enumerate(ladders):
+            cs = list(row[r].coeffs)
+            for k, a in coupled[r]:
+                shifted = [a * c for c in row[k].coeffs]
+                cs.extend([0] * (len(shifted) + 1 - len(cs)))
+                for t, v in enumerate(shifted, 1):
+                    cs[t] += v
+            expansion = {}
+            while cs:
+                c = cs.pop()
+                if c:
+                    d = len(cs)
+                    expansion[d] = c
+                    for t, v in enumerate(lad.polynomial(d).coeffs[:d]):
+                        cs[t] -= c * v
+            out.append(expansion)
+        table.append(tuple(out))
+    return tuple(table)
+
+
+def channel_gram(p_table, q_table, norms) -> tuple:
+    """<P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2 from
+    two channel tables and ``channel_norms``, in units of channel 1's
+    |p_0|^2: a tuple-of-tuples of Fractions.
+
+    W = U diag(w_r) U^T, and channel r's monic polynomials are orthogonal
+    for w_r with the ladder's norms, so no sum over the support is needed
+    and an infinite support's Gram is exact."""
+    gram = []
+    for prow in p_table:
+        out = []
+        for qrow in q_table:
+            total = Fraction(0)
+            for p, q, w in zip(prow, qrow, norms):
+                for j, c in p.items():
+                    if j in q:
+                        total += c * q[j] * w[j]
+            out.append(total)
+        gram.append(tuple(out))
+    return tuple(gram)
 
 
 def check_tol(tol, name: str = "tol"):

@@ -17,7 +17,9 @@ denominator L, evaluated at x = -1..X.  The three exact suites read only
 these tables, and scaling by nonzero integers changes no zero:
 
 * orthogonality on a finite support sums every Gram pair in integers over
-  the support points 0..N and divides each entry once (``gram_sum``);
+  the support points 0..N and divides each entry once (``gram_sum``); on an
+  infinite support it is checked exactly in the channel basis, at the
+  spec's own couplings once per tau probe (below);
 * the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
   d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
   actual degrees, and its scaled integer values are computed once at the
@@ -33,12 +35,21 @@ A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
 check is an exact identity, and X covers the support and every bound.  No
 suite multiplies or differences matrix polynomials.  Each probe instance is
 an exact rational identity check, and the grid oversamples the identities'
-degrees in the formal parameters.  Infinite supports (and
-``truncated=True``) check orthogonality by truncated float sums on the
-spec's own couplings, with the true transcendental quotients, from one float
-value table per polynomial and one float weight table per run, every pair
-summed in one pass over x (``construction.float_grams``).  All work runs
-inline: it is pure-Python arithmetic, which threads do not speed up.
+degrees in the formal parameters.
+
+On an infinite support each Gram <Q_n, Q_k> is W = U diag(w_r) U^T read
+on the channel bases: the entries of Q U expanded on each channel's monic
+ladder, weighted by the ladder's norms (``construction.channel_gram``), with
+no sum over x.  The trust base is the scalar theorem that each channel's
+ladder is orthogonal for its weight with those norms (Koekoek, Lesky &
+Swarttouw, Springer 2010, ch. 9).  A failing Gram is printed in units of
+channel 1's |p_0|^2, the cross-channel masses resolved at the tau probe
+along the pattern path.  With ``truncated=True`` orthogonality is checked
+by truncated float sums instead, the oracle, on the spec's own couplings
+with the true transcendental quotients, from one float value table per
+polynomial and one float weight table per run, every pair summed in one
+pass over x (``construction.float_grams``).  All work runs inline: it is
+pure-Python arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
@@ -51,6 +62,9 @@ from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
+    channel_gram,
+    channel_norms,
+    channel_table,
     check_tol,
     converged,
     float_grams,
@@ -72,7 +86,7 @@ from .operators import (
     recurrence_closes,
 )
 from .poly import MatrixPoly, ScalarPoly
-from .rational import named_rational
+from .rational import format_rational, named_rational
 
 
 @dataclass(frozen=True)
@@ -137,10 +151,12 @@ def _perturbed(polys, perturb: bool):
 def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
                          tol: float = 1e-9, tables=None, weights=None) -> list:
-    """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec``:
-    exactly over the finite support from their integer ``tables`` and the
-    spec's ``weights`` (``construction.weight_table``, which does not depend
-    on the couplings), or with ``truncated`` by the relative bound of
+    """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec`` at
+    ``probe_tau``: exactly over the finite support from their integer
+    ``tables`` and the spec's ``weights`` (``construction.weight_table``,
+    which does not depend on the couplings); without tables, exactly in the
+    channel basis (``construction.channel_gram``, a failing Gram in units
+    of channel 1's |p_0|^2); or with ``truncated`` by the relative bound of
     truncated float sums against ``tol``.
 
     The truncated sums read one float value table per polynomial and one
@@ -154,8 +170,13 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
         values = [float_value_table(Q, len(weights) - 1) for Q in polys]
         pairs = [(n, k) for n in range(len(polys)) for k in range(n + 1)]
         grams = float_grams(values, weights, pairs, x_max, tol)
+    elif tables is None:
+        # P U has degree at most deg P + 1 = len(polys) for P in the chain
+        weights = channel_norms(spec, len(polys), probe_tau)
+        values = [channel_table(Q, spec) for Q in polys]
     else:
         values = [value_table(t, spec) for t in tables]
+    gram_of = gram_sum if tables is not None else channel_gram
     checks = []
     for n in range(len(polys)):
         for k in range(n):
@@ -166,7 +187,7 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
             else:
-                gram = gram_sum(values[n], values[k], weights)
+                gram = gram_of(values[n], values[k], weights)
                 passed = linalg.is_zero_matrix(gram)
                 detail = f"k = {k}" + ("" if passed else f"; gram = {gram}")
             checks.append(CheckResult(
@@ -374,23 +395,25 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     each value once, and the coupling probes are nonzero; a list that breaks
     a rule is a SpecError naming it.  A spec whose mass quotients are all
     rational reads no tau (``spec_tau``), so its tau probes become (None,).
-    The float path reads the spec's own couplings and "numeric"."""
+    On an infinite support orthogonality is checked exactly at the spec's
+    own couplings, once per tau probe; ``x_max`` and ``tol`` act only with
+    ``truncated``, whose float path reads the spec's own couplings and
+    "numeric", but are checked on every run."""
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
     check_tol(tol, "tol (--tol)")
-    exact_gram = spec.is_finite and not truncated
-    weights = weight_table(spec) if exact_gram else None
+    weights = weight_table(spec) if spec.is_finite and not truncated else None
+    own_a = spec.a[0] if spec.m == 2 else f"({', '.join(map(format_rational, spec.a))})"
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
-    if not exact_gram:
-        # the float path: the spec's own couplings and float mass quotients
+    if truncated:
+        # the float oracle: the spec's own couplings and float mass quotients
         tau = spec_tau(spec, "numeric")
         polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)]
         orthogonality = verify_orthogonality(
-            spec, _perturbed(polys, perturb), spec.a if len(spec.a) > 1 else spec.a[0],
-            tau, truncated=True, x_max=x_max, tol=tol,
+            spec, _perturbed(polys, perturb), own_a, tau, truncated=True, x_max=x_max, tol=tol,
         )
 
     try:
@@ -399,10 +422,13 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         D = None
         notes.append(f"bispectral suite skipped: {err}")
 
+    own = {}  # tau -> Q_0..Q_top at the spec's own couplings, when a probe has them
     for a_val, tau, probe, stencil, chain, tables in _sweep(
             spec, top, a_vals, tau_vals, D, perturb):
+        if probe == spec:
+            own[tau] = chain[:-1]
         checked_tables = tables[:-1]
-        if exact_gram:
+        if weights is not None:
             orthogonality.extend(verify_orthogonality(
                 probe, chain[:-1], a_val, tau, tables=checked_tables, weights=weights,
             ))
@@ -411,6 +437,15 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
                 eig, stencil, checked_tables, a_val, tau,
             ))
         recurrence.extend(verify_recurrence(probe, tables, a_val, tau))
+
+    if weights is None and not truncated:
+        # an infinite support: exact in the channel basis at the spec's own
+        # couplings, once per tau probe, each chain built once per run
+        for tau in tau_vals:
+            polys = own.get(tau) or _perturbed(
+                [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)], perturb
+            )
+            orthogonality.extend(verify_orthogonality(spec, polys, own_a, tau))
 
     return VerificationReport(
         checks=tuple(orthogonality + eigenfunction + recurrence),

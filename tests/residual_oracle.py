@@ -4,7 +4,8 @@ These are the checks ``mvop.verification`` certified before it worked on
 integer value tables: each residual is built as a ``Fraction`` matrix
 polynomial and tested for being identically zero, a failing eigenfunction
 check reporting the residual's first nonzero entry, and every Gram matrix is
-the pointwise sum of P(x) W(x) Q(x)^T.  ``match_recurrence`` is the
+the pointwise sum of P(x) W(x) Q(x)^T on a finite support and the
+falling-factorial moment sum of ``moment_oracle`` on an infinite one.  ``match_recurrence`` is the
 coefficient matcher of the three-term recurrence as it read the polynomials'
 ``Fraction`` coefficients and inverted each whole leading coefficient.
 Tests compare the evaluation certificate's verdicts and report bytes, and
@@ -25,6 +26,7 @@ from mvop.construction import (
 from mvop.errors import SpecError
 from mvop.operators import RecurrenceTriple, canonical_operator
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.rational import format_rational
 from mvop.verification import (
     CheckResult,
     VerificationReport,
@@ -32,6 +34,8 @@ from mvop.verification import (
     _probe,
     verify_orthogonality,
 )
+
+from moment_oracle import moment_gram
 
 
 def probe_grid(spec, a_probes=None, tau_probes=None):
@@ -184,23 +188,46 @@ def eigenfunction_checks(operator, polys, a_val, tau):
     return checks
 
 
+def gram_checks(polys, gram_of, a_val, tau):
+    """<Q_n, Q_k> = 0 for every k < n, each Gram from ``gram_of``."""
+    checks = []
+    for n in range(len(polys)):
+        for k in range(n):
+            gram = gram_of(polys[n], polys[k])
+            passed = linalg.is_zero_matrix(gram)
+            checks.append(CheckResult(
+                name="orthogonality", n=n, probe_a=a_val, probe_tau=tau, passed=passed,
+                detail=f"k = {k}" + ("" if passed else f"; gram = {gram}"),
+            ))
+    return checks
+
+
 def oracle_verification(spec, n_max=None, a_probes=None, tau_probes=None,
                         x_max=400, tol=1e-9, perturb=False, truncated=False):
-    """``run_verification`` by polynomial residuals and pointwise Gram sums;
-    the float truncated path is the program's own."""
+    """``run_verification`` by polynomial residuals, pointwise Gram sums on a
+    finite support and falling-factorial moments on an infinite one
+    (``moment_oracle``); the float truncated path is the program's own."""
     if n_max is None:
         n_max = spec.support_N if spec.is_finite else 5
     top = n_max if spec.support_N is None else min(n_max, spec.support_N)
     a_vals, tau_vals = probe_grid(spec, a_probes, tau_probes)
     exact_gram = spec.is_finite and not truncated
+    own_a = spec.a[0] if spec.m == 2 else "(" + ", ".join(map(format_rational, spec.a)) + ")"
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
-    if not exact_gram:
+    if truncated:
         tau = "numeric" if needs_mass_probe(spec) else None
         polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)]
         orthogonality = verify_orthogonality(
-            spec, _perturbed(polys, perturb), spec.a if len(spec.a) > 1 else spec.a[0],
-            tau, truncated=True, x_max=x_max, tol=tol,
+            spec, _perturbed(polys, perturb), own_a, tau, truncated=True, x_max=x_max, tol=tol,
         )
+    elif not exact_gram:
+        for tau in tau_vals:
+            polys = _perturbed(
+                [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)], perturb
+            )
+            orthogonality.extend(gram_checks(
+                polys, lambda P, Q: moment_gram(P, Q, spec, tau), own_a, tau,
+            ))
     probes = [(a_val, _probe(spec, a_val)) for a_val in a_vals]
     try:
         operators = [canonical_operator(probe) for _, probe in probes]
@@ -215,15 +242,9 @@ def oracle_verification(spec, n_max=None, a_probes=None, tau_probes=None,
             )
             checked = chain[:-1]
             if exact_gram:
-                for n in range(len(checked)):
-                    for k in range(n):
-                        gram = brute_force_gram(checked[n], checked[k], probe)
-                        passed = linalg.is_zero_matrix(gram)
-                        orthogonality.append(CheckResult(
-                            name="orthogonality", n=n, probe_a=a_val, probe_tau=tau,
-                            passed=passed,
-                            detail=f"k = {k}" + ("" if passed else f"; gram = {gram}"),
-                        ))
+                orthogonality.extend(gram_checks(
+                    checked, lambda P, Q: brute_force_gram(P, Q, probe), a_val, tau,
+                ))
             if operator is not None:
                 eigenfunction.extend(eigenfunction_checks(operator, checked, a_val, tau))
             for n in range(top + 1):

@@ -416,7 +416,7 @@ class TestVerify:
         assert res.stdout == ""
 
     def test_truncation_failure_stderr(self, spec_files):
-        res = run_cli("verify", "--spec", spec_files["charlier_bc"], "--x-max", "6")
+        res = run_cli("verify", "--spec", spec_files["charlier_bc"], "--truncated", "--x-max", "6")
         assert res.returncode == 1
         assert res.stderr == (
             "verification failed: truncated inner product tail 1.900e-01 exceeds "
@@ -432,7 +432,7 @@ class TestVerify:
     def test_truncated_suite(self, spec_files, tmp_path):
         out = tmp_path / "trunc.json"
         res = run_cli(
-            "verify", "--spec", spec_files["charlier_bc"], "--n-max", "3",
+            "verify", "--spec", spec_files["charlier_bc"], "--n-max", "3", "--truncated",
             "--x-max", "400", "--tol", "1e-9", "--out", str(out),
         )
         assert res.returncode == 0

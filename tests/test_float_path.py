@@ -139,7 +139,7 @@ def test_sweep_computes_each_self_gram_once(monkeypatch):
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name), record))
     spec = SPECS["charlier-charlier"]
-    report = verification.run_verification(spec, n_max=3, x_max=100)
+    report = verification.run_verification(spec, n_max=3, x_max=100, truncated=True)
     assert report.all_passed
     # one table per Q_0..Q_3 and one weight table, no W(x) by weight_matrix,
     # and one pass over the 6 pairs among Q_0..Q_3 and the 4 self products,
