@@ -38,29 +38,28 @@ puts a matrix polynomial's coefficients over their least common
 denominator L, once, and evaluates L P at the integer points x = -1..X by
 integer Horner; scaling by a nonzero integer changes no zero, so a check
 that an identity vanishes reads the same on L P as on P.  Exact Gram
-matrices on a finite support use the factorisation of W:
-
-    <P, Q>_ij = sum_x sum_r (P U)(x)_ir w_r(x) (Q U)(x)_jr.
-
-``value_table`` turns a polynomial's integer table into P U at every
-support point (U = I + A x adds one multiple of a column per coupling,
-with the couplings over their common denominator), ``weight_table`` puts
-the channel weights over one denominator once per spec, and ``gram_sum``
-sums any pair in integers and divides each entry once, so a caller checking
-many pairs builds each table once and gets the exact ``Fraction`` Gram.
-An infinite support has no finite sum, and its Gram is exact in the channel
-basis instead:
+matrices, on every support, are read in the channel basis, with no sum
+over x: W = U diag(w_r) U^T, so
 
     <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
 
-c_j[f] being f's coefficient on channel r's monic p_j.  ``channel_table``
-expands each entry of P U top-down on the ladder, ``channel_norms`` gives
-the ladders' norms in units of channel 1's |p_0|^2, with the cross-channel
-masses resolved along the pattern path at the tau probe
-(``channel_masses``), and ``channel_gram`` sums any pair.  Its trust base is
-the scalar theorem: each channel's ladder is orthogonal for its weight,
-with the ladder's norms (Koekoek, Lesky & Swarttouw, *Hypergeometric
-Orthogonal Polynomials*, Springer 2010, ch. 9).
+c_j[f] being f's coefficient on channel r's monic p_j.  ``gram_basis``
+puts every channel's x^d on its ladder basis (``_ladder_columns``, grown
+by the recurrence in integers) and the ladders' norms (the cross-channel
+masses resolved along the pattern path at the tau probe by
+``channel_masses``) over one integer denominator each, once per
+(channels, tau); ``channel_table`` reads column r of q L (P U) off the
+integer table's coefficients and expands it on that basis in integers, and
+``channel_gram`` sums any pair in integers over one denominator, which
+``rational.over`` divides out once per entry.  On a finite support the
+norms carry channel 1's rational mass, so the Gram is the exact
+``Fraction`` the support sum gives; on an infinite one it is in units of
+channel 1's |p_0|^2.  The trust base is each channel's ladder being
+orthogonal for its weight with its norms: certified once per finite
+channel (``families.certify_ladder``), and the scalar theorem on an
+infinite support (Koekoek, Lesky & Swarttouw, *Hypergeometric Orthogonal
+Polynomials*, Springer 2010, ch. 9).  The pointwise support sum is the
+tests' oracle (``tests/gram_oracle.py``).
 The truncated float Gram has the same shape: ``float_value_table`` per
 polynomial, ``float_weight_table`` once (at x = 0..x_max on an infinite
 support, over the whole of a finite one), and ``float_grams`` for any set of
@@ -82,6 +81,7 @@ from . import linalg
 from .errors import ProbeError, SpecError, TruncationError
 from .families import (
     Mass,
+    certify_ladder,
     check_degree,
     ladder,
     weight_sequence,
@@ -89,7 +89,8 @@ from .families import (
 )
 from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
-from .rational import format_rational, json_int, json_list, named_rational, spec_field
+from .rational import (format_rational, json_int, json_list, named_rational, over, over_lcm,
+                       spec_field)
 
 # Default probe grids for evaluation-based identity certification.  The
 # identities in scope have degree <= 3 in the coupling parameter and are at
@@ -200,11 +201,8 @@ def _integer_couplings(spec: FamilySpec):
     for each pattern position (i, j) holding a."""
     if not all(isinstance(a, Fraction) for a in spec.a):
         raise SpecError(f"W(x) needs rational couplings, got {spec.a}")
-    q = math.lcm(*(a.denominator for a in spec.a))
-    return q, tuple(
-        (i, j, a.numerator * (q // a.denominator))
-        for (i, j), a in zip(staggered_positions(spec.m), spec.a)
-    )
+    (qa,), q = over_lcm((spec.a,))
+    return q, tuple((i, j, c) for (i, j), c in zip(staggered_positions(spec.m), qa))
 
 
 def _weight_entries(w, x: int, q: int, couplings):
@@ -214,11 +212,10 @@ def _weight_entries(w, x: int, q: int, couplings):
 
     W(x)_ij = sum_r w_r U_ir U_jr, and row i of q U(x) is q e_i plus
     (q a_k) x e_j for each pattern position (i, j), so the integer sum runs
-    over the columns r the two rows share, as ``value_table`` applies U.
+    over the columns r the two rows share.
     """
     m = len(w)
-    d = math.lcm(*(v.denominator for v in w))
-    wd = [v.numerator * (d // v.denominator) for v in w]
+    (wd,), d = over_lcm((w,))
     u = [{i: q} for i in range(m)]
     for i, j, c in couplings:
         u[i][j] = c * x
@@ -425,26 +422,6 @@ class GramMatrix:
         return max(abs(float(v)) for row in self.entries for v in row)
 
 
-def _support(spec: FamilySpec) -> range:
-    if not spec.is_finite:
-        raise SpecError("exact inner products need a finite support")
-    return range(spec.support_N + 1)
-
-
-def _channel_weights(spec: FamilySpec, stop: int):
-    """The rows (w_1(x), ..., w_m(x)) at x = 0..stop, each channel grown by
-    its exact ratio (``families.weight_sequence``)."""
-    return list(zip(*(weight_sequence(ch, stop) for ch in spec.channels)))
-
-
-def weight_table(spec: FamilySpec):
-    """The channel weights at every support point over one denominator:
-    (scale, [(scale w_1(x), ..., scale w_m(x)) for each x]), all integers."""
-    weights = _channel_weights(spec, _support(spec)[-1])
-    scale = math.lcm(*(w.denominator for row in weights for w in row))
-    return scale, [tuple(w.numerator * (scale // w.denominator) for w in row) for row in weights]
-
-
 @dataclass(frozen=True)
 class IntegerTable:
     """L P(x) at x = -1..stop as integer matrices, where L (``scale``) is the
@@ -486,69 +463,34 @@ def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
     return IntegerTable(degree=P.degree, scale=scale, coefficients=entries, values=tuple(values))
 
 
-def value_table(table: IntegerTable, spec: FamilySpec):
-    """(P U)(x) at every support point from P's integer table, over one
-    denominator: (scale, [integer rows at each x]).
-
-    A holds a_k at pattern position (i, j), so P U adds a_k x times column i
-    to column j; with the couplings over their common denominator q, q P U
-    scales every column by q and adds (q a_k) x times column i to column j,
-    reading the unscaled row.
-    """
-    q, couplings = _integer_couplings(spec)
-    out = []
-    for x in _support(spec):
-        scaled = []
-        for row in table.values[x + 1]:
-            new = [q * v for v in row]
-            for i, j, c in couplings:
-                new[j] += c * x * row[i]
-            scaled.append(new)
-        out.append(scaled)
-    return table.scale * q, out
-
-
-def gram_sum(p_table, q_table, weights):
-    """<P, Q>_ij = sum_x sum_r (PU)(x)_ir w_r(x) (QU)(x)_jr from two value
-    tables and the weight table, summed in integers and divided once per
-    entry: a tuple-of-tuples of Fractions."""
-    p_scale, p_values = p_table
-    q_scale, q_values = q_table
-    w_scale, w_values = weights
-    total = [[0] * len(q_values[0]) for _ in p_values[0]]
-    for px, qx, w in zip(p_values, q_values, w_values):
-        for prow, out in zip(px, total):
-            pw = tuple(map(mul, prow, w))
-            for j, qrow in enumerate(qx):
-                out[j] += sum(map(mul, pw, qrow))
-    scale = p_scale * q_scale * w_scale
-    return tuple(tuple(Fraction(v, scale) for v in row) for row in total)
-
-
 def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "exact",
                   x_max: int = 400, tol: float = 1e-9) -> GramMatrix:
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
-    Exact mode needs a finite support and exact coefficients, and sums
-    integer tables through ``gram_sum``.  Truncated mode sums in floats
-    through ``float_grams``, over x = 0..x_max on an infinite support and
-    the whole of 0..N on a finite one, and records the tail estimate (last
-    term relative to the accumulated absolute sum); a tail above ``tol``,
-    which must be positive and finite, raises rather than returning a
-    silent value.
+    Exact mode needs a finite support and exact coefficients, and reads the
+    Gram in the channel basis (``channel_gram``); a channel whose ladder
+    fails its certificate is a SpecError naming it.  On an infinite support
+    the exact Gram reads a tau probe, and ``mvop verify`` is the exact
+    route.  Truncated mode sums in floats through ``float_grams``, over
+    x = 0..x_max on an infinite support and the whole of 0..N on a finite
+    one, and records the tail estimate (last term relative to the
+    accumulated absolute sum); a tail above ``tol``, which must be positive
+    and finite, raises rather than returning a silent value.
     """
     if P.cols != spec.m or Q.cols != spec.m:
         raise ValueError("polynomial width does not match the family size")
 
     if mode == "exact":
-        weights = weight_table(spec)
-        top = spec.support_N
-        entries = gram_sum(
-            value_table(integer_table(P, top), spec),
-            value_table(integer_table(Q, top), spec),
-            weights,
-        )
-        return GramMatrix(entries=entries, mode="exact")
+        if not spec.is_finite:
+            raise SpecError(
+                "exact inner products need a finite support; on an infinite support "
+                "`mvop verify` certifies orthogonality exactly at each tau probe"
+            )
+        basis = gram_basis(spec, max(P.degree, Q.degree) + 1)
+        if basis.failure:
+            raise SpecError(basis.failure)
+        tables = [channel_table(integer_table(S, -1), spec, basis) for S in (P, Q)]
+        return GramMatrix(entries=over(*channel_gram(*tables, basis)), mode="exact")
 
     if mode != "truncated":
         raise ValueError(f"unknown inner product mode {mode!r}")
@@ -570,7 +512,7 @@ def float_weight_table(spec: FamilySpec, x_max: int):
     stop = x_max if spec.support_N is None else spec.support_N
     q, couplings = _integer_couplings(spec)
     out = []
-    for x, w in enumerate(_channel_weights(spec, stop)):
+    for x, w in enumerate(zip(*(weight_sequence(ch, stop) for ch in spec.channels))):
         W, den = _weight_entries(w, x, q, couplings)
         out.append(tuple(tuple(v / den for v in row) for row in W))
     return tuple(out)
@@ -669,73 +611,115 @@ def channel_masses(spec: FamilySpec, tau=None) -> tuple:
     return tuple(masses)
 
 
-def channel_norms(spec: FamilySpec, top: int, tau=None) -> tuple:
-    """|p_j^(r)|^2 / |p_0^(1)|^2 for j = 0..top on every channel r: the
-    ladders' coefficient ratios (``_norm_quotient``) times the path masses
-    (``channel_masses``).  On a finite support |p_(N+1)|^2 is 0."""
+@dataclass(frozen=True)
+class GramBasis:
+    """What ``channel_gram`` reads besides the two polynomials, in integers:
+    ``columns[r][j]`` is ``scale`` times the coefficients of channel r's p_j
+    in x^0, ..., x^top (``_ladder_columns``), for j < width, and
+    ``norms[r * width + j]`` is ``norm_scale`` times |p_j^(r)|^2, absolute
+    on a finite support and in units of channel 1's |p_0|^2 on an infinite
+    one.  ``failure`` names the first channel whose ladder fails its
+    certificate, or is ""."""
+
+    scale: int
+    columns: tuple
+    norm_scale: int
+    norms: tuple
+    failure: str
+
+
+def _ladder_columns(lad, top: int, width: int):
+    """x^0..x^top on a ladder's monic p_0..p_(width-1), in integers, as
+    (columns, D^top): columns[j] holds D^top times p_j's coefficients in
+    x^0, ..., x^top, zero below x^j.  x^(d+1) grows from x^d by
+    x p_j = p_(j+1) + b_j p_j + c_j p_(j-1), with b_j and c_j over their
+    common denominator D, so D^d x^d has integer coefficients; terms from
+    p_width on are dropped."""
+    bc, D = over_lcm([lad.coefficients(j) for j in range(min(top, width))])
+    rows = [[1]]
+    for _ in range(top):
+        nxt = [0] * min(len(rows[-1]) + 1, width)
+        for j, (v, (b, c)) in enumerate(zip(rows[-1], bc)):
+            if j + 1 < width:
+                nxt[j + 1] += D * v
+            nxt[j] += b * v
+            if j:
+                nxt[j - 1] += c * v
+        rows.append(nxt)
+    lift = [D ** (top - d) for d in range(top + 1)]
+    return [tuple(row[j] * f if j < len(row) else 0 for row, f in zip(rows, lift))
+            for j in range(width)], lift[0]
+
+
+def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
+    """x^0..x^top on every channel's ladder basis (``_ladder_columns``) and
+    the ladders' norms, each put over one integer denominator; they do not
+    depend on the couplings, so a run builds one per tau.  The norms are the
+    ladders' coefficient ratios times the path masses resolved at ``tau``
+    (``channel_masses``).  On a finite support {0..N} the expansions stop at
+    p_N: they are taken modulo p_(N+1), which vanishes on the support, and
+    the norms are multiplied by channel 1's rational mass.  Each channel's
+    ladder is certified once per process (``families.certify_ladder``)."""
     ladders = [ladder(ch) for ch in spec.channels]
-    return tuple(
-        tuple(_norm_quotient(lad, j, ladders[0], 0)[0] * mass for j in range(top + 1))
-        for lad, mass in zip(ladders, channel_masses(spec, tau))
-    )
+    failure = next((f"channel {r} ladder fails its certificate: {verdict}"
+                    for r, verdict in enumerate(map(certify_ladder, ladders), 1) if verdict), "")
+    N = spec.support_N
+    width = top + 1 if N is None else min(top, N) + 1
+    # |p_j^(r)|^2 / |p_0^(1)|^2 is the ladders' coefficient ratio times the
+    # path mass M_r / M_1; a finite support's norms are absolute
+    first = ladders[0].norm(0)
+    unit = (1 if N is None else first.rational_value()) / first.coefficient
+    (norms,), norm_scale = over_lcm([[
+        lad.norm(j).coefficient * (mass * unit)
+        for lad, mass in zip(ladders, channel_masses(spec, tau)) for j in range(width)]])
+    parts = [_ladder_columns(lad, top, width) for lad in ladders]
+    scale = math.lcm(*(s for _, s in parts))
+    columns = tuple(tuple(tuple(v * (scale // s) for v in col) for col in cols)
+                    for cols, s in parts)
+    return GramBasis(scale, columns, norm_scale, norms, failure)
 
 
-def channel_table(P: MatrixPoly, spec: FamilySpec) -> tuple:
-    """P U on the channel bases: entry (i, r) is {j: c_j} with
-    (P U)_ir = sum_j c_j p_j^(r), p_j^(r) channel r's monic degree-j
-    polynomial (``ladder``).
+def channel_table(table: IntegerTable, spec: FamilySpec, basis: GramBasis) -> tuple:
+    """P U on the channel bases, from P's integer table: (scale, rows), with
+    rows[i][r * width + j] the integer ``scale`` c_j, where
+    (P U)_ir = sum_j c_j p_j^(r), j < width (``GramBasis``).
 
-    Column r of P U is P[:, r] plus a x P[:, k] for each pattern position
-    (k, r) holding a, since U = I + A x.  Each entry is expanded top-down:
-    take the leading coefficient c at degree d, subtract c p_d, and repeat.
-    On the unperturbed chain every entry is a single term."""
-    ladders = [ladder(ch) for ch in spec.channels]
-    coupled = [[] for _ in range(spec.m)]  # column r -> [(k, a)]
-    for (k, r), a in zip(staggered_positions(spec.m), spec.a):
-        coupled[r].append((k, a))
-    table = []
-    for row in P.entries:
-        out = []
-        for r, lad in enumerate(ladders):
-            cs = list(row[r].coeffs)
-            for k, a in coupled[r]:
-                shifted = [a * c for c in row[k].coeffs]
-                cs.extend([0] * (len(shifted) + 1 - len(cs)))
-                for t, v in enumerate(shifted, 1):
-                    cs[t] += v
-            expansion = {}
-            while cs:
-                c = cs.pop()
-                if c:
-                    d = len(cs)
-                    expansion[d] = c
-                    for t, v in enumerate(lad.polynomial(d).coeffs[:d]):
-                        cs[t] -= c * v
-            out.append(expansion)
-        table.append(tuple(out))
-    return tuple(table)
+    U = I + A x, so column r of P U is P[:, r] plus a x P[:, k] for each
+    pattern position (k, r) holding a; with the couplings over their common
+    denominator q, the coefficients of q L (P U)_ir are integers, and c_j
+    sums them against ``basis.columns[r][j]``."""
+    q, couplings = _integer_couplings(spec)
+    coupled = [[(k, c) for k, j, c in couplings if j == r] for r in range(spec.m)]
+    rows = []
+    for row in table.coefficients:
+        out = []  # row i of P U, channel after channel
+        for r, columns in enumerate(basis.columns):
+            cs = [q * v for v in row[r]]
+            for k, c in coupled[r]:
+                cs.extend([0] * (len(row[k]) + 1 - len(cs)))
+                for t, v in enumerate(row[k], 1):
+                    cs[t] += c * v
+            out.extend(sum(map(mul, cs, col)) for col in columns)
+        rows.append(out)
+    return table.scale * q * basis.scale, rows
 
 
-def channel_gram(p_table, q_table, norms) -> tuple:
+def channel_gram(p_table, q_table, basis: GramBasis) -> tuple:
     """<P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2 from
-    two channel tables and ``channel_norms``, in units of channel 1's
-    |p_0|^2: a tuple-of-tuples of Fractions.
+    two channel tables and the basis's norms, as (sums, den): entry (i, l)
+    is the integer sums[i][l] over den (``rational.over`` divides them
+    once), absolute on a finite support and in units of channel 1's |p_0|^2
+    on an infinite one.
 
     W = U diag(w_r) U^T, and channel r's monic polynomials are orthogonal
-    for w_r with the ladder's norms, so no sum over the support is needed
-    and an infinite support's Gram is exact."""
-    gram = []
-    for prow in p_table:
-        out = []
-        for qrow in q_table:
-            total = Fraction(0)
-            for p, q, w in zip(prow, qrow, norms):
-                for j, c in p.items():
-                    if j in q:
-                        total += c * q[j] * w[j]
-            out.append(total)
-        gram.append(tuple(out))
-    return tuple(gram)
+    for w_r with the ladder's norms, so no sum over the support is needed."""
+    p_scale, p_rows = p_table
+    q_scale, q_rows = q_table
+    sums = []
+    for prow in p_rows:
+        weighted = list(map(mul, prow, basis.norms))
+        sums.append(tuple(sum(map(mul, weighted, qrow)) for qrow in q_rows))
+    return tuple(sums), p_scale * q_scale * basis.norm_scale
 
 
 def check_tol(tol, name: str = "tol"):

@@ -13,6 +13,10 @@ reads: the limit targets are the same closed form built on them.
 Squared norms are carried as an exact rational coefficient times a symbolic
 mass factor, so that ratios of norms inside one family are exact rationals
 and cross-family ratios isolate the one transcendental constant.
+
+A ladder on a finite support is certified orthogonal for its weight, with
+its norms, once per process (``certify_ladder``): the exact Gram in the
+channel basis trusts the ladders.
 """
 from __future__ import annotations
 
@@ -20,10 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import SpecError
 from .poly import ScalarPoly
-from .rational import binomial, format_rational, json_int, pochhammer, rational, spec_field
+from .rational import (binomial, format_rational, json_int, over_lcm, pochhammer, rational,
+                       spec_field)
 
 
 @dataclass(frozen=True)
@@ -485,6 +491,40 @@ class _Ladder:
         while len(norms) <= n:
             norms.append(norms[-1].scaled(self.coefficients(len(norms))[1]))
         return norms[n]
+
+
+@lru_cache(maxsize=None)
+def certify_ladder(lad) -> str:
+    """Once per ladder, "" when a channel's ladder is orthogonal for its
+    weight with the ladder's norms, else the identity that fails.  On a
+    finite support {0..N}, by Favard's theorem three facts suffice:
+    sum_x w(x) is the ladder's mass |p_0|^2, sum_x w(x) p_j(x) = 0 for
+    1 <= j <= N, and p_(N+1) vanishes at x = 0..N.  The support sum of any
+    polynomial is then |p_0|^2 times its p_0 coefficient modulo p_(N+1), so
+    sum_x w(x) p_j(x) p_k(x) is |p_j|^2 = c_1 ... c_j |p_0|^2 for j = k and
+    0 otherwise, for j, k <= N.  Checked in integers, in O(N^2): with D the
+    common denominator of b_0..b_N and c_0..c_N, D^j p_j(x) is the integer
+    grown by D^(j+1) p_(j+1) = (D x - D b_j) D^j p_j - D^2 c_j D^(j-1) p_(j-1),
+    and the weights (``weight_sequence``) are put over one denominator.  An
+    infinite support has no finite sum: its ladder's trust base is the
+    classical theorem (Koekoek, Lesky & Swarttouw, Springer 2010, ch. 9),
+    and it returns ""."""
+    top = lad.spec.support_N
+    if top is None:
+        return ""
+    (w,), scale = over_lcm((weight_sequence(lad.spec, top),))
+    mass, total = lad.norm(0).rational_value(), Fraction(sum(w), scale)
+    if total != mass:
+        return f"sum_x w(x) = {total}, not the ladder's mass {mass}"
+    bc, D = over_lcm([lad.coefficients(j) for j in range(top + 1)])
+    prev, here = [0] * (top + 1), [1] * (top + 1)
+    for j, (b, c) in enumerate(bc):
+        prev, here = here, [(D * x - b) * h - D * c * p for x, (h, p) in enumerate(zip(here, prev))]
+        total = sum(map(mul, w, here))
+        if j < top and total:
+            return f"sum_x w(x) p_{j + 1}(x) = {Fraction(total, scale * D ** (j + 1))}, not 0"
+    return next((f"p_{top + 1}({x}) = {Fraction(v, D ** (top + 1))}, not 0"
+                 for x, v in enumerate(here) if v), "")
 
 
 @lru_cache(maxsize=None)

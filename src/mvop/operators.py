@@ -45,6 +45,7 @@ from .construction import (
 from .errors import ProbeError, SpecError
 from .families import Hahn, ScalarOperator
 from .poly import MatrixPoly, ScalarPoly
+from .rational import over_lcm
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def lead_inverse(lead, scale: int):
     elif T == [[scale * v for v in row] for row in eye]:
         Y, d = eye, scale
     else:
-        Y, d = _scaled(linalg.mat_inverse(T))
+        Y, d = over_lcm(linalg.mat_inverse(T))
     if d == 0:
         raise ZeroDivisionError("leading coefficient is singular")
 
@@ -350,13 +351,6 @@ def match_recurrence(tables, degrees=None, tau=None, probe="--tau") -> dict:
             C_n = _mul(top, inverse(n - 1))
         triples[n] = (A_n, B_n, C_n)
     return triples
-
-
-def _scaled(mat):
-    """A rational matrix as (M, d): integers M over the least common
-    denominator d of its entries."""
-    d = math.lcm(*(v.denominator for row in mat for v in row))
-    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in mat), d
 
 
 def _mul(a, b):

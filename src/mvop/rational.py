@@ -31,6 +31,19 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def over_lcm(rows):
+    """Rows of rationals as (integer rows, d): each entry times d, the least
+    common denominator of them all."""
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in rows), d
+
+
+def over(rows, d: int) -> tuple:
+    """Rows of integers divided by d, as Fractions: the inverse of
+    ``over_lcm``."""
+    return tuple(tuple(Fraction(v, d) for v in row) for row in rows)
+
+
 def named_rational(value, name: str) -> Fraction:
     """``rational(value)``, or a SpecError naming ``name``, the parameter or
     option the value was given for."""

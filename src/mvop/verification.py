@@ -16,10 +16,8 @@ time, and one integer value table per polynomial
 denominator L, evaluated at x = -1..X.  The three exact suites read only
 these tables, and scaling by nonzero integers changes no zero:
 
-* orthogonality on a finite support sums every Gram pair in integers over
-  the support points 0..N and divides each entry once (``gram_sum``); on an
-  infinite support it is checked exactly in the channel basis, at the
-  spec's own couplings once per tau probe (below);
+* orthogonality reads every Gram <Q_n, Q_k> in the channel basis
+  (``construction.channel_gram``, below), from the tables' coefficients;
 * the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
   d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
   actual degrees, and its scaled integer values are computed once at the
@@ -32,51 +30,55 @@ these tables, and scaling by nonzero integers changes no zero:
   certified zero at x = 0..n+1 (``operators.recurrence_closes``).
 
 A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
-check is an exact identity, and X covers the support and every bound.  No
+check is an exact identity, and X covers every bound.  No
 suite multiplies or differences matrix polynomials.  Each probe instance is
 an exact rational identity check, and the grid oversamples the identities'
 degrees in the formal parameters.
 
-On an infinite support each Gram <Q_n, Q_k> is W = U diag(w_r) U^T read
-on the channel bases: the entries of Q U expanded on each channel's monic
-ladder, weighted by the ladder's norms (``construction.channel_gram``), with
-no sum over x.  The trust base is the scalar theorem that each channel's
-ladder is orthogonal for its weight with those norms (Koekoek, Lesky &
-Swarttouw, Springer 2010, ch. 9).  A failing Gram is printed in units of
-channel 1's |p_0|^2, the cross-channel masses resolved at the tau probe
-along the pattern path.  With ``truncated=True`` orthogonality is checked
-by truncated float sums instead, the oracle, on the spec's own couplings
-with the true transcendental quotients, from one float value table per
-polynomial and one float weight table per run, every pair summed in one
-pass over x (``construction.float_grams``).  All work runs inline: it is
-pure-Python arithmetic, which threads do not speed up.
+Each exact Gram <Q_n, Q_k> is W = U diag(w_r) U^T read on the channel
+bases: the entries of Q U expanded on each channel's monic ladder, weighted
+by the ladder's norms, in integers, divided only to print a failing Gram,
+and with no sum over x.  The basis and the norms are built once per tau probe of a
+run (``construction.gram_basis``).  The trust base is each channel's ladder
+being orthogonal for its weight with those norms: on a finite support it is
+certified once per channel, in integers (``families.certify_ladder``), and
+a failed certificate fails every orthogonality check with a detail naming
+the channel and the identity; on an infinite support it is the scalar
+theorem (Koekoek, Lesky & Swarttouw, Springer 2010, ch. 9).  A finite
+support's Grams are absolute, the ``Fraction``s the support sum gives, and
+orthogonality is checked at every (a, tau) probe; an infinite support's are
+in units of channel 1's |p_0|^2, the cross-channel masses resolved at the
+tau probe along the pattern path, and orthogonality is checked at the
+spec's own couplings once per tau probe.  With ``truncated=True``
+orthogonality is checked by truncated float sums instead, the oracle, on
+the spec's own couplings with the true transcendental quotients, from one
+float value table per polynomial and one float weight table per run, every
+pair summed in one pass over x (``construction.float_grams``).  All work
+runs inline: it is pure-Python arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
-from . import linalg
 from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
     channel_gram,
-    channel_norms,
     channel_table,
     check_tol,
     converged,
     float_grams,
     float_value_table,
     float_weight_table,
+    gram_basis,
     gram_ratio,
-    gram_sum,
     integer_table,
     orthogonal_polynomial,
     spec_tau,
-    value_table,
-    weight_table,
 )
 from .errors import SpecError
 from .operators import (
@@ -86,7 +88,7 @@ from .operators import (
     recurrence_closes,
 )
 from .poly import MatrixPoly, ScalarPoly
-from .rational import format_rational, named_rational
+from .rational import format_rational, named_rational, over
 
 
 @dataclass(frozen=True)
@@ -148,16 +150,18 @@ def _perturbed(polys, perturb: bool):
     return [Q if n == 0 else Q + bump for n, Q in enumerate(polys)]
 
 
-def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
+def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
-                         tol: float = 1e-9, tables=None, weights=None) -> list:
-    """<Q_n, Q_k> = 0 for every k < n among ``polys``, built for ``spec`` at
-    ``probe_tau``: exactly over the finite support from their integer
-    ``tables`` and the spec's ``weights`` (``construction.weight_table``,
-    which does not depend on the couplings); without tables, exactly in the
-    channel basis (``construction.channel_gram``, a failing Gram in units
-    of channel 1's |p_0|^2); or with ``truncated`` by the relative bound of
-    truncated float sums against ``tol``.
+                         tol: float = 1e-9, basis=None) -> list:
+    """<Q_n, Q_k> = 0 for every k < n of the chain Q_0, Q_1, ..., built for
+    ``spec`` at ``probe_tau``: exactly in the channel basis
+    (``construction.channel_gram``), ``chain`` holding the polynomials'
+    integer tables (``construction.integer_table``) and ``basis`` the
+    channels' ``construction.gram_basis`` at ``probe_tau``, a failing Gram
+    absolute on a finite support and in units of channel 1's |p_0|^2 on an
+    infinite one; or with ``truncated``, ``chain`` holding the polynomials,
+    by the relative bound of truncated float sums against ``tol``.  A
+    channel ladder that fails its certificate fails every exact check.
 
     The truncated sums read one float value table per polynomial and one
     float weight table, and every <Q_n, Q_k> with k <= n is summed in one
@@ -167,18 +171,13 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
     raised pair by pair."""
     if truncated:
         weights = float_weight_table(spec, x_max)
-        values = [float_value_table(Q, len(weights) - 1) for Q in polys]
-        pairs = [(n, k) for n in range(len(polys)) for k in range(n + 1)]
+        values = [float_value_table(Q, len(weights) - 1) for Q in chain]
+        pairs = [(n, k) for n in range(len(chain)) for k in range(n + 1)]
         grams = float_grams(values, weights, pairs, x_max, tol)
-    elif tables is None:
-        # P U has degree at most deg P + 1 = len(polys) for P in the chain
-        weights = channel_norms(spec, len(polys), probe_tau)
-        values = [channel_table(Q, spec) for Q in polys]
     else:
-        values = [value_table(t, spec) for t in tables]
-    gram_of = gram_sum if tables is not None else channel_gram
+        values = [channel_table(t, spec, basis) for t in chain]
     checks = []
-    for n in range(len(polys)):
+    for n in range(len(chain)):
         for k in range(n):
             if truncated:
                 pair, p_self, q_self = (converged(grams[key], spec).max_abs()
@@ -186,10 +185,12 @@ def verify_orthogonality(spec: FamilySpec, polys, probe_a, probe_tau,
                 bound = gram_ratio(pair, p_self, q_self)
                 passed = bound < tol
                 detail = f"k = {k}; relative bound = {bound:.3e}"
+            elif basis.failure:
+                passed, detail = False, f"k = {k}; {basis.failure}"
             else:
-                gram = gram_of(values[n], values[k], weights)
-                passed = linalg.is_zero_matrix(gram)
-                detail = f"k = {k}" + ("" if passed else f"; gram = {gram}")
+                sums, den = channel_gram(values[n], values[k], basis)
+                passed = not any(map(any, sums))
+                detail = f"k = {k}" + ("" if passed else f"; gram = {over(sums, den)}")
             checks.append(CheckResult(
                 name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
                 passed=passed, detail=detail,
@@ -339,17 +340,17 @@ def _arguments(spec: FamilySpec, n_max: int, a_probes, tau_probes):
 
 def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operator, perturb: bool):
     """The probe sweep every suite reads, as (a, tau, probe spec, stencil,
-    chain, tables): per coupling probe D(a)'s integer stencil, formed from
+    tables): per coupling probe D(a)'s integer stencil, formed from
     the stencil of ``operator`` = D(1) (``_probe_stencil``; None without an
     operator); per tau the chain Q_0..Q_(top+1), the last closing the
     recurrence, perturbed with ``perturb``, and one integer table per
     polynomial, each built once.
 
-    The tables reach x = X: the support, the recurrence's top + 1 and the
+    The tables reach x = X: the recurrence's top + 1 and the
     eigenfunction's top + extra + 1, for Q(x + 1) at its last point.
     """
     extra = 0 if operator is None else operator.extra_degree
-    stop = max(spec.support_N or 0, top + extra + 1)
+    stop = top + extra + 1
     base = None if operator is None else operator.stencil(stop - 1)
     for a_val in a_vals:
         probe = _probe(spec, a_val)
@@ -358,8 +359,7 @@ def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operator, perturb: bool
             chain = _perturbed(
                 [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 2)], perturb
             )
-            tables = [integer_table(Q, stop) for Q in chain]
-            yield a_val, tau, probe, stencil, chain, tables
+            yield a_val, tau, probe, stencil, [integer_table(Q, stop) for Q in chain]
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
@@ -376,7 +376,7 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
     D, eig = canonical_operator(_probe(spec, 1), force=force)
     checks = []
-    for a_val, tau, _, stencil, _, tables in _sweep(spec, top, a_vals, tau_vals, D, perturb):
+    for a_val, tau, _, stencil, tables in _sweep(spec, top, a_vals, tau_vals, D, perturb):
         checks.extend(_eigenfunction_checks(eig, stencil, tables[:-1], a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
@@ -405,7 +405,8 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
     check_tol(tol, "tol (--tol)")
-    weights = weight_table(spec) if spec.is_finite and not truncated else None
+    # the basis and the norms of the channel Gram, once per tau probe
+    basis = cache(lambda tau: gram_basis(spec, top + 1, tau))
     own_a = spec.a[0] if spec.m == 2 else f"({', '.join(map(format_rational, spec.a))})"
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
     if truncated:
@@ -422,30 +423,25 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         D = None
         notes.append(f"bispectral suite skipped: {err}")
 
-    own = {}  # tau -> Q_0..Q_top at the spec's own couplings, when a probe has them
-    for a_val, tau, probe, stencil, chain, tables in _sweep(
+    own = {}  # tau -> tables of Q_0..Q_top at the spec's own couplings, when a probe has them
+    for a_val, tau, probe, stencil, tables in _sweep(
             spec, top, a_vals, tau_vals, D, perturb):
+        checked = tables[:-1]
         if probe == spec:
-            own[tau] = chain[:-1]
-        checked_tables = tables[:-1]
-        if weights is not None:
-            orthogonality.extend(verify_orthogonality(
-                probe, chain[:-1], a_val, tau, tables=checked_tables, weights=weights,
-            ))
+            own[tau] = checked
+        if spec.is_finite and not truncated:
+            orthogonality.extend(verify_orthogonality(probe, checked, a_val, tau, basis=basis(tau)))
         if stencil is not None:
-            eigenfunction.extend(_eigenfunction_checks(
-                eig, stencil, checked_tables, a_val, tau,
-            ))
+            eigenfunction.extend(_eigenfunction_checks(eig, stencil, checked, a_val, tau))
         recurrence.extend(verify_recurrence(probe, tables, a_val, tau))
 
-    if weights is None and not truncated:
-        # an infinite support: exact in the channel basis at the spec's own
-        # couplings, once per tau probe, each chain built once per run
+    if not spec.is_finite and not truncated:
+        # an infinite support: at the spec's own couplings, once per tau
+        # probe, each chain built and tabulated once per run
         for tau in tau_vals:
-            polys = own.get(tau) or _perturbed(
-                [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)], perturb
-            )
-            orthogonality.extend(verify_orthogonality(spec, polys, own_a, tau))
+            tables = own.get(tau) or [integer_table(Q, -1) for Q in _perturbed(
+                [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)], perturb)]
+            orthogonality.extend(verify_orthogonality(spec, tables, own_a, tau, basis=basis(tau)))
 
     return VerificationReport(
         checks=tuple(orthogonality + eigenfunction + recurrence),

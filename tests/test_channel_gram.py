@@ -1,6 +1,7 @@
-"""The exact Gram in the channel basis: against the support sum on finite
-specs, against the falling-factorial moments on infinite ones, and as the
-orthogonality verdict of ``verify`` on an infinite support."""
+"""The exact Gram in the channel basis: against the support sum
+(``gram_oracle``) on finite specs, against the falling-factorial moments on
+infinite ones, and as the orthogonality verdict of ``verify`` on an
+infinite support."""
 import json
 import re
 from collections import Counter
@@ -14,17 +15,16 @@ from mvop.construction import (
     FamilySpec,
     channel_gram,
     channel_masses,
-    channel_norms,
     channel_table,
-    gram_sum,
+    gram_basis,
     integer_table,
     orthogonal_polynomial,
-    value_table,
-    weight_table,
 )
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.rational import over
 
+from gram_oracle import gram_sum, value_table, weight_table
 from moment_oracle import moment_gram
 
 KRAW_P = (F(1, 3), F(2, 5), F(1, 4), F(3, 4), F(1, 2))
@@ -44,6 +44,15 @@ CMC_NEAR_MISS = FamilySpec(a=(F(1, 2), F(2)), channels=(
 # the construction reads M_2 / M_1 = tau and M_2 / M_3 = tau here
 CMC = FamilySpec(a=(F(2), F(-1, 3)), channels=(
     Charlier(F(1)), Meixner(F(1, 2), F(1, 3)), Charlier(F(2))))
+
+
+def grams(polys, spec, tau=None):
+    """The program's channel Gram of every pair of ``polys``, from one
+    basis, keyed by the pair of indices."""
+    basis = gram_basis(spec, max(P.degree for P in polys) + 1, tau)
+    tables = [channel_table(integer_table(P, -1), spec, basis) for P in polys]
+    return {(n, k): over(*channel_gram(p, q, basis))
+            for n, p in enumerate(tables) for k, q in enumerate(tables)}
 
 
 def chain(spec, top, tau=None, perturb=False):
@@ -66,22 +75,20 @@ def finite_specs(draw):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=finite_specs(), perturb=st.booleans())
-def test_channel_gram_equals_support_sum(spec, perturb):
-    """Times channel 1's |p_0|^2, the channel Gram of every pair of the
-    chain Q_0..Q_N is the integer support sum, entry for entry."""
+@given(spec=finite_specs(), perturb=st.booleans(), dense=st.tuples(
+    st.integers(0, 4), st.integers(0, 4), st.integers(1, 5), st.integers(1, 5)))
+def test_channel_gram_equals_support_sum(spec, perturb, dense):
+    """The channel Gram of every pair of the chain Q_0..Q_N and of two
+    dense polynomials of degree <= N + 1 is the integer support sum, entry
+    for entry."""
     N = spec.support_N
-    polys = chain(spec, N, perturb=perturb)
-    norms = channel_norms(spec, N + 1)
-    unit = spec.channels[0].total_mass().rational_value()
-    channels = [channel_table(Q, spec) for Q in polys]
+    degrees, seeds = dense[:2], dense[2:]
+    polys = chain(spec, N, perturb=perturb) + [
+        dense_poly(spec.m, min(d, N + 1), seed) for d, seed in zip(degrees, seeds)]
     weights = weight_table(spec)
-    values = [value_table(integer_table(Q, N), spec) for Q in polys]
-    for n in range(N + 1):
-        for k in range(N + 1):
-            gram = channel_gram(channels[n], channels[k], norms)
-            assert tuple(tuple(v * unit for v in row) for row in gram) == \
-                gram_sum(values[n], values[k], weights)
+    values = [value_table(integer_table(P, N), spec) for P in polys]
+    for (n, k), gram in grams(polys, spec).items():
+        assert gram == gram_sum(values[n], values[k], weights)
 
 
 def dense_poly(m, degree, seed):
@@ -107,9 +114,7 @@ def test_channel_gram_equals_moment_sum(channels, couplings, tau, degrees):
     m = len(channels)
     spec = FamilySpec(a=tuple(couplings[:m - 1]), channels=tuple(channels))
     P, Q = (dense_poly(m, d, seed) for d, seed in zip(degrees, (1, 4)))
-    norms = channel_norms(spec, max(degrees) + 1, tau)
-    assert channel_gram(channel_table(P, spec), channel_table(Q, spec), norms) == \
-        moment_gram(P, Q, spec, tau)
+    assert grams([P, Q], spec, tau)[0, 1] == moment_gram(P, Q, spec, tau)
 
 
 def test_masses_follow_the_pattern_path():

@@ -365,7 +365,8 @@ class TestTruncatedInnerProducts:
     def test_exact_mode_needs_finite_support(self):
         spec = FamilySpec(a=(1,), channels=(Charlier(b=F(1)), Charlier(b=F(1))))
         Q1 = orthogonal_polynomial(spec, 1)
-        with pytest.raises(SpecError):
+        # the exact infinite-support Gram reads a tau probe; the message names verify
+        with pytest.raises(SpecError, match="finite support; .*`mvop verify`"):
             inner_product(Q1, Q1, spec, mode="exact")
 
 

@@ -1,24 +1,17 @@
-"""The exact Gram engine: integer value tables of P U, channel weight
-tables and their pairwise sums, against the pointwise sum of
-P(x) W(x) Q(x)^T."""
+"""The exact Gram on a finite support: the program's channel-basis Gram
+(``inner_product``) and the support-sum oracle (``gram_oracle``), against
+the pointwise sum of P(x) W(x) Q(x)^T."""
 from fractions import Fraction as F
 
 import pytest
 
 from mvop import construction, linalg, verification
-from mvop.construction import (
-    FamilySpec,
-    gram_sum,
-    inner_product,
-    integer_table,
-    orthogonal_polynomial,
-    value_table,
-    weight_table,
-)
+from mvop.construction import FamilySpec, inner_product, integer_table, orthogonal_polynomial
 from mvop.families import Hahn, Krawtchouk
 from mvop.poly import MatrixPoly, ScalarPoly
 
 from construction_oracle import gram_schmidt_oracle
+from gram_oracle import gram_sum, value_table, weight_table
 from residual_oracle import brute_force_gram
 
 
@@ -122,10 +115,10 @@ def test_verification_builds_each_value_once(monkeypatch):
     probes, degrees = len(report.a_probes), 5
     assert len(tables) == probes * degrees
     assert len({P for P, _ in tables}) == probes * degrees
-    # X covers the support 0..3, the recurrence's points 0..4 and the
-    # eigenfunction's points 0..3 + 1 with Q(x + 1) at the last of them
+    # X covers the recurrence's points 0..4 and the eigenfunction's points
+    # 0..3 + extra with Q(x + 1) at the last of them; the Gram reads no point
     extra = verification.canonical_operator(spec)[0].extra_degree
-    assert {stop for _, stop in tables} == {max(3, 3 + extra + 1)}
+    assert {stop for _, stop in tables} == {3 + extra + 1}
 
 
 def test_perturbed_gram_detail_shows_fractions():

@@ -1,14 +1,18 @@
 """The verification sweep: one construction per probe and degree, one
-operator per run, and the arguments both entry points share."""
+operator per run, one ladder certificate per channel and one Gram basis per
+tau, and the arguments both entry points share."""
+import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from mvop import operators, verification
-from mvop.construction import FamilySpec
+from mvop import construction, families, linalg, operators, verification
+from mvop.construction import FamilySpec, inner_product, orthogonal_polynomial
 from mvop.errors import SpecError
-from mvop.families import Charlier, Krawtchouk, Meixner
+from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
+
+from residual_oracle import brute_force_gram
 
 KRAW = FamilySpec(a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3)))
 # a mass quotient is transcendental here, so the tau probes are swept
@@ -34,22 +38,107 @@ def test_each_polynomial_built_once(monkeypatch):
     assert set(built.values()) == {1}
 
 
-def test_one_weight_table_per_run(monkeypatch):
-    # the channel weights do not depend on the couplings, so the five
-    # a-probes share one table
-    calls = []
-    real = verification.weight_table
+@pytest.fixture
+def fresh_ladders():
+    """Each channel's ladder, grown and certified anew in this test and
+    after it, so that a count or a patched channel class reaches it."""
+    families.ladder.cache_clear()
+    families.certify_ladder.cache_clear()
+    yield
+    families.ladder.cache_clear()
+    families.certify_ladder.cache_clear()
 
-    def counting(spec):
-        calls.append(spec)
-        return real(spec)
 
-    monkeypatch.setattr(verification, "weight_table", counting)
-    spec = FamilySpec(
-        a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3))
-    )
-    assert verification.run_verification(spec).all_passed
-    assert len(calls) == 1
+@pytest.mark.parametrize("spec, taus", [(KRAW, 1), (CHARLIER_MEIXNER, 3)],
+                         ids=["krawtchouk", "charlier/meixner"])
+def test_one_certificate_per_channel_and_one_basis_per_tau(monkeypatch, fresh_ladders,
+                                                          spec, taus):
+    """Over the five coupling probes of one run: each channel's ladder is
+    certified once, and the Gram basis and norms, which do not depend on the
+    couplings, are built once per tau, one of each per channel."""
+    bases, masses = [], []
+
+    def counting(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(verification, "gram_basis", counting(bases, verification.gram_basis))
+    monkeypatch.setattr(construction, "channel_masses",
+                        counting(masses, construction.channel_masses))
+    report = verification.run_verification(spec, n_max=2, x_max=100)
+    assert report.all_passed
+    assert len(report.a_probes) == 5 and len(report.tau_probes) == taus
+    certified = families.certify_ladder.cache_info()
+    assert (certified.misses, certified.currsize) == (spec.m, spec.m)
+    assert [tau for _, _, tau in bases] == [tau for _, tau in masses] == list(report.tau_probes)
+    for args in bases:
+        basis = construction.gram_basis(*args)
+        assert len(basis.columns) == spec.m
+        assert len(basis.norms) == spec.m * len(basis.columns[0])
+
+
+def mutated_runs(spec, n_max=3):
+    """run_verification and inner_product on ``spec``: the report, and the
+    error inner_product raises on Q_1 and Q_0."""
+    report = verification.run_verification(spec, n_max=n_max)
+    Q0, Q1 = (orthogonal_polynomial(spec, n) for n in (0, 1))
+    with pytest.raises(SpecError) as err:
+        inner_product(Q1, Q0, spec)
+    return report, str(err.value)
+
+
+def test_certificate_catches_a_wrong_recurrence(monkeypatch, fresh_ladders):
+    """b_2 off by 1/1000 on one Krawtchouk channel: Q_n follows the wrong
+    ladder, so its channel Gram vanishes, but the support sum does not, and
+    the certificate fails every orthogonality check."""
+    wrong = Krawtchouk(p=F(1, 4), N=4)
+    spec = FamilySpec(a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=4), wrong))
+    real = Krawtchouk.recurrence_bc
+
+    def bumped(self, n):
+        b_n, c_n = real(self, n)
+        return (b_n + F(1, 1000), c_n) if self is wrong and n == 2 else (b_n, c_n)
+
+    monkeypatch.setattr(Krawtchouk, "recurrence_bc", bumped)
+    report, error = mutated_runs(spec)
+    checks = [c for c in report.checks if c.name == "orthogonality"]
+    assert checks and not any(c.passed for c in checks)
+    # b_2 first moves the moment of x^5, so sum_x w(x) p_j(x) stays 0 for
+    # j <= N = 4 and p_5 no longer vanishes on the support
+    identity = r"channel 2 ladder fails its certificate: p_5\(\d\) = -?\d+/\d+, not 0"
+    assert all(re.fullmatch(rf"k = \d; {identity}", c.detail) for c in checks)
+    assert re.fullmatch(identity, error)
+    # the failure is real: a support sum <Q_n, Q_k> is not zero
+    polys = [orthogonal_polynomial(spec, n) for n in range(5)]
+    assert any(not linalg.is_zero_matrix(brute_force_gram(polys[n], polys[k], spec))
+               for n in range(5) for k in range(n))
+
+
+def test_certificate_catches_a_wrong_mass(monkeypatch, fresh_ladders):
+    """A wrong total mass on one Hahn channel scales that channel's ladder
+    norms, so the norm ratios Q_n reads are wrong: only the certificate's
+    mass identity sees it, and every orthogonality check fails."""
+    wrong = Hahn(alpha=F(1, 2), beta=F(3, 2), N=3)
+    spec = FamilySpec(a=(F(1, 2),), channels=(Hahn(alpha=F(3, 2), beta=F(5, 2), N=3), wrong))
+    real = Hahn.total_mass
+
+    def doubled(self):
+        mass = real(self)
+        return mass.scaled(2) if self is wrong else mass
+
+    monkeypatch.setattr(Hahn, "total_mass", doubled)
+    report, error = mutated_runs(spec)
+    checks = [c for c in report.checks if c.name == "orthogonality"]
+    assert checks and not any(c.passed for c in checks)
+    mass = real(wrong).rational_value()
+    identity = (f"channel 2 ladder fails its certificate: sum_x w(x) = {mass}, "
+                f"not the ladder's mass {2 * mass}")
+    assert {c.detail.split("; ", 1)[1] for c in checks} == {identity}
+    assert error == identity
+    Q0, Q1 = (orthogonal_polynomial(spec, n) for n in (0, 1))
+    assert not linalg.is_zero_matrix(brute_force_gram(Q1, Q0, spec))
 
 
 def test_perturb_reaches_the_recurrence_suite():
