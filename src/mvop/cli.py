@@ -14,6 +14,7 @@ from .construction import (
     FamilySpec,
     family_spec_from_json,
     orthogonal_polynomial,
+    orthogonal_table,
     spec_tau,
     weight_matrix,
 )
@@ -105,7 +106,14 @@ def cmd_family(args) -> int:
         raise SpecError(f"--n must be >= 0, got {args.n}")
     top = spec.support_N
     n_hi = args.n if top is None else min(args.n, top)
-    polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(n_hi + 1)]
+    if tau == "numeric":
+        polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(n_hi + 1)]
+    else:
+        # one integer table per degree: the polynomials printed and, with
+        # --recurrence, the chain matched, which reaches x = n_hi + 1
+        stop = n_hi + 1 if args.recurrence else -1
+        tables = [orthogonal_table(spec, n, tau, stop) for n in range(n_hi + 1)]
+        polys = [t.polynomial() for t in tables]
 
     operator = None
     eig = None
@@ -138,7 +146,7 @@ def cmd_family(args) -> int:
         artifact["note"] = operator_note
     if args.recurrence:
         tau = spec_tau(spec, tau, "--tau", exact=True)
-        chain = polys + [orthogonal_polynomial(spec, n_hi + 1, tau=tau)]
+        chain = tables + [orthogonal_table(spec, n_hi + 1, tau, n_hi + 1)]
         artifact["recurrence"] = [
             _triple_json(t) for t in closed_recurrence(spec, chain, tau=tau).values()
         ]

@@ -12,20 +12,36 @@ constants are cross-channel total-mass quotients, which exact identity
 checks replace by a rational probe value (tau) and numeric checks evaluate
 as floats.  With p, q, r the channel polynomials of degrees n, n + 1,
 n - 1, A holding a at 0-based pattern positions (i, j) and the norm-ratio
-matrix theta = R_n on the transposed positions, Q_n has four kinds of
-nonzero entries, and ``_assemble`` builds only those:
+matrix theta = R_n on the transposed positions,
+Q_n = (P_n + A P_(n+1) - R_n P_(n-1))(I - A x) has four kinds of nonzero
+entries:
 
     diagonal (i, i):            p_i + x sum_k theta_ik r_k a_ki
     pattern (i, j):             a q_j - (p_i a) x
     transposed pattern (j, i):  -theta_ji r_i
     even channels j != l:       x sum_k theta_jk r_k a_kl   (1-based even)
 
-so building Q_n costs O(m) scalar polynomial products, not m^3; each
-product with x is a shift of coefficients (``ScalarPoly.times_x``), and
-each norm ratio's rational part and mass quotient are formed once per
-(ladder, degree, ladder, degree) (``_norm_quotient``), so a probe only
-resolves tau and multiplies.  The closure companion Q_(N+1) is the same
-form at n = N + 1, where each channel ladder's zero norm |p_(N+1)|^2 makes
+Each is a sum of a few scalar multiples of channel polynomials, so Q_n is
+fixed by about 3 m^2 scalar coefficients.  ``orthogonal_table`` builds Q_n
+from them in integers (``_integer_form``): each channel's monic p_j is put
+over one denominator once per (ladder, degree) (``_integer_monic``), and
+each norm ratio's rational part and mass quotient once per (ladder,
+degree, ladder, degree) (``_norm_quotient``), so a (probe, tau, n) only
+resolves tau, forms the scalar coefficients, puts them over their least
+common denominator and sums integer coefficient lists; no ``Fraction``
+polynomial product is formed.  The result is an ``IntegerTable``: the
+least common denominator L of Q_n's coefficients, the coefficients of L Q_n
+and its values at the integer points x = -1..X by integer Horner; scaling
+by a nonzero integer changes no zero, so a check that an identity vanishes
+reads the same on L Q_n as on Q_n.  ``orthogonal_polynomial`` returns the
+``Fraction`` view of the same table, so what ``family`` and ``export``
+print is what ``verify`` certifies.  The ``ScalarPoly`` assembly
+(``_assemble``) is kept only where the coefficients are not rational: for
+couplings in the quadratic extension (the Hermite limit sources) and for
+the float mass quotients (tau "numeric"), whose float operation order it
+fixes; each product with x there is a shift of coefficients
+(``ScalarPoly.times_x``).  The closure companion Q_(N+1) is the same form
+at n = N + 1, where each channel ladder's zero norm |p_(N+1)|^2 makes
 theta = 0.  With the channel weights at x over one denominator d and the
 couplings over q, d q^2 W(x)_ij = sum_r (d w_r) (q U_ir) (q U_jr) is an
 integer sum (``_weight_entries``): ``weight_matrix`` reduces it to the
@@ -33,13 +49,10 @@ exact ``Fraction``, and the float weights divide it once, correctly
 rounded.  Runs of weights grow each channel by its exact ratio
 w(x + 1) / w(x) (``families.weight_sequence``).
 
-Exact identity checks work on integer value tables.  ``integer_table``
-puts a matrix polynomial's coefficients over their least common
-denominator L, once, and evaluates L P at the integer points x = -1..X by
-integer Horner; scaling by a nonzero integer changes no zero, so a check
-that an identity vanishes reads the same on L P as on P.  Exact Gram
-matrices, on every support, are read in the channel basis, with no sum
-over x: W = U diag(w_r) U^T, so
+``integer_table`` tabulates any exact matrix polynomial the same way
+(the operator's F, K and G, and the polynomials of exact
+``inner_product``).  Exact Gram matrices, on every support, are read in
+the channel basis, with no sum over x: W = U diag(w_r) U^T, so
 
     <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
 
@@ -352,7 +365,9 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
     """P_n + A P_(n+1) - R_n P_(n-1) - P_n A x + R_n P_(n-1) A x, where
     R_n = |P_n|^2 A^T |P_(n-1)|^(-2), P_k = diag(p_k^(w_1), ..., p_k^(w_m))
     and P_(-1) = 0, by ``_assemble`` from each channel's ladder, read once;
-    at n = N + 1 the ladder's |p_(N+1)|^2 = c_(N+1) |p_N|^2 is 0, so R_n = 0."""
+    at n = N + 1 the ladder's |p_(N+1)|^2 = c_(N+1) |p_N|^2 is 0, so R_n = 0.
+    Only couplings in the quadratic extension and the float mass quotients
+    (tau "numeric") take this path; ``_integer_form`` builds the rest."""
     m = spec.m
     ladders = [ladder(ch) for ch in spec.channels]
     p = [lad.polynomial(n) for lad in ladders]
@@ -367,26 +382,123 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
     return _assemble(spec, p, q, r, theta)
 
 
+@lru_cache(maxsize=None)
+def _integer_monic(lad, n: int):
+    """A channel ladder's monic p_n over one denominator, as (integer
+    coefficients, d), once per (ladder, degree) as ``_norm_quotient``."""
+    (coeffs,), d = over_lcm((lad.polynomial(n).coeffs,))
+    return coeffs, d
+
+
+def _integer_form(spec: FamilySpec, n: int, tau, stop: int) -> "IntegerTable":
+    """Q_n's integer table at x = -1..stop, combined in integers from the
+    channel ladders' integer p_j (``_integer_monic``) and the scalar
+    coefficients of ``_assemble``'s four entry kinds: with (i, j) a pattern
+    position holding a and theta = a |p_n^(j)|^2 / |p_(n-1)^(i)|^2,
+    entry (i, i) takes 1 p_n^(i), entry (i, j) takes a p_(n+1)^(j) and
+    -a x p_n^(i), entry (j, i) takes -theta p_(n-1)^(i), and entry (j, l)
+    takes theta b x p_(n-1)^(i) for each pattern position (i, l) holding b.
+
+    Each term's multiplier, kept as an unreduced fraction, is put over one
+    common denominator D, the integer coefficients are summed, and D and the
+    coefficients are divided by their gcd, so the scale is the least common
+    denominator of Q_n's coefficients, as ``integer_table`` reads it.  The
+    ladders are read as ``_closed_form`` reads them (to degree n + 1) and
+    the mass quotients resolved as it resolves them, so the same inputs
+    fail the same gates."""
+    m = spec.m
+    ladders = [ladder(ch) for ch in spec.channels]
+    p = [_integer_monic(lad, n) for lad in ladders]
+    q = [_integer_monic(lad, n + 1) for lad in ladders]
+    r = [_integer_monic(lad, n - 1) for lad in ladders] if n else ()
+    # terms[j][l] holds (numerator, denominator, power of x, channel
+    # polynomial) for each term of entry (j, l), the fractions unreduced
+    terms = [[[] for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        terms[i][i].append((1, 1, 0, p[i]))
+    positions = staggered_positions(m)
+    coupled = {}  # i -> [(l, b)] along row i of A
+    for (i, j), a in zip(positions, spec.a):
+        coupled.setdefault(i, []).append((j, a))
+        terms[i][j] += [(a.numerator, a.denominator, 0, q[j]),
+                        (-a.numerator, a.denominator, 1, p[i])]
+    for (i, j), a in zip(positions if n else (), spec.a):
+        coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
+        t = coefficient * _resolve_quotient(quotient, tau)
+        num, den = a.numerator * t.numerator, a.denominator * t.denominator
+        if num:
+            terms[j][i].append((-num, den, 0, r[i]))
+            for l, b in coupled[i]:
+                terms[j][l].append((num * b.numerator, den * b.denominator, 1, r[i]))
+    D = math.lcm(*(den * d for row in terms for ts in row for _, den, _, (_, d) in ts))
+    entries = []
+    for row in terms:
+        out = []
+        for ts in row:
+            cs = []
+            for num, den, shift, (coeffs, d) in ts:
+                f = num * (D // (den * d))
+                cs.extend([0] * (len(coeffs) + shift - len(cs)))
+                for k, v in enumerate(coeffs, shift):
+                    cs[k] += f * v
+            while cs and not cs[-1]:
+                cs.pop()
+            out.append(cs)
+        entries.append(out)
+    g = math.gcd(D, *(v for row in entries for cs in row for v in cs))
+    if g > 1:
+        entries = [[[v // g for v in cs] for cs in row] for row in entries]
+    return _tabulated(entries, D // g, stop)
+
+
+def _chain_tau(spec: FamilySpec, n: int, tau, exact: bool = False):
+    """The tau Q_n reads (``spec_tau``), after the degree gate: 0 <= n, and
+    n <= N + 1 on a finite support, where the closure companion n = N + 1
+    reads none."""
+    top = spec.support_N
+    if n < 0 or (top is not None and n > top + 1):
+        limit = "" if top is None else f" <= {top + 1}"
+        raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
+    tau = spec_tau(spec, tau, exact=exact)
+    return None if top is not None and n == top + 1 else tau
+
+
+def orthogonal_table(spec: FamilySpec, n: int, tau=None, stop: int = -1) -> "IntegerTable":
+    """The integer table of Q_n at x = -1..stop (``_integer_form``), for
+    rational couplings; the degrees and ``tau`` are read as
+    ``orthogonal_polynomial`` reads them, except that "numeric" is a
+    ProbeError where the spec reads a tau: a table is exact."""
+    return _integer_form(spec, n, _chain_tau(spec, n, tau, exact=True), stop)
+
+
 def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
-    """The degree-n matrix orthogonal polynomial for W (``_closed_form``),
-    0 <= n, and n <= N + 1 on a finite support, where n = N reads the
-    degree-(N+1) extension x(x-1)...(x-N) for P_(n+1) and n = N + 1 is the
-    closure companion (``closure_polynomial``), so that consecutive degrees
+    """The degree-n matrix orthogonal polynomial for W, 0 <= n, and
+    n <= N + 1 on a finite support, where n = N reads the degree-(N+1)
+    extension x(x-1)...(x-N) for P_(n+1) and n = N + 1 is the closure
+    companion (``closure_polynomial``), so that consecutive degrees
     0..N + 1 form every chain the three-term recurrence reads.  Degree is
     exactly n; the leading coefficient has the block form [[I, N], [0, T]]
     (``operators.lead_inverse``), and a rational tau probe can make T
     singular.  ``tau`` is read by ``spec_tau``: an exact rational (an int, a
     Fraction or a "p/q" string) or "numeric" for the float mass quotients,
     needed only when a cross-channel mass quotient is transcendental; a float
-    tau is a SpecError naming tau."""
-    top = spec.support_N
-    if n < 0 or (top is not None and n > top + 1):
-        limit = "" if top is None else f" <= {top + 1}"
-        raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
-    tau = spec_tau(spec, tau)
-    if top is not None and n == top + 1:
-        return closure_polynomial(spec)
-    return _closed_form(spec, n, tau)
+    tau is a SpecError naming tau.
+
+    With rational couplings and an exact tau this is the ``Fraction`` view of
+    the integer table ``verify`` certifies (``orthogonal_table``); couplings
+    in the quadratic extension and the float quotients are built by
+    ``_closed_form``."""
+    tau = _chain_tau(spec, n, tau)
+    if tau == "numeric" or not all(isinstance(a, Fraction) for a in spec.a):
+        return _closed_form(spec, n, tau)
+    return _integer_form(spec, n, tau, -1).polynomial()
+
+
+def numeric_polynomial(spec: FamilySpec, n: int) -> MatrixPoly:
+    """Q_n at the float mass quotients (tau "numeric"), by ``_closed_form``
+    in its float operation order; with rational quotients, the exact Q_n.
+    The truncated float oracle sums these."""
+    return _closed_form(spec, n, _chain_tau(spec, n, "numeric"))
 
 
 def closure_polynomial(spec: FamilySpec) -> MatrixPoly:
@@ -397,7 +509,7 @@ def closure_polynomial(spec: FamilySpec) -> MatrixPoly:
     top = spec.support_N
     if top is None:
         raise SpecError("the closure companion needs a finite support")
-    return _closed_form(spec, top + 1, None)
+    return orthogonal_polynomial(spec, top + 1)
 
 
 # --------------------------------------------------------------------------
@@ -439,15 +551,16 @@ class IntegerTable:
         return tuple(tuple(cs[j] if 0 <= j < len(cs) else 0 for cs in row)
                      for row in self.coefficients)
 
+    def polynomial(self) -> MatrixPoly:
+        """P itself, its coefficients divided by L to ``Fraction``s."""
+        return MatrixPoly(tuple(tuple(ScalarPoly(Fraction(c, self.scale) for c in cs)
+                                      for cs in row) for row in self.coefficients))
 
-def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
-    """Evaluate P, exact coefficients put over one denominator once, at
-    x = -1..stop by integer Horner."""
-    scale = math.lcm(*(c.denominator for row in P.entries for e in row for c in e.coeffs))
-    entries = tuple(
-        tuple(tuple(c.numerator * (scale // c.denominator) for c in e.coeffs) for e in row)
-        for row in P.entries
-    )
+
+def _tabulated(entries, scale: int, stop: int) -> IntegerTable:
+    """The table of the integer coefficient lists ``entries`` (each trimmed)
+    over ``scale``, evaluated at x = -1..stop by integer Horner."""
+    entries = tuple(tuple(tuple(cs) for cs in row) for row in entries)
     values = []
     for x in range(-1, stop + 1):
         rows = []
@@ -460,7 +573,17 @@ def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
                 vals.append(acc)
             rows.append(tuple(vals))
         values.append(tuple(rows))
-    return IntegerTable(degree=P.degree, scale=scale, coefficients=entries, values=tuple(values))
+    degree = max(len(cs) for row in entries for cs in row) - 1
+    return IntegerTable(degree=degree, scale=scale, coefficients=entries, values=tuple(values))
+
+
+def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
+    """Evaluate P, exact coefficients put over one denominator once, at
+    x = -1..stop by integer Horner."""
+    scale = math.lcm(*(c.denominator for row in P.entries for e in row for c in e.coeffs))
+    entries = [[[c.numerator * (scale // c.denominator) for c in e.coeffs] for e in row]
+               for row in P.entries]
+    return _tabulated(entries, scale, stop)
 
 
 def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "exact",

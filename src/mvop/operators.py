@@ -38,14 +38,14 @@ from . import linalg
 from .construction import (
     FamilySpec,
     integer_table,
-    orthogonal_polynomial,
+    orthogonal_table,
     spec_tau,
     staggered_positions,
 )
 from .errors import ProbeError, SpecError
 from .families import Hahn, ScalarOperator
 from .poly import MatrixPoly, ScalarPoly
-from .rational import over_lcm
+from .rational import format_rational, over_lcm
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,9 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
     sequence; see ``closed_recurrence``.
 
-    On a finite support, n = N closes through the degree-(N+1) companion
-    ``orthogonal_polynomial(spec, N + 1)``, built from the vanishing-norm
+    The chain Q_(n-1), Q_n, Q_(n+1) is read as integer tables
+    (``construction.orthogonal_table``).  On a finite support, n = N closes
+    through the degree-(N+1) companion, built from the vanishing-norm
     extension.  Exact closure needs exact coefficients, so a transcendental
     mass quotient needs a rational tau (``spec_tau``).
     """
@@ -254,8 +255,8 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
     tau = spec_tau(spec, tau, exact=True)
-    chain = {k: orthogonal_polynomial(spec, k, tau=tau) for k in range(max(n - 1, 0), n + 2)}
-    return closed_recurrence(spec, chain, (n,), tau)[n]
+    tables = {k: orthogonal_table(spec, k, tau, n + 1) for k in range(max(n - 1, 0), n + 2)}
+    return closed_recurrence(spec, tables, (n,), tau)[n]
 
 
 def lead_inverse(lead, scale: int):
@@ -296,15 +297,21 @@ def lead_inverse(lead, scale: int):
     return tuple(tuple(entry(i, j) for j in range(m)) for i in range(m)), d
 
 
-def match_recurrence(tables, degrees=None, tau=None, probe="--tau") -> dict:
+def singular_lead(k: int, cause: str, error=ProbeError) -> Exception:
+    """The error, of class ``error``, for a leading coefficient of Q_k made
+    singular by ``cause``, the input value named with its option or field."""
+    return error(f"{cause} makes the leading coefficient of Q_{k} singular, so the "
+                 "three-term recurrence cannot be matched; choose another value")
+
+
+def match_recurrence(tables, degrees=None, singular=None) -> dict:
     """The recurrence matrices {n: (A_n, B_n, C_n)} at each n of ``degrees``
     (by default every n with a successor in ``tables``), where ``tables[k]``
-    is the integer table of Q_k (``construction.integer_table``), a list or
-    a dict holding the degrees n - 1, n, n + 1, built at the mass-quotient
-    probe ``tau``.  A leading coefficient that is singular at a rational
-    ``tau`` is a ProbeError naming the value and ``probe``, the option it
-    came from (by default --tau); with no probe it is a construction fault
-    and propagates.
+    is the integer table of Q_k (``construction.orthogonal_table``), a list
+    or a dict holding the degrees n - 1, n, n + 1.  A singular leading
+    coefficient of Q_k raises ``singular(k)``, the caller's error naming the
+    input that made it singular (``singular_lead``); with no ``singular`` it
+    is a construction fault and the ZeroDivisionError propagates.
 
     They come from the top three coefficients of the identity, unique
     because leading coefficients are invertible:
@@ -325,12 +332,9 @@ def match_recurrence(tables, degrees=None, tau=None, probe="--tau") -> dict:
         try:
             return lead_inverse(*coefficient(k, k))
         except ZeroDivisionError:
-            if tau is None:
+            if singular is None:
                 raise
-            raise ProbeError(
-                f"{probe} value {tau} makes the leading coefficient of Q_{k} singular, so "
-                "the three-term recurrence cannot be matched; choose another value"
-            ) from None
+            raise singular(k) from None
 
     @functools.cache
     def coefficient(k, j):
@@ -381,7 +385,7 @@ def _sparse_rows(mat, factor):
 def recurrence_closes(t, n: int, tables) -> bool:
     """Whether x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) is zero, from the
     scaled triple ``t`` of ``match_recurrence`` and the integer tables
-    ``tables[k]`` of Q_k (``construction.integer_table``).
+    ``tables[k]`` of Q_k (``construction.orthogonal_table``).
 
     On the tables, L_n times the residual is
 
@@ -416,16 +420,23 @@ def recurrence_closes(t, n: int, tables) -> bool:
     return True
 
 
-def closed_recurrence(spec: FamilySpec, chain, degrees=None, tau=None) -> dict:
-    """``match_recurrence`` on the integer tables of ``chain`` (Q_k at
-    ``chain[k]``, a list or a dict, built at the probe ``tau`` of --tau),
-    each identity certified by ``recurrence_closes`` and reduced to a
-    ``RecurrenceTriple`` of Fractions; AssertionError names the first n that
-    does not close."""
-    chain = chain if isinstance(chain, dict) else dict(enumerate(chain))
-    tables = {k: integer_table(Q, max(chain)) for k, Q in chain.items()}
+def closed_recurrence(spec: FamilySpec, tables, degrees=None, tau=None) -> dict:
+    """``match_recurrence`` on the integer tables of a chain (Q_k's at
+    ``tables[k]``, a list or a dict, each reaching x = max k, built at the
+    probe ``tau`` of --tau), each identity certified by
+    ``recurrence_closes`` and reduced to a ``RecurrenceTriple`` of
+    Fractions; AssertionError names the first n that does not close.  A
+    singular leading coefficient is a ProbeError naming --tau, or with no
+    tau a SpecError naming the couplings a."""
+    def singular(k):
+        if tau is not None:
+            return singular_lead(k, f"--tau value {tau}")
+        shown = ", ".join(map(format_rational, spec.a))
+        return singular_lead(k, f"coupling a = {shown if spec.m == 2 else f'({shown})'}",
+                             SpecError)
+
     triples = {}
-    for n, t in match_recurrence(tables, degrees, tau).items():
+    for n, t in match_recurrence(tables, degrees, singular).items():
         if not recurrence_closes(t, n, tables):
             raise AssertionError(not_closed(spec, n))
         triples[n] = RecurrenceTriple(*map(_fractions, t))

@@ -8,8 +8,9 @@ exact paths but any field scalar (float) works through the same code.
 
 Only the operations the construction repeats get kernels of their own: the
 scalar product (``_convolve``), the sum and difference, and ``times_x``,
-which build every entry of Q_n and of the channel ladders.  Everything else
-is written in terms of them: a matrix product is a plain sum of scalar
+which build the channel ladders, and Q_n where its coefficients are not
+rational (couplings in the quadratic extension, float mass quotients).
+Everything else is written in terms of them: a matrix product is a plain sum of scalar
 products per entry, and a shift is a Horner composition, since only
 ``operators.DifferenceOperator.apply`` (a test oracle) and the Hermite and
 Laguerre limit sources reach them.

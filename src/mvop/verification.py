@@ -11,10 +11,14 @@ D(a) = D(0) + a (D(1) - D(0)), and the stencil of a probe a = p/q is
 q S_0 + p S_1 over q times D(1)'s scale, S_0 the diagonal and S_1 the
 pattern of D(1)'s stencil (``_probe_stencil``).
 Each (a, tau) probe builds Q_0..Q_top and the closing Q_(top+1) a single
-time, and one integer value table per polynomial
-(``construction.integer_table``): the coefficients over their least common
-denominator L, evaluated at x = -1..X.  The three exact suites read only
-these tables, and scaling by nonzero integers changes no zero:
+time each, as integer tables straight from the channel ladders
+(``construction.orthogonal_table``): the coefficients of L Q_n, L the
+least common denominator of Q_n's coefficients, and its values at
+x = -1..X, formed in integers from about 3 m^2 scalar coefficients per
+polynomial, with no ``Fraction`` polynomial built; ``--perturb`` adds L to
+entry (1,1)'s constant coefficient and to each of its values.  The three
+exact suites read only these tables, and scaling by nonzero integers
+changes no zero:
 
 * orthogonality reads every Gram <Q_n, Q_k> in the channel basis
   (``construction.channel_gram``, below), from the tables' coefficients;
@@ -27,7 +31,9 @@ these tables, and scaling by nonzero integers changes no zero:
 * the recurrence residual x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1), with
   A_n, B_n, C_n matched in integers from the tables' top coefficients
   (``operators.match_recurrence``), has degree at most n + 1 and is
-  certified zero at x = 0..n+1 (``operators.recurrence_closes``).
+  certified zero at x = 0..n+1 (``operators.recurrence_closes``); a
+  leading coefficient that a coupling probe or a tau probe makes singular
+  is a ProbeError naming the probe, --probes or --tau-probes.
 
 A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
 check is an exact identity, and X covers every bound.  No
@@ -76,8 +82,8 @@ from .construction import (
     float_weight_table,
     gram_basis,
     gram_ratio,
-    integer_table,
-    orthogonal_polynomial,
+    numeric_polynomial,
+    orthogonal_table,
     spec_tau,
 )
 from .errors import SpecError
@@ -86,6 +92,7 @@ from .operators import (
     match_recurrence,
     not_closed,
     recurrence_closes,
+    singular_lead,
 )
 from .poly import MatrixPoly, ScalarPoly
 from .rational import format_rational, named_rational, over
@@ -150,13 +157,28 @@ def _perturbed(polys, perturb: bool):
     return [Q if n == 0 else Q + bump for n, Q in enumerate(polys)]
 
 
+def _perturbed_tables(tables, perturb: bool):
+    """``_perturbed`` on integer tables: for n >= 1, L (the table's scale)
+    added to entry (1,1)'s constant coefficient and to each of its values."""
+    if not perturb:
+        return tables
+
+    def bumped(t):
+        (first, *row), *rows = t.coefficients
+        coefficients = (((first[0] + t.scale, *first[1:]), *row), *rows)
+        values = tuple(((v + t.scale, *row), *rows) for (v, *row), *rows in t.values)
+        return replace(t, coefficients=coefficients, values=values)
+
+    return tables[:1] + [bumped(t) for t in tables[1:]]
+
+
 def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
                          tol: float = 1e-9, basis=None) -> list:
     """<Q_n, Q_k> = 0 for every k < n of the chain Q_0, Q_1, ..., built for
     ``spec`` at ``probe_tau``: exactly in the channel basis
     (``construction.channel_gram``), ``chain`` holding the polynomials'
-    integer tables (``construction.integer_table``) and ``basis`` the
+    integer tables (``construction.orthogonal_table``) and ``basis`` the
     channels' ``construction.gram_basis`` at ``probe_tau``, a failing Gram
     absolute on a finite support and in units of channel 1's |p_0|^2 on an
     infinite one; or with ``truncated``, ``chain`` holding the polynomials,
@@ -272,10 +294,16 @@ def _eigenfunction_checks(eig, stencil, tables, probe_a, probe_tau) -> list:
 def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau) -> list:
     """Exact closure of the three-term recurrence at every degree of the
     chain's integer ``tables`` but the last, which is the closing
-    Q_(top+1), matched and certified on the tables alone."""
+    Q_(top+1), matched and certified on the tables alone.  A leading
+    coefficient that the probe makes singular is a ProbeError naming
+    --probes, or --tau-probes when the chain reads a tau."""
+    def singular(k):
+        if probe_tau is None:
+            return singular_lead(k, f"coupling probe a = {probe_a} (--probes)")
+        return singular_lead(k, f"at coupling probe a = {probe_a}, --tau-probes value {probe_tau}")
+
     checks = []
-    probe = f"at coupling probe a = {probe_a}, --tau-probes"
-    for n, t in match_recurrence(tables, tau=probe_tau, probe=probe).items():
+    for n, t in match_recurrence(tables, singular=singular).items():
         ok = recurrence_closes(t, n, tables)
         checks.append(CheckResult(
             name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
@@ -343,8 +371,8 @@ def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operator, perturb: bool
     tables): per coupling probe D(a)'s integer stencil, formed from
     the stencil of ``operator`` = D(1) (``_probe_stencil``; None without an
     operator); per tau the chain Q_0..Q_(top+1), the last closing the
-    recurrence, perturbed with ``perturb``, and one integer table per
-    polynomial, each built once.
+    recurrence, each built once as its integer table
+    (``construction.orthogonal_table``) and perturbed with ``perturb``.
 
     The tables reach x = X: the recurrence's top + 1 and the
     eigenfunction's top + extra + 1, for Q(x + 1) at its last point.
@@ -356,10 +384,8 @@ def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operator, perturb: bool
         probe = _probe(spec, a_val)
         stencil = None if base is None else _probe_stencil(base, a_val)
         for tau in tau_vals:
-            chain = _perturbed(
-                [orthogonal_polynomial(probe, n, tau=tau) for n in range(top + 2)], perturb
-            )
-            yield a_val, tau, probe, stencil, [integer_table(Q, stop) for Q in chain]
+            yield a_val, tau, probe, stencil, _perturbed_tables(
+                [orthogonal_table(probe, n, tau, stop) for n in range(top + 2)], perturb)
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
@@ -412,7 +438,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     if truncated:
         # the float oracle: the spec's own couplings and float mass quotients
         tau = spec_tau(spec, "numeric")
-        polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)]
+        polys = [numeric_polynomial(spec, n) for n in range(top + 1)]
         orthogonality = verify_orthogonality(
             spec, _perturbed(polys, perturb), own_a, tau, truncated=True, x_max=x_max, tol=tol,
         )
@@ -439,8 +465,8 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         # an infinite support: at the spec's own couplings, once per tau
         # probe, each chain built and tabulated once per run
         for tau in tau_vals:
-            tables = own.get(tau) or [integer_table(Q, -1) for Q in _perturbed(
-                [orthogonal_polynomial(spec, n, tau=tau) for n in range(top + 1)], perturb)]
+            tables = own.get(tau) or _perturbed_tables(
+                [orthogonal_table(spec, n, tau) for n in range(top + 1)], perturb)
             orthogonality.extend(verify_orthogonality(spec, tables, own_a, tau, basis=basis(tau)))
 
     return VerificationReport(

@@ -242,7 +242,7 @@ def test_recurrence_failure_reported_like_oracle():
     ] == [True, True, False]
     assert checks[2].detail == f"three-term recurrence failed to close at n = 2 for {spec!r}"
     with pytest.raises(AssertionError, match="close at n = 2 "):
-        closed_recurrence(spec, chain)
+        closed_recurrence(spec, tables)
 
 
 PASSING = {
@@ -282,7 +282,7 @@ def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
             return fn(*args, **kwargs)
         return wrapped
 
-    for fn in ("orthogonal_polynomial", "canonical_operator"):
+    for fn in ("orthogonal_table", "canonical_operator"):
         monkeypatch.setattr(verification, fn, construction_step(getattr(verification, fn)))
     monkeypatch.setattr(MatrixPoly, "__matmul__",
                         outside_construction("matmul", MatrixPoly.__matmul__))

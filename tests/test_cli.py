@@ -47,6 +47,16 @@ HAHN_2N4 = {
         {"kind": "hahn", "alpha": "-5", "beta": "-5", "N": 2},
     ],
 }
+# the lead of Q_1 is singular at a = 1 (and at the probe a = -1): no
+# recurrence can be matched at those couplings
+HAHN_SINGULAR_LEAD = {
+    "m": 2,
+    "a": ["1"],
+    "channels": [
+        {"kind": "hahn", "alpha": "-7/2", "beta": "-11/2", "N": 3},
+        {"kind": "hahn", "alpha": "3/2", "beta": "3/2", "N": 3},
+    ],
+}
 KRAW3 = {
     "m": 2,
     "a": ["2"],
@@ -279,6 +289,15 @@ BAD_INPUTS = {
         "family", CHARLIER_BC, ("--tau", "-1/2", "--recurrence"), "--tau value -1/2"),
     "singular-tau-export": (
         "export", CHARLIER_BC, ("--what", "recurrence", "--tau", "-1/2"), "--tau value -1/2"),
+    "singular-coupling-verify": (
+        "verify", HAHN_SINGULAR_LEAD, ("--n-max", "2"),
+        "coupling probe a = 1 (--probes) makes the leading coefficient of Q_1 singular"),
+    "singular-coupling-family": (
+        "family", HAHN_SINGULAR_LEAD, ("--n", "2", "--recurrence"),
+        "coupling a = 1 makes the leading coefficient of Q_1 singular"),
+    "singular-coupling-export": (
+        "export", HAHN_SINGULAR_LEAD, ("--what", "recurrence"),
+        "coupling a = 1 makes the leading coefficient of Q_1 singular"),
     # LaTeX exists for Q and D only
     "latex-W": ("export", KRAW3, ("--what", "W", "--format", "latex"), "--format"),
     "latex-recurrence": (
@@ -663,6 +682,7 @@ def valid_specs(draw):
 @given(spec=valid_specs())
 @example(spec=HAHN_2N3)
 @example(spec=HAHN_2N4)
+@example(spec=HAHN_SINGULAR_LEAD)
 def test_no_command_raises_on_a_valid_spec(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out")

@@ -15,9 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mvop import families
 from mvop.construction import (
     FamilySpec,
+    _closed_form,
     closure_polynomial,
+    integer_table,
     needs_mass_probe,
     orthogonal_polynomial,
+    orthogonal_table,
+    spec_tau,
     weight_matrix,
 )
 from mvop.errors import SpecError
@@ -25,6 +29,7 @@ from mvop.families import Charlier, Hahn, Krawtchouk, Meixner, ScalarOperator
 from mvop.operators import _channel_operators, canonical_operator, conjugated_operator
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.quadext import QuadExt
+from mvop.verification import _perturbed, _perturbed_tables
 
 import construction_oracle as oracle
 
@@ -94,6 +99,28 @@ def test_orthogonal_polynomial_equals_matrix_products(data, finite, tau):
                     oracle.orthogonal_polynomial(spec, n, tau=tau))
     if finite:
         assert_same(closure_polynomial(spec), oracle.closure_polynomial(spec))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), finite=st.booleans(), perturb=st.booleans(),
+       tau=st.sampled_from((F(1), F(2), F(3, 2), F(-1), F(-5, 2), F(-1, 3))))
+def test_integer_tables_equal_the_scalar_poly_path(data, finite, perturb, tau):
+    """The integer construction against the ScalarPoly ``_assemble`` path it
+    replaced for rational couplings: equal integer tables at every degree,
+    the closure companion included, plain and perturbed, and the Fraction
+    view equal, types and all, to that path's polynomial."""
+    spec = data.draw(finite_specs() if finite else infinite_specs())
+    probe = spec_tau(spec, tau)
+    top = spec.support_N + 1 if finite else 4
+    stop = top + 2
+    tables = [orthogonal_table(spec, n, tau, stop) for n in range(top + 1)]
+    polys = [_closed_form(spec, n, None if finite and n == top else probe)
+             for n in range(top + 1)]
+    assert _perturbed_tables(tables, perturb) == [
+        integer_table(Q, stop) for Q in _perturbed(polys, perturb)]
+    for n, (table, Q) in enumerate(zip(tables, polys)):
+        assert_same(table.polynomial(), Q)
+        assert_same(orthogonal_polynomial(spec, n, tau=tau), Q)
 
 
 def test_numeric_tau_reaches_float_coefficients():

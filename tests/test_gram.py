@@ -88,7 +88,7 @@ def test_verification_builds_each_value_once(monkeypatch):
     tables = []
     real_weight_matrix = construction.weight_matrix
     real_evaluate = MatrixPoly.evaluate
-    real_integer_table = verification.integer_table
+    real_orthogonal_table = verification.orthogonal_table
 
     def counting_weight_matrix(spec, xv):
         weight_calls.append(xv)
@@ -98,23 +98,23 @@ def test_verification_builds_each_value_once(monkeypatch):
         evaluated.append(x0)
         return real_evaluate(self, x0)
 
-    def counting_integer_table(P, stop):
-        tables.append((P, stop))
-        return real_integer_table(P, stop)
+    def counting_orthogonal_table(spec, n, tau=None, stop=-1):
+        tables.append(((spec.a, tau, n), stop))
+        return real_orthogonal_table(spec, n, tau, stop)
 
     monkeypatch.setattr(construction, "weight_matrix", counting_weight_matrix)
     monkeypatch.setattr(MatrixPoly, "evaluate", counting_evaluate)
-    monkeypatch.setattr(verification, "integer_table", counting_integer_table)
+    monkeypatch.setattr(verification, "orthogonal_table", counting_orthogonal_table)
     spec = SPECS["krawtchouk m=3"]
     report = verification.run_verification(spec)
     assert report.all_passed
     assert weight_calls == []
     assert evaluated == []
-    # 5 coupling probes x Q_0..Q_3 and the closing Q_4, each tabulated once
-    # at every x = -1..X
+    # 5 coupling probes x Q_0..Q_3 and the closing Q_4, each built as its
+    # integer table once, at every x = -1..X
     probes, degrees = len(report.a_probes), 5
     assert len(tables) == probes * degrees
-    assert len({P for P, _ in tables}) == probes * degrees
+    assert len({key for key, _ in tables}) == probes * degrees
     # X covers the recurrence's points 0..4 and the eigenfunction's points
     # 0..3 + extra with Q(x + 1) at the last of them; the Gram reads no point
     extra = verification.canonical_operator(spec)[0].extra_degree

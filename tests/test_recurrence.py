@@ -103,11 +103,12 @@ def test_integer_triples_equal_the_fraction_matcher(case, perturb):
 @given(case=CHAINS)
 def test_closed_recurrence_reduces_to_the_oracle_fractions(case):
     spec, chain = case
-    got = closed_recurrence(spec, chain)
+    tables = tables_of(chain)
+    got = closed_recurrence(spec, tables)
     assert got == residual_oracle.match_recurrence(chain)
     # one degree through a dict chain, as extract_recurrence passes it
     n = len(chain) - 2
-    part = {k: chain[k] for k in range(max(n - 1, 0), n + 2)}
+    part = {k: tables[k] for k in range(max(n - 1, 0), n + 2)}
     assert closed_recurrence(spec, part, (n,)) == {n: got[n]}
 
 
@@ -162,8 +163,9 @@ def test_identity_block_is_not_inverted(monkeypatch):
         inverted.append(a)
         return real(a)
 
+    tables = tables_of(chain)
     monkeypatch.setattr(linalg, "mat_inverse", counting)
-    assert closed_recurrence(spec, chain) == want
+    assert closed_recurrence(spec, tables) == want
     assert len(inverted) == 2
     for k, table in enumerate(tables_of(chain)):
         inverted.clear()

@@ -9,7 +9,7 @@ import pytest
 
 from mvop import construction, families, linalg, operators, verification
 from mvop.construction import FamilySpec, inner_product, orthogonal_polynomial
-from mvop.errors import SpecError
+from mvop.errors import ProbeError, SpecError
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 
 from residual_oracle import brute_force_gram
@@ -21,14 +21,14 @@ CHARLIER_MEIXNER = FamilySpec(a=(F(2),), channels=(Charlier(F(1)), Meixner(F(1, 
 
 def test_each_polynomial_built_once(monkeypatch):
     built = Counter()
-    real = verification.orthogonal_polynomial
+    real = verification.orthogonal_table
 
-    def counting(spec, n, tau=None):
+    def counting(spec, n, tau=None, stop=-1):
         built[(spec.a, tau, n)] += 1
-        return real(spec, n, tau=tau)
+        return real(spec, n, tau, stop)
 
     for module in (operators, verification):
-        monkeypatch.setattr(module, "orthogonal_polynomial", counting)
+        monkeypatch.setattr(module, "orthogonal_table", counting)
     spec = FamilySpec(
         a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3))
     )
@@ -139,6 +139,19 @@ def test_certificate_catches_a_wrong_mass(monkeypatch, fresh_ladders):
     assert error == identity
     Q0, Q1 = (orthogonal_polynomial(spec, n) for n in (0, 1))
     assert not linalg.is_zero_matrix(brute_force_gram(Q1, Q0, spec))
+
+
+def test_singular_lead_names_the_coupling():
+    """At a = +-1 the lead of Q_1 is singular: a ProbeError naming the
+    coupling probe under verify, a SpecError naming a for the spec's own
+    couplings, and other probes match and close the recurrence."""
+    spec = FamilySpec(a=(F(1),), channels=(Hahn(F(-7, 2), F(-11, 2), 3), Hahn(F(3, 2), F(3, 2), 3)))
+    with pytest.raises(ProbeError, match=r"^coupling probe a = 1 \(--probes\) makes the "
+                                         r"leading coefficient of Q_1 singular"):
+        verification.run_verification(spec, n_max=2)
+    with pytest.raises(SpecError, match=r"^coupling a = 1 makes the leading coefficient of Q_1"):
+        operators.extract_recurrence(spec, 1)
+    assert verification.run_verification(spec, n_max=2, a_probes=(2, 3, "1/2")).all_passed
 
 
 def test_perturb_reaches_the_recurrence_suite():
