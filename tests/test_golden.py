@@ -49,6 +49,15 @@ CHARLIER_TO_HERMITE = {"name": "charlier->hermite", "n": 2, "a": "1/2",
                        "ladder": ["1000", "100000", "10000000"]}
 MEIXNER_TO_LAGUERRE = {"name": "meixner->laguerre", "n": 2, "a": "2",
                        "ladder": ["9/10", "99/100", "999/1000"], "params": {"alpha": "1/2"}}
+CHARLIER_TO_HERMITE_3 = {"name": "charlier->hermite", "n": 3, "a": "-3/2",
+                         "ladder": ["1000", "100000", "10000000"]}
+# p = 1/2 makes d = 2 N p (1 - p) = N / 2 the perfect squares 4, 9, 16
+KRAW_TO_HERMITE_SQUARE = {"name": "krawtchouk->hermite", "n": 3, "a": "2/3",
+                          "ladder": ["8", "18", "32"], "params": {"p": "1/2"}}
+MEIXNER_TO_LAGUERRE_3 = {"name": "meixner->laguerre", "n": 3, "a": "-5/4",
+                         "ladder": ["9/10", "99/100", "999/1000"], "params": {"alpha": "3"}}
+HAHN_TO_MEIXNER = {"name": "hahn->meixner", "n": 1, "a": "1",
+                   "ladder": ["125", "500", "2000"], "params": {"beta": "1", "c": "1/2"}}
 
 INFINITE = ("--n-max", "2", "--x-max", "60")
 
@@ -84,6 +93,13 @@ CASES = {
     "limits-charlier-hermite-json": (CHARLIER_TO_HERMITE, ("limits", "--format", "json")),
     # an affine substitution and a scalar rescaling of the source
     "limits-meixner-laguerre-csv": (MEIXNER_TO_LAGUERRE, ("limits", "--format", "csv")),
+    # odd powers of sqrt(2b)^(-n) in the source
+    "limits-charlier-hermite-n3-csv": (CHARLIER_TO_HERMITE_3, ("limits", "--format", "csv")),
+    "limits-krawtchouk-hermite-square-csv": (KRAW_TO_HERMITE_SQUARE,
+                                             ("limits", "--format", "csv")),
+    "limits-meixner-laguerre-n3-json": (MEIXNER_TO_LAGUERRE_3, ("limits", "--format", "json")),
+    # the Hahn masses of the benchmark's ladder, binomials of N up to 2000
+    "limits-hahn-meixner-json": (HAHN_TO_MEIXNER, ("limits", "--format", "json")),
 }
 
 
