@@ -35,12 +35,13 @@ and its values at the integer points x = -1..X by integer Horner; scaling
 by a nonzero integer changes no zero, so a check that an identity vanishes
 reads the same on L Q_n as on Q_n.  ``orthogonal_polynomial`` returns the
 ``Fraction`` view of the same table, so what ``family`` and ``export``
-print is what ``verify`` certifies.  The ``ScalarPoly`` assembly
-(``_assemble``) is kept only where the coefficients are not rational: for
-couplings in the quadratic extension (the Hermite limit sources) and for
-the float mass quotients (tau "numeric"), whose float operation order it
-fixes; each product with x there is a shift of coefficients
-(``ScalarPoly.times_x``).  The closure companion Q_(N+1) is the same form
+print is what ``verify`` certifies, and the limit sources are read off the
+same tables.  The ``ScalarPoly`` assembly (``_assemble``) is kept only where
+the coefficients are not rational: for the float mass quotients (tau
+"numeric"), whose float operation order it fixes, and for couplings in the
+quadratic extension, which the public API still takes and the tests'
+limit oracle builds on; each product with x there is a shift of
+coefficients (``ScalarPoly.times_x``).  The closure companion Q_(N+1) is the same form
 at n = N + 1, where each channel ladder's zero norm |p_(N+1)|^2 makes
 theta = 0.  With the channel weights at x over one denominator d and the
 couplings over q, d q^2 W(x)_ij = sum_r (d w_r) (q U_ir) (q U_jr) is an
@@ -117,10 +118,10 @@ class FamilySpec:
     """m coupled scalar channels plus the m-1 nonzero coupling constants.
 
     All channels must share one support: all finite with the same N, or all
-    infinite.  Coupling constants are exact rationals.  The limit studies
-    that rescale by one square root couple in the quadratic extension
-    (``QuadExt``); W(x) and the verify paths need rational couplings.  A
-    float coupling is a SpecError naming ``a``.
+    infinite.  Coupling constants are exact rationals, or values of the
+    quadratic extension (``QuadExt``), which only ``orthogonal_polynomial``
+    reads; W(x) and the verify paths need rational couplings.  A float
+    coupling is a SpecError naming ``a``.
     """
 
     a: tuple
@@ -366,8 +367,9 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
     R_n = |P_n|^2 A^T |P_(n-1)|^(-2), P_k = diag(p_k^(w_1), ..., p_k^(w_m))
     and P_(-1) = 0, by ``_assemble`` from each channel's ladder, read once;
     at n = N + 1 the ladder's |p_(N+1)|^2 = c_(N+1) |p_N|^2 is 0, so R_n = 0.
-    Only couplings in the quadratic extension and the float mass quotients
-    (tau "numeric") take this path; ``_integer_form`` builds the rest."""
+    Only the float mass quotients (tau "numeric") and couplings in the
+    quadratic extension take this path, the latter for the public API and
+    the tests' limit oracle alone; ``_integer_form`` builds the rest."""
     m = spec.m
     ladders = [ladder(ch) for ch in spec.channels]
     p = [lad.polynomial(n) for lad in ladders]
@@ -485,9 +487,11 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     tau is a SpecError naming tau.
 
     With rational couplings and an exact tau this is the ``Fraction`` view of
-    the integer table ``verify`` certifies (``orthogonal_table``); couplings
-    in the quadratic extension and the float quotients are built by
-    ``_closed_form``."""
+    the integer table ``verify`` certifies (``orthogonal_table``); the float
+    quotients are built by ``_closed_form``, and so are couplings in the
+    quadratic extension, which no command reads (the limit sources use
+    ``orthogonal_table``) and which serve the public API and the tests'
+    limit oracle."""
     tau = _chain_tau(spec, n, tau)
     if tau == "numeric" or not all(isinstance(a, Fraction) for a in spec.a):
         return _closed_form(spec, n, tau)

@@ -10,9 +10,19 @@ or continuous.  The tests check the continuous Hermite/Laguerre targets
 exactly against their second-order differential equations, and the two
 Hermite routes against each other (``tests/limit_oracle.py``).
 ``TRANSITIONS`` holds each transition's parameter names, ladder checks,
-source step and target channels.  Rescalings by a single square root are
-carried in the exact quadratic extension, so reported errors reflect the
-mathematical limit, not float noise.
+source step and target channels.
+
+The sources that rescale the variable need no polynomial algebra.  The two
+Hermite sources are read off one integer table of Q_n on their channel pair
+at coupling 1 (``_hermite_source``): the coupling a / sqrt(d), the shift to
+sqrt(d) x + center and the right factor leave each coefficient an exact
+rational times a power of sqrt(d), so it is rounded to float once, as the
+exact quadratic extension Q(sqrt(d)) would round it, and reported errors
+reflect the mathematical limit, not float noise.  The Meixner -> Laguerre
+source scales coefficient k of Q_n by (1 - c)^(n - k).  The polynomial
+algebra in the quadratic extension that these replace is the tests' oracle
+(``tests/limit_oracle.py``), and every reported float must equal the one
+it gives.
 """
 from __future__ import annotations
 
@@ -21,11 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .construction import FamilySpec, norm_ratio, orthogonal_polynomial
+from .construction import FamilySpec, norm_ratio, orthogonal_polynomial, orthogonal_table
 from .errors import SpecError
 from .families import Charlier, Hahn, Hermite, Krawtchouk, Laguerre, Meixner
 from .poly import MatrixPoly, ScalarPoly
-from .quadext import QuadExt
 from .rational import format_rational, json_int, json_list, json_typed, rational, spec_field
 
 # Exact arithmetic keeps large-N Hahn ladders well conditioned, but their
@@ -169,42 +178,69 @@ def _discrete(pair, extras=lambda t, spec: ()):
     return step
 
 
-def _hermite_source(t: TransitionSpec, ch, d, center):
-    """Q_n on (ch, ch) at coupling a / sqrt(d), in the variable
-    sqrt(d) x + center, times [[1, a center / sqrt(d)], [0, 1]] on the
-    right; sqrt(d) is carried exactly in the quadratic extension."""
-    root = QuadExt.root(d)
-    a_tilde = t.a * root / d  # a / sqrt(d), exactly
-    Q = orthogonal_polynomial(_pair_spec(a_tilde, ch, ch), t.n)
-    return Q.compose_affine(root, center) @ MatrixPoly(((1, a_tilde * center), (0, 1)))
+def _hermite_source(t: TransitionSpec, ch, d, center, power=0, scale=1.0) -> MatrixPoly:
+    """Q_n on (ch, ch) at coupling a / s, s = sqrt(d), in the variable
+    s x + center, times [[1, a center / s], [0, 1]] on the right and s^power,
+    read off one integer table; each coefficient is rounded to float and
+    then multiplied by the float ``scale``.
+
+    At coupling c the pair has Q_n = [[p_n, c T_01], [c T_10, p_n + c^2 S]]
+    with T_01 = p_(n+1) - x p_n, T_10 = -nu_n p_(n-1), S = nu_n x p_(n-1)
+    and nu_n = |p_n|^2 / |p_(n-1)|^2; ``orthogonal_table`` at c = 1 holds
+    p_n, T_01, T_10 and p_n + S.  Shifted by center, their coefficients are
+    rational, and with a / s = (a / d) s and the s^k of x^k, the coefficient
+    of x^k in entry (i, j) is an exact rational times s^e,
+    e = k + [i != j] + power.  As s^e = d^(e // 2) s^(e % 2), that is
+    u + v s with u = 0 for odd e and v = 0 for even e: the u and v the
+    quadratic extension would hold, rounded as it rounds them."""
+    table = orthogonal_table(_pair_spec(Fraction(1), ch, ch), t.n)
+
+    def shifted(cs):  # to degree n, the degree of p_n; the others are at most n
+        out = ScalarPoly(Fraction(c, table.scale) for c in cs).shift(center).coeffs
+        return out + (0,) * (t.n + 1 - len(out))
+
+    (p, t01), (t10, t11) = ([shifted(cs) for cs in row] for row in table.coefficients)
+    # a / s = (a / d) s and (a / s)^2 = a^2 / d
+    c1, c2 = t.a / d, t.a * t.a / d
+    entries = (
+        (p, [c1 * (center * u + v) for u, v in zip(p, t01)]),
+        ([c1 * v for v in t10],
+         [u + c2 * (center * v + w - u) for u, v, w in zip(p, t10, t11)]),
+    )
+    root = math.sqrt(float(d))
+
+    def rounded(value, e):
+        u, v = (0, value) if e % 2 else (value, 0)
+        return float(u) + float(v) * root
+
+    return MatrixPoly(tuple(tuple(
+        ScalarPoly(tuple(rounded(value * d ** (e // 2), e) * scale
+                         for e, value in enumerate(cs, (i != j) + power)))
+        for j, cs in enumerate(row)) for i, row in enumerate(entries)))
 
 
 def _kraw_to_hermite(t: TransitionSpec, value):
     """The source times the float (N!/(N-n)! (2p(1-p))^n)^(-1/2)."""
     p = t.param("p")
     N = int(value)
-    transformed = _hermite_source(t, Krawtchouk(p=p, N=N), 2 * N * p * (1 - p), p * N)
+    ch = Krawtchouk(p=p, N=N)  # its gates name p and N before any float is taken
     scale = math.exp(-0.5 * (sum(math.log(j) for j in range(N - t.n + 1, N + 1))
                              + t.n * math.log(float(2 * p * (1 - p)))))
-    return transformed.map(lambda e: ScalarPoly(tuple(float(c) * scale for c in e.coeffs))), ()
+    return _hermite_source(t, ch, 2 * N * p * (1 - p), p * N, scale=scale), ()
 
 
 def _charlier_to_hermite(t: TransitionSpec, b):
-    d = 2 * b
-    transformed = _hermite_source(t, Charlier(b=b), d, b)
-    # (2b)^(-n/2) stays exact: 1/sqrt(d) = root/d in the extension
-    root = QuadExt.root(d)
-    inv_root_pow = QuadExt(1, 0, d)
-    for _ in range(t.n):
-        inv_root_pow = inv_root_pow * root / d
-    return transformed.scale(inv_root_pow), ()
+    """The source times (2b)^(-n/2), exactly."""
+    return _hermite_source(t, Charlier(b=b), 2 * b, b, power=-t.n), ()
 
 
 def _meixner_to_laguerre(t: TransitionSpec, c):
+    """Q_n at coupling a (1 - c) in the variable x / (1 - c), times
+    (1 - c)^n: coefficient k times (1 - c)^(n - k)."""
     ch = Meixner(beta=t.param("alpha") + 1, c=c)
     Q = orthogonal_polynomial(_pair_spec(t.a * (1 - c), ch, ch), t.n)
-    composed = Q.compose_affine(Fraction(1) / (1 - c), Fraction(0))
-    return composed.scale((1 - c) ** t.n), ()
+    return Q.map(lambda e: ScalarPoly(tuple(
+        v * (1 - c) ** (t.n - k) for k, v in enumerate(e.coeffs)))), ()
 
 
 def _meixner_to_charlier(t: TransitionSpec, beta):

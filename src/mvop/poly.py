@@ -9,11 +9,13 @@ exact paths but any field scalar (float) works through the same code.
 Only the operations the construction repeats get kernels of their own: the
 scalar product (``_convolve``), the sum and difference, and ``times_x``,
 which build the channel ladders, and Q_n where its coefficients are not
-rational (couplings in the quadratic extension, float mass quotients).
-Everything else is written in terms of them: a matrix product is a plain sum of scalar
-products per entry, and a shift is a Horner composition, since only
-``operators.DifferenceOperator.apply`` (a test oracle) and the Hermite and
-Laguerre limit sources reach them.
+rational (the float mass quotients, and couplings in the quadratic
+extension, which the public API and the tests' oracles still take).
+Everything else is written in terms of them: a matrix product is a plain
+sum of scalar products per entry, and a shift is a Horner composition,
+since only ``operators.DifferenceOperator.apply`` (a test oracle), the
+tests' other oracles and the rational shifts of the limit sources reach
+them.
 
 The kernels keep three invariants:
 
@@ -210,12 +212,6 @@ class ScalarPoly:
         """p(x + k), the composition with x + k."""
         return self.compose(ScalarPoly((k, 1)))
 
-    def compose_affine(self, alpha, beta) -> "ScalarPoly":
-        """p(alpha*x + beta); alpha must be nonzero (degree is preserved)."""
-        if alpha == 0:
-            raise ValueError("affine substitution with alpha = 0 collapses the degree")
-        return self.compose(ScalarPoly((beta, alpha)))
-
     def delta(self) -> "ScalarPoly":
         """Forward difference p(x+1) - p(x)."""
         return self.shift(1) - self
@@ -370,9 +366,6 @@ class MatrixPoly:
 
     def nabla(self) -> "MatrixPoly":
         return self.map(lambda e: e.nabla())
-
-    def compose_affine(self, alpha, beta) -> "MatrixPoly":
-        return self.map(lambda e: e.compose_affine(alpha, beta))
 
     def __repr__(self):
         body = "; ".join(

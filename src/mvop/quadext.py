@@ -1,9 +1,12 @@
 """Exact arithmetic in a real quadratic extension Q(sqrt(d)).
 
 Limit studies rescale variables by a single square root (e.g. sqrt(2b)).
-Carrying that root exactly as u + v*sqrt(d) keeps the whole rescaled
-construction cancellation-free; one float rounding happens only when
-coefficients are finally compared against a target.
+Carrying that root exactly as u + v*sqrt(d) keeps a rescaled construction
+cancellation-free; one float rounding, ``float(u) + float(v) * sqrt(d)``,
+happens only when coefficients are finally compared against a target.  The
+limit sources of ``mvop.limits`` form each u and v from an integer table
+and round them the same way; ``QuadExt`` couplings remain public API and
+carry the tests' polynomial-algebra oracle of those sources.
 """
 from __future__ import annotations
 

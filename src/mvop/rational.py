@@ -113,8 +113,12 @@ def binomial(top, k: int) -> Fraction:
 
     For rational ``top`` and integer ``k >= 0`` this is
     (top - k + 1)_k / k!; it vanishes for k < 0 and agrees with the
-    combinatorial coefficient when ``top`` is a nonnegative integer.
+    combinatorial coefficient when ``top`` is a nonnegative integer, which
+    ``math.comb`` gives with no rational product (0 for k > top).
     """
     if k < 0:
         return Fraction(0)
-    return pochhammer(Fraction(top) - k + 1, k) / math.factorial(k)
+    top = Fraction(top)
+    if top.denominator == 1 and top >= 0:
+        return Fraction(math.comb(top.numerator, k))
+    return pochhammer(top - k + 1, k) / math.factorial(k)

@@ -5,12 +5,24 @@
 program's own ``continuous_target``; ``hermite_limit_agreement`` pushes the
 Krawtchouk and Charlier routes to Hermite to one large parameter and
 compares them with each other and with the common target.
+
+``transition_errors`` rebuilds the sources of the three rescaled
+transitions by polynomial algebra: Q_n at the coupling a / sqrt(d) in the
+quadratic extension (``QuadExt``), composed with sqrt(d) x + center
+(``ScalarPoly.compose``) and multiplied on the right by the matrix product;
+Meixner -> Laguerre by composing with x / (1 - c).  Every float it reports
+is the one ``coefficient_error`` reads off the exact source, so the
+program's integer route must match it to the last bit.
 """
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mvop.construction import FamilySpec, orthogonal_polynomial
+from mvop.families import Charlier, Krawtchouk, Meixner
 from mvop.limits import TRANSITIONS, TransitionSpec, coefficient_error, continuous_target
 from mvop.poly import MatrixPoly, ScalarPoly
+from mvop.quadext import QuadExt
 from mvop.rational import rational
 
 
@@ -75,3 +87,56 @@ def hermite_limit_agreement(n: int, a, p=Fraction(1, 2), scale: int = 10**14) ->
     return AgreementReport(
         n=n, a=a, krawtchouk_error=err_k, charlier_error=err_c, agreement=gap
     )
+
+
+def hermite_source(t: TransitionSpec, ch, d, center) -> MatrixPoly:
+    """Q_n on (ch, ch) at coupling a / sqrt(d), in the variable
+    sqrt(d) x + center, times [[1, a center / sqrt(d)], [0, 1]] on the
+    right; sqrt(d) is carried exactly in the quadratic extension."""
+    root = QuadExt.root(d)
+    a_tilde = t.a * root / d  # a / sqrt(d), exactly
+    Q = orthogonal_polynomial(FamilySpec(a=(a_tilde,), channels=(ch, ch)), t.n)
+    inner = ScalarPoly((center, root))
+    return Q.map(lambda e: e.compose(inner)) @ MatrixPoly(((1, a_tilde * center), (0, 1)))
+
+
+def _krawtchouk_source(t: TransitionSpec, N):
+    p = t.param("p")
+    N = int(N)
+    source = hermite_source(t, Krawtchouk(p=p, N=N), 2 * N * p * (1 - p), p * N)
+    # (N!/(N-n)! (2p(1-p))^n)^(-1/2), in floats
+    scale = math.exp(-0.5 * (sum(math.log(j) for j in range(N - t.n + 1, N + 1))
+                             + t.n * math.log(float(2 * p * (1 - p)))))
+    return source.map(lambda e: ScalarPoly(tuple(float(c) * scale for c in e.coeffs)))
+
+
+def _charlier_source(t: TransitionSpec, b):
+    d = 2 * b
+    root = QuadExt.root(d)
+    inv_root_pow = QuadExt(1, 0, d)  # (2b)^(-n/2) = (root / d)^n, exactly
+    for _ in range(t.n):
+        inv_root_pow = inv_root_pow * root / d
+    return hermite_source(t, Charlier(b=b), d, b).scale(inv_root_pow)
+
+
+def _laguerre_source(t: TransitionSpec, c):
+    ch = Meixner(beta=t.param("alpha") + 1, c=c)
+    Q = orthogonal_polynomial(FamilySpec(a=(t.a * (1 - c),), channels=(ch, ch)), t.n)
+    inner = ScalarPoly((0, Fraction(1) / (1 - c)))
+    return Q.map(lambda e: e.compose(inner)).scale((1 - c) ** t.n)
+
+
+SOURCES = {
+    "krawtchouk->hermite": _krawtchouk_source,
+    "charlier->hermite": _charlier_source,
+    "meixner->laguerre": _laguerre_source,
+}
+
+
+def transition_errors(t: TransitionSpec):
+    """(max absolute, max relative) coefficient error at each ladder step,
+    from the polynomial-algebra source of ``SOURCES`` and the program's
+    target."""
+    target = orthogonal_polynomial(
+        FamilySpec(a=(t.a,), channels=TRANSITIONS[t.name].target(t)), t.n)
+    return [coefficient_error(SOURCES[t.name](t, v), target) for v in t.ladder]

@@ -16,6 +16,14 @@ from mvop.poly import ScalarPoly
 from mvop.rational import binomial, pochhammer
 
 
+def pochhammer_binomial(top, k: int) -> Fraction:
+    """The generalized binomial coefficient by its Pochhammer form,
+    (top - k + 1)_k / k! for k >= 0 and 0 for k < 0, on every rational top."""
+    if k < 0:
+        return Fraction(0)
+    return pochhammer(Fraction(top) - k + 1, k) / math.factorial(k)
+
+
 def iterated_nabla(fn, n: int, x: int) -> Fraction:
     """nabla^n applied to a pointwise function, evaluated at integer x."""
     return sum(

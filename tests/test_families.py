@@ -2,6 +2,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvop.errors import SpecError
 from mvop.families import (
@@ -16,8 +18,9 @@ from mvop.families import (
     weight_spec_from_json,
 )
 from mvop.poly import ScalarPoly
+from mvop.rational import binomial
 
-from scalar_oracle import extended_polynomial, rodrigues_polynomial
+from scalar_oracle import extended_polynomial, pochhammer_binomial, rodrigues_polynomial
 
 x = ScalarPoly.x()
 
@@ -279,3 +282,20 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(SpecError):
             weight_spec_from_json({"kind": "jacobi"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(top=st.integers(-30, 60) | st.fractions(min_value=-30, max_value=60, max_denominator=9),
+       k=st.integers(-2, 70))
+@example(top=3, k=4)
+@example(top=0, k=70)
+@example(top=-30, k=70)
+@example(top=F(7, 2), k=3)
+@example(top=60, k=-1)
+def test_binomial_equals_the_pochhammer_form(top, k):
+    """``binomial`` against its Pochhammer form: a nonnegative integer top
+    takes ``math.comb`` (0 for k > top), a negative integer or non-integer
+    rational top the Pochhammer product, and k < 0 gives 0."""
+    value = binomial(top, k)
+    assert type(value) is F
+    assert value == pochhammer_binomial(top, k)

@@ -89,9 +89,9 @@ CASES = {
     "limits-json": (KRAW_TO_CHARLIER, ("limits", "--format", "json")),
     "limits-csv": (KRAW_TO_CHARLIER, ("limits", "--format", "csv")),
     "limits-krawtchouk-hermite-json": (KRAW_TO_HERMITE, ("limits", "--format", "json")),
-    # a QuadExt matrix product in the Hermite source
+    # sqrt(2b) powers of both parities in the Hermite source
     "limits-charlier-hermite-json": (CHARLIER_TO_HERMITE, ("limits", "--format", "json")),
-    # an affine substitution and a scalar rescaling of the source
+    # coefficient k of the source scaled by (1 - c)^(n - k)
     "limits-meixner-laguerre-csv": (MEIXNER_TO_LAGUERRE, ("limits", "--format", "csv")),
     # odd powers of sqrt(2b)^(-n) in the source
     "limits-charlier-hermite-n3-csv": (CHARLIER_TO_HERMITE_3, ("limits", "--format", "csv")),

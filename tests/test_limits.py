@@ -2,6 +2,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvop.errors import SpecError
 from mvop.families import Hermite, Laguerre, monic_polynomial
@@ -17,7 +19,7 @@ from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps, matpoly_to_json
 
 import construction_oracle as oracle
-from limit_oracle import hermite_limit_agreement, ode_residual
+from limit_oracle import hermite_limit_agreement, ode_residual, transition_errors
 
 x = ScalarPoly.x()
 
@@ -237,3 +239,56 @@ def test_degree_zero_ladder_is_monotone(name):
     report = run_transition(spec_of(name, 0, DEGREE_ZERO[name], ladder, a=F(2)))
     assert [s.max_abs_error for s in report.steps] == [0.0] * len(ladder)
     assert report.monotone
+
+
+def _rationals(lo, hi, max_den=12):
+    """Rationals in the open interval (lo, hi)."""
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=max_den).filter(
+        lambda v: lo < v < hi)
+
+
+@st.composite
+def rescaled_transitions(draw):
+    """A krawtchouk->hermite, charlier->hermite or meixner->laguerre study
+    at degree 0..4 and a signed rational coupling.  The Hermite ladders
+    take a step with a perfect-square d (d = 2 N p (1 - p), resp. 2 b), the
+    Krawtchouk one also N = n + 1 when drawn."""
+    name = draw(st.sampled_from(("krawtchouk->hermite", "charlier->hermite",
+                                 "meixner->laguerre")))
+    n = draw(st.integers(0, 4))
+    a = draw(_rationals(F(-7), F(7)).filter(bool))
+    steps = draw(st.integers(1, 3))
+    if name == "krawtchouk->hermite":
+        u = draw(st.integers(1, 6))
+        p = F(u, draw(st.integers(u + 1, 9)))
+        # N = 2 u (v - u) k^2 makes d = (2 u (v - u) k / v)^2 for p = u / v
+        square = 2 * p.numerator * (p.denominator - p.numerator) * draw(st.integers(2, 4)) ** 2
+        ladder = {square} | set(draw(st.lists(st.integers(n + 1, 5000), min_size=steps,
+                                              max_size=steps)))
+        if draw(st.booleans()):
+            ladder.add(n + 1)
+        ladder = sorted(ladder)  # square >= 8 > n
+        if len(ladder) < 2:
+            ladder.append(ladder[-1] + 7)
+        return spec_of(name, n, {"p": p}, tuple(ladder), a=a)
+    if name == "charlier->hermite":
+        root = draw(_rationals(F(0), F(50)))
+        ladder = {root * root / 2} | set(draw(st.lists(_rationals(F(0), F(10**6), 7),
+                                                       min_size=steps, max_size=steps)))
+        return spec_of(name, n, {}, tuple(sorted(ladder)) + (F(10**7),), a=a)
+    alpha = draw(_rationals(F(-1), F(6)))
+    ladder = set(draw(st.lists(_rationals(F(0), F(1), 1000), min_size=steps + 1,
+                               max_size=steps + 1, unique=True)))
+    return spec_of(name, n, {"alpha": alpha}, tuple(sorted(ladder)), a=a)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(t=rescaled_transitions())
+def test_rescaled_sources_equal_the_polynomial_algebra(t):
+    """Every step's errors are the floats the polynomial algebra in the
+    quadratic extension gives (``limit_oracle.transition_errors``), bit for
+    bit."""
+    report = run_transition(t)
+    expected = transition_errors(t)
+    assert [(s.max_abs_error, s.rel_error) for s in report.steps] == expected
+    assert repr([(s.max_abs_error, s.rel_error) for s in report.steps]) == repr(expected)
