@@ -72,6 +72,8 @@ CASES = {
     "verify-charlier10-charlier20": (CHARLIER_10_20, ("verify",) + INFINITE),
     "verify-cmc": (CMC, ("verify",) + INFINITE),
     "verify-krawtchouk-truncated": (KRAW, ("verify", "--truncated")),
+    # float Grams of m = 3 polynomials, whose rows 0 and 2 hold exact zeros
+    "verify-cmc-truncated": (CMC, ("verify", "--truncated")),
     # quadratic Hahn eigenvalues in the eigenfunction failure details
     "verify-hahn-perturb": (HAHN, ("verify", "--perturb")),
     # eigenfunction failure details at tau probes, m = 3
