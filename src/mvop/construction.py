@@ -86,7 +86,6 @@ no table, is in ``tests/construction_oracle.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul
@@ -105,6 +104,7 @@ from .poly import MatrixPoly, ScalarPoly
 from .quadext import QuadExt
 from .rational import (format_rational, json_int, json_list, named_rational, over, over_lcm,
                        spec_field)
+from .record import frozen
 
 # Default probe grids for evaluation-based identity certification.  The
 # identities in scope have degree <= 3 in the coupling parameter and are at
@@ -113,7 +113,7 @@ A_PROBES = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1))
 TAU_PROBES = (Fraction(1), Fraction(2), Fraction(3))
 
 
-@dataclass(frozen=True)
+@frozen
 class FamilySpec:
     """m coupled scalar channels plus the m-1 nonzero coupling constants.
 
@@ -520,7 +520,7 @@ def closure_polynomial(spec: FamilySpec) -> MatrixPoly:
 # inner products
 
 
-@dataclass(frozen=True)
+@frozen
 class GramMatrix:
     """<P, Q>_W as a constant matrix, with the evaluation mode recorded."""
 
@@ -538,7 +538,7 @@ class GramMatrix:
         return max(abs(float(v)) for row in self.entries for v in row)
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegerTable:
     """L P(x) at x = -1..stop as integer matrices, where L (``scale``) is the
     least common denominator of P's coefficients: ``values[x + 1]`` is the
@@ -679,6 +679,12 @@ def float_grams(values, weights, pairs, x_max: int, tol: float) -> dict:
     ``sum`` of Python <= 3.11 did: ``reduce(add, ...)`` never compensates,
     where the builtin ``sum`` of floats does from 3.12 on and would move the
     reported bounds.  Entry (i, j) of a pair is kept at i * cols + j.
+
+    A zero entry r of a left row (rows 0 and 2 of every m = 3 Q_n hold one)
+    drops its r-block from the flat list, and ``map`` pairs the shorter list
+    with as many repeats of the right row.  On finite tables the dropped
+    products are all +-0.0, and a sum begun at 0.0 is never -0.0, so the
+    totals are bit for bit those with the products kept.
     """
     m = len(weights[0])  # x_max >= 0, so there is a point x = 0
     shapes = [(len(values[n][0]), len(values[k][0])) for n, k in pairs]
@@ -688,7 +694,7 @@ def float_grams(values, weights, pairs, x_max: int, tol: float) -> dict:
     lefts, rights = {n for n, _ in pairs}, {k for _, k in pairs}
     stop = len(weights) - 1
     for x, w in enumerate(weights):
-        pw = {n: [[p * v for p, wrow in zip(prow, w) for v in wrow] for prow in values[n][x]]
+        pw = {n: [[p * v for p, wrow in zip(prow, w) if p for v in wrow] for prow in values[n][x]]
               for n in lefts}
         qs = {k: [qrow * m for qrow in values[k][x]] for k in rights}
         for t, (n, k) in enumerate(pairs):
@@ -738,7 +744,7 @@ def channel_masses(spec: FamilySpec, tau=None) -> tuple:
     return tuple(masses)
 
 
-@dataclass(frozen=True)
+@frozen
 class GramBasis:
     """What ``channel_gram`` reads besides the two polynomials, in integers:
     ``columns[r][j]`` is ``scale`` times the coefficients of channel r's p_j

@@ -21,7 +21,6 @@ channel basis trusts the ladders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -30,9 +29,10 @@ from .errors import SpecError
 from .poly import ScalarPoly
 from .rational import (binomial, format_rational, json_int, over_lcm, pochhammer, rational,
                        spec_field)
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Mass:
     """A total mass written as e**exp_arg * prod(base**exponent).
 
@@ -99,7 +99,7 @@ class Mass:
         return " * ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
+@frozen
 class NormValue:
     """A squared norm: exact rational coefficient times a mass factor."""
 
@@ -120,7 +120,7 @@ class NormValue:
         return float(self.coefficient) * self.mass.float_value()
 
 
-@dataclass(frozen=True)
+@frozen
 class ScalarOperator:
     """A second-order difference operator delta = Delta f + k - nabla g.
 
@@ -143,7 +143,7 @@ class ScalarOperator:
 # weight specs
 
 
-@dataclass(frozen=True)
+@frozen
 class Charlier:
     """Weight b^x / x! on the nonnegative integers, b > 0."""
 
@@ -184,7 +184,7 @@ class Charlier:
         return {"kind": "charlier", "b": format_rational(self.b)}
 
 
-@dataclass(frozen=True)
+@frozen
 class Meixner:
     """Weight (beta)_x c^x / x! on the nonnegative integers."""
 
@@ -237,7 +237,7 @@ class Meixner:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class Krawtchouk:
     """Weight binom(N, x) p^x (1-p)^(N-x) on {0, ..., N}."""
 
@@ -288,7 +288,7 @@ class Krawtchouk:
         return {"kind": "krawtchouk", "p": format_rational(self.p), "N": self.N}
 
 
-@dataclass(frozen=True)
+@frozen
 class Hahn:
     """Weight binom(alpha+x, x) binom(beta+N-x, N-x) on {0, ..., N}.
 
@@ -405,7 +405,7 @@ class Hahn:
 # continuous channels: only what the ladder reads, for the limit targets
 
 
-@dataclass(frozen=True)
+@frozen
 class Hermite:
     """Weight e^(-x^2) on the real line, normalized to total mass 1."""
 
@@ -418,7 +418,7 @@ class Hermite:
         return NormValue(Fraction(1), Mass.one())
 
 
-@dataclass(frozen=True)
+@frozen
 class Laguerre:
     """Weight x^alpha e^(-x) on x > 0, alpha > -1, normalized to total mass 1."""
 

@@ -27,7 +27,6 @@ it gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -36,13 +35,14 @@ from .errors import SpecError
 from .families import Charlier, Hahn, Hermite, Krawtchouk, Laguerre, Meixner
 from .poly import MatrixPoly, ScalarPoly
 from .rational import format_rational, json_int, json_list, json_typed, rational, spec_field
+from .record import frozen
 
 # Exact arithmetic keeps large-N Hahn ladders well conditioned, but their
 # recurrence coefficients grow with N; cap the ladder at desk scale.
 HAHN_LADDER_CAP = 2000
 
 
-@dataclass(frozen=True)
+@frozen
 class TransitionSpec:
     """One limit study: transition name, degree, coupling, fixed parameters,
     and a strictly increasing ladder of limit-parameter values."""
@@ -271,7 +271,7 @@ def _coupling_ratio(t: TransitionSpec, spec: FamilySpec):
     return (("mu_n", float(mu)), ("mu_limit", float(mu_limit)))
 
 
-@dataclass(frozen=True)
+@frozen
 class Transition:
     """One limit transition.  A ladder step v is admissible when ``ok(t, v)``
     holds for every (ok, message) check; the first that fails raises its
@@ -348,7 +348,7 @@ TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class TransitionStep:
     ladder_value: Fraction
     max_abs_error: float
@@ -365,7 +365,7 @@ class TransitionStep:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvergenceReport:
     name: str
     n: int

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -46,9 +45,10 @@ from .errors import ProbeError, SpecError
 from .families import Hahn, ScalarOperator
 from .poly import MatrixPoly, ScalarPoly
 from .rational import format_rational, over_lcm
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class DifferenceOperator:
     """D = Delta . F(x) + K(x) + Nabla . G(x), acting on the right."""
 
@@ -91,7 +91,7 @@ class DifferenceOperator:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegerStencil:
     """A ``DifferenceOperator`` scaled by the integer ``scale`` and evaluated:
     ``points[x]`` holds F(x), (K - F + G)(x) and -G(x), each as sparse
@@ -103,7 +103,7 @@ class IntegerStencil:
     points: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class EigenvalueMap:
     """n -> diagonal eigenvalue matrix, one exact closed form per channel."""
 
@@ -118,7 +118,7 @@ class EigenvalueMap:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class RecurrenceTriple:
     """Constant matrices with Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1)."""
 

@@ -65,7 +65,6 @@ runs inline: it is pure-Python arithmetic, which threads do not speed up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
@@ -96,9 +95,10 @@ from .operators import (
 )
 from .poly import MatrixPoly, ScalarPoly
 from .rational import format_rational, named_rational, over
+from .record import frozen, replace
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     name: str
     n: int
@@ -118,7 +118,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     checks: tuple
     a_probes: tuple

@@ -402,6 +402,17 @@ def test_import_leaves_argparse_out():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_leaves_dataclasses_out():
+    # the records are built without dataclasses, whose import loads the rest
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    res = subprocess.run(
+        [sys.executable, "-c", f"import sys, mvop.cli; print(*sorted(set({heavy}) & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
+
+
 class TestVerify:
     def test_pass_exits_0(self, spec_files, tmp_path):
         out = tmp_path / "report.json"

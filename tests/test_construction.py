@@ -1,5 +1,4 @@
 """Weight matrices, the closed-form orthogonal sequence, inner products."""
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -23,6 +22,7 @@ from mvop.construction import (
 )
 from mvop.errors import ProbeError, SpecError, TruncationError
 from mvop.families import Charlier, Hahn, Krawtchouk, monic_polynomial, squared_norm
+from mvop.record import replace
 from mvop.operators import extract_recurrence
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.quadext import QuadExt
@@ -350,7 +350,7 @@ class TestTruncatedInnerProducts:
         spec, (Q1, Q2) = self.short_charlier()
         gram = inner_product(Q1, Q2, spec, mode="truncated", x_max=400)
         with pytest.raises(SpecError, match="tol"):
-            converged(dataclasses.replace(gram, tol=tol), spec)
+            converged(replace(gram, tol=tol), spec)
 
     def test_finite_support_is_never_truncated(self):
         # x_max = 1 < N = 3 used to drop the support points 2 and 3
