@@ -47,7 +47,7 @@ def _getstate(self):
 
 def frozen(cls):
     """Make ``cls`` a frozen record of its annotated fields (module doc)."""
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    names = tuple(cls.__annotations__)  # the class body's own, from Python 3.10 on
     required = tuple(n for n in names if n not in cls.__dict__)
     if names[:len(required)] != required:
         raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")

@@ -35,7 +35,7 @@ def twin(cls):
     over ``cls`` for its other methods, with ``cls``'s own ``__repr__``."""
     own = vars(cls)
     fields = [(n, object, own[n]) if n in own else (n, object)
-              for n in own.get("__annotations__", {})]
+              for n in cls.__annotations__]
     namespace = {"__repr__": own["__repr__"]} if own["__repr__"].__module__ == cls.__module__ else {}
     return dataclasses.make_dataclass(cls.__name__, fields, bases=(cls,), frozen=True,
                                       namespace=namespace)
@@ -93,7 +93,7 @@ ARGS = {
 
 
 def field_names(cls):
-    return tuple(vars(cls).get("__annotations__", {}))
+    return tuple(cls.__annotations__)
 
 
 def draw_args(data, cls):
