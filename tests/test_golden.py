@@ -41,6 +41,13 @@ CMC = _family(["2", "-1/3"], {"kind": "charlier", "b": "2"},
               {"kind": "meixner", "beta": "1/2", "c": "1/2"}, {"kind": "charlier", "b": "1"})
 HAHN = _family(["1"], {"kind": "hahn", "alpha": "3/2", "beta": "5/2", "N": 4},
                {"kind": "hahn", "alpha": "1/2", "beta": "3/2", "N": 4})
+# the alpha, beta < -N branch of the Hahn weight
+HAHN_NEGATIVE = _family(["-2/3"], {"kind": "hahn", "alpha": "-11/2", "beta": "-13/2", "N": 3},
+                        {"kind": "hahn", "alpha": "-9/2", "beta": "-11/2", "N": 3})
+KRAW4 = _family(["2", "-1/3", "5"], {"kind": "krawtchouk", "p": "1/3", "N": 4},
+                {"kind": "krawtchouk", "p": "3/5", "N": 4},
+                {"kind": "krawtchouk", "p": "1/4", "N": 4},
+                {"kind": "krawtchouk", "p": "4/5", "N": 4})
 KRAW_TO_HERMITE = {"name": "krawtchouk->hermite", "n": 2, "a": "1",
                    "ladder": ["100", "1000", "10000"], "params": {"p": "1/3"}}
 KRAW_TO_CHARLIER = {"name": "krawtchouk->charlier", "n": 2, "a": "-3",
@@ -87,6 +94,12 @@ CASES = {
     "export-W": (CHARLIER_MEIXNER, ("export", "--what", "W")),
     "export-D": (KRAW3, ("export", "--what", "D", "--n", "3")),
     "export-D-hahn-latex": (HAHN, ("export", "--what", "D", "--format", "latex")),
+    "export-W-hahn-negative": (HAHN_NEGATIVE, ("export", "--what", "W")),
+    # no canonical operator: the JSON prints its note
+    "family-hahn-negative": (HAHN_NEGATIVE, ("family", "--n", "3")),
+    "export-W-krawtchouk-m4": (KRAW4, ("export", "--what", "W")),
+    "export-Q-cmc-tau": (CMC, ("export", "--what", "Q", "--n", "3", "--tau", "3/2")),
+    "family-krawtchouk-m4-latex": (KRAW4, ("family", "--n", "2", "--format", "latex")),
     "export-recurrence": (CMC, ("export", "--what", "recurrence", "--n", "2", "--tau", "2")),
     "limits-json": (KRAW_TO_CHARLIER, ("limits", "--format", "json")),
     "limits-csv": (KRAW_TO_CHARLIER, ("limits", "--format", "csv")),
