@@ -13,10 +13,10 @@ from types import SimpleNamespace
 from .construction import (
     FamilySpec,
     family_spec_from_json,
+    integer_weights,
     orthogonal_polynomial,
     orthogonal_table,
     spec_tau,
-    weight_matrix,
 )
 from .errors import ProbeError, SpecError, TruncationError
 from .limits import run_transition, transition_spec_from_json
@@ -25,7 +25,7 @@ from .operators import (
     closed_recurrence,
     extract_recurrence,
 )
-from .rational import format_rational
+from .rational import format_over, format_rational
 from .serialize import (
     convergence_to_csv,
     convergence_to_json,
@@ -34,6 +34,7 @@ from .serialize import (
     matpoly_to_latex,
     operator_to_json,
     operator_to_latex,
+    table_to_json,
 )
 from .verification import run_verification
 
@@ -85,8 +86,10 @@ def _matrix_json(mat):
 
 
 def _weights_json(spec: FamilySpec, x_hi: int):
-    """W(x) at x = 0..x_hi, keyed by x."""
-    return {str(x): _matrix_json(weight_matrix(spec, x)) for x in range(x_hi + 1)}
+    """W(x) at x = 0..x_hi, keyed by x, each entry printed as its integer
+    over the common denominator (``integer_weights``)."""
+    return {str(x): [[format_over(v, den) for v in row] for row in W]
+            for x, (W, den) in enumerate(integer_weights(spec, x_hi))}
 
 
 def _eigenvalues_json(eig, n_hi: int):
@@ -107,13 +110,15 @@ def cmd_family(args) -> int:
     top = spec.support_N
     n_hi = args.n if top is None else min(args.n, top)
     if tau == "numeric":
+        tables = None
         polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(n_hi + 1)]
     else:
         # one integer table per degree: the polynomials printed and, with
-        # --recurrence, the chain matched, which reaches x = n_hi + 1
+        # --recurrence, the chain matched, which reaches x = n_hi + 1; the
+        # JSON prints the tables, and only LaTeX reads their Fraction view
         stop = n_hi + 1 if args.recurrence else -1
         tables = [orthogonal_table(spec, n, tau, stop) for n in range(n_hi + 1)]
-        polys = [t.polynomial() for t in tables]
+        polys = [t.polynomial() for t in tables] if args.format == "latex" else None
 
     operator = None
     eig = None
@@ -134,7 +139,8 @@ def cmd_family(args) -> int:
     artifact = {
         "spec": spec.to_json(),
         "tau": None if tau is None else str(tau),
-        "Q": [matpoly_to_json(P) for P in polys],
+        "Q": ([matpoly_to_json(P) for P in polys] if tables is None
+              else [table_to_json(t) for t in tables]),
         "W": _weights_json(spec, x_hi),
     }
     if operator is not None:
@@ -210,12 +216,12 @@ def cmd_export(args) -> int:
     tau = spec_tau(spec, args.tau, "--tau", exact=what == "recurrence")
     if what == "Q":
         _check_export_degree(spec, args.n)
-        P = orthogonal_polynomial(spec, args.n, tau=tau)
-        text = (
-            matpoly_to_latex(P) + "\n"
-            if args.format == "latex"
-            else json_dumps(matpoly_to_json(P))
-        )
+        if args.format == "latex":
+            text = matpoly_to_latex(orthogonal_polynomial(spec, args.n, tau=tau)) + "\n"
+        elif tau == "numeric":
+            text = json_dumps(matpoly_to_json(orthogonal_polynomial(spec, args.n, tau=tau)))
+        else:
+            text = json_dumps(table_to_json(orthogonal_table(spec, args.n, tau)))
     elif what == "W":
         text = json_dumps(_weights_json(spec, spec.support_N if spec.is_finite else 10))
     elif what == "D":

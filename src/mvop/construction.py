@@ -23,32 +23,37 @@ entries:
 
 Each is a sum of a few scalar multiples of channel polynomials, so Q_n is
 fixed by about 3 m^2 scalar coefficients.  ``orthogonal_table`` builds Q_n
-from them in integers (``_integer_form``): each channel's monic p_j is put
-over one denominator once per (ladder, degree) (``_integer_monic``), and
-each norm ratio's rational part and mass quotient once per (ladder,
-degree, ladder, degree) (``_norm_quotient``), so a (probe, tau, n) only
-resolves tau, forms the scalar coefficients, puts them over their least
-common denominator and sums integer coefficient lists; no ``Fraction``
-polynomial product is formed.  The result is an ``IntegerTable``: the
-least common denominator L of Q_n's coefficients, the coefficients of L Q_n
-and its values at the integer points x = -1..X by integer Horner; scaling
-by a nonzero integer changes no zero, so a check that an identity vanishes
-reads the same on L Q_n as on Q_n.  ``orthogonal_polynomial`` returns the
-``Fraction`` view of the same table, so what ``family`` and ``export``
-print is what ``verify`` certifies, and the limit sources are read off the
-same tables.  The ``ScalarPoly`` assembly (``_assemble``) is kept only where
-the coefficients are not rational: for the float mass quotients (tau
-"numeric"), whose float operation order it fixes, and for couplings in the
-quadratic extension, which the public API still takes and the tests'
-limit oracle builds on; each product with x there is a shift of
-coefficients (``ScalarPoly.times_x``).  The closure companion Q_(N+1) is the same form
-at n = N + 1, where each channel ladder's zero norm |p_(N+1)|^2 makes
-theta = 0.  With the channel weights at x over one denominator d and the
-couplings over q, d q^2 W(x)_ij = sum_r (d w_r) (q U_ir) (q U_jr) is an
-integer sum (``_weight_entries``): ``weight_matrix`` reduces it to the
-exact ``Fraction``, and the float weights divide it once, correctly
-rounded.  Runs of weights grow each channel by its exact ratio
-w(x + 1) / w(x) (``families.weight_sequence``).
+from them in integers (``_integer_form``): each channel's monic p_j is
+grown in integers over its least common denominator by the ladder itself
+(``families._Ladder.integer``), and each norm ratio's rational part and
+mass quotient is formed once per (ladder, degree, ladder, degree)
+(``_norm_quotient``), so a (probe, tau, n) only resolves tau, forms the
+scalar coefficients, puts them over their least common denominator and
+sums integer coefficient lists; no ``Fraction`` polynomial product is
+formed.  The result is an ``IntegerTable``: the least common denominator L
+of Q_n's coefficients, the coefficients of L Q_n and its values at the
+integer points x = -1..X by integer Horner; scaling by a nonzero integer
+changes no zero, so a check that an identity vanishes reads the same on
+L Q_n as on Q_n.  The JSON of ``family`` and ``export`` prints the table
+itself, each coefficient as its integer over L (``serialize.table_to_json``),
+so what they print is what ``verify`` certifies, and the limit sources are
+read off the same tables.  ``orthogonal_polynomial`` returns the
+``Fraction`` view of the table (``IntegerTable.polynomial``), which LaTeX
+and the public API read.  The ``ScalarPoly`` assembly (``_assemble``) is
+kept only where the coefficients are not rational: for the float mass
+quotients (tau "numeric"), whose float operation order it fixes, and for
+couplings in the quadratic extension, which the public API still takes
+and the tests' limit oracle builds on; each product with x there is a
+shift of coefficients (``ScalarPoly.times_x``).  The closure companion
+Q_(N+1) is the same form at n = N + 1, where each channel ladder's zero
+norm |p_(N+1)|^2 makes theta = 0.  With the channel weights at x over
+one denominator d and the couplings over q,
+d q^2 W(x)_ij = sum_r (d w_r) (q U_ir) (q U_jr) is an integer sum
+(``_weight_entries``): ``family`` and ``export`` print each entry as its
+integer over d q^2, ``weight_matrix`` reduces it to the exact ``Fraction``
+for the public API, and the float weights divide it once, correctly
+rounded.  Runs of weights (``integer_weights``) grow each channel by its
+exact ratio w(x + 1) / w(x) (``families.weight_sequence``).
 
 ``integer_table`` tabulates any exact matrix polynomial the same way
 (the operator's F, K and G, and the polynomials of exact
@@ -240,6 +245,16 @@ def _weight_entries(w, x: int, q: int, couplings):
     return W, d * q * q
 
 
+def integer_weights(spec: FamilySpec, stop: int):
+    """(d q^2 W(x) as integers, d q^2) at x = 0..stop (``_weight_entries``),
+    each channel's weights grown once by their exact ratios
+    (``families.weight_sequence``); ``stop`` must not pass a finite
+    support's N."""
+    q, couplings = _integer_couplings(spec)
+    for x, w in enumerate(zip(*(weight_sequence(ch, stop) for ch in spec.channels))):
+        yield _weight_entries(w, x, q, couplings)
+
+
 # --------------------------------------------------------------------------
 # norm ratios and the tau probe mechanism
 
@@ -384,17 +399,9 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
     return _assemble(spec, p, q, r, theta)
 
 
-@lru_cache(maxsize=None)
-def _integer_monic(lad, n: int):
-    """A channel ladder's monic p_n over one denominator, as (integer
-    coefficients, d), once per (ladder, degree) as ``_norm_quotient``."""
-    (coeffs,), d = over_lcm((lad.polynomial(n).coeffs,))
-    return coeffs, d
-
-
 def _integer_form(spec: FamilySpec, n: int, tau, stop: int) -> "IntegerTable":
     """Q_n's integer table at x = -1..stop, combined in integers from the
-    channel ladders' integer p_j (``_integer_monic``) and the scalar
+    channel ladders' integer p_j (``families._Ladder.integer``) and the scalar
     coefficients of ``_assemble``'s four entry kinds: with (i, j) a pattern
     position holding a and theta = a |p_n^(j)|^2 / |p_(n-1)^(i)|^2,
     entry (i, i) takes 1 p_n^(i), entry (i, j) takes a p_(n+1)^(j) and
@@ -410,9 +417,9 @@ def _integer_form(spec: FamilySpec, n: int, tau, stop: int) -> "IntegerTable":
     fail the same gates."""
     m = spec.m
     ladders = [ladder(ch) for ch in spec.channels]
-    p = [_integer_monic(lad, n) for lad in ladders]
-    q = [_integer_monic(lad, n + 1) for lad in ladders]
-    r = [_integer_monic(lad, n - 1) for lad in ladders] if n else ()
+    p = [lad.integer(n) for lad in ladders]
+    q = [lad.integer(n + 1) for lad in ladders]
+    r = [lad.integer(n - 1) for lad in ladders] if n else ()
     # terms[j][l] holds (numerator, denominator, power of x, channel
     # polynomial) for each term of entry (j, l), the fractions unreduced
     terms = [[[] for _ in range(m)] for _ in range(m)]
@@ -637,12 +644,8 @@ def float_weight_table(spec: FamilySpec, x_max: int):
     if x_max < 0:
         raise SpecError(f"x_max must be >= 0, got {x_max}")
     stop = x_max if spec.support_N is None else spec.support_N
-    q, couplings = _integer_couplings(spec)
-    out = []
-    for x, w in enumerate(zip(*(weight_sequence(ch, stop) for ch in spec.channels))):
-        W, den = _weight_entries(w, x, q, couplings)
-        out.append(tuple(tuple(v / den for v in row) for row in W))
-    return tuple(out)
+    return tuple(tuple(tuple(v / den for v in row) for row in W)
+                 for W, den in integer_weights(spec, stop))
 
 
 def float_value_table(P: MatrixPoly, stop: int):

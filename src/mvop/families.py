@@ -457,14 +457,24 @@ def check_degree(spec, n: int):
 
 class _Ladder:
     """One channel's monic polynomials and squared norms, grown by the
-    three-term recurrence as far as any caller has asked: each recurrence
-    coefficient pair (b_k, c_k) is evaluated once, p_(k+1) is built from
-    p_k and p_(k-1), and |p_k|^2 = c_k |p_(k-1)|^2 from the total mass."""
+    three-term recurrence x p_k = p_(k+1) + b_k p_k + c_k p_(k-1) (Koekoek,
+    Lesky & Swarttouw, Springer 2010, ch. 9) as far as any caller has asked:
+    each coefficient pair (b_k, c_k) is evaluated once, and
+    |p_k|^2 = c_k |p_(k-1)|^2 from the total mass.
+
+    Each p_k is held as integer coefficients over their least common
+    denominator d_k (``integer``).  With b_k and c_k as reduced fractions,
+    D = lcm(d_k den(b_k), d_(k-1) den(c_k)) puts D p_(k+1) in integers, and
+    one gcd per degree reduces it: p_(k+1) is monic, so its leading
+    coefficient D is among the integers the gcd reads, and what is left is
+    over d_(k+1).  The ``ScalarPoly`` view (``polynomial``) is built from
+    the integers, once per degree, only where it is read."""
 
     def __init__(self, spec):
         self.spec = spec
         self.bc = []
-        self.polys = [ScalarPoly.one()]
+        self.ints = [((1,), 1)]
+        self.views = {}
         self.norms = []
 
     def coefficients(self, k: int):
@@ -473,16 +483,34 @@ class _Ladder:
             self.bc.append(self.spec.recurrence_bc(len(self.bc)))
         return self.bc[k]
 
+    def integer(self, n: int):
+        """p_n as (d p_n's integer coefficients, lowest degree first, d), d
+        the least common denominator of p_n's coefficients."""
+        ints = self.ints
+        while len(ints) <= n:
+            k = len(ints) - 1
+            b, c = self.coefficients(k)
+            here, d = ints[k]
+            prev, e = ints[k - 1] if k else ((), 1)
+            D = math.lcm(d * b.denominator, e * c.denominator)
+            fb = b.numerator * (D // (d * b.denominator))
+            fc = c.numerator * (D // (e * c.denominator))
+            nxt = [0] + [D // d * h for h in here]
+            for i, h in enumerate(here):
+                nxt[i] -= fb * h
+            for i, v in enumerate(prev):
+                nxt[i] -= fc * v
+            g = math.gcd(*nxt)
+            ints.append((tuple(v // g for v in nxt), D // g))
+        return ints[n]
+
     def polynomial(self, n: int) -> ScalarPoly:
-        polys = self.polys
-        while len(polys) <= n:
-            k = len(polys) - 1
-            b_k, c_k = self.coefficients(k)
-            nxt = polys[k].times_x() - polys[k] * b_k
-            if k >= 1:
-                nxt = nxt - polys[k - 1] * c_k
-            polys.append(nxt)
-        return polys[n]
+        """p_n with ``Fraction`` coefficients."""
+        view = self.views.get(n)
+        if view is None:
+            coeffs, d = self.integer(n)
+            view = self.views[n] = ScalarPoly(Fraction(c, d) for c in coeffs)
+        return view
 
     def norm(self, n: int) -> NormValue:
         norms = self.norms

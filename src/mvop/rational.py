@@ -98,6 +98,16 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def format_over(v: int, d: int) -> str:
+    """``format_rational(Fraction(v, d))`` for integers v and d != 0, with
+    no ``Fraction`` built: one gcd, its sign taken from d."""
+    g = math.gcd(v, d)
+    if d < 0:
+        g = -g
+    v, d = v // g, d // g
+    return str(v) if d == 1 else f"{v}/{d}"
+
+
 def pochhammer(a, n: int) -> Fraction:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:

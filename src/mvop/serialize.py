@@ -1,10 +1,15 @@
 """JSON, LaTeX and CSV renderings of the package's values.
 
 All output is deterministic: fixed key order, fixed iteration order, floats
-via repr.  Rationals serialize as "p/q" strings ("p" for integers).  The
-program only writes these formats; the parsers that read a polynomial,
-matrix polynomial or operator back to an equal object, and so check the
-round trip, are in ``tests/test_serialize.py``.
+via repr.  Rationals serialize as "p/q" strings ("p" for integers).  Values
+held as integers over a common denominator, the coefficients of an
+``IntegerTable`` (``table_to_json``) and the entries of W(x), are printed
+by ``rational.format_over`` straight from the integers, with no
+``Fraction`` built; it gives the string ``format_rational`` gives the
+reduced ``Fraction``.  The program only writes these formats; the
+parsers that read a polynomial, matrix polynomial or operator back to an
+equal object, and so check the round trip, are in
+``tests/test_serialize.py``.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .poly import MatrixPoly, ScalarPoly
-from .rational import format_rational
+from .rational import format_over, format_rational
 
 
 def json_dumps(data) -> str:
@@ -32,6 +37,18 @@ def matpoly_to_json(P: MatrixPoly):
         "rows": P.rows,
         "cols": P.cols,
         "entries": [[poly_to_json(e) for e in row] for row in P.entries],
+    }
+
+
+def table_to_json(table):
+    """``matpoly_to_json`` of the polynomial an ``IntegerTable`` holds, each
+    coefficient printed as its integer over the table's scale."""
+    scale = table.scale
+    return {
+        "rows": len(table.coefficients),
+        "cols": len(table.coefficients[0]),
+        "entries": [[[format_over(c, scale) for c in cs] for cs in row]
+                    for row in table.coefficients],
     }
 
 

@@ -271,13 +271,14 @@ def _interpolate(values, scale: int) -> ScalarPoly:
     return ScalarPoly(Fraction(c, den) for c in coeffs)
 
 
-def _eigenfunction_checks(eig, stencil, tables, probe_a, probe_tau) -> list:
+def _eigenfunction_checks(lambdas, stencil, tables, probe_a, probe_tau) -> list:
     """Q_n . D - Lambda_n Q_n = 0 identically, certified on the integer
-    tables of Q_0, Q_1, ...; a failure records its first nonzero entry,
+    tables of Q_0, Q_1, ... with ``lambdas[n]`` the diagonal of Lambda_n,
+    computed once per run; a failure records its first nonzero entry,
     interpolated from that entry's residual values."""
     checks = []
-    for n, table in enumerate(tables):
-        residual, scale = _eigenfunction_residual(stencil, eig.diagonal(n), table)
+    for n, (table, eigenvalues) in enumerate(zip(tables, lambdas)):
+        residual, scale = _eigenfunction_residual(stencil, eigenvalues, table)
         failing = next(((i, j, ys) for i, row in enumerate(residual)
                         for j, ys in enumerate(row) if any(ys)), None)
         detail = ""
@@ -401,9 +402,10 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     """
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
     D, eig = canonical_operator(_probe(spec, 1), force=force)
+    lambdas = [eig.diagonal(n) for n in range(top + 1)]
     checks = []
     for a_val, tau, _, stencil, tables in _sweep(spec, top, a_vals, tau_vals, D, perturb):
-        checks.extend(_eigenfunction_checks(eig, stencil, tables[:-1], a_val, tau))
+        checks.extend(_eigenfunction_checks(lambdas, stencil, tables[:-1], a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -445,6 +447,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
 
     try:
         D, eig = canonical_operator(_probe(spec, 1))
+        lambdas = [eig.diagonal(n) for n in range(top + 1)]
     except SpecError as err:
         D = None
         notes.append(f"bispectral suite skipped: {err}")
@@ -458,7 +461,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         if spec.is_finite and not truncated:
             orthogonality.extend(verify_orthogonality(probe, checked, a_val, tau, basis=basis(tau)))
         if stencil is not None:
-            eigenfunction.extend(_eigenfunction_checks(eig, stencil, checked, a_val, tau))
+            eigenfunction.extend(_eigenfunction_checks(lambdas, stencil, checked, a_val, tau))
         recurrence.extend(verify_recurrence(probe, tables, a_val, tau))
 
     if not spec.is_finite and not truncated:

@@ -131,7 +131,7 @@ def test_eigenfunction_bump_at_last_point_fails(d):
     assert D.extra_degree == d
     stop = Q.degree + D.extra_degree + 1
     checks = verification._eigenfunction_checks(
-        eig, D.stencil(stop - 1), [integer_table(Q, stop)], None, None
+        [eig.diagonal(0)], D.stencil(stop - 1), [integer_table(Q, stop)], None, None
     )
     assert not checks[0].passed
     assert checks[0].detail == f"entry (1,1) = {bump!r}"
@@ -166,7 +166,7 @@ def test_detail_equals_polynomial_residual(case):
     Q, D, eig = case
     stop = Q.degree + D.extra_degree + 1
     (check,) = verification._eigenfunction_checks(
-        eig, D.stencil(stop - 1), [integer_table(Q, stop)], None, None
+        [eig.diagonal(0)], D.stencil(stop - 1), [integer_table(Q, stop)], None, None
     )
     expected = eigenfunction_detail(D, eig, 0, Q)
     assert (check.passed, check.detail) == (not expected, expected)
