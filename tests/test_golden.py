@@ -48,6 +48,12 @@ KRAW4 = _family(["2", "-1/3", "5"], {"kind": "krawtchouk", "p": "1/3", "N": 4},
                 {"kind": "krawtchouk", "p": "3/5", "N": 4},
                 {"kind": "krawtchouk", "p": "1/4", "N": 4},
                 {"kind": "krawtchouk", "p": "4/5", "N": 4})
+# m = 6: the leads' odd-channel blocks T are 3 x 3
+KRAW6 = _family(["2", "1/3", "5", "1/4", "-7"],
+                *({"kind": "krawtchouk", "p": p, "N": 4}
+                  for p in ("1/3", "2/5", "1/4", "4/5", "5/7", "5/8")))
+MEIXNER_PAIR = _family(["3/2"], {"kind": "meixner", "beta": "1/2", "c": "1/2"},
+                       {"kind": "meixner", "beta": "1/2", "c": "1/3"})
 KRAW_TO_HERMITE = {"name": "krawtchouk->hermite", "n": 2, "a": "1",
                    "ladder": ["100", "1000", "10000"], "params": {"p": "1/3"}}
 KRAW_TO_CHARLIER = {"name": "krawtchouk->charlier", "n": 2, "a": "-3",
@@ -101,6 +107,18 @@ CASES = {
     "export-Q-cmc-tau": (CMC, ("export", "--what", "Q", "--n", "3", "--tau", "3/2")),
     "family-krawtchouk-m4-latex": (KRAW4, ("family", "--n", "2", "--format", "latex")),
     "export-recurrence": (CMC, ("export", "--what", "recurrence", "--n", "2", "--tau", "2")),
+    # the triples at m = 6, n = N included, each lead's T a 3 x 3 block
+    "family-krawtchouk-m6-recurrence": (KRAW6, ("family", "--n", "4", "--recurrence")),
+    # n = N reads b_(N+1) of the Hahn channels, which degenerates on the
+    # second (-(alpha + beta) = 2N + 4): exit 2 with the SpecError naming n = 4
+    "export-recurrence-hahn-negative": (HAHN_NEGATIVE,
+                                        ("export", "--what", "recurrence", "--n", "3")),
+    "export-recurrence-hahn-negative-n2": (HAHN_NEGATIVE,
+                                           ("export", "--what", "recurrence", "--n", "2")),
+    # n = N on the positive branch, through the closure companion
+    "export-recurrence-hahn": (HAHN, ("export", "--what", "recurrence", "--n", "4")),
+    "family-meixner-recurrence": (MEIXNER_PAIR, ("family", "--n", "3", "--tau", "3/2",
+                                                 "--recurrence")),
     "limits-json": (KRAW_TO_CHARLIER, ("limits", "--format", "json")),
     "limits-csv": (KRAW_TO_CHARLIER, ("limits", "--format", "csv")),
     "limits-krawtchouk-hermite-json": (KRAW_TO_HERMITE, ("limits", "--format", "json")),
