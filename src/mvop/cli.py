@@ -81,10 +81,6 @@ def _load_family(path: str) -> FamilySpec:
     return family_spec_from_json(_read_json(path))
 
 
-def _matrix_json(mat):
-    return [[format_rational(v) for v in row] for row in mat]
-
-
 def _weights_json(spec: FamilySpec, x_hi: int):
     """W(x) at x = 0..x_hi, keyed by x, each entry printed as its integer
     over the common denominator (``integer_weights``)."""
@@ -98,8 +94,10 @@ def _eigenvalues_json(eig, n_hi: int):
 
 
 def _triple_json(t):
-    """A recurrence triple as {"A", "B", "C"}."""
-    return {key: _matrix_json(mat) for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))}
+    """A scaled recurrence triple (``closed_recurrence``) as {"A", "B", "C"},
+    each entry printed as its integer over the matrix's denominator."""
+    return {key: [[format_over(v, d) for v in row] for row in mat]
+            for key, (mat, d) in zip("ABC", t)}
 
 
 def cmd_family(args) -> int:
@@ -236,8 +234,7 @@ def cmd_export(args) -> int:
             )
     elif what == "recurrence":
         _check_export_degree(spec, args.n)
-        t = extract_recurrence(spec, args.n, tau=tau)
-        text = json_dumps(_triple_json(t))
+        text = json_dumps(_triple_json(extract_recurrence(spec, args.n, tau=tau, scaled=True)))
     else:
         raise SpecError(f"unknown export artifact {what!r}")
     _write_out(text, args.out)

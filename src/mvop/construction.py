@@ -324,9 +324,13 @@ def _norm_quotient(num, n_num: int, den, n_den: int):
     """The coefficient ratio and the Mass quotient of the squared norms of
     two channel ladders, once per (ladder, degree, ladder, degree), as
     ``ladder`` is once per channel: every probe of a sweep reads the same
-    pairs, and a ladder hashes by identity."""
-    num, den = num.norm(n_num), den.norm(n_den)
-    return num.coefficient / den.coefficient, num.mass / den.mass
+    pairs, and a ladder hashes by identity.  A ladder's norms all carry its
+    total mass, so the Mass quotient is formed at degrees (0, 0) only and
+    read from there."""
+    a, b = num.norm(n_num).coefficient, den.norm(n_den).coefficient
+    quotient = (_norm_quotient(num, 0, den, 0)[1] if n_num or n_den
+                else num.norm(0).mass / den.norm(0).mass)
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator), quotient
 
 
 # --------------------------------------------------------------------------
@@ -433,8 +437,9 @@ def _integer_form(spec: FamilySpec, n: int, tau, stop: int) -> "IntegerTable":
                         (-a.numerator, a.denominator, 1, p[i])]
     for (i, j), a in zip(positions if n else (), spec.a):
         coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
-        t = coefficient * _resolve_quotient(quotient, tau)
-        num, den = a.numerator * t.numerator, a.denominator * t.denominator
+        t = _resolve_quotient(quotient, tau)
+        num = a.numerator * coefficient.numerator * t.numerator
+        den = a.denominator * coefficient.denominator * t.denominator
         if num:
             terms[j][i].append((-num, den, 0, r[i]))
             for l, b in coupled[i]:

@@ -3,7 +3,11 @@
 Each weight spec knows its pointwise value and its exact ratio
 w(x + 1) / w(x), its three-term recurrence coefficients (the one
 construction path for the monic polynomials), its total mass, and its
-second-order difference operator and eigenvalues.  The independent oracles
+second-order difference operator and eigenvalues.  The recurrence
+coefficients b_n and c_n are formed in integers from the parameters'
+numerators and denominators, each put in a ``Fraction`` with one reduction
+and no ``Fraction`` arithmetic; the ``Fraction`` formulas they replace are
+the tests' oracle (``tests/scalar_oracle.py``).  The independent oracles
 that check the ladder, the Rodrigues formulas with Lagrange interpolation
 and the degree-(N+1) closure x(x-1)...(x-N), live in the tests
 (``tests/scalar_oracle.py``).  The continuous Hermite and Laguerre channels
@@ -58,6 +62,8 @@ class Mass:
         return cls()._combine(Mass(powers=(((Fraction(base)), Fraction(exponent)),)), 1)
 
     def _combine(self, other: "Mass", sign: int) -> "Mass":
+        if not other.exp_arg and not other.powers:
+            return self
         exp_arg = self.exp_arg + sign * other.exp_arg
         acc = dict(self.powers)
         for base, exponent in other.powers:
@@ -164,10 +170,11 @@ class Charlier:
 
     def weight_ratio(self, x: int) -> Fraction:
         """w(x + 1) / w(x)."""
-        return self.b / (x + 1)
+        return Fraction(self.b.numerator, self.b.denominator * (x + 1))
 
     def recurrence_bc(self, n: int):
-        return Fraction(n) + self.b, Fraction(n) * self.b
+        P, Q = self.b.numerator, self.b.denominator
+        return Fraction(n * Q + P, Q), Fraction(n * P, Q)
 
     def total_mass(self) -> NormValue:
         return NormValue(Fraction(1), Mass.exponential(self.b))
@@ -208,14 +215,17 @@ class Meixner:
         return pochhammer(self.beta, x) * self.c**x / math.factorial(x)
 
     def weight_ratio(self, x: int) -> Fraction:
-        """w(x + 1) / w(x)."""
-        return (self.beta + x) * self.c / (x + 1)
+        """w(x + 1) / w(x) = (beta + x) c / (x + 1)."""
+        B, Bd = self.beta.numerator, self.beta.denominator
+        return Fraction((B + x * Bd) * self.c.numerator, Bd * self.c.denominator * (x + 1))
 
     def recurrence_bc(self, n: int):
-        beta, c = self.beta, self.c
-        b_n = (n + (n + beta) * c) / (1 - c)
-        c_n = n * (n + beta - 1) * c / (1 - c) ** 2
-        return b_n, c_n
+        # b_n = (n + (n + beta) c) / (1 - c), c_n = n (n + beta - 1) c / (1 - c)^2
+        B, Bd = self.beta.numerator, self.beta.denominator
+        C, Cd = self.c.numerator, self.c.denominator
+        rest = Cd - C  # Cd (1 - c)
+        return (Fraction(n * Bd * Cd + (n * Bd + B) * C, Bd * rest),
+                Fraction(n * ((n - 1) * Bd + B) * C * Cd, Bd * rest * rest))
 
     def total_mass(self) -> NormValue:
         return NormValue(Fraction(1), Mass.power(1 - self.c, -self.beta))
@@ -262,14 +272,15 @@ class Krawtchouk:
         return binomial(self.N, x) * self.p**x * (1 - self.p) ** (self.N - x)
 
     def weight_ratio(self, x: int) -> Fraction:
-        """w(x + 1) / w(x), for 0 <= x < N."""
-        return (self.N - x) * self.p / ((x + 1) * (1 - self.p))
+        """w(x + 1) / w(x) = (N - x) p / ((x + 1)(1 - p)), for 0 <= x < N."""
+        P, Q = self.p.numerator, self.p.denominator
+        return Fraction((self.N - x) * P, (x + 1) * (Q - P))
 
     def recurrence_bc(self, n: int):
-        p, N = self.p, self.N
-        b_n = p * (N - n) + n * (1 - p)
-        c_n = Fraction(n) * p * (1 - p) * (N + 1 - n)
-        return b_n, c_n
+        # b_n = p (N - n) + n (1 - p), c_n = n p (1 - p) (N + 1 - n)
+        P, Q, N = self.p.numerator, self.p.denominator, self.N
+        return (Fraction(P * (N - n) + n * (Q - P), Q),
+                Fraction(n * P * (Q - P) * (N + 1 - n), Q * Q))
 
     def total_mass(self) -> NormValue:
         # binomial theorem: sum_x binom(N,x) p^x (1-p)^(N-x) = 1
@@ -341,38 +352,50 @@ class Hahn:
         return binomial(self.alpha + x, x) * binomial(self.beta + self.N - x, self.N - x)
 
     def weight_ratio(self, x: int) -> Fraction:
-        """w(x + 1) / w(x), for 0 <= x < N; no factor vanishes under the
-        parameter gate."""
-        return (self.alpha + x + 1) * (self.N - x) / ((x + 1) * (self.beta + self.N - x))
-
-    def _t(self, n: int) -> Fraction:
-        alpha, beta, N = self.alpha, self.beta, self.N
-        s = alpha + beta
-        return (
-            (n + s + 1)
-            * (n + alpha + 1)
-            * (N - n)
-            / ((2 * n + s + 1) * (2 * n + s + 2))
-        )
-
-    def _s(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(0)
-        alpha, beta, N = self.alpha, self.beta, self.N
-        s = alpha + beta
-        return n * (n + s + N + 1) * (n + beta) / ((2 * n + s) * (2 * n + s + 1))
+        """w(x + 1) / w(x) = (alpha + x + 1)(N - x) / ((x + 1)(beta + N - x)),
+        for 0 <= x < N; no factor vanishes under the parameter gate."""
+        A, Ad = self.alpha.numerator, self.alpha.denominator
+        B, Bd = self.beta.numerator, self.beta.denominator
+        N = self.N
+        return Fraction((A + (x + 1) * Ad) * (N - x) * Bd, (x + 1) * (B + (N - x) * Bd) * Ad)
 
     def recurrence_bc(self, n: int):
+        # b_n = t_n + s_n and c_n = t_(n-1) s_n, with s = alpha + beta,
+        #   t_k = (k + s + 1)(k + alpha + 1)(N - k) / ((2k + s + 1)(2k + s + 2)),
+        #   s_k = k (k + s + N + 1)(k + beta) / ((2k + s)(2k + s + 1)), s_0 = 0,
+        # in integers: with alpha, beta and s over L, the factors L^2 cancel
+        N = self.N
+        L = math.lcm(self.alpha.denominator, self.beta.denominator)
+        A = self.alpha.numerator * (L // self.alpha.denominator)
+        B = self.beta.numerator * (L // self.beta.denominator)
+        S = A + B
+
+        def t(k):
+            return ((k * L + S + L) * (k * L + A + L) * (N - k),
+                    (2 * k * L + S + L) * (2 * k * L + S + 2 * L))
+
+        def s(k):
+            return ((k * (k * L + S + (N + 1) * L) * (k * L + B),
+                     (2 * k * L + S) * (2 * k * L + S + L)) if k else (0, 1))
+
         # c_0 = t_(-1) s_0 and c_(N+1) = t_N s_(N+1) (t_N = 0) are 0, which
         # avoids 0/0 at alpha + beta in {0, -1} and 0 (1/0) at -(2N + 3)
-        c_n = Fraction(0) if n in (0, self.N + 1) else self._t(n - 1) * self._s(n)
-        try:
-            return self._t(n) + self._s(n), c_n
-        except ZeroDivisionError:
+        if n in (0, N + 1):
+            c_n = Fraction(0)
+        else:
+            (tn, td), (sn, sd) = t(n - 1), s(n)
+            c_n = Fraction(tn * sn, td * sd)
+        (tn, td), (sn, sd) = t(n), s(n)
+        if not td * sd:
             raise SpecError(
                 f"hahn recurrence degenerates at n = {n}: "
                 f"2n + alpha + beta + 1 or + 2 vanishes"
-            ) from None
+            )
+        if not n:
+            return Fraction(tn, td), c_n
+        # td and sd share the factor h = L (2n + s + 1)
+        h = 2 * n * L + S + L
+        return Fraction(tn * (sd // h) + sn * (td // h), td // h * sd), c_n
 
     def total_mass(self) -> NormValue:
         # Vandermonde: sum_x binom(alpha+x,x) binom(beta+N-x,N-x)
@@ -432,7 +455,8 @@ class Laguerre:
     support_N = None
 
     def recurrence_bc(self, n: int):
-        return 2 * n + self.alpha + 1, n * (n + self.alpha)
+        A, Ad = self.alpha.numerator, self.alpha.denominator
+        return Fraction((2 * n + 1) * Ad + A, Ad), Fraction(n * (n * Ad + A), Ad)
 
     def total_mass(self) -> NormValue:
         return NormValue(Fraction(1), Mass.one())
@@ -459,11 +483,14 @@ class _Ladder:
     """One channel's monic polynomials and squared norms, grown by the
     three-term recurrence x p_k = p_(k+1) + b_k p_k + c_k p_(k-1) (Koekoek,
     Lesky & Swarttouw, Springer 2010, ch. 9) as far as any caller has asked:
-    each coefficient pair (b_k, c_k) is evaluated once, and
-    |p_k|^2 = c_k |p_(k-1)|^2 from the total mass.
+    each coefficient pair (b_k, c_k) is evaluated once (``recurrence_bc``,
+    formed in integers), and |p_k|^2 = c_k |p_(k-1)|^2 from the total mass,
+    its coefficient the reduced product of the integer numerators and
+    denominators, with no ``Fraction`` arithmetic per degree.
 
     Each p_k is held as integer coefficients over their least common
     denominator d_k (``integer``).  With b_k and c_k as reduced fractions,
+    read by numerator and denominator,
     D = lcm(d_k den(b_k), d_(k-1) den(c_k)) puts D p_(k+1) in integers, and
     one gcd per degree reduces it: p_(k+1) is monic, so its leading
     coefficient D is among the integers the gcd reads, and what is left is
@@ -517,7 +544,10 @@ class _Ladder:
         if not norms:
             norms.append(self.spec.total_mass())
         while len(norms) <= n:
-            norms.append(norms[-1].scaled(self.coefficients(len(norms))[1]))
+            last, c = norms[-1], self.coefficients(len(norms))[1]
+            norms.append(NormValue(Fraction(last.coefficient.numerator * c.numerator,
+                                            last.coefficient.denominator * c.denominator),
+                                   last.mass))
         return norms[n]
 
 
@@ -573,12 +603,13 @@ def monic_polynomial(spec, n: int) -> ScalarPoly:
 
 def weight_sequence(spec, stop: int) -> list:
     """w(0), ..., w(stop) of a discrete weight, each grown from the last by
-    the exact ratio w(x + 1) / w(x): O(1) rational operations per point,
-    where ``weight(x)`` rebuilds powers, factorials and Pochhammer symbols.
-    ``stop`` must not pass a finite support's N."""
+    the exact ratio w(x + 1) / w(x), formed in integers: one reduction per
+    point, where ``weight(x)`` rebuilds powers, factorials and Pochhammer
+    symbols.  ``stop`` must not pass a finite support's N."""
     out = [spec.weight(0)]
     for x in range(stop):
-        out.append(out[-1] * spec.weight_ratio(x))
+        w, r = out[-1], spec.weight_ratio(x)
+        out.append(Fraction(w.numerator * r.numerator, w.denominator * r.denominator))
     return out
 
 

@@ -21,10 +21,15 @@ matrices of a chain of consecutive polynomials from the top coefficients of
 the identity, in integers read off the chain's integer tables, with no inner
 products: each leading coefficient is [[I, N], [0, T]] on the even, then the
 odd channels, so only its odd-channel block T is inverted
-(``lead_inverse``).  ``recurrence_closes`` certifies an identity by integer
-evaluation: its residual has degree at most
+(``lead_inverse``), by fraction-free integer elimination for m >= 4
+(``integer_inverse``).  ``recurrence_closes`` certifies an identity by
+integer evaluation: its residual has degree at most
 d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)), so it is zero when it
-vanishes at the d + 1 points x = 0..d.
+vanishes at the d + 1 points x = 0..d.  The certified triples stay
+(integer matrix, denominator) pairs where they are printed (``family
+--recurrence`` and ``export --what recurrence`` format each entry with
+``rational.format_over``); a ``RecurrenceTriple`` of Fractions is built
+only for the public API (``extract_recurrence``).
 """
 from __future__ import annotations
 
@@ -33,7 +38,6 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
 from .construction import (
     FamilySpec,
     integer_table,
@@ -44,7 +48,7 @@ from .construction import (
 from .errors import ProbeError, SpecError
 from .families import Hahn, ScalarOperator
 from .poly import MatrixPoly, ScalarPoly
-from .rational import format_rational, over_lcm
+from .rational import format_rational
 from .record import frozen
 
 
@@ -239,9 +243,11 @@ def canonical_operator(spec: FamilySpec, force: bool = False):
 # three-term recurrence extraction
 
 
-def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
+def extract_recurrence(spec: FamilySpec, n: int, tau=None, scaled: bool = False):
     """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
-    sequence; see ``closed_recurrence``.
+    sequence (``closed_recurrence``), as a ``RecurrenceTriple`` of
+    Fractions, or with ``scaled`` as the three (integer matrix,
+    denominator) pairs that ``export`` prints.
 
     The chain Q_(n-1), Q_n, Q_(n+1) is read as integer tables
     (``construction.orthogonal_table``).  On a finite support, n = N closes
@@ -256,7 +262,33 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None) -> RecurrenceTriple:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
     tau = spec_tau(spec, tau, exact=True)
     tables = {k: orthogonal_table(spec, k, tau, n + 1) for k in range(max(n - 1, 0), n + 2)}
-    return closed_recurrence(spec, tables, (n,), tau)[n]
+    t = closed_recurrence(spec, tables, (n,), tau)[n]
+    return t if scaled else RecurrenceTriple(*map(_fractions, t))
+
+
+def integer_inverse(T):
+    """The inverse of the square integer matrix ``T`` as (Y, d), Y an
+    integer matrix with T^(-1) = Y / d, by fraction-free Gauss-Jordan
+    elimination (Bareiss): [T | I] is reduced to [d I | Y] by integer row
+    operations, each step's rows divided exactly by the previous pivot, so
+    every entry stays a minor of [T | I] and d = +-det T.  A singular T is a
+    ZeroDivisionError."""
+    k = len(T)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(T)]
+    prev = 1
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError("leading coefficient is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(p * v - f * t) // prev for v, t in zip(row, top)]
+        prev = p
+    return tuple(tuple(row[k:]) for row in rows), prev
 
 
 def lead_inverse(lead, scale: int):
@@ -268,8 +300,9 @@ def lead_inverse(lead, scale: int):
     odd rows and columns at distance 0 or 2.  So L_k = [[I, N], [0, T]] on
     the even, then the odd channels, with T tridiagonal, and only T is
     inverted for L_k^(-1) = [[I, -N T^(-1)], [0, T^(-1)]]: a reciprocal for
-    m <= 3, and no inversion when T = I, as for Q_0 and the closure
-    companion.  A lead of any other form is a construction fault.
+    m <= 3, no inversion when T = I, as for Q_0 and the closure companion,
+    and otherwise in integers (``integer_inverse``), no ``Fraction`` built.
+    A lead of any other form is a construction fault.
     """
     m = len(lead)
     even, odd = range(0, m, 2), range(1, m, 2)
@@ -284,7 +317,7 @@ def lead_inverse(lead, scale: int):
     elif T == [[scale * v for v in row] for row in eye]:
         Y, d = eye, scale
     else:
-        Y, d = over_lcm(linalg.mat_inverse(T))
+        Y, d = integer_inverse(T)
     if d == 0:
         raise ZeroDivisionError("leading coefficient is singular")
 
@@ -373,6 +406,7 @@ def _sub(a, b):
 
 
 def _fractions(a):
+    """An (integer matrix, denominator) pair as a matrix of Fractions."""
     m, d = a
     return tuple(tuple(Fraction(v, d) for v in row) for row in m)
 
@@ -424,10 +458,12 @@ def closed_recurrence(spec: FamilySpec, tables, degrees=None, tau=None) -> dict:
     """``match_recurrence`` on the integer tables of a chain (Q_k's at
     ``tables[k]``, a list or a dict, each reaching x = max k, built at the
     probe ``tau`` of --tau), each identity certified by
-    ``recurrence_closes`` and reduced to a ``RecurrenceTriple`` of
-    Fractions; AssertionError names the first n that does not close.  A
-    singular leading coefficient is a ProbeError naming --tau, or with no
-    tau a SpecError naming the couplings a."""
+    ``recurrence_closes``; AssertionError names the first n that does not
+    close.  Each triple stays three (integer matrix, denominator) pairs,
+    which ``family`` and ``export`` print entry by entry
+    (``rational.format_over``).  A singular leading coefficient is a
+    ProbeError naming --tau, or with no tau a SpecError naming the
+    couplings a."""
     def singular(k):
         if tau is not None:
             return singular_lead(k, f"--tau value {tau}")
@@ -439,7 +475,7 @@ def closed_recurrence(spec: FamilySpec, tables, degrees=None, tau=None) -> dict:
     for n, t in match_recurrence(tables, degrees, singular).items():
         if not recurrence_closes(t, n, tables):
             raise AssertionError(not_closed(spec, n))
-        triples[n] = RecurrenceTriple(*map(_fractions, t))
+        triples[n] = t
     return triples
 
 

@@ -94,7 +94,7 @@ from .operators import (
     singular_lead,
 )
 from .poly import MatrixPoly, ScalarPoly
-from .rational import format_rational, named_rational, over
+from .rational import format_rational, named_rational, over, over_lcm
 from .record import frozen, replace
 
 
@@ -220,16 +220,25 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
     return checks
 
 
+def _eigenvalue_integers(eig, top: int) -> list:
+    """The diagonals of Lambda_0..Lambda_top, each over one denominator
+    (``rational.over_lcm``), as ((integer numerators,), den): once per run."""
+    return [over_lcm((eig.diagonal(n),)) for n in range(top + 1)]
+
+
 def _eigenfunction_residual(stencil, eigenvalues, table):
     """The values of Q . D - Lambda Q at x = 0..deg Q + extra_degree, entry
-    by entry, from Q's integer table and D's ``IntegerStencil``, as
-    (values, scale): ``values[i][j][x]`` is ``scale`` times entry (i, j) at
-    x, all integers.  With Lambda scaled by the stencil's scale s and then by
-    the common denominator e of the result, each value is e (L Q . s D) -
-    (e s Lambda) L Q, so ``scale`` = e L s for L the table's scale."""
-    scaled = [v * stencil.scale for v in eigenvalues]
-    e = math.lcm(*(v.denominator for v in scaled))
-    lam = [int(v * e) for v in scaled]
+    by entry, from Q's integer table, D's ``IntegerStencil`` and Lambda's
+    diagonal as ((nums,), den) (``_eigenvalue_integers``), as (values, scale):
+    ``values[i][j][x]`` is ``scale`` times entry (i, j) at x, all integers.
+    With Lambda scaled by the stencil's scale S and then by the least common
+    denominator e = den / gcd(den, S gcd(nums)) of the result, each value is
+    e (L Q . S D) - (e S Lambda) L Q, so ``scale`` = e L S for L the table's
+    scale."""
+    (nums,), den = eigenvalues
+    S = stencil.scale
+    e = den // math.gcd(den, S * math.gcd(*nums))
+    lam = [v * S * e // den for v in nums]
     values, points = table.values, stencil.points
     residual = [[[] for _ in row] for row in values[0]]
     for x in range(table.degree + stencil.extra_degree + 1):
@@ -245,7 +254,7 @@ def _eigenfunction_residual(stencil, eigenvalues, table):
                 for k, v in minus[j]:
                     acc += b[k] * v
                 out[j].append(e * acc - li * hj)
-    return residual, e * table.scale * stencil.scale
+    return residual, e * table.scale * S
 
 
 def _interpolate(values, scale: int) -> ScalarPoly:
@@ -273,8 +282,9 @@ def _interpolate(values, scale: int) -> ScalarPoly:
 
 def _eigenfunction_checks(lambdas, stencil, tables, probe_a, probe_tau) -> list:
     """Q_n . D - Lambda_n Q_n = 0 identically, certified on the integer
-    tables of Q_0, Q_1, ... with ``lambdas[n]`` the diagonal of Lambda_n,
-    computed once per run; a failure records its first nonzero entry,
+    tables of Q_0, Q_1, ... with ``lambdas[n]`` the diagonal of Lambda_n
+    over one denominator, computed once per run
+    (``_eigenvalue_integers``); a failure records its first nonzero entry,
     interpolated from that entry's residual values."""
     checks = []
     for n, (table, eigenvalues) in enumerate(zip(tables, lambdas)):
@@ -402,7 +412,7 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     """
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
     D, eig = canonical_operator(_probe(spec, 1), force=force)
-    lambdas = [eig.diagonal(n) for n in range(top + 1)]
+    lambdas = _eigenvalue_integers(eig, top)
     checks = []
     for a_val, tau, _, stencil, tables in _sweep(spec, top, a_vals, tau_vals, D, perturb):
         checks.extend(_eigenfunction_checks(lambdas, stencil, tables[:-1], a_val, tau))
@@ -447,7 +457,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
 
     try:
         D, eig = canonical_operator(_probe(spec, 1))
-        lambdas = [eig.diagonal(n) for n in range(top + 1)]
+        lambdas = _eigenvalue_integers(eig, top)
     except SpecError as err:
         D = None
         notes.append(f"bispectral suite skipped: {err}")

@@ -9,7 +9,11 @@ A_n = L_n L_(n+1)^(-1); see the discussion in the test module.
 """
 from fractions import Fraction as F
 
+from mvop import linalg
+from mvop.construction import staggered_positions
 from mvop.rational import pochhammer
+
+from scalar_oracle import recurrence_bc
 
 
 def krawtchouk_triple(n, p, s, N, a):
@@ -100,7 +104,8 @@ def pair_triple_from_recurrences(n, bc1, bc2, theta, a):
                [a th_n (b2_n - b1_(n-1)) / (1 + a^2 th_n), c2_n]]
 
     This reproduces every displayed family triple entrywise and serves as an
-    independent oracle for the extraction path.
+    independent oracle for the extraction path; ``triple_from_recurrences``
+    is its form for every m.
     """
     b1_n, c1_n = bc1(n)
     b1_prev, _ = bc1(n - 1)
@@ -156,3 +161,80 @@ def hahn_norm_ratio(n, alpha, beta, alpha2, beta2, N):
         * (n + alpha + beta + N)
         * (n + alpha + beta - 1)
     )
+
+
+def _add(*mats):
+    return tuple(tuple(sum(vs, F(0)) for vs in zip(*rows)) for rows in zip(*mats))
+
+
+def _neg(mat):
+    return tuple(tuple(-v for v in row) for row in mat)
+
+
+def _mul(*mats):
+    out = mats[0]
+    for mat in mats[1:]:
+        out = linalg.mat_mul(out, mat)
+    return out
+
+
+def triple_from_recurrences(spec, n, tau=None):
+    """The recurrence triple (A_n, B_n, C_n) of any m, in closed form from
+    the channels' scalar recurrences (``scalar_oracle.recurrence_bc``), the
+    coupling matrix A and the norm-ratio matrices R_k:
+
+        M_n = I + A R_(n+1) + R_n A,
+        B_n = (beta_n + A gamma_(n+1) - R_n + R_(n+1) + A beta_(n+1) R_(n+1)
+               - gamma_n A + R_n beta_(n-1) A) M_n^(-1),
+        A_n = I + A beta_(n+1) - B_n A,
+        C_n = gamma_n - R_n beta_(n-1) + B_n R_n,
+
+    with beta_k and gamma_k the diagonals of the channels' b_k and c_k,
+    beta_(-1) = 0, and R_k holding a |p_k^(j)|^2 / |p_(k-1)^(i)|^2 at (j, i)
+    for each pattern position (i, j) holding a: R_0 = 0, and R_(N+1) = 0 at
+    the closure companion of a finite support.  Each squared norm is the
+    channel's total mass times c_1 ... c_k, and a transcendental mass
+    quotient reads the probe ``tau``.  M_n is block diagonal on the even and
+    the odd channels.
+    """
+    m, channels = spec.m, spec.channels
+    eye = linalg.identity(m)
+
+    def diagonal(values):
+        return tuple(tuple(values[i] if i == j else F(0) for j in range(m)) for i in range(m))
+
+    def beta(k):
+        return diagonal([recurrence_bc(ch, k)[0] if k >= 0 else F(0) for ch in channels])
+
+    def gamma(k):
+        return diagonal([recurrence_bc(ch, k)[1] for ch in channels])
+
+    def norm(r, k):
+        ch = channels[r]
+        out = ch.total_mass().coefficient
+        for j in range(1, k + 1):
+            out *= recurrence_bc(ch, j)[1]
+        return out
+
+    def R(k):
+        out = [[F(0)] * m for _ in range(m)]
+        if k == 0 or (spec.is_finite and k == spec.support_N + 1):
+            return tuple(map(tuple, out))
+        for (i, j), a in zip(staggered_positions(m), spec.a):
+            quotient = channels[j].total_mass().mass / channels[i].total_mass().mass
+            mass = quotient.rational_value() if quotient.is_rational else F(tau)
+            out[j][i] = a * norm(j, k) / norm(i, k - 1) * mass
+        return tuple(map(tuple, out))
+
+    A = [[F(0)] * m for _ in range(m)]
+    for (i, j), a in zip(staggered_positions(m), spec.a):
+        A[i][j] = a
+    A = tuple(map(tuple, A))
+    R_n, R_next = R(n), R(n + 1)
+    M = _add(eye, _mul(A, R_next), _mul(R_n, A))
+    B = _mul(_add(beta(n), _mul(A, gamma(n + 1)), _neg(R_n), R_next, _mul(A, beta(n + 1), R_next),
+                  _neg(_mul(gamma(n), A)), _mul(R_n, beta(n - 1), A)),
+             linalg.mat_inverse(M))
+    A_n = _add(eye, _mul(A, beta(n + 1)), _neg(_mul(B, A)))
+    C = _add(gamma(n), _neg(_mul(R_n, beta(n - 1))), _mul(B, R_n))
+    return A_n, B, C

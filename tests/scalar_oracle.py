@@ -1,9 +1,11 @@
 """Independent oracles for the scalar ladder of ``mvop.families``.
 
-The monic polynomials come from the three-term recurrence alone.  These
-oracles reach them another way: each family's Rodrigues formula
-(Koekoek, Lesky and Swarttouw, Hypergeometric Orthogonal Polynomials and
-Their q-Analogues, Springer 2010, ch. 9), evaluated pointwise at
+The monic polynomials come from the three-term recurrence alone, whose
+coefficients the package forms in integers; ``recurrence_bc`` below writes
+them out in ``Fraction`` arithmetic.  The other oracles reach the
+polynomials another way: each family's Rodrigues formula (Koekoek, Lesky
+and Swarttouw, Hypergeometric Orthogonal Polynomials and Their
+q-Analogues, Springer 2010, ch. 9), evaluated pointwise at
 x = 0..n and interpolated exactly, and on a finite support the
 degree-(N+1) closure x(x-1)...(x-N) that the recurrence must produce.
 """
@@ -11,7 +13,8 @@ import math
 from fractions import Fraction
 
 from mvop.errors import SpecError
-from mvop.families import Charlier, Hahn, Krawtchouk, Meixner, monic_polynomial
+from mvop.families import (Charlier, Hahn, Hermite, Krawtchouk, Laguerre, Meixner,
+                           monic_polynomial)
 from mvop.poly import ScalarPoly
 from mvop.rational import binomial, pochhammer
 
@@ -151,3 +154,66 @@ def extended_polynomial(spec) -> ScalarPoly:
             f"x(x-1)...(x-N) for {spec!r}"
         )
     return product
+
+
+# --------------------------------------------------------------------------
+# the recurrence coefficients in Fraction arithmetic
+
+
+def _charlier_bc(spec, n):
+    return Fraction(n) + spec.b, Fraction(n) * spec.b
+
+
+def _meixner_bc(spec, n):
+    beta, c = spec.beta, spec.c
+    return (n + (n + beta) * c) / (1 - c), n * (n + beta - 1) * c / (1 - c) ** 2
+
+
+def _krawtchouk_bc(spec, n):
+    p, N = spec.p, spec.N
+    return p * (N - n) + n * (1 - p), Fraction(n) * p * (1 - p) * (N + 1 - n)
+
+
+def _hahn_t(spec, n):
+    alpha, beta, N = spec.alpha, spec.beta, spec.N
+    s = alpha + beta
+    return (n + s + 1) * (n + alpha + 1) * (N - n) / ((2 * n + s + 1) * (2 * n + s + 2))
+
+
+def _hahn_s(spec, n):
+    if n == 0:
+        return Fraction(0)
+    alpha, beta, N = spec.alpha, spec.beta, spec.N
+    s = alpha + beta
+    return n * (n + s + N + 1) * (n + beta) / ((2 * n + s) * (2 * n + s + 1))
+
+
+def _hahn_bc(spec, n):
+    # b_n = t_n + s_n, c_n = t_(n-1) s_n, c_0 = c_(N+1) = 0; a vanishing
+    # denominator of b_n is the SpecError naming n
+    c_n = Fraction(0) if n in (0, spec.N + 1) else _hahn_t(spec, n - 1) * _hahn_s(spec, n)
+    try:
+        return _hahn_t(spec, n) + _hahn_s(spec, n), c_n
+    except ZeroDivisionError:
+        raise SpecError(
+            f"hahn recurrence degenerates at n = {n}: "
+            f"2n + alpha + beta + 1 or + 2 vanishes"
+        ) from None
+
+
+def _hermite_bc(spec, n):
+    return Fraction(0), Fraction(n, 2)
+
+
+def _laguerre_bc(spec, n):
+    return 2 * n + spec.alpha + 1, n * (n + spec.alpha)
+
+
+_BC = {Charlier: _charlier_bc, Meixner: _meixner_bc, Krawtchouk: _krawtchouk_bc,
+       Hahn: _hahn_bc, Hermite: _hermite_bc, Laguerre: _laguerre_bc}
+
+
+def recurrence_bc(spec, n: int):
+    """(b_n, c_n) of x p_n = p_(n+1) + b_n p_n + c_n p_(n-1), in Fraction
+    arithmetic."""
+    return _BC[type(spec)](spec, n)

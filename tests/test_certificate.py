@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mvop import cli, linalg, verification
+from mvop import cli, operators, verification
 from mvop.construction import FamilySpec, integer_table
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
@@ -131,7 +131,8 @@ def test_eigenfunction_bump_at_last_point_fails(d):
     assert D.extra_degree == d
     stop = Q.degree + D.extra_degree + 1
     checks = verification._eigenfunction_checks(
-        [eig.diagonal(0)], D.stencil(stop - 1), [integer_table(Q, stop)], None, None
+        verification._eigenvalue_integers(eig, 0), D.stencil(stop - 1),
+        [integer_table(Q, stop)], None, None
     )
     assert not checks[0].passed
     assert checks[0].detail == f"entry (1,1) = {bump!r}"
@@ -166,7 +167,8 @@ def test_detail_equals_polynomial_residual(case):
     Q, D, eig = case
     stop = Q.degree + D.extra_degree + 1
     (check,) = verification._eigenfunction_checks(
-        [eig.diagonal(0)], D.stencil(stop - 1), [integer_table(Q, stop)], None, None
+        verification._eigenvalue_integers(eig, 0), D.stencil(stop - 1),
+        [integer_table(Q, stop)], None, None
     )
     expected = eigenfunction_detail(D, eig, 0, Q)
     assert (check.passed, check.detail) == (not expected, expected)
@@ -297,13 +299,13 @@ def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
 
 def counted_inverses(monkeypatch):
     inverted = []
-    real = linalg.mat_inverse
+    real = operators.integer_inverse
 
     def counting(a):
         inverted.append(a)
         return real(a)
 
-    monkeypatch.setattr(linalg, "mat_inverse", counting)
+    monkeypatch.setattr(operators, "integer_inverse", counting)
     return inverted
 
 

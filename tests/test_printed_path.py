@@ -1,11 +1,13 @@
 """The printed path of ``family`` and ``export``: integers to the string.
 
-Q_n is printed straight from its integer table and W(x) from its integer
-entries, each value through ``rational.format_over``; the channel ladders
-are grown in integers.  Each is checked here against the ``Fraction`` route
-it replaced: ``format_rational`` of the ``Fraction``, a ``Fraction``
-recurrence written out below, and ``matpoly_to_json`` of
-``orthogonal_polynomial`` and the rendering of ``weight_matrix``.
+Q_n is printed straight from its integer table, W(x) from its integer
+entries and the recurrence triples from the integer pairs the matcher
+forms, each value through ``rational.format_over``; the channel ladders are
+grown in integers.  Each is checked here against the ``Fraction`` route it
+replaced: ``format_rational`` of the ``Fraction``, a ``Fraction``
+recurrence written out below, ``matpoly_to_json`` of
+``orthogonal_polynomial``, the rendering of ``weight_matrix`` and that of
+the ``RecurrenceTriple`` of ``extract_recurrence``.
 """
 import io
 import json
@@ -18,11 +20,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mvop
-from mvop import cli, construction, families
+from mvop import cli, construction, families, linalg, operators
 from mvop.construction import FamilySpec, IntegerTable, orthogonal_polynomial, weight_matrix
+from mvop.errors import ProbeError, SpecError
 from mvop.families import Charlier, Hahn, Hermite, Krawtchouk, Laguerre, Meixner
 from mvop.rational import format_over, format_rational, over_lcm
 from mvop.serialize import matpoly_to_json
+
+import scalar_oracle
 
 BIG = 10**40
 
@@ -43,10 +48,11 @@ def test_format_over_is_format_rational(v, d):
 
 def fraction_ladder(spec, top):
     """p_0..p_top as Fraction coefficient lists, by the monic recurrence
-    x p_k = p_(k+1) + b_k p_k + c_k p_(k-1)."""
+    x p_k = p_(k+1) + b_k p_k + c_k p_(k-1), its coefficients in Fraction
+    arithmetic (``scalar_oracle.recurrence_bc``)."""
     polys = [[F(1)]]
     for k in range(top):
-        b, c = spec.recurrence_bc(k)
+        b, c = scalar_oracle.recurrence_bc(spec, k)
         here = polys[k]
         prev = polys[k - 1] if k else []
         nxt = [F(0)] + here  # x p_k
@@ -162,6 +168,34 @@ def test_printed_json_is_the_fraction_rendering(case):
     assert json.loads(text) == fraction_weights(spec, x_hi)
 
 
+def triple_strings(t):
+    return {key: [[format_rational(v) for v in row] for row in mat]
+            for key, mat in (("A", t.A), ("B", t.B), ("C", t.C))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(printed_cases())
+def test_printed_recurrence_is_the_fraction_rendering(case):
+    spec, n, tau = case
+    used = construction.spec_tau(spec, tau)
+    try:
+        want = [triple_strings(operators.extract_recurrence(spec, k, tau=used))
+                for k in range(n + 1)]
+    except (ProbeError, SpecError) as err:
+        # a lead the couplings or tau make singular: both commands exit 2
+        assert "singular" in str(err)
+        want = None
+    code, text = run_cli(("family", "--n", str(n), "--tau", str(tau), "--recurrence"), spec)
+    assert code == (2 if want is None else 0)
+    if want is not None:
+        assert json.loads(text)["recurrence"] == want
+    code, text = run_cli(("export", "--what", "recurrence", "--n", str(n), "--tau", str(tau)),
+                         spec)
+    if want is not None:
+        assert code == 0
+        assert json.loads(text) == want[n]
+
+
 # --------------------------------------------------------------------------
 # no Fraction view on the printed path
 
@@ -192,3 +226,28 @@ def test_printed_path_builds_no_fraction_view(monkeypatch, spec, tau):
         code, text = run_cli(argv + ("--tau", tau), spec)
         assert code == 0, argv
         assert text, argv
+
+
+def refuse_fractions(*args, **kwargs):
+    raise AssertionError("the printed path built a Fraction triple or inverse")
+
+
+# m = 5 and 4: the leads' odd-channel blocks T are 2 x 2
+UNSEEN_FINITE_M5 = FamilySpec(a=(F(-5, 4), F(7, 9), F(3, 5), F(-11, 6)), channels=tuple(
+    Krawtchouk(p=p, N=4) for p in (F(2, 9), F(5, 11), F(3, 13), F(7, 10), F(4, 7))))
+UNSEEN_INFINITE_M4 = FamilySpec(a=(F(4, 7), F(-9, 5), F(5, 6)), channels=(
+    Charlier(b=F(9, 4)), Meixner(beta=F(7, 3), c=F(2, 9)), Charlier(b=F(11, 3)),
+    Meixner(beta=F(5, 3), c=F(3, 7))))
+
+
+@pytest.mark.parametrize("spec, tau", [(UNSEEN_FINITE_M5, "numeric"), (UNSEEN_INFINITE_M4, "5/3")],
+                         ids=["finite", "infinite"])
+def test_printed_recurrence_builds_no_fraction(monkeypatch, spec, tau):
+    monkeypatch.setattr(operators, "_fractions", refuse_fractions)
+    monkeypatch.setattr(linalg, "mat_inverse", refuse_fractions)
+    top = spec.support_N if spec.is_finite else 3
+    for argv in (("family", "--n", str(top), "--recurrence"),
+                 ("export", "--what", "recurrence", "--n", str(top))):
+        code, text = run_cli(argv + ("--tau", tau), spec)
+        assert code == 0, argv
+        assert json.loads(text), argv

@@ -1,17 +1,20 @@
 """The three-term recurrence matched in integers from the integer tables,
-against the Fraction coefficient matcher of ``residual_oracle``; and the
+against the Fraction coefficient matcher of ``residual_oracle`` and the
+closed form of ``reference_recurrences.triple_from_recurrences``; and the
 block inverse of the leading coefficients, [[I, N], [0, T]]."""
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mvop import linalg
+from mvop import linalg, operators
 from mvop.construction import (
     FamilySpec,
     integer_table,
     orthogonal_polynomial,
+    orthogonal_table,
 )
+from mvop.errors import ProbeError, SpecError
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
     RecurrenceTriple,
@@ -23,11 +26,14 @@ from mvop.operators import (
 from mvop.verification import _perturbed
 
 import residual_oracle
+from reference_recurrences import triple_from_recurrences
 from residual_oracle import recurrence_residual
 
 RATIONALS = (F(1), F(2), F(-1), F(1, 2), F(-3, 2), F(5, 3), F(-2, 7), F(3))
 KRAW_P = (F(1, 3), F(2, 5), F(1, 4), F(3, 4))
 HAHN = ((F(3, 2), F(5, 2)), (F(1, 2), F(3, 2)), (F(2), F(2)), (F(1, 2), F(1, 2)))
+# the alpha, beta < -N branch, as offsets below -N
+HAHN_NEGATIVE = ((F(-5, 2), F(-7, 2)), (F(-7, 3), F(-5, 2)), (F(-4, 3), F(-9, 4)))
 MEIXNER = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(1), F(1, 4)))
 TAUS = (F(1), F(2), F(1, 3), F(5, 2))
 
@@ -79,6 +85,12 @@ def fractions(pair):
     return tuple(tuple(F(v, d) for v in row) for row in mat)
 
 
+def triples_of(scaled):
+    """{n: RecurrenceTriple} of Fractions from ``closed_recurrence``'s
+    (integer matrix, denominator) pairs."""
+    return {n: RecurrenceTriple(*map(fractions, t)) for n, t in scaled.items()}
+
+
 def tables_of(chain):
     return [integer_table(Q, len(chain)) for Q in chain]
 
@@ -105,11 +117,55 @@ def test_closed_recurrence_reduces_to_the_oracle_fractions(case):
     spec, chain = case
     tables = tables_of(chain)
     got = closed_recurrence(spec, tables)
-    assert got == residual_oracle.match_recurrence(chain)
+    assert triples_of(got) == residual_oracle.match_recurrence(chain)
     # one degree through a dict chain, as extract_recurrence passes it
     n = len(chain) - 2
     part = {k: tables[k] for k in range(max(n - 1, 0), n + 2)}
     assert closed_recurrence(spec, part, (n,)) == {n: got[n]}
+
+
+@st.composite
+def recurrence_specs(draw):
+    """A spec of m = 2..6 channels with distinct couplings, on a finite
+    support (Krawtchouk and Hahn of both branches) or an infinite one
+    (Charlier and Meixner), a tau and the top degree matched: N on a finite
+    support, so the closure companion is read."""
+    m = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        N = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(("krawtchouk", "hahn", "hahn negative")))
+        if kind == "krawtchouk":
+            channels = [Krawtchouk(p=draw(st.sampled_from(KRAW_P)), N=N) for _ in range(m)]
+        elif kind == "hahn":
+            channels = [Hahn(*draw(st.sampled_from(HAHN)), N=N) for _ in range(m)]
+        else:
+            channels = [Hahn(*(v - N for v in draw(st.sampled_from(HAHN_NEGATIVE))), N=N)
+                        for _ in range(m)]
+        top = N
+    else:
+        channels = [Charlier(b=draw(st.sampled_from((F(1), F(2), F(3, 2)))))
+                    if draw(st.booleans()) else Meixner(*draw(st.sampled_from(MEIXNER)))
+                    for _ in range(m)]
+        top = draw(st.integers(0, 3))
+    spec = FamilySpec(a=draw(couplings(m)), channels=tuple(channels))
+    return spec, draw(st.sampled_from(TAUS)), top
+
+
+@SETTINGS
+@given(recurrence_specs())
+def test_triples_equal_the_closed_form(case):
+    spec, tau, top = case
+    tau = None if spec.is_finite else tau
+    tables = [orthogonal_table(spec, k, tau, top + 1) for k in range(top + 2)]
+    try:
+        got = closed_recurrence(spec, tables, tau=tau)
+    except (ProbeError, SpecError) as err:
+        # a lead the couplings or the tau probe make singular
+        assert "singular" in str(err)
+        return
+    assert list(got) == list(range(top + 1))
+    for n, t in got.items():
+        assert tuple(map(fractions, t)) == triple_from_recurrences(spec, n, tau), n
 
 
 @SETTINGS
@@ -157,15 +213,15 @@ def test_identity_block_is_not_inverted(monkeypatch):
     exact = {k: fractions((t.coefficient(k), t.scale)) for k, t in enumerate(tables_of(chain))}
     inverses = {k: linalg.mat_inverse(lead) for k, lead in exact.items()}
     inverted = []
-    real = linalg.mat_inverse
+    real = operators.integer_inverse
 
     def counting(a):
         inverted.append(a)
         return real(a)
 
     tables = tables_of(chain)
-    monkeypatch.setattr(linalg, "mat_inverse", counting)
-    assert closed_recurrence(spec, tables) == want
+    monkeypatch.setattr(operators, "integer_inverse", counting)
+    assert triples_of(closed_recurrence(spec, tables)) == want
     assert len(inverted) == 2
     for k, table in enumerate(tables_of(chain)):
         inverted.clear()
