@@ -19,12 +19,9 @@ import scalar_oracle
 SETTINGS = settings(max_examples=200, deadline=None)
 
 
-def fractions(low, high):
-    return st.fractions(min_value=low, max_value=high, max_denominator=40)
-
-
 def open_interval(low, high):
-    return fractions(low, high).filter(lambda v: low < v < high)
+    return st.fractions(min_value=low, max_value=high, max_denominator=40).filter(
+        lambda v: low < v < high)
 
 
 @st.composite
