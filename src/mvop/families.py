@@ -62,8 +62,6 @@ class Mass:
         return cls()._combine(Mass(powers=(((Fraction(base)), Fraction(exponent)),)), 1)
 
     def _combine(self, other: "Mass", sign: int) -> "Mass":
-        if not other.exp_arg and not other.powers:
-            return self
         exp_arg = self.exp_arg + sign * other.exp_arg
         acc = dict(self.powers)
         for base, exponent in other.powers:
@@ -170,7 +168,7 @@ class Charlier:
 
     def weight_ratio(self, x: int) -> Fraction:
         """w(x + 1) / w(x)."""
-        return Fraction(self.b.numerator, self.b.denominator * (x + 1))
+        return self.b / (x + 1)
 
     def recurrence_bc(self, n: int):
         P, Q = self.b.numerator, self.b.denominator
@@ -215,9 +213,8 @@ class Meixner:
         return pochhammer(self.beta, x) * self.c**x / math.factorial(x)
 
     def weight_ratio(self, x: int) -> Fraction:
-        """w(x + 1) / w(x) = (beta + x) c / (x + 1)."""
-        B, Bd = self.beta.numerator, self.beta.denominator
-        return Fraction((B + x * Bd) * self.c.numerator, Bd * self.c.denominator * (x + 1))
+        """w(x + 1) / w(x)."""
+        return (self.beta + x) * self.c / (x + 1)
 
     def recurrence_bc(self, n: int):
         # b_n = (n + (n + beta) c) / (1 - c), c_n = n (n + beta - 1) c / (1 - c)^2
@@ -272,9 +269,8 @@ class Krawtchouk:
         return binomial(self.N, x) * self.p**x * (1 - self.p) ** (self.N - x)
 
     def weight_ratio(self, x: int) -> Fraction:
-        """w(x + 1) / w(x) = (N - x) p / ((x + 1)(1 - p)), for 0 <= x < N."""
-        P, Q = self.p.numerator, self.p.denominator
-        return Fraction((self.N - x) * P, (x + 1) * (Q - P))
+        """w(x + 1) / w(x), for 0 <= x < N."""
+        return (self.N - x) * self.p / ((x + 1) * (1 - self.p))
 
     def recurrence_bc(self, n: int):
         # b_n = p (N - n) + n (1 - p), c_n = n p (1 - p) (N + 1 - n)
@@ -352,12 +348,9 @@ class Hahn:
         return binomial(self.alpha + x, x) * binomial(self.beta + self.N - x, self.N - x)
 
     def weight_ratio(self, x: int) -> Fraction:
-        """w(x + 1) / w(x) = (alpha + x + 1)(N - x) / ((x + 1)(beta + N - x)),
-        for 0 <= x < N; no factor vanishes under the parameter gate."""
-        A, Ad = self.alpha.numerator, self.alpha.denominator
-        B, Bd = self.beta.numerator, self.beta.denominator
-        N = self.N
-        return Fraction((A + (x + 1) * Ad) * (N - x) * Bd, (x + 1) * (B + (N - x) * Bd) * Ad)
+        """w(x + 1) / w(x), for 0 <= x < N; no factor vanishes under the
+        parameter gate."""
+        return (self.alpha + x + 1) * (self.N - x) / ((x + 1) * (self.beta + self.N - x))
 
     def recurrence_bc(self, n: int):
         # b_n = t_n + s_n and c_n = t_(n-1) s_n, with s = alpha + beta,
@@ -603,13 +596,12 @@ def monic_polynomial(spec, n: int) -> ScalarPoly:
 
 def weight_sequence(spec, stop: int) -> list:
     """w(0), ..., w(stop) of a discrete weight, each grown from the last by
-    the exact ratio w(x + 1) / w(x), formed in integers: one reduction per
-    point, where ``weight(x)`` rebuilds powers, factorials and Pochhammer
-    symbols.  ``stop`` must not pass a finite support's N."""
+    the exact ratio w(x + 1) / w(x): O(1) rational operations per point,
+    where ``weight(x)`` rebuilds powers, factorials and Pochhammer symbols.
+    ``stop`` must not pass a finite support's N."""
     out = [spec.weight(0)]
     for x in range(stop):
-        w, r = out[-1], spec.weight_ratio(x)
-        out.append(Fraction(w.numerator * r.numerator, w.denominator * r.denominator))
+        out.append(out[-1] * spec.weight_ratio(x))
     return out
 
 

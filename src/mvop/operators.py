@@ -247,7 +247,10 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None, scaled: bool = False)
     """Solve Q_n x = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) for the spec's own
     sequence (``closed_recurrence``), as a ``RecurrenceTriple`` of
     Fractions, or with ``scaled`` as the three (integer matrix,
-    denominator) pairs that ``export`` prints.
+    denominator) pairs that ``export`` prints.  ``scaled`` exists only for
+    that printer, so that ``export`` still reaches its triple through this
+    function, which the benchmark's layer trace (``perfbench/spans.py``)
+    times.
 
     The chain Q_(n-1), Q_n, Q_(n+1) is read as integer tables
     (``construction.orthogonal_table``).  On a finite support, n = N closes

@@ -1,9 +1,8 @@
 """The scalar layer in integers: each channel kind's recurrence
 coefficients b_n, c_n against the ``Fraction`` formulas of
-``scalar_oracle.recurrence_bc``, the Hahn degeneracy gates included; the
-weight ratios against the weights; and the fraction-free inverse of the
-leads' odd-channel blocks (``operators.integer_inverse``) against
-``linalg.mat_inverse``."""
+``scalar_oracle.recurrence_bc``, the Hahn degeneracy gates included; and
+the fraction-free inverse of the leads' odd-channel blocks
+(``operators.integer_inverse``) against ``linalg.mat_inverse``."""
 from fractions import Fraction as F
 
 import pytest
@@ -73,16 +72,6 @@ def test_recurrence_coefficients_are_the_fraction_formulas(spec):
         got = spec.recurrence_bc(n)
         assert got == want, n
         assert all(type(v) is F for v in got), n
-
-
-@SETTINGS
-@given(SPECS.filter(lambda spec: hasattr(spec, "weight")))
-def test_weight_ratio_is_the_quotient_of_weights(spec):
-    top = 8 if spec.support_N is None else spec.support_N
-    for x in range(top):
-        ratio = spec.weight_ratio(x)
-        assert type(ratio) is F
-        assert ratio == spec.weight(x + 1) / spec.weight(x), x
 
 
 def test_hahn_gate_names_the_degree():
