@@ -52,6 +52,13 @@ KRAW4 = _family(["2", "-1/3", "5"], {"kind": "krawtchouk", "p": "1/3", "N": 4},
 KRAW6 = _family(["2", "1/3", "5", "1/4", "-7"],
                 *({"kind": "krawtchouk", "p": p, "N": 4}
                   for p in ("1/3", "2/5", "1/4", "4/5", "5/7", "5/8")))
+# m = 3 on a finite support, distinct couplings
+HAHN3 = _family(["2", "-1/3"], {"kind": "hahn", "alpha": "3/2", "beta": "5/2", "N": 5},
+                {"kind": "hahn", "alpha": "1/2", "beta": "3/2", "N": 5},
+                {"kind": "hahn", "alpha": "5/2", "beta": "3/2", "N": 5})
+# alpha_1 + beta_1 = alpha_2 + beta_2 + 1 breaks the Hahn gate: no operator
+HAHN_UNGATED = _family(["2"], {"kind": "hahn", "alpha": "3/2", "beta": "5/2", "N": 4},
+                       {"kind": "hahn", "alpha": "3/2", "beta": "3/2", "N": 4})
 MEIXNER_PAIR = _family(["3/2"], {"kind": "meixner", "beta": "1/2", "c": "1/2"},
                        {"kind": "meixner", "beta": "1/2", "c": "1/3"})
 KRAW_TO_HERMITE = {"name": "krawtchouk->hermite", "n": 2, "a": "1",
@@ -92,6 +99,14 @@ CASES = {
     # eigenfunction failure details at tau probes, m = 3
     "verify-cmc-perturb": (CMC, ("verify", "--perturb", "--n-max", "3", "--x-max", "100")),
     "verify-charlier-meixner-x400": (CHARLIER_MEIXNER, ("verify", "--n-max", "2")),
+    # m = 6 on a finite support, distinct couplings, plain and perturbed
+    "verify-krawtchouk-m6": (KRAW6, ("verify",)),
+    "verify-krawtchouk-m6-perturb": (KRAW6, ("verify", "--perturb")),
+    "verify-hahn-m3": (HAHN3, ("verify",)),
+    # a probe list without a = 1
+    "verify-hahn-m3-probes": (HAHN3, ("verify", "--probes", "2,-1/3")),
+    # the note "bispectral suite skipped"
+    "verify-hahn-ungated": (HAHN_UNGATED, ("verify",)),
     "family-charlier-numeric": (CHARLIER_BC, ("family", "--n", "2")),
     "family-cmc-recurrence": (CMC, ("family", "--n", "2", "--tau", "3/2", "--recurrence")),
     # N = 3, so the triple at n = N reads the closure companion
