@@ -57,28 +57,35 @@ exact ratio w(x + 1) / w(x) (``families.weight_sequence``).
 
 ``integer_table`` tabulates any exact matrix polynomial the same way
 (the operator's F, K and G, and the polynomials of exact
-``inner_product``).  Exact Gram matrices, on every support, are read in
-the channel basis, with no sum over x: W = U diag(w_r) U^T, so
+``inner_product``); ``IntegerTable.extended`` adds values to a table of
+coefficients.  Exact Gram matrices, on every support, are read in the
+channel basis, with no sum over x: W = U diag(w_r) U^T, so
 
     <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
 
-c_j[f] being f's coefficient on channel r's monic p_j.  ``gram_basis``
-puts every channel's x^d on its ladder basis (``_ladder_columns``, grown
-by the recurrence in integers) and the ladders' norms (the cross-channel
-masses resolved along the pattern path at the tau probe by
-``channel_masses``) over one integer denominator each, once per
-(channels, tau); ``channel_table`` reads column r of q L (P U) off the
-integer table's coefficients and expands it on that basis in integers, and
-``channel_gram`` sums any pair in integers over one denominator, which
-``rational.over`` divides out once per entry.  On a finite support the
-norms carry channel 1's rational mass, so the Gram is the exact
-``Fraction`` the support sum gives; on an infinite one it is in units of
-channel 1's |p_0|^2.  The trust base is each channel's ladder being
-orthogonal for its weight with its norms: certified once per finite
-channel (``families.certify_ladder``), and the scalar theorem on an
-infinite support (Koekoek, Lesky & Swarttouw, *Hypergeometric Orthogonal
-Polynomials*, Springer 2010, ch. 9).  The pointwise support sum is the
-tests' oracle (``tests/gram_oracle.py``).
+c_j[f] being f's coefficient on channel r's monic p_j.  ``_times_u`` reads
+q L (P U) off the integer table's coefficients, the couplings over their
+common denominator q.  For a Q_n of ``orthogonal_table``,
+Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry is one multiple
+c p_j^(r): ``channel_terms`` checks this against the ladder's integer p_j
+and keeps (j, c), and ``terms_orthogonal`` sums c c' |p_j^(r)|^2 over the
+entries that share j, from the ladders' norms alone.  That is ``verify``'s
+certificate; for any other polynomial, or a Gram that is not zero,
+``channel_table`` expands each entry on the ladder basis
+(``_ladder_columns``, every channel's x^d grown by the recurrence in
+integers) and ``channel_gram`` sums any pair in integers over one
+denominator, which ``rational.over`` divides out once per entry.
+``gram_basis`` puts the ladders' norms (the cross-channel masses resolved
+along the pattern path at the tau probe by ``channel_masses``) over one
+integer denominator once per (channels, tau), and builds the expansions on
+first use.  On a finite support the norms carry channel 1's rational mass,
+so the Gram is the exact ``Fraction`` the support sum gives; on an
+infinite one it is in units of channel 1's |p_0|^2.  The trust base is
+each channel's ladder being orthogonal for its weight with its norms:
+certified once per finite channel (``families.certify_ladder``), and the
+scalar theorem on an infinite support (Koekoek, Lesky & Swarttouw,
+*Hypergeometric Orthogonal Polynomials*, Springer 2010, ch. 9).  The
+pointwise support sum is the tests' oracle (``tests/gram_oracle.py``).
 The truncated float Gram has the same shape: ``float_value_table`` per
 polynomial, ``float_weight_table`` once (at x = 0..x_max on an infinite
 support, over the whole of a finite one), and ``float_grams`` for any set of
@@ -92,7 +99,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add, mul
 
 from . import linalg
@@ -572,6 +579,10 @@ class IntegerTable:
         return MatrixPoly(tuple(tuple(ScalarPoly(Fraction(c, self.scale) for c in cs)
                                       for cs in row) for row in self.coefficients))
 
+    def extended(self, stop: int) -> "IntegerTable":
+        """The same table with its values at x = -1..stop."""
+        return _tabulated(self.coefficients, self.scale, stop)
+
 
 def _tabulated(entries, scale: int, stop: int) -> IntegerTable:
     """The table of the integer coefficient lists ``entries`` (each trimmed)
@@ -755,18 +766,35 @@ def channel_masses(spec: FamilySpec, tau=None) -> tuple:
 @frozen
 class GramBasis:
     """What ``channel_gram`` reads besides the two polynomials, in integers:
-    ``columns[r][j]`` is ``scale`` times the coefficients of channel r's p_j
-    in x^0, ..., x^top (``_ladder_columns``), for j < width, and
     ``norms[r * width + j]`` is ``norm_scale`` times |p_j^(r)|^2, absolute
     on a finite support and in units of channel 1's |p_0|^2 on an infinite
-    one.  ``failure`` names the first channel whose ladder fails its
-    certificate, or is ""."""
+    one, and ``failure`` names the first channel whose ladder fails its
+    certificate, or is "".  ``columns[r][j]`` is ``scale`` times the
+    coefficients of channel r's p_j in x^0, ..., x^top
+    (``_ladder_columns``), for j < width: only ``channel_table`` reads
+    them, so they are built on first use, from ``ladders``."""
 
-    scale: int
-    columns: tuple
+    ladders: tuple
+    top: int
+    width: int
     norm_scale: int
     norms: tuple
     failure: str
+
+    @cached_property
+    def _expansions(self):
+        parts = [_ladder_columns(lad, self.top, self.width) for lad in self.ladders]
+        scale = math.lcm(*(s for _, s in parts))
+        return scale, tuple(tuple(tuple(v * (scale // s) for v in col) for col in cols)
+                            for cols, s in parts)
+
+    @property
+    def scale(self) -> int:
+        return self._expansions[0]
+
+    @property
+    def columns(self) -> tuple:
+        return self._expansions[1]
 
 
 def _ladder_columns(lad, top: int, width: int):
@@ -793,15 +821,16 @@ def _ladder_columns(lad, top: int, width: int):
 
 
 def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
-    """x^0..x^top on every channel's ladder basis (``_ladder_columns``) and
-    the ladders' norms, each put over one integer denominator; they do not
-    depend on the couplings, so a run builds one per tau.  The norms are the
-    ladders' coefficient ratios times the path masses resolved at ``tau``
-    (``channel_masses``).  On a finite support {0..N} the expansions stop at
-    p_N: they are taken modulo p_(N+1), which vanishes on the support, and
-    the norms are multiplied by channel 1's rational mass.  Each channel's
-    ladder is certified once per process (``families.certify_ladder``)."""
-    ladders = [ladder(ch) for ch in spec.channels]
+    """The ladders' norms, put over one integer denominator, and the
+    expansions of x^0..x^top on every channel's ladder basis, built on first
+    use (``GramBasis``); they do not depend on the couplings, so a run builds
+    one per tau.  The norms are the ladders' coefficient ratios times the
+    path masses resolved at ``tau`` (``channel_masses``).  On a finite
+    support {0..N} the expansions stop at p_N: they are taken modulo
+    p_(N+1), which vanishes on the support, and the norms are multiplied by
+    channel 1's rational mass.  Each channel's ladder is certified once per
+    process (``families.certify_ladder``)."""
+    ladders = tuple(ladder(ch) for ch in spec.channels)
     failure = next((f"channel {r} ladder fails its certificate: {verdict}"
                     for r, verdict in enumerate(map(certify_ladder, ladders), 1) if verdict), "")
     N = spec.support_N
@@ -813,36 +842,83 @@ def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
     (norms,), norm_scale = over_lcm([[
         lad.norm(j).coefficient * (mass * unit)
         for lad, mass in zip(ladders, channel_masses(spec, tau)) for j in range(width)]])
-    parts = [_ladder_columns(lad, top, width) for lad in ladders]
-    scale = math.lcm(*(s for _, s in parts))
-    columns = tuple(tuple(tuple(v * (scale // s) for v in col) for col in cols)
-                    for cols, s in parts)
-    return GramBasis(scale, columns, norm_scale, norms, failure)
+    return GramBasis(ladders, top, width, norm_scale, norms, failure)
+
+
+def _unipotent(spec: FamilySpec):
+    """The couplings as ``_times_u`` reads them: (q, coupled), q their
+    common denominator and coupled[r] the (k, q a) of each pattern position
+    (k, r) holding a."""
+    q, couplings = _integer_couplings(spec)
+    return q, [[(k, c) for k, j, c in couplings if j == r] for r in range(spec.m)]
+
+
+def _times_u(table: IntegerTable, q: int, coupled) -> list:
+    """q L (P U) from P's integer table and the couplings (``_unipotent``):
+    rows[i][r] holds the integer coefficients of entry (i, r), lowest degree
+    first.  U = I + A x, so column r of P U is P[:, r] plus a x P[:, k] for
+    each pattern position (k, r) holding a."""
+    rows = []
+    for row in table.coefficients:
+        out = []
+        for r, pairs in enumerate(coupled):
+            cs = [q * v for v in row[r]]
+            for k, c in pairs:
+                cs.extend([0] * (len(row[k]) + 1 - len(cs)))
+                for t, v in enumerate(row[k], 1):
+                    cs[t] += c * v
+            out.append(cs)
+        rows.append(out)
+    return rows
 
 
 def channel_table(table: IntegerTable, spec: FamilySpec, basis: GramBasis) -> tuple:
     """P U on the channel bases, from P's integer table: (scale, rows), with
     rows[i][r * width + j] the integer ``scale`` c_j, where
-    (P U)_ir = sum_j c_j p_j^(r), j < width (``GramBasis``).
+    (P U)_ir = sum_j c_j p_j^(r), j < width (``GramBasis``): the integer
+    coefficients of q L (P U)_ir (``_times_u``) summed against
+    ``basis.columns[r][j]``."""
+    q, coupled = _unipotent(spec)
+    return table.scale * q * basis.scale, [
+        [sum(map(mul, cs, col)) for cs, columns in zip(row, basis.columns) for col in columns]
+        for row in _times_u(table, q, coupled)]
 
-    U = I + A x, so column r of P U is P[:, r] plus a x P[:, k] for each
-    pattern position (k, r) holding a; with the couplings over their common
-    denominator q, the coefficients of q L (P U)_ir are integers, and c_j
-    sums them against ``basis.columns[r][j]``."""
-    q, couplings = _integer_couplings(spec)
-    coupled = [[(k, c) for k, j, c in couplings if j == r] for r in range(spec.m)]
-    rows = []
-    for row in table.coefficients:
-        out = []  # row i of P U, channel after channel
-        for r, columns in enumerate(basis.columns):
-            cs = [q * v for v in row[r]]
-            for k, c in coupled[r]:
-                cs.extend([0] * (len(row[k]) + 1 - len(cs)))
-                for t, v in enumerate(row[k], 1):
-                    cs[t] += c * v
-            out.extend(sum(map(mul, cs, col)) for col in columns)
-        rows.append(out)
-    return table.scale * q * basis.scale, rows
+
+def channel_terms(spec: FamilySpec, tables):
+    """The chain's Q U entry by entry, each as one multiple of one ladder
+    polynomial, when every entry of every table is one: chain[n][i][r] is
+    (j, c) with q L_n (Q_n U)_ir = c p_j^(r), or None for a zero entry;
+    None for the whole chain as soon as an entry is no such multiple
+    (``--perturb``).
+
+    Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry of a Q_n built by
+    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1}.  An
+    entry of degree j is checked against the ladder's integer d p_j
+    (``families._Ladder.integer``), whose leading coefficient is d: p_j is
+    monic, so c is the entry's leading coefficient, and the entry equals
+    c p_j when each coefficient times d is c times d p_j's, O(j) integer
+    products."""
+    integers = [ladder(ch).integer for ch in spec.channels]
+    q, coupled = _unipotent(spec)
+    chain = []
+    for table in tables:
+        rows = []
+        for row in _times_u(table, q, coupled):
+            terms = []
+            for cs, integer in zip(row, integers):
+                while cs and not cs[-1]:
+                    cs.pop()
+                if not cs:
+                    terms.append(None)
+                    continue
+                j, c = len(cs) - 1, cs[-1]
+                p, d = integer(j)
+                if any(v * d != c * w for v, w in zip(cs, p)):
+                    return None
+                terms.append((j, c))
+            rows.append(tuple(terms))
+        chain.append(tuple(rows))
+    return chain
 
 
 def channel_gram(p_table, q_table, basis: GramBasis) -> tuple:
@@ -861,6 +937,39 @@ def channel_gram(p_table, q_table, basis: GramBasis) -> tuple:
         weighted = list(map(mul, prow, basis.norms))
         sums.append(tuple(sum(map(mul, weighted, qrow)) for qrow in q_rows))
     return tuple(sums), p_scale * q_scale * basis.norm_scale
+
+
+def terms_orthogonal(chain, basis: GramBasis) -> bool:
+    """Whether <Q_n, Q_k> = 0 for every k < n of a chain given by its
+    ``channel_terms``, read from the basis's norms alone: entry (i, l) is
+    sum_r c c' |p_j^(r)|^2 over the channels r where (Q_n U)_ir = c p_j^(r)
+    and (Q_k U)_lr = c' p_j^(r) share the degree j (``channel_gram`` with
+    one nonzero c_j per entry).  A degree past the basis (j = N + 1 on a
+    finite support, where |p_(N+1)|^2 = 0) adds nothing, and two degrees
+    n, k with |n - k| >= 3 share no j.  Each Q_n's terms share its scale
+    q L_n, which changes no zero."""
+    width, norms = basis.width, basis.norms
+    grouped = []  # per n: (r, j) -> [(i, c), ...]
+    for rows in chain:
+        by_degree = {}
+        for i, row in enumerate(rows):
+            for r, term in enumerate(row):
+                if term is not None and term[0] < width:
+                    by_degree.setdefault((r, term[0]), []).append((i, term[1]))
+        grouped.append(by_degree)
+    for n, here in enumerate(grouped):
+        for there in grouped[:n]:
+            sums = {}
+            for (r, j), left in here.items():
+                right = there.get((r, j))
+                if right:
+                    h = norms[r * width + j]
+                    for i, c in left:
+                        for l, e in right:
+                            sums[i, l] = sums.get((i, l), 0) + c * e * h
+            if any(sums.values()):
+                return False
+    return True
 
 
 def check_tol(tol, name: str = "tol"):

@@ -23,9 +23,15 @@ products: each leading coefficient is [[I, N], [0, T]] on the even, then the
 odd channels, so only its odd-channel block T is inverted
 (``lead_inverse``), by fraction-free integer elimination for m >= 4
 (``integer_inverse``).  ``recurrence_closes`` certifies an identity by
-integer evaluation: its residual has degree at most
-d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)), so it is zero when it
-vanishes at the d + 1 points x = 0..d.  The certified triples stay
+integer evaluation, for ``family`` and ``export``: its residual has degree
+at most d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)), so it is zero when
+it vanishes at the d + 1 points x = 0..d; ``verify`` closes it on the
+tables' monomial coefficients instead (``coefficients_close``), with no
+values.  ``certify_operator`` certifies, in integers, the two identities
+on which ``verify`` reads Q_n . D = Lambda_n Q_n off the channel terms of
+Q_n U: D(a) = U_a diag(delta_r) U_a^(-1) on the diagonal coupling line,
+and each channel ladder's p_j being an eigenfunction of delta_r.  The
+certified triples stay
 (integer matrix, denominator) pairs where they are printed (``family
 --recurrence`` and ``export --what recurrence`` format each entry with
 ``rational.format_over``); a ``RecurrenceTriple`` of Fractions is built
@@ -36,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 from .construction import (
@@ -46,9 +53,9 @@ from .construction import (
     staggered_positions,
 )
 from .errors import ProbeError, SpecError
-from .families import Hahn, ScalarOperator
+from .families import Hahn, ScalarOperator, ladder
 from .poly import MatrixPoly, ScalarPoly
-from .rational import format_rational
+from .rational import format_rational, over_lcm
 from .record import frozen
 
 
@@ -237,6 +244,131 @@ def canonical_operator(spec: FamilySpec, force: bool = False):
     ops = _channel_operators(spec, force)
     eig = EigenvalueMap(channel_eigenvalues=tuple(op.eigenvalue for op in ops))
     return conjugated_operator(spec.a, ops), eig
+
+
+def certify_operator(spec: FamilySpec, D: DifferenceOperator, eigenvalues) -> bool:
+    """Whether the eigenfunction identity Q_n . D(a) = Lambda_n Q_n may be
+    read off the channel terms of Q_n U (``construction.channel_terms``),
+    for ``D`` = D(1) the canonical operator of ``spec`` at couplings all 1,
+    D(a) its diagonal plus a times its other entries, and
+    ``eigenvalues[r][j]`` channel r's eigenvalue at degree j.  With
+    delta_r the operator of D(1)'s entry (r, r), two identities suffice:
+
+    * the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1) for every
+      a, U_a = I + a A x (``_conjugates``); and
+    * the ladder eigen identity p_j . delta_r = lambda_j^(r) p_j for every
+      channel r and every degree j of ``eigenvalues[r]``, in integers, once
+      per ladder per process (``_ladder_eigen``).
+
+    Then (Q_n U) diag(delta_r) has entry c lambda_j^(r) p_j^(r) wherever
+    Q_n U has c p_j^(r), so Q_n . D(a) = Lambda_n Q_n exactly when every
+    such entry in row i has lambda_j^(r) = (Lambda_n)_ii."""
+    def stencil(r):
+        f, k, g = (S.entry(r, r) for S in (D.F, D.K, D.G))
+        return f, k - f + g, -g
+
+    return _conjugates(D) and all(
+        _ladder_eigen(ladder(ch), *stencil(r), tuple(lams))
+        for r, (ch, lams) in enumerate(zip(spec.channels, eigenvalues)))
+
+
+def _plus(*polys) -> list:
+    """The sum of integer coefficient lists, lowest degree first."""
+    return [sum(vs) for vs in zip_longest(*polys, fillvalue=0)]
+
+
+def _times(a, b) -> list:
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for s, u in enumerate(a):
+        for t, v in enumerate(b):
+            out[s + t] += u * v
+    return out
+
+
+def _same(a, b) -> bool:
+    """Equality of two integer coefficient lists, trailing zeros aside."""
+    return all(u == v for u, v in zip_longest(a, b, fillvalue=0))
+
+
+def _conjugates(D: DifferenceOperator) -> bool:
+    """D(a) = U_a diag(delta_r) U_a^(-1) for every a, with U_a = I + a A x,
+    A the pattern of ones, D(a) D's diagonal plus a times its other
+    entries, and delta_r the operator of D's entry (r, r); both sides act
+    on the right.
+
+    On values, D acts on P as P(x + 1) F + P(x) (K - F + G) - P(x - 1) G,
+    and these three matrices fix it; write X, Y, Z for them, and x_r, y_r,
+    z_r for their entries (r, r).  The right side acts as
+    P(x + 1) X' + P(x) Y' + P(x - 1) Z' with
+
+        X' = U_a(x + 1) diag(x_r) U_a(x)^(-1),
+        Y' = U_a(x) diag(y_r) U_a(x)^(-1),
+        Z' = U_a(x - 1) diag(z_r) U_a(x)^(-1),
+
+    and U_a(x)^(-1) = I - a A x.  In powers of a: X' is diag(x_r), plus a
+    times (x + 1) x_j - x x_i at each pattern position (i, j), minus
+    a^2 x (x + 1) A diag(x_r) A; Y' is diag(y_r), plus a x (y_j - y_i),
+    minus a^2 x^2 A diag(y_r) A; Z' is diag(z_r), plus
+    a ((x - 1) z_j - x z_i), minus a^2 x (x - 1) A diag(z_r) A.  The a^2
+    parts vanish when no channel is both a row and a column of the pattern
+    (A^2 = 0), which is checked; the a^0 parts are D's diagonal itself.  So
+    D's pattern entries must be the a^1 parts and its other entries zero,
+    which is checked in integers, over one common denominator."""
+    m = D.F.rows
+    pattern = staggered_positions(m)
+    if {i for i, _ in pattern} & {j for _, j in pattern}:
+        return False
+    ints, _ = over_lcm([e.coeffs for part in (D.F, D.K, D.G) for row in part.entries
+                        for e in row])
+    F, K, G = (ints[t * m * m:(t + 1) * m * m] for t in range(3))
+    X = F
+    Y = [_plus(k, [-v for v in f], g) for f, k, g in zip(F, K, G)]
+    Z = [[-v for v in g] for g in G]
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            e, ii, jj = i * m + j, i * m + i, j * m + j
+            if (i, j) not in pattern:
+                expected = ((), (), ())
+            else:
+                expected = (_plus([0, *X[jj]], X[jj], [0, *(-v for v in X[ii])]),
+                            [0, *_plus(Y[jj], [-v for v in Y[ii]])],
+                            _plus([0, *Z[jj]], [-v for v in Z[jj]], [0, *(-v for v in Z[ii])]))
+            if not all(map(_same, (X[e], Y[e], Z[e]), expected)):
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_eigen(lad, x: ScalarPoly, y: ScalarPoly, z: ScalarPoly, eigenvalues) -> bool:
+    """Whether the scalar operator p -> p(x + 1) x + p(x) y + p(x - 1) z
+    has the ladder's p_j as eigenfunction with eigenvalue
+    ``eigenvalues[j]`` for each j, in integers: the three polynomials and
+    the eigenvalues over one common denominator, each p_j read as its
+    integer d p_j (``families._Ladder.integer``) and shifted to p_j(x + 1)
+    and p_j(x - 1) by repeated synthetic division, O(j^2) integer
+    additions, so the identity times the denominators is checked
+    coefficient by coefficient."""
+    (x, y, z, lams), _ = over_lcm((x.coeffs, y.coeffs, z.coeffs, eigenvalues))
+    for j, lam in enumerate(lams):
+        p, _ = lad.integer(j)
+        residual = _plus(_times(_shifted(p, 1), x), _times(p, _plus(y, [-lam])),
+                         _times(_shifted(p, -1), z))
+        if any(residual):
+            return False
+    return True
+
+
+def _shifted(p, h: int) -> list:
+    """p(x + h) from the integer coefficients of p, lowest degree first, by
+    the Taylor shift: repeated synthetic division by x - h."""
+    out = list(p)
+    for i in range(len(out) - 1):
+        for t in range(len(out) - 2, i - 1, -1):
+            out[t] += h * out[t + 1]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -454,6 +586,36 @@ def recurrence_closes(t, n: int, tables) -> bool:
                         acc -= c * vals[k][j]
                 if acc:
                     return False
+    return True
+
+
+def coefficients_close(t, n: int, tables) -> bool:
+    """Whether x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) is zero, from the
+    scaled triple ``t`` of ``match_recurrence`` and the integer
+    coefficients of the tables ``tables[k]`` of Q_k, which need no values:
+    the residual, scaled as ``recurrence_closes`` scales it, is formed entry
+    by entry on the monomial coefficients t = 0..deg, each an integer."""
+    t_n = tables[n]
+    parts = [(t[0], tables[n + 1]), (t[1], t_n)]
+    if n > 0:
+        parts.append((t[2], tables[n - 1]))
+    degree = max(t_n.degree + 1, *(table.degree for _, table in parts))
+    den = math.lcm(*(d * table.scale for (_, d), table in parts))
+    sparse = [
+        (_sparse_rows(mat, t_n.scale * den // (d * table.scale)), table.coefficients)
+        for (mat, d), table in parts
+    ]
+    for i, row in enumerate(t_n.coefficients):
+        for j, own in enumerate(row):
+            acc = [0] * (degree + 1)
+            for s, v in enumerate(own, 1):
+                acc[s] = den * v
+            for rows, coefficients in sparse:
+                for k, c in rows[i]:
+                    for s, v in enumerate(coefficients[k][j]):
+                        acc[s] -= c * v
+            if any(acc):
+                return False
     return True
 
 

@@ -3,64 +3,85 @@ with their check results and reports.
 
 One private sweep (``_sweep``) walks the probe grid (coupling values x
 mass-quotient values) that ``_arguments`` decides, once, for
-``run_verification`` and ``verify_eigenfunction`` alike.  The canonical
-operator is built once per run, at the coupling probe a = 1, with one
-integer stencil: on the diagonal coupling line every pattern entry of F, K
-and G carries exactly one factor a and the diagonal entries none, so
-D(a) = D(0) + a (D(1) - D(0)), and the stencil of a probe a = p/q is
-q S_0 + p S_1 over q times D(1)'s scale, S_0 the diagonal and S_1 the
-pattern of D(1)'s stencil (``_probe_stencil``).
-Each (a, tau) probe builds Q_0..Q_top and the closing Q_(top+1) a single
-time each, as integer tables straight from the channel ladders
-(``construction.orthogonal_table``): the coefficients of L Q_n, L the
-least common denominator of Q_n's coefficients, and its values at
-x = -1..X, formed in integers from about 3 m^2 scalar coefficients per
-polynomial, with no ``Fraction`` polynomial built; ``--perturb`` adds L to
-entry (1,1)'s constant coefficient and to each of its values.  The three
-exact suites read only these tables, and scaling by nonzero integers
-changes no zero:
+``run_verification`` and ``verify_eigenfunction`` alike.  Each (a, tau)
+probe builds Q_0..Q_top and the closing Q_(top+1) a single time each, as
+integer tables of coefficients straight from the channel ladders
+(``construction.orthogonal_table`` with no values): the coefficients of
+L Q_n, L the least common denominator of Q_n's coefficients, formed in
+integers from about 3 m^2 scalar coefficients per polynomial, with no
+``Fraction`` polynomial built; ``--perturb`` adds L to entry (1,1)'s
+constant coefficient.  Scaling by nonzero integers changes no zero.
 
-* orthogonality reads every Gram <Q_n, Q_k> in the channel basis
-  (``construction.channel_gram``, below), from the tables' coefficients;
-* the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
-  d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
-  actual degrees, and its scaled integer values are computed once at the
-  d_n + 1 points x = 0..d_n, D acting on values through Q(x - 1), Q(x) and
-  Q(x + 1); a failing check's first nonzero entry is interpolated from its
-  own values (``_interpolate``);
-* the recurrence residual x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1), with
-  A_n, B_n, C_n matched in integers from the tables' top coefficients
-  (``operators.match_recurrence``), has degree at most n + 1 and is
-  certified zero at x = 0..n+1 (``operators.recurrence_closes``); a
-  leading coefficient that a coupling probe or a tau probe makes singular
-  is a ProbeError naming the probe, --probes or --tau-probes.
+The certificate.  With U = I + A x, Q_n U = P_n + A P_(n+1) - R_n P_(n-1),
+so each nonzero entry (i, r) of Q_n U is c p_j^(r) for one degree j of
+channel r's monic ladder.  ``construction.channel_terms`` forms
+q L (Q_n U) from the coefficients and accepts the chain when every entry
+equals c p_j^(r) for the ladder's integer p_j, in O(j) integer products
+per entry; the three suites then read the kept (j, c) pairs:
 
-A polynomial of degree <= d that vanishes at d + 1 points is zero, so each
-check is an exact identity, and X covers every bound.  No
-suite multiplies or differences matrix polynomials.  Each probe instance is
-an exact rational identity check, and the grid oversamples the identities'
-degrees in the formal parameters.
+* orthogonality: <Q_n, Q_k>_il is the sum over channels r of
+  c c' |p_j^(r)|^2 over the entries (i, r) of Q_n U and (l, r) of Q_k U that
+  share j, from the ladders' norms alone (``construction.terms_orthogonal``);
+  a degree past N has norm zero on a finite support;
+* eigenfunction: Q_n . D(a) = Lambda_n Q_n when every entry c p_j^(r) in
+  row i has lambda_j^(r) = (Lambda_n)_ii;
+* recurrence: A_n, B_n, C_n are matched in integers from the top
+  coefficients (``operators.match_recurrence``) and the identity
+  x Q_n = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) is closed on the monomial
+  coefficients t = 0..n+1 (``operators.coefficients_close``); a leading
+  coefficient that a coupling probe or a tau probe makes singular is a
+  ProbeError naming the probe, --probes or --tau-probes.
 
-Each exact Gram <Q_n, Q_k> is W = U diag(w_r) U^T read on the channel
-bases: the entries of Q U expanded on each channel's monic ladder, weighted
-by the ladder's norms, in integers, divided only to print a failing Gram,
-and with no sum over x.  The basis and the norms are built once per tau probe of a
-run (``construction.gram_basis``).  The trust base is each channel's ladder
-being orthogonal for its weight with those norms: on a finite support it is
+The trust base.  The orthogonality reading rests on each channel's ladder
+being orthogonal for its weight with its norms: on a finite support it is
 certified once per channel, in integers (``families.certify_ladder``), and
 a failed certificate fails every orthogonality check with a detail naming
 the channel and the identity; on an infinite support it is the scalar
-theorem (Koekoek, Lesky & Swarttouw, Springer 2010, ch. 9).  A finite
-support's Grams are absolute, the ``Fraction``s the support sum gives, and
-orthogonality is checked at every (a, tau) probe; an infinite support's are
-in units of channel 1's |p_0|^2, the cross-channel masses resolved at the
-tau probe along the pattern path, and orthogonality is checked at the
-spec's own couplings once per tau probe.  With ``truncated=True``
-orthogonality is checked by truncated float sums instead, the oracle, on
-the spec's own couplings with the true transcendental quotients, from one
-float value table per polynomial and one float weight table per run, every
-pair summed in one pass over x (``construction.float_grams``).  All work
-runs inline: it is pure-Python arithmetic, which threads do not speed up.
+theorem (Koekoek, Lesky & Swarttouw, Springer 2010, ch. 9).  The
+eigenfunction reading rests on two identities, certified once per run in
+integers (``operators.certify_operator``): the ladder eigen identity
+p_j . delta_r = lambda_j^(r) p_j for j <= top + 1, once per ladder per
+process, and the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1).
+The canonical operator is built once per run, at a = 1; D(a) is its
+diagonal plus a times its other entries, both sides are affine in a (the
+a^2 part of the right side vanishes on the pattern, which is checked), so
+the a^0 and a^1 parts fix the identity for every probe.
+
+The dense path.  A chain with an entry that is no single ladder multiple
+(``--perturb``), a failed trust identity, or a failing orthogonality or
+eigenfunction check runs the dense code for that chain and that suite, so
+every failure detail keeps its bytes:
+
+* every Gram <Q_n, Q_k> is read in the channel basis from the table's
+  coefficients, each channel's x^d expanded on its ladder
+  (``construction.channel_table``, ``construction.channel_gram``), the
+  expansions built on first use once per tau probe of a run
+  (``construction.gram_basis``); a failing Gram is absolute on a finite
+  support and in units of channel 1's |p_0|^2 on an infinite one;
+* the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
+  d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
+  actual degrees, and its scaled integer values are computed at the
+  d_n + 1 points x = 0..d_n from the chain's tables extended to
+  x = top + extra + 1 (``IntegerTable.extended``) and D(a)'s integer
+  stencil (``_probe_stencil``), D acting on values through Q(x - 1), Q(x)
+  and Q(x + 1); a failing check's first nonzero entry is interpolated from
+  its own values (``_interpolate``).  A polynomial of degree <= d that
+  vanishes at d + 1 points is zero.
+
+The recurrence needs no dense path: its closure reads no values and its
+failure detail does not read the residual.  No suite multiplies or
+differences matrix polynomials.  Each probe instance is an exact rational
+identity check, and the grid oversamples the identities' degrees in the
+formal parameters.  On a finite support orthogonality is checked at every
+(a, tau) probe, its Grams absolute, the Fractions the support sum gives;
+on an infinite support at the spec's own couplings once per tau probe,
+the cross-channel masses resolved at the tau probe along the pattern path.
+With ``truncated=True`` orthogonality is checked by truncated float sums
+instead, the oracle, on the spec's own couplings with the true
+transcendental quotients, from one float value table per polynomial and
+one float weight table per run, every pair summed in one pass over x
+(``construction.float_grams``).  All work runs inline: it is pure-Python
+arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
@@ -74,6 +95,7 @@ from .construction import (
     FamilySpec,
     channel_gram,
     channel_table,
+    channel_terms,
     check_tol,
     converged,
     float_grams,
@@ -84,13 +106,15 @@ from .construction import (
     numeric_polynomial,
     orthogonal_table,
     spec_tau,
+    terms_orthogonal,
 )
 from .errors import SpecError
 from .operators import (
     canonical_operator,
+    certify_operator,
+    coefficients_close,
     match_recurrence,
     not_closed,
-    recurrence_closes,
     singular_lead,
 )
 from .poly import MatrixPoly, ScalarPoly
@@ -174,16 +198,24 @@ def _perturbed_tables(tables, perturb: bool):
 
 def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
-                         tol: float = 1e-9, basis=None) -> list:
+                         tol: float = 1e-9, basis=None, terms=None) -> list:
     """<Q_n, Q_k> = 0 for every k < n of the chain Q_0, Q_1, ..., built for
-    ``spec`` at ``probe_tau``: exactly in the channel basis
-    (``construction.channel_gram``), ``chain`` holding the polynomials'
-    integer tables (``construction.orthogonal_table``) and ``basis`` the
-    channels' ``construction.gram_basis`` at ``probe_tau``, a failing Gram
-    absolute on a finite support and in units of channel 1's |p_0|^2 on an
-    infinite one; or with ``truncated``, ``chain`` holding the polynomials,
-    by the relative bound of truncated float sums against ``tol``.  A
-    channel ladder that fails its certificate fails every exact check.
+    ``spec`` at ``probe_tau``: exactly in the channel basis, ``chain``
+    holding the polynomials' integer tables (``construction.orthogonal_table``)
+    and ``basis`` the channels' ``construction.gram_basis`` at
+    ``probe_tau``; or with ``truncated``, ``chain`` holding the
+    polynomials, by the relative bound of truncated float sums against
+    ``tol``.
+
+    The exact Grams are read from the chain's channel terms ``terms``
+    (``construction.channel_terms``) and the basis's norms alone
+    (``construction.terms_orthogonal``) when the chain has them and every
+    ladder holds its certificate.  Otherwise, or when a Gram is not zero,
+    every Gram of the chain is expanded on the ladder bases
+    (``construction.channel_gram``), and a failing one is printed absolute
+    on a finite support and in units of channel 1's |p_0|^2 on an infinite
+    one; a channel ladder that fails its certificate fails every exact
+    check.
 
     The truncated sums read one float value table per polynomial and one
     float weight table, and every <Q_n, Q_k> with k <= n is summed in one
@@ -196,6 +228,10 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
         values = [float_value_table(Q, len(weights) - 1) for Q in chain]
         pairs = [(n, k) for n in range(len(chain)) for k in range(n + 1)]
         grams = float_grams(values, weights, pairs, x_max, tol)
+    elif terms is not None and not basis.failure and terms_orthogonal(terms, basis):
+        return [CheckResult(name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
+                            passed=True, detail=f"k = {k}")
+                for n in range(len(chain)) for k in range(n)]
     else:
         values = [channel_table(t, spec, basis) for t in chain]
     checks = []
@@ -302,12 +338,56 @@ def _eigenfunction_checks(lambdas, stencil, tables, probe_a, probe_tau) -> list:
     return checks
 
 
+def _eigenvalues_match(chain, lam) -> bool:
+    """Whether every term c p_j^(r) in row i of Q_n U has
+    lambda_j^(r) = (Lambda_n)_ii, for ``chain`` the channel terms of
+    Q_0, Q_1, ... and ``lam[r][j]`` channel r's eigenvalue at degree j."""
+    return all(lam[r][term[0]] == lam[i][n]
+               for n, rows in enumerate(chain) for i, row in enumerate(rows)
+               for r, term in enumerate(row) if term is not None)
+
+
+def _eigenfunction_suite(spec: FamilySpec, top: int, force: bool = False):
+    """The eigenfunction check of one chain, as a function of (tables of
+    Q_0..Q_top, their channel terms or None, a, tau), with what it reads
+    built once per run: the canonical operator D(1), its eigenvalues, and
+    whether D(1) and the channel ladders hold the identities the
+    certificate rests on (``operators.certify_operator``).  A SpecError of
+    ``canonical_operator`` passes to the caller.
+
+    A chain whose terms exist passes when every eigenvalue matches
+    (``_eigenvalues_match``).  Otherwise, or when the trust identities fail,
+    the chain's residuals are computed from its tables extended to
+    x = top + extra + 1 (``IntegerTable.extended``) and D(a)'s integer
+    stencil, formed from D(1)'s (``_probe_stencil``), each built on first
+    use (``_eigenfunction_checks``)."""
+    at_one = _probe(spec, 1)
+    D, eig = canonical_operator(at_one, force=force)
+    lam = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
+    trusted = certify_operator(at_one, D, lam)
+    lam, _ = over_lcm(lam)  # each eigenvalue as an integer over one denominator
+    stop = top + D.extra_degree + 1
+    lambdas = cache(lambda: _eigenvalue_integers(eig, top))
+    base = cache(lambda: D.stencil(stop - 1))
+    stencil = cache(lambda a_val: _probe_stencil(base(), a_val))
+
+    def checks(tables, terms, a_val, tau):
+        if trusted and terms is not None and _eigenvalues_match(terms, lam):
+            return [CheckResult(name="eigenfunction", n=n, probe_a=a_val, probe_tau=tau,
+                                passed=True) for n in range(len(tables))]
+        return _eigenfunction_checks(lambdas(), stencil(a_val),
+                                     [t.extended(stop) for t in tables], a_val, tau)
+    return checks
+
+
 def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau) -> list:
     """Exact closure of the three-term recurrence at every degree of the
     chain's integer ``tables`` but the last, which is the closing
-    Q_(top+1), matched and certified on the tables alone.  A leading
-    coefficient that the probe makes singular is a ProbeError naming
-    --probes, or --tau-probes when the chain reads a tau."""
+    Q_(top+1), matched (``operators.match_recurrence``) and closed on the
+    tables' coefficients (``operators.coefficients_close``), with no
+    values.  A leading coefficient that the probe makes singular is a
+    ProbeError naming --probes, or --tau-probes when the chain reads a
+    tau."""
     def singular(k):
         if probe_tau is None:
             return singular_lead(k, f"coupling probe a = {probe_a} (--probes)")
@@ -315,7 +395,7 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau) -> list:
 
     checks = []
     for n, t in match_recurrence(tables, singular=singular).items():
-        ok = recurrence_closes(t, n, tables)
+        ok = coefficients_close(t, n, tables)
         checks.append(CheckResult(
             name="recurrence", n=n, probe_a=probe_a, probe_tau=probe_tau,
             passed=ok, detail="" if ok else not_closed(spec, n),
@@ -377,26 +457,17 @@ def _arguments(spec: FamilySpec, n_max: int, a_probes, tau_probes):
     return top, a_vals, tau_vals
 
 
-def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, operator, perturb: bool):
-    """The probe sweep every suite reads, as (a, tau, probe spec, stencil,
-    tables): per coupling probe D(a)'s integer stencil, formed from
-    the stencil of ``operator`` = D(1) (``_probe_stencil``; None without an
-    operator); per tau the chain Q_0..Q_(top+1), the last closing the
-    recurrence, each built once as its integer table
-    (``construction.orthogonal_table``) and perturbed with ``perturb``.
-
-    The tables reach x = X: the recurrence's top + 1 and the
-    eigenfunction's top + extra + 1, for Q(x + 1) at its last point.
-    """
-    extra = 0 if operator is None else operator.extra_degree
-    stop = top + extra + 1
-    base = None if operator is None else operator.stencil(stop - 1)
+def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, perturb: bool):
+    """The probe sweep every suite reads, as (a, tau, probe spec, tables):
+    per (a, tau) the chain Q_0..Q_(top+1), the last closing the recurrence,
+    each built once as its integer table of coefficients
+    (``construction.orthogonal_table`` with no values) and perturbed with
+    ``perturb``."""
     for a_val in a_vals:
         probe = _probe(spec, a_val)
-        stencil = None if base is None else _probe_stencil(base, a_val)
         for tau in tau_vals:
-            yield a_val, tau, probe, stencil, _perturbed_tables(
-                [orthogonal_table(probe, n, tau, stop) for n in range(top + 2)], perturb)
+            yield a_val, tau, probe, _perturbed_tables(
+                [orthogonal_table(probe, n, tau) for n in range(top + 2)], perturb)
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
@@ -405,17 +476,18 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     """Check Q_n . D - Lambda_n Q_n = 0 identically over the probe grid, for
     n up to n_max (clamped to N on a finite support).
 
-    The canonical operator is built once, at a = 1, and each coupling
-    probe's stencil is formed from its stencil; the polynomials and tables
-    come from the sweep ``run_verification`` reads.  Failures are recorded
-    per (n, probe) with the first nonzero entry; nothing raises.
+    The canonical operator is built once, at a = 1, and the chains come
+    from the sweep ``run_verification`` reads; each chain is certified from
+    its channel terms, or its residuals computed (``_eigenfunction_suite``).
+    Failures are recorded per (n, probe) with the first nonzero entry;
+    nothing raises.
     """
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
-    D, eig = canonical_operator(_probe(spec, 1), force=force)
-    lambdas = _eigenvalue_integers(eig, top)
+    eigenfunction = _eigenfunction_suite(spec, top, force)
     checks = []
-    for a_val, tau, _, stencil, tables in _sweep(spec, top, a_vals, tau_vals, D, perturb):
-        checks.extend(_eigenfunction_checks(lambdas, stencil, tables[:-1], a_val, tau))
+    for a_val, tau, probe, tables in _sweep(spec, top, a_vals, tau_vals, perturb):
+        checked = tables[:-1]
+        checks.extend(eigenfunction(checked, channel_terms(probe, checked), a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -443,7 +515,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
     if x_max < 0:
         raise SpecError(f"x_max (--x-max) must be >= 0, got {x_max}")
     check_tol(tol, "tol (--tol)")
-    # the basis and the norms of the channel Gram, once per tau probe
+    # the norms of the channel Gram, once per tau probe
     basis = cache(lambda tau: gram_basis(spec, top + 1, tau))
     own_a = spec.a[0] if spec.m == 2 else f"({', '.join(map(format_rational, spec.a))})"
     orthogonality, eigenfunction, recurrence, notes = [], [], [], []
@@ -456,31 +528,36 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         )
 
     try:
-        D, eig = canonical_operator(_probe(spec, 1))
-        lambdas = _eigenvalue_integers(eig, top)
+        eigenfunction_suite = _eigenfunction_suite(spec, top)
     except SpecError as err:
-        D = None
+        eigenfunction_suite = None
         notes.append(f"bispectral suite skipped: {err}")
 
-    own = {}  # tau -> tables of Q_0..Q_top at the spec's own couplings, when a probe has them
-    for a_val, tau, probe, stencil, tables in _sweep(
-            spec, top, a_vals, tau_vals, D, perturb):
+    own = {}  # tau -> tables and terms of Q_0..Q_top at the spec's own couplings
+    for a_val, tau, probe, tables in _sweep(spec, top, a_vals, tau_vals, perturb):
         checked = tables[:-1]
+        terms = channel_terms(probe, checked)
         if probe == spec:
-            own[tau] = checked
+            own[tau] = checked, terms
         if spec.is_finite and not truncated:
-            orthogonality.extend(verify_orthogonality(probe, checked, a_val, tau, basis=basis(tau)))
-        if stencil is not None:
-            eigenfunction.extend(_eigenfunction_checks(lambdas, stencil, checked, a_val, tau))
+            orthogonality.extend(verify_orthogonality(
+                probe, checked, a_val, tau, basis=basis(tau), terms=terms))
+        if eigenfunction_suite is not None:
+            eigenfunction.extend(eigenfunction_suite(checked, terms, a_val, tau))
         recurrence.extend(verify_recurrence(probe, tables, a_val, tau))
 
     if not spec.is_finite and not truncated:
         # an infinite support: at the spec's own couplings, once per tau
-        # probe, each chain built and tabulated once per run
+        # probe, each chain built once per run
         for tau in tau_vals:
-            tables = own.get(tau) or _perturbed_tables(
-                [orthogonal_table(spec, n, tau) for n in range(top + 1)], perturb)
-            orthogonality.extend(verify_orthogonality(spec, tables, own_a, tau, basis=basis(tau)))
+            if tau in own:
+                tables, terms = own[tau]
+            else:
+                tables = _perturbed_tables(
+                    [orthogonal_table(spec, n, tau) for n in range(top + 1)], perturb)
+                terms = channel_terms(spec, tables)
+            orthogonality.extend(verify_orthogonality(
+                spec, tables, own_a, tau, basis=basis(tau), terms=terms))
 
     return VerificationReport(
         checks=tuple(orthogonality + eigenfunction + recurrence),

@@ -111,14 +111,12 @@ def test_verification_builds_each_value_once(monkeypatch):
     assert weight_calls == []
     assert evaluated == []
     # 5 coupling probes x Q_0..Q_3 and the closing Q_4, each built as its
-    # integer table once, at every x = -1..X
+    # integer table once, with no values: every suite of a passing chain
+    # reads the coefficients alone
     probes, degrees = len(report.a_probes), 5
     assert len(tables) == probes * degrees
     assert len({key for key, _ in tables}) == probes * degrees
-    # X covers the recurrence's points 0..4 and the eigenfunction's points
-    # 0..3 + extra with Q(x + 1) at the last of them; the Gram reads no point
-    extra = verification.canonical_operator(spec)[0].extra_degree
-    assert {stop for _, stop in tables} == {3 + extra + 1}
+    assert {stop for _, stop in tables} == {-1}
 
 
 def test_perturbed_gram_detail_shows_fractions():

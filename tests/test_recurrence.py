@@ -19,6 +19,7 @@ from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
     RecurrenceTriple,
     closed_recurrence,
+    coefficients_close,
     lead_inverse,
     match_recurrence,
     recurrence_closes,
@@ -106,9 +107,9 @@ def test_integer_triples_equal_the_fraction_matcher(case, perturb):
     assert list(got) == list(want) == list(range(len(chain) - 1))
     for n, t in got.items():
         assert RecurrenceTriple(*map(fractions, t)) == want[n]
-        # and the integer certificate agrees with the polynomial residual
+        # and both integer closures agree with the polynomial residual
         rem = recurrence_residual(n, chain[n - 1] if n else None, chain[n], chain[n + 1])
-        assert recurrence_closes(t, n, tables) == rem.is_zero
+        assert recurrence_closes(t, n, tables) == coefficients_close(t, n, tables) == rem.is_zero
 
 
 @SETTINGS
