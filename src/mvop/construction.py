@@ -845,20 +845,20 @@ def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
     return GramBasis(ladders, top, width, norm_scale, norms, failure)
 
 
+@lru_cache(maxsize=None)
 def _unipotent(spec: FamilySpec):
-    """The couplings as ``_times_u`` reads them: (q, coupled), q their
-    common denominator and coupled[r] the (k, q a) of each pattern position
-    (k, r) holding a."""
+    """The couplings as ``_times_u`` reads them, once per spec: (q, coupled),
+    q their common denominator and coupled[r] the (k, q a) of each pattern
+    position (k, r) holding a."""
     q, couplings = _integer_couplings(spec)
-    return q, [[(k, c) for k, j, c in couplings if j == r] for r in range(spec.m)]
+    return q, tuple(tuple((k, c) for k, j, c in couplings if j == r) for r in range(spec.m))
 
 
-def _times_u(table: IntegerTable, q: int, coupled) -> list:
-    """q L (P U) from P's integer table and the couplings (``_unipotent``):
-    rows[i][r] holds the integer coefficients of entry (i, r), lowest degree
-    first.  U = I + A x, so column r of P U is P[:, r] plus a x P[:, k] for
-    each pattern position (k, r) holding a."""
-    rows = []
+def _times_u(table: IntegerTable, q: int, coupled):
+    """q L (P U) from P's integer table and the couplings (``_unipotent``),
+    row after row: row i holds the integer coefficients of each entry
+    (i, r), lowest degree first.  U = I + A x, so column r of P U is
+    P[:, r] plus a x P[:, k] for each pattern position (k, r) holding a."""
     for row in table.coefficients:
         out = []
         for r, pairs in enumerate(coupled):
@@ -868,8 +868,7 @@ def _times_u(table: IntegerTable, q: int, coupled) -> list:
                 for t, v in enumerate(row[k], 1):
                     cs[t] += c * v
             out.append(cs)
-        rows.append(out)
-    return rows
+        yield out
 
 
 def channel_table(table: IntegerTable, spec: FamilySpec, basis: GramBasis) -> tuple:
@@ -897,11 +896,13 @@ def channel_terms(spec: FamilySpec, tables):
     (``families._Ladder.integer``), whose leading coefficient is d: p_j is
     monic, so c is the entry's leading coefficient, and the entry equals
     c p_j when each coefficient times d is c times d p_j's, O(j) integer
-    products."""
+    products.  The tables are read from the last and each row as it is
+    formed, so a perturbed chain, whose Q_n for n >= 1 fail at entry (1, 1),
+    is declined after one row."""
     integers = [ladder(ch).integer for ch in spec.channels]
     q, coupled = _unipotent(spec)
     chain = []
-    for table in tables:
+    for table in reversed(tables):
         rows = []
         for row in _times_u(table, q, coupled):
             terms = []
@@ -918,7 +919,7 @@ def channel_terms(spec: FamilySpec, tables):
                 terms.append((j, c))
             rows.append(tuple(terms))
         chain.append(tuple(rows))
-    return chain
+    return chain[::-1]
 
 
 def channel_gram(p_table, q_table, basis: GramBasis) -> tuple:

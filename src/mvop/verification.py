@@ -350,10 +350,11 @@ def _eigenvalues_match(chain, lam) -> bool:
 def _eigenfunction_suite(spec: FamilySpec, top: int, force: bool = False):
     """The eigenfunction check of one chain, as a function of (tables of
     Q_0..Q_top, their channel terms or None, a, tau), with what it reads
-    built once per run: the canonical operator D(1), its eigenvalues, and
-    whether D(1) and the channel ladders hold the identities the
-    certificate rests on (``operators.certify_operator``).  A SpecError of
-    ``canonical_operator`` passes to the caller.
+    built once per run: the canonical operator D(1) and, at the first chain
+    that has terms, its eigenvalues and whether D(1) and the channel ladders
+    hold the identities the certificate rests on
+    (``operators.certify_operator``).  A SpecError of ``canonical_operator``
+    passes to the caller.
 
     A chain whose terms exist passes when every eigenvalue matches
     (``_eigenvalues_match``).  Otherwise, or when the trust identities fail,
@@ -363,16 +364,21 @@ def _eigenfunction_suite(spec: FamilySpec, top: int, force: bool = False):
     use (``_eigenfunction_checks``)."""
     at_one = _probe(spec, 1)
     D, eig = canonical_operator(at_one, force=force)
-    lam = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
-    trusted = certify_operator(at_one, D, lam)
-    lam, _ = over_lcm(lam)  # each eigenvalue as an integer over one denominator
     stop = top + D.extra_degree + 1
     lambdas = cache(lambda: _eigenvalue_integers(eig, top))
     base = cache(lambda: D.stencil(stop - 1))
     stencil = cache(lambda a_val: _probe_stencil(base(), a_val))
 
+    @cache
+    def trusted_eigenvalues():
+        """Each channel's eigenvalues at degrees 0..top + 1 as integers over
+        one denominator, or None when a trust identity fails."""
+        eigenvalues = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
+        return over_lcm(eigenvalues)[0] if certify_operator(at_one, D, eigenvalues) else None
+
     def checks(tables, terms, a_val, tau):
-        if trusted and terms is not None and _eigenvalues_match(terms, lam):
+        lam = None if terms is None else trusted_eigenvalues()
+        if lam is not None and _eigenvalues_match(terms, lam):
             return [CheckResult(name="eigenfunction", n=n, probe_a=a_val, probe_tau=tau,
                                 passed=True) for n in range(len(tables))]
         return _eigenfunction_checks(lambdas(), stencil(a_val),
