@@ -112,10 +112,9 @@ def cmd_family(args) -> int:
         polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(n_hi + 1)]
     else:
         # one integer table per degree: the polynomials printed and, with
-        # --recurrence, the chain matched, which reaches x = n_hi + 1; the
-        # JSON prints the tables, and only LaTeX reads their Fraction view
-        stop = n_hi + 1 if args.recurrence else -1
-        tables = [orthogonal_table(spec, n, tau, stop) for n in range(n_hi + 1)]
+        # --recurrence, the chain matched; the JSON prints the tables, and
+        # only LaTeX reads their Fraction view
+        tables = [orthogonal_table(spec, n, tau) for n in range(n_hi + 1)]
         polys = [t.polynomial() for t in tables] if args.format == "latex" else None
 
     operator = None
@@ -150,7 +149,7 @@ def cmd_family(args) -> int:
         artifact["note"] = operator_note
     if args.recurrence:
         tau = spec_tau(spec, tau, "--tau", exact=True)
-        chain = tables + [orthogonal_table(spec, n_hi + 1, tau, n_hi + 1)]
+        chain = tables + [orthogonal_table(spec, n_hi + 1, tau)]
         artifact["recurrence"] = [
             _triple_json(t) for t in closed_recurrence(spec, chain, tau=tau).values()
         ]

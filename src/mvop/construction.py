@@ -581,15 +581,16 @@ class IntegerTable:
 
     def extended(self, stop: int) -> "IntegerTable":
         """The same table with its values at x = -1..stop."""
-        return _tabulated(self.coefficients, self.scale, stop)
+        return _tabulated(self.coefficients, self.scale, stop, self.values)
 
 
-def _tabulated(entries, scale: int, stop: int) -> IntegerTable:
+def _tabulated(entries, scale: int, stop: int, values=()) -> IntegerTable:
     """The table of the integer coefficient lists ``entries`` (each trimmed)
-    over ``scale``, evaluated at x = -1..stop by integer Horner."""
+    over ``scale``, evaluated at x = -1..stop by integer Horner, after the
+    ``values`` already known at x = -1, 0, ..."""
     entries = tuple(tuple(tuple(cs) for cs in row) for row in entries)
-    values = []
-    for x in range(-1, stop + 1):
+    values = list(values)
+    for x in range(len(values) - 1, stop + 1):
         rows = []
         for row in entries:
             vals = []
@@ -845,13 +846,12 @@ def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
     return GramBasis(ladders, top, width, norm_scale, norms, failure)
 
 
-@lru_cache(maxsize=None)
 def _unipotent(spec: FamilySpec):
-    """The couplings as ``_times_u`` reads them, once per spec: (q, coupled),
-    q their common denominator and coupled[r] the (k, q a) of each pattern
-    position (k, r) holding a."""
+    """The couplings as ``_times_u`` reads them: (q, coupled), q their
+    common denominator and coupled[r] the (k, q a) of each pattern position
+    (k, r) holding a."""
     q, couplings = _integer_couplings(spec)
-    return q, tuple(tuple((k, c) for k, j, c in couplings if j == r) for r in range(spec.m))
+    return q, [[(k, c) for k, j, c in couplings if j == r] for r in range(spec.m)]
 
 
 def _times_u(table: IntegerTable, q: int, coupled):

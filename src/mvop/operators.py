@@ -22,20 +22,16 @@ the identity, in integers read off the chain's integer tables, with no inner
 products: each leading coefficient is [[I, N], [0, T]] on the even, then the
 odd channels, so only its odd-channel block T is inverted
 (``lead_inverse``), by fraction-free integer elimination for m >= 4
-(``integer_inverse``).  ``recurrence_closes`` certifies an identity by
-integer evaluation, for ``family`` and ``export``: its residual has degree
-at most d = max(deg Q_(n+1), deg Q_n + 1, deg Q_(n-1)), so it is zero when
-it vanishes at the d + 1 points x = 0..d; ``verify`` closes it on the
-tables' monomial coefficients instead (``coefficients_close``), with no
-values.  ``certify_operator`` certifies, in integers, the two identities
-on which ``verify`` reads Q_n . D = Lambda_n Q_n off the channel terms of
-Q_n U: D(a) = U_a diag(delta_r) U_a^(-1) on the diagonal coupling line,
-and each channel ladder's p_j being an eigenfunction of delta_r.  The
-certified triples stay
-(integer matrix, denominator) pairs where they are printed (``family
---recurrence`` and ``export --what recurrence`` format each entry with
-``rational.format_over``); a ``RecurrenceTriple`` of Fractions is built
-only for the public API (``extract_recurrence``).
+(``integer_inverse``).  ``coefficients_close`` certifies an identity on
+the tables' monomial coefficients, in integers, with no values.
+``certify_operator`` certifies, in integers, the two identities on which
+``verify`` reads Q_n . D = Lambda_n Q_n off the channel terms of Q_n U:
+D(a) = U_a diag(delta_r) U_a^(-1) on the diagonal coupling line, and each
+channel ladder's p_j being an eigenfunction of delta_r.  The certified
+triples stay (integer matrix, denominator) pairs where they are printed
+(``family --recurrence`` and ``export --what recurrence`` format each
+entry with ``rational.format_over``); a ``RecurrenceTriple`` of Fractions
+is built only for the public API (``extract_recurrence``).
 """
 from __future__ import annotations
 
@@ -396,7 +392,7 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None, scaled: bool = False)
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
     tau = spec_tau(spec, tau, exact=True)
-    tables = {k: orthogonal_table(spec, k, tau, n + 1) for k in range(max(n - 1, 0), n + 2)}
+    tables = {k: orthogonal_table(spec, k, tau) for k in range(max(n - 1, 0), n + 2)}
     t = closed_recurrence(spec, tables, (n,), tau)[n]
     return t if scaled else RecurrenceTriple(*map(_fractions, t))
 
@@ -490,7 +486,7 @@ def match_recurrence(tables, degrees=None, singular=None) -> dict:
 
     with L_k = [Q_k]_k inverted once per degree (``lead_inverse``), all on
     (integer matrix, denominator) pairs read from the tables' integer
-    coefficients.  Closure is not checked here; see ``recurrence_closes``.
+    coefficients.  Closure is not checked here; see ``coefficients_close``.
     """
     if degrees is None:
         degrees = range(len(tables) - 1)
@@ -551,50 +547,20 @@ def _sparse_rows(mat, factor):
     return tuple(tuple((k, v * factor) for k, v in enumerate(row) if v) for row in mat)
 
 
-def recurrence_closes(t, n: int, tables) -> bool:
+def coefficients_close(t, n: int, tables) -> bool:
     """Whether x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) is zero, from the
-    scaled triple ``t`` of ``match_recurrence`` and the integer tables
-    ``tables[k]`` of Q_k (``construction.orthogonal_table``).
+    scaled triple ``t`` of ``match_recurrence`` and the integer coefficients
+    of the tables ``tables[k]`` of Q_k (``construction.orthogonal_table``),
+    which need no values.
 
     On the tables, L_n times the residual is
 
         x V_n - (A_n L_n / L_(n+1)) V_(n+1) - B_n V_n - (C_n L_n / L_(n-1)) V_(n-1),
 
     for V_k = L_k Q_k; with each matrix M / d, it is scaled once more by
-    the lcm of the d L_k and checked at x = 0..deg for deg its degree bound.
+    the lcm of the d L_k and formed entry by entry on the monomial
+    coefficients t = 0..deg, each an integer.
     """
-    t_n = tables[n]
-    parts = [(t[0], tables[n + 1]), (t[1], t_n)]
-    if n > 0:
-        parts.append((t[2], tables[n - 1]))
-    degree = max(t_n.degree + 1, *(table.degree for _, table in parts))
-    den = math.lcm(*(d * table.scale for (_, d), table in parts))
-    sparse = [
-        (_sparse_rows(mat, t_n.scale * den // (d * table.scale)), table.values)
-        for (mat, d), table in parts
-    ]
-    own = t_n.values
-    for x in range(degree + 1):
-        vn = own[x + 1]
-        dx = den * x
-        for i, row in enumerate(vn):
-            for j, v in enumerate(row):
-                acc = dx * v
-                for rows, values in sparse:
-                    vals = values[x + 1]
-                    for k, c in rows[i]:
-                        acc -= c * vals[k][j]
-                if acc:
-                    return False
-    return True
-
-
-def coefficients_close(t, n: int, tables) -> bool:
-    """Whether x Q_n - A_n Q_(n+1) - B_n Q_n - C_n Q_(n-1) is zero, from the
-    scaled triple ``t`` of ``match_recurrence`` and the integer
-    coefficients of the tables ``tables[k]`` of Q_k, which need no values:
-    the residual, scaled as ``recurrence_closes`` scales it, is formed entry
-    by entry on the monomial coefficients t = 0..deg, each an integer."""
     t_n = tables[n]
     parts = [(t[0], tables[n + 1]), (t[1], t_n)]
     if n > 0:
@@ -621,9 +587,8 @@ def coefficients_close(t, n: int, tables) -> bool:
 
 def closed_recurrence(spec: FamilySpec, tables, degrees=None, tau=None) -> dict:
     """``match_recurrence`` on the integer tables of a chain (Q_k's at
-    ``tables[k]``, a list or a dict, each reaching x = max k, built at the
-    probe ``tau`` of --tau), each identity certified by
-    ``recurrence_closes``; AssertionError names the first n that does not
+    ``tables[k]``, a list or a dict, built at the probe ``tau`` of --tau),
+    each identity certified by ``coefficients_close``; AssertionError names the first n that does not
     close.  Each triple stays three (integer matrix, denominator) pairs,
     which ``family`` and ``export`` print entry by entry
     (``rational.format_over``).  A singular leading coefficient is a
@@ -638,7 +603,7 @@ def closed_recurrence(spec: FamilySpec, tables, degrees=None, tau=None) -> dict:
 
     triples = {}
     for n, t in match_recurrence(tables, degrees, singular).items():
-        if not recurrence_closes(t, n, tables):
+        if not coefficients_close(t, n, tables):
             raise AssertionError(not_closed(spec, n))
         triples[n] = t
     return triples

@@ -196,9 +196,12 @@ def _perturbed_tables(tables, perturb: bool):
     return tables[:1] + [bumped(t) for t in tables[1:]]
 
 
+_UNSET = object()  # no channel terms passed: verify_orthogonality forms them
+
+
 def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
-                         tol: float = 1e-9, basis=None, terms=None) -> list:
+                         tol: float = 1e-9, basis=None, terms=_UNSET) -> list:
     """<Q_n, Q_k> = 0 for every k < n of the chain Q_0, Q_1, ..., built for
     ``spec`` at ``probe_tau``: exactly in the channel basis, ``chain``
     holding the polynomials' integer tables (``construction.orthogonal_table``)
@@ -207,8 +210,9 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
     polynomials, by the relative bound of truncated float sums against
     ``tol``.
 
-    The exact Grams are read from the chain's channel terms ``terms``
-    (``construction.channel_terms``) and the basis's norms alone
+    The exact Grams are read from the chain's channel terms
+    (``construction.channel_terms``, formed here unless a caller that has
+    them passes ``terms``) and the basis's norms alone
     (``construction.terms_orthogonal``) when the chain has them and every
     ladder holds its certificate.  Otherwise, or when a Gram is not zero,
     every Gram of the chain is expanded on the ladder bases
@@ -228,11 +232,13 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
         values = [float_value_table(Q, len(weights) - 1) for Q in chain]
         pairs = [(n, k) for n in range(len(chain)) for k in range(n + 1)]
         grams = float_grams(values, weights, pairs, x_max, tol)
-    elif terms is not None and not basis.failure and terms_orthogonal(terms, basis):
-        return [CheckResult(name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
-                            passed=True, detail=f"k = {k}")
-                for n in range(len(chain)) for k in range(n)]
     else:
+        if terms is _UNSET:
+            terms = channel_terms(spec, chain)
+        if terms is not None and not basis.failure and terms_orthogonal(terms, basis):
+            return [CheckResult(name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
+                                passed=True, detail=f"k = {k}")
+                    for n in range(len(chain)) for k in range(n)]
         values = [channel_table(t, spec, basis) for t in chain]
     checks = []
     for n in range(len(chain)):
@@ -347,41 +353,42 @@ def _eigenvalues_match(chain, lam) -> bool:
                for r, term in enumerate(row) if term is not None)
 
 
-def _eigenfunction_suite(spec: FamilySpec, top: int, force: bool = False):
+def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False):
     """The eigenfunction check of one chain, as a function of (tables of
-    Q_0..Q_top, their channel terms or None, a, tau), with what it reads
-    built once per run: the canonical operator D(1) and, at the first chain
-    that has terms, its eigenvalues and whether D(1) and the channel ladders
-    hold the identities the certificate rests on
-    (``operators.certify_operator``).  A SpecError of ``canonical_operator``
+    Q_0..Q_top, their channel terms or None, a, tau), with the canonical
+    operator D(1) built once per run; a SpecError of ``canonical_operator``
     passes to the caller.
 
     A chain whose terms exist passes when every eigenvalue matches
-    (``_eigenvalues_match``).  Otherwise, or when the trust identities fail,
-    the chain's residuals are computed from its tables extended to
-    x = top + extra + 1 (``IntegerTable.extended``) and D(a)'s integer
-    stencil, formed from D(1)'s (``_probe_stencil``), each built on first
-    use (``_eigenfunction_checks``)."""
+    (``_eigenvalues_match``), once D(1) and the channel ladders hold the
+    identities the certificate rests on (``operators.certify_operator``),
+    judged at the first chain that has terms: a perturbed run never pays
+    for them.  Otherwise the chain's residuals are computed from its tables
+    extended to x = top + extra + 1 (``IntegerTable.extended``),
+    Lambda_n's diagonals and D(a)'s integer stencil for each probe a of
+    ``a_vals``, formed from D(1)'s (``_probe_stencil``), these built at the
+    first chain that needs them (``_eigenfunction_checks``)."""
     at_one = _probe(spec, 1)
     D, eig = canonical_operator(at_one, force=force)
     stop = top + D.extra_degree + 1
-    lambdas = cache(lambda: _eigenvalue_integers(eig, top))
-    base = cache(lambda: D.stencil(stop - 1))
-    stencil = cache(lambda a_val: _probe_stencil(base(), a_val))
 
     @cache
-    def trusted_eigenvalues():
-        """Each channel's eigenvalues at degrees 0..top + 1 as integers over
-        one denominator, or None when a trust identity fails."""
+    def trusted():
         eigenvalues = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
         return over_lcm(eigenvalues)[0] if certify_operator(at_one, D, eigenvalues) else None
 
+    @cache
+    def dense():
+        base = D.stencil(stop - 1)
+        return _eigenvalue_integers(eig, top), {a: _probe_stencil(base, a) for a in a_vals}
+
     def checks(tables, terms, a_val, tau):
-        lam = None if terms is None else trusted_eigenvalues()
+        lam = None if terms is None else trusted()
         if lam is not None and _eigenvalues_match(terms, lam):
             return [CheckResult(name="eigenfunction", n=n, probe_a=a_val, probe_tau=tau,
                                 passed=True) for n in range(len(tables))]
-        return _eigenfunction_checks(lambdas(), stencil(a_val),
+        lambdas, stencils = dense()
+        return _eigenfunction_checks(lambdas, stencils[a_val],
                                      [t.extended(stop) for t in tables], a_val, tau)
     return checks
 
@@ -464,16 +471,25 @@ def _arguments(spec: FamilySpec, n_max: int, a_probes, tau_probes):
 
 
 def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, perturb: bool):
-    """The probe sweep every suite reads, as (a, tau, probe spec, tables):
-    per (a, tau) the chain Q_0..Q_(top+1), the last closing the recurrence,
-    each built once as its integer table of coefficients
+    """The probe sweep every suite reads, as (a, tau, probe spec, tables,
+    terms): per (a, tau) the chain Q_0..Q_(top+1), the last closing the
+    recurrence, each built once as its integer table of coefficients
     (``construction.orthogonal_table`` with no values) and perturbed with
-    ``perturb``."""
+    ``perturb``, and the channel terms of Q_0..Q_top (``_terms``)."""
     for a_val in a_vals:
         probe = _probe(spec, a_val)
         for tau in tau_vals:
-            yield a_val, tau, probe, _perturbed_tables(
+            tables = _perturbed_tables(
                 [orthogonal_table(probe, n, tau) for n in range(top + 2)], perturb)
+            yield a_val, tau, probe, tables, _terms(probe, tables[:-1], perturb)
+
+
+def _terms(spec: FamilySpec, tables, perturb: bool):
+    """The chain's channel terms (``construction.channel_terms``), or None
+    for a chain that ``perturb`` bumped: the bump is the fixture that makes
+    verification fail, and it is reported from the dense path, which a
+    chain with no terms takes."""
+    return None if perturb else channel_terms(spec, tables)
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
@@ -489,11 +505,10 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     nothing raises.
     """
     top, a_vals, tau_vals = _arguments(spec, n_max, a_probes, tau_probes)
-    eigenfunction = _eigenfunction_suite(spec, top, force)
+    eigenfunction = _eigenfunction_suite(spec, top, a_vals, force)
     checks = []
-    for a_val, tau, probe, tables in _sweep(spec, top, a_vals, tau_vals, perturb):
-        checked = tables[:-1]
-        checks.extend(eigenfunction(checked, channel_terms(probe, checked), a_val, tau))
+    for a_val, tau, _, tables, terms in _sweep(spec, top, a_vals, tau_vals, perturb):
+        checks.extend(eigenfunction(tables[:-1], terms, a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -534,15 +549,14 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         )
 
     try:
-        eigenfunction_suite = _eigenfunction_suite(spec, top)
+        eigenfunction_suite = _eigenfunction_suite(spec, top, a_vals)
     except SpecError as err:
         eigenfunction_suite = None
         notes.append(f"bispectral suite skipped: {err}")
 
     own = {}  # tau -> tables and terms of Q_0..Q_top at the spec's own couplings
-    for a_val, tau, probe, tables in _sweep(spec, top, a_vals, tau_vals, perturb):
+    for a_val, tau, probe, tables, terms in _sweep(spec, top, a_vals, tau_vals, perturb):
         checked = tables[:-1]
-        terms = channel_terms(probe, checked)
         if probe == spec:
             own[tau] = checked, terms
         if spec.is_finite and not truncated:
@@ -561,7 +575,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
             else:
                 tables = _perturbed_tables(
                     [orthogonal_table(spec, n, tau) for n in range(top + 1)], perturb)
-                terms = channel_terms(spec, tables)
+                terms = _terms(spec, tables, perturb)
             orthogonality.extend(verify_orthogonality(
                 spec, tables, own_a, tau, basis=basis(tau), terms=terms))
 

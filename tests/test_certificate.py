@@ -15,7 +15,7 @@ from mvop.operators import (
     EigenvalueMap,
     canonical_operator,
     closed_recurrence,
-    recurrence_closes,
+    coefficients_close,
 )
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps
@@ -223,9 +223,9 @@ def test_recurrence_bump_at_last_point_fails():
     zero = ((0, 0), (0, 0))
     t = (((1, 0), (0, 1)), 1), (zero, 1), (zero, 1)
     tables = [integer_table(Q, 2) for Q in (one, Q1, Q2)]
-    assert not recurrence_closes(t, 1, tables)
+    assert not coefficients_close(t, 1, tables)
     tables[2] = integer_table(one.scale(x * x), 2)
-    assert recurrence_closes(t, 1, tables)
+    assert coefficients_close(t, 1, tables)
 
 
 def test_recurrence_failure_reported_like_oracle():
