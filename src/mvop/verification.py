@@ -38,19 +38,21 @@ certified once per channel, in integers (``families.certify_ladder``), and
 a failed certificate fails every orthogonality check with a detail naming
 the channel and the identity; on an infinite support it is the scalar
 theorem (Koekoek, Lesky & Swarttouw, Springer 2010, ch. 9).  The
-eigenfunction reading rests on two identities, certified once per run in
-integers (``operators.certify_operator``): the ladder eigen identity
-p_j . delta_r = lambda_j^(r) p_j for j <= top + 1, once per ladder per
-process, and the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1).
+eigenfunction reading rests on two identities, certified in integers at
+the first chain that has channel terms (``operators.certify_operator``),
+so a run whose chains all take the dense path skips them: the ladder eigen
+identity p_j . delta_r = lambda_j^(r) p_j for j <= top + 1, once per ladder
+per process, and the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1).
 The canonical operator is built once per run, at a = 1; D(a) is its
 diagonal plus a times its other entries, both sides are affine in a (the
 a^2 part of the right side vanishes on the pattern, which is checked), so
 the a^0 and a^1 parts fix the identity for every probe.
 
-The dense path.  A chain with an entry that is no single ladder multiple
-(``--perturb``), a failed trust identity, or a failing orthogonality or
-eigenfunction check runs the dense code for that chain and that suite, so
-every failure detail keeps its bytes:
+The dense path.  A chain that ``--perturb`` bumped forms no channel terms;
+it, a chain with an entry that is no single ladder multiple, a failed
+trust identity, or a failing orthogonality or eigenfunction check runs
+the dense code for that chain and that suite, so every failure detail
+keeps its bytes:
 
 * every Gram <Q_n, Q_k> is read in the channel basis from the table's
   coefficients, each channel's x^d expanded on its ladder
