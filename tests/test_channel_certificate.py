@@ -142,6 +142,18 @@ def test_passing_spec_takes_no_dense_step(name):
     assert calls == []
 
 
+def test_orthogonality_forms_the_terms_it_is_not_given():
+    """``verify_orthogonality`` called without channel terms forms them
+    itself: the chain alone chooses the path."""
+    spec = PASSING["krawtchouk m=2"]
+    tables = [orthogonal_table(spec, n) for n in range(4)]
+    with counting_dense() as calls:
+        checks = verification.verify_orthogonality(
+            spec, tables, spec.a[0], None, basis=construction.gram_basis(spec, 4))
+    assert len(checks) == 6 and all(c.passed for c in checks)
+    assert calls == []
+
+
 def test_broken_trust_identity_takes_dense_path(monkeypatch):
     """A failed trust identity sends every chain's eigenfunction suite to
     the dense path, whose verdict is reported."""
