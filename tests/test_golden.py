@@ -59,6 +59,9 @@ HAHN3 = _family(["2", "-1/3"], {"kind": "hahn", "alpha": "3/2", "beta": "5/2", "
 # alpha_1 + beta_1 = alpha_2 + beta_2 + 1 breaks the Hahn gate: no operator
 HAHN_UNGATED = _family(["2"], {"kind": "hahn", "alpha": "3/2", "beta": "5/2", "N": 4},
                        {"kind": "hahn", "alpha": "3/2", "beta": "3/2", "N": 4})
+# Q_1's lead is singular at a = 1, the first default coupling probe
+HAHN_SINGULAR_LEAD = _family(["1"], {"kind": "hahn", "alpha": "-7/2", "beta": "-11/2", "N": 3},
+                             {"kind": "hahn", "alpha": "3/2", "beta": "3/2", "N": 3})
 MEIXNER_PAIR = _family(["3/2"], {"kind": "meixner", "beta": "1/2", "c": "1/2"},
                        {"kind": "meixner", "beta": "1/2", "c": "1/3"})
 KRAW_TO_HERMITE = {"name": "krawtchouk->hermite", "n": 2, "a": "1",
@@ -107,6 +110,10 @@ CASES = {
     "verify-hahn-m3-probes": (HAHN3, ("verify", "--probes", "2,-1/3")),
     # the note "bispectral suite skipped"
     "verify-hahn-ungated": (HAHN_UNGATED, ("verify",)),
+    # a lead made singular by a coupling probe, then by a tau probe: exit 2
+    # with the ProbeError naming --probes and Q_1, then --tau-probes
+    "verify-hahn-singular-lead": (HAHN_SINGULAR_LEAD, ("verify", "--n-max", "2")),
+    "verify-charlier-tau-singular": (CHARLIER_BC, ("verify", "--tau-probes", "-1/2")),
     "family-charlier-numeric": (CHARLIER_BC, ("family", "--n", "2")),
     "family-cmc-recurrence": (CMC, ("family", "--n", "2", "--tau", "3/2", "--recurrence")),
     # N = 3, so the triple at n = N reads the closure companion
