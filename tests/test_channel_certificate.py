@@ -3,19 +3,34 @@ one ladder polynomial per entry, the three suites read off those terms, the
 trust identities they rest on, and the dense path a chain falls back to.
 
 The dense path is reached by making ``verification.channel_terms`` decline
-every chain, so that each suite expands its Grams on the ladder bases and
-computes its residuals from value tables, as before the certificate."""
+every chain, so that each suite expands its Grams on the ladder bases,
+computes its residuals from value tables and matches and closes its
+recurrences, as before the certificate."""
 import contextlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
-from mvop import construction, operators, verification
-from mvop.construction import FamilySpec, channel_terms, orthogonal_table
+from mvop import construction, linalg, operators, verification
+from mvop.construction import (
+    FamilySpec,
+    channel_terms,
+    integer_table,
+    norm_ratio,
+    orthogonal_polynomial,
+    orthogonal_table,
+    staggered_positions,
+)
 from mvop.errors import ProbeError, SpecError
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
-from mvop.operators import DifferenceOperator, canonical_operator, certify_operator
+from mvop.operators import (
+    DifferenceOperator,
+    canonical_operator,
+    certify_operator,
+    coefficients_close,
+    match_recurrence,
+)
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps
 
@@ -32,7 +47,9 @@ CHARLIER_B = (F(1), F(2), F(3, 2))
 MEIXNER = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(1), F(1, 4)))
 
 # the functions only the dense path calls
-DENSE = ("_eigenfunction_residual", "channel_table", "_ladder_columns")
+DENSE = ("_eigenfunction_residual", "channel_table", "_ladder_columns",
+         "match_recurrence", "coefficients_close")
+TAUS = (F(1), F(2), F(1, 3), F(5, 2), F(-1, 2))
 
 
 @st.composite
@@ -132,10 +149,11 @@ PASSING = {
 
 @pytest.mark.parametrize("name", sorted(PASSING))
 def test_passing_spec_takes_no_dense_step(name):
-    """No value table beyond x = -1, no expansion on the ladder bases and no
-    residual: each chain is certified from its channel terms, so a trust
-    identity or an eigenvalue read wrongly shows here even where the dense
-    verdict repairs the report."""
+    """No value table beyond x = -1, no expansion on the ladder bases, no
+    residual, and no recurrence matched or closed: each chain is certified
+    from its channel terms, so a trust identity, an eigenvalue, a gamma or a
+    theta read wrongly shows here even where the dense verdict repairs the
+    report."""
     with counting_dense() as calls:
         report = verification.run_verification(PASSING[name], n_max=3)
     assert report.all_passed
@@ -223,3 +241,153 @@ def test_wrong_norm_ratio_fails_orthogonality_like_the_dense_path(monkeypatch):
             want = outcome(lambda: verification.run_verification(spec, n_max=2))
         assert got == want
         assert '"check": "orthogonality"' in got and '"pass": false' in got
+
+
+@contextlib.contextmanager
+def theta_one_degree_off():
+    """Every Q_n built with theta_n read one degree up, theta_(n+1) in place
+    of theta_n in ``_integer_form``: each Q_n U is still
+    P_n + A P_(n+1) - theta P_(n-1), so the chain conforms, but its ratios
+    theta_n / theta_(n-1) are gamma_(n+1) / gamma_n, not gamma_n / gamma_(n-1)."""
+    real = construction._norm_quotient
+
+    def shifted(num, n_num, den, n_den):
+        if n_num == n_den + 1:
+            return real(num, n_num + 1, den, n_den + 1)
+        return real(num, n_num, den, n_den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "_norm_quotient", shifted)
+        yield
+
+
+def singular_at(k):
+    return ProbeError(f"the lead of Q_{k} is singular")
+
+
+def raised(run):
+    """What ``run`` returns, or the message of the ProbeError it raises."""
+    try:
+        return run()
+    except ProbeError as err:
+        return str(err)
+
+
+def rational_matrix(m, entries):
+    out = [[F(0)] * m for _ in range(m)]
+    for (i, j), v in entries:
+        out[i][j] = v
+    return out
+
+
+def plus(*mats):
+    return [[sum(vs, F(0)) for vs in zip(*rows)] for rows in zip(*mats)]
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["plain", "theta one degree off"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=specs(), top=st.integers(0, 3), tau=st.sampled_from(TAUS))
+# leads made singular by the tau probe (Q_1) and by the coupling (Q_1)
+@example(spec=FamilySpec(a=(F(1),), channels=(Charlier(F(1)), Charlier(F(2)))),
+         top=2, tau=F(-1, 2))
+@example(spec=FamilySpec(a=(F(1),), channels=(Hahn(F(-7, 2), F(-11, 2), 3),
+                                              Hahn(F(3, 2), F(3, 2), 3))),
+         top=2, tau=F(1))
+def test_recurrence_certificate_equals_matching_and_closure(spec, top, tau, bent):
+    """On every chain in construction form, plain or with theta read one
+    degree off, the certificate passes exactly where
+    ``match_recurrence`` + ``coefficients_close`` close every degree, and a
+    singular lead raises at the same Q_k on both.  On the plain chains,
+    theta read from the terms is R_n = diag(h_n) A^T diag(h_(n-1))^(-1), and
+    det M_n = det T_n det T_(n+1) for M_n = I + A R_(n+1) + R_n A and T_k
+    the odd block of Q_k's lead."""
+    if spec.is_finite:
+        # a bent theta reads |p_(top+2)|^2, which a finite ladder lacks
+        top = min(top, spec.support_N - bent)
+        assume(top >= 0)
+    with theta_one_degree_off() if bent else contextlib.nullcontext():
+        tables = [orthogonal_table(spec, n, tau) for n in range(top + 2)]
+    terms = channel_terms(spec, tables)
+    assert terms is not None
+
+    def dense():
+        matched = match_recurrence(tables, singular=singular_at)
+        return all(coefficients_close(t, n, tables) for n, t in matched.items())
+
+    closes = raised(dense)
+    event({True: "closes", False: "fails"}.get(closes, "singular lead"))
+    assert raised(lambda: verification._recurrence_certified(
+        spec, tables, terms, singular_at)) == closes
+    if bent:
+        return
+    assert closes is True or "singular" in closes
+    m, positions = spec.m, staggered_positions(spec.m)
+    A = rational_matrix(m, zip(positions, spec.a))
+    (_,), q = construction.over_lcm((spec.a,))
+
+    def R(k):
+        if k == 0:
+            return rational_matrix(m, ())
+        return rational_matrix(m, (((j, i), a * norm_ratio(spec, j, k, i, k - 1, tau))
+                                   for (i, j), a in zip(positions, spec.a)))
+
+    def det_T(k):
+        lead, odd = tables[k].coefficient(k), range(1, m, 2)
+        return linalg.determinant([[F(lead[i][j], tables[k].scale) for j in odd] for i in odd])
+
+    for k, rows in enumerate(terms):
+        theta = rational_matrix(m, (((j, i), -F(rows[j][i][1], q * tables[k].scale))
+                                    for i, j in positions if rows[j][i] is not None))
+        assert theta == R(k)
+    for n in range(top + 1):
+        M = plus(linalg.identity(m), linalg.mat_mul(A, R(n + 1)), linalg.mat_mul(R(n), A))
+        assert linalg.determinant(M) == det_T(n) * det_T(n + 1)
+
+
+def test_theta_one_degree_off_reports_like_the_dense_path():
+    """A chain whose theta is read one degree off conforms, fails the
+    certificate's ratio identity, and is reported from the dense path byte
+    for byte, its failing recurrences included."""
+    certified = []
+    real = verification._recurrence_certified
+
+    def recording(*args):
+        certified.append(real(*args))
+        return certified[-1]
+
+    for spec in (PASSING["krawtchouk m=2"], PASSING["charlier/meixner/charlier"]):
+        with theta_one_degree_off():
+            assert channel_terms(spec, [orthogonal_table(spec, n, 2) for n in range(4)])
+
+            def run():
+                return verification.run_verification(spec, n_max=2)
+
+            certified.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verification, "_recurrence_certified", recording)
+                got = outcome(run)
+            with dense_path():
+                want = outcome(run)
+        assert got == want
+        assert False in certified
+        assert '"check": "recurrence"' in got and "failed to close" in got
+
+
+def test_closing_polynomial_out_of_form_is_matched():
+    """The closing Q_(top+1) is held to construction form too: one whose
+    Q U has single ladder terms but the pattern entries of another coupling
+    has no recurrence at n = top, and the certificate leaves it to the dense
+    path's verdict."""
+    spec = PASSING["krawtchouk m=2"]
+    (a,), other = spec.a, spec.a[0] + 1
+    x = ScalarPoly.x()
+    # Q'_3 U_a = Q_3(a') U_(a'): single ladder multiples, a' on the pattern
+    closing = orthogonal_polynomial(spec.with_a((other,)), 3) @ MatrixPoly(
+        ((ScalarPoly.constant(1), x * ScalarPoly.constant(other - a)),
+         (0, ScalarPoly.constant(1))))
+    tables = [orthogonal_table(spec, n) for n in range(3)] + [integer_table(closing, -1)]
+    terms = channel_terms(spec, tables)
+    assert terms is not None
+    got = verification.verify_recurrence(spec, tables, a, None, terms=terms)
+    assert got == verification.verify_recurrence(spec, tables, a, None)
+    assert [c.passed for c in got] == [True, True, False]
