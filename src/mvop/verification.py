@@ -452,9 +452,10 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau, terms=None) 
     chain reads a tau, at the first such Q_k on either path.
 
     Timed in forked operations on the benchmark's seed-1 rounds (2 vCPUs,
-    Python 3.11.7, fastest of 10), this suite takes 4.4 ms per
-    ``verify-finite`` round and 4.6 ms per ``verify-infinite`` round, where
-    matching and closing every chain took 11.2 and 18.7 ms."""
+    Python 3.11.7, fastest of 10 rounds, best of four series), this suite
+    takes 3.9 ms per ``verify-finite`` round and 4.7 ms per
+    ``verify-infinite`` round, where matching and closing every chain took
+    11.2 and 17.8 ms (``BENCH_recurrence-terms.json``)."""
     def singular(k):
         if probe_tau is None:
             return singular_lead(k, f"coupling probe a = {probe_a} (--probes)")
@@ -475,19 +476,12 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau, terms=None) 
 
 def _recurrence_certified(spec: FamilySpec, tables, chain, singular) -> bool:
     """Whether x Q_n = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) holds at every
-    degree n of the chain but the last, read from ``chain``, the channel
-    terms of every table; False sends the chain to the dense path.  A
-    singular lead raises ``singular(k)`` for the first such k.
-
-    The chain is in construction form when Q_k U, with s_k = q L_k, has the
-    term (k, s_k) at each (i, i), (k + 1, L_k q a) at each pattern position
-    (i, j) holding a, (k - 1, -s_k theta_k(j, i)) or none at (j, i), and
-    none elsewhere: Q_k U = P_k + A P_(k+1) - theta_k P_(k-1), theta_k read
-    from the terms.  Then degree n closes exactly when
-    gamma_n^(j) theta_(n-1)(j, i) = theta_n(j, i) gamma_(n-1)^(i) at every
-    pattern position, gamma_k^(r) channel r's c_k, for n >= 2, given the
-    leads of Q_1..Q_(top+1) invertible (see the module docstring); it is
-    compared cross-multiplied, in integers."""
+    degree n of the chain but the last, by the module docstring's
+    certificate on ``chain``, the channel terms of every table: True or
+    False, False sending the chain to the dense path, or ``singular(k)``
+    raised for the first singular lead.  With s_k = q L_k the terms hold
+    -s_k theta_k, so the ratio identity is compared cross-multiplied by
+    s_n s_(n-1) and the gammas' denominators, in integers."""
     m = spec.m
     positions = staggered_positions(m)
     (qa,), q = over_lcm((spec.a,))
