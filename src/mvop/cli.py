@@ -16,6 +16,7 @@ from .construction import (
     integer_weights,
     orthogonal_polynomial,
     orthogonal_table,
+    orthogonal_tables,
     spec_tau,
 )
 from .errors import ProbeError, SpecError, TruncationError
@@ -111,10 +112,12 @@ def cmd_family(args) -> int:
         tables = None
         polys = [orthogonal_polynomial(spec, n, tau=tau) for n in range(n_hi + 1)]
     else:
-        # one integer table per degree: the polynomials printed and, with
-        # --recurrence, the chain matched; the JSON prints the tables, and
-        # only LaTeX reads their Fraction view
-        tables = [orthogonal_table(spec, n, tau) for n in range(n_hi + 1)]
+        # one chain of integer tables: the polynomials printed and, with
+        # --recurrence, the chain matched, its closing Q_(n_hi+1) built only
+        # then; the JSON prints the tables, and only LaTeX reads their
+        # Fraction view
+        chain = orthogonal_tables(spec, range(n_hi + 2), tau)
+        tables = [next(chain) for _ in range(n_hi + 1)]
         polys = [t.polynomial() for t in tables] if args.format == "latex" else None
 
     operator = None
@@ -148,10 +151,11 @@ def cmd_family(args) -> int:
         artifact["Lambda"] = None
         artifact["note"] = operator_note
     if args.recurrence:
+        # a "numeric" tau is a ProbeError here, so the chain exists
         tau = spec_tau(spec, tau, "--tau", exact=True)
-        chain = tables + [orthogonal_table(spec, n_hi + 1, tau)]
+        tables.append(next(chain))
         artifact["recurrence"] = [
-            _triple_json(t) for t in closed_recurrence(spec, chain, tau=tau).values()
+            _triple_json(t) for t in closed_recurrence(spec, tables, tau=tau).values()
         ]
     _write_out(json_dumps(artifact), args.out)
     return EXIT_OK

@@ -22,19 +22,22 @@ entries:
     even channels j != l:       x sum_k theta_jk r_k a_kl   (1-based even)
 
 Each is a sum of a few scalar multiples of channel polynomials, so Q_n is
-fixed by about 3 m^2 scalar coefficients.  ``orthogonal_table`` builds Q_n
-from them in integers (``_integer_form``): each channel's monic p_j is
-grown in integers over its least common denominator by the ladder itself
-(``families._Ladder.integer``), and each norm ratio's rational part and
-mass quotient is formed once per (ladder, degree, ladder, degree)
-(``_norm_quotient``), so a (probe, tau, n) only resolves tau, forms the
-scalar coefficients, puts them over their least common denominator and
-sums integer coefficient lists; no ``Fraction`` polynomial product is
-formed.  The result is an ``IntegerTable``: the least common denominator L
-of Q_n's coefficients, the coefficients of L Q_n and its values at the
-integer points x = -1..X by integer Horner; scaling by a nonzero integer
-changes no zero, so a check that an identity vanishes reads the same on
-L Q_n as on Q_n.  The JSON of ``family`` and ``export`` prints the table
+fixed by about 3 m^2 scalar coefficients.  ``orthogonal_tables`` builds a
+chain of Q_n from them in integers, in one pass: each channel's monic p_j
+is grown in integers over its least common denominator by the ladder
+itself (``families._Ladder.integer``) and read once per chain, each norm
+ratio's rational part and mass quotient is formed once per (ladder,
+degree, ladder, degree) (``_norm_quotient``), and the gates, the coupling
+pattern and the resolved mass quotients are read once per chain, so a
+degree only forms theta_n's scalar coefficients, puts them over their
+least common denominator and sums integer coefficient lists; no
+``Fraction`` polynomial product is formed.  ``orthogonal_table`` is the
+chain of one degree.  The result is an ``IntegerTable``: the least common
+denominator L of Q_n's coefficients and the coefficients of L Q_n, with no
+values until a caller asks for them at the integer points x = -1..X
+(``IntegerTable.extended``, by integer Horner); scaling by a nonzero
+integer changes no zero, so a check that an identity vanishes reads the
+same on L Q_n as on Q_n.  The JSON of ``family`` and ``export`` prints the table
 itself, each coefficient as its integer over L (``serialize.table_to_json``),
 so what they print is what ``verify`` certifies, and the limit sources are
 read off the same tables.  ``orthogonal_polynomial`` returns the
@@ -395,7 +398,7 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
     at n = N + 1 the ladder's |p_(N+1)|^2 = c_(N+1) |p_N|^2 is 0, so R_n = 0.
     Only the float mass quotients (tau "numeric") and couplings in the
     quadratic extension take this path, the latter for the public API and
-    the tests' limit oracle alone; ``_integer_form`` builds the rest."""
+    the tests' limit oracle alone; ``orthogonal_tables`` builds the rest."""
     m = spec.m
     ladders = [ladder(ch) for ch in spec.channels]
     p = [lad.polynomial(n) for lad in ladders]
@@ -410,14 +413,42 @@ def _closed_form(spec: FamilySpec, n: int, tau) -> MatrixPoly:
     return _assemble(spec, p, q, r, theta)
 
 
-def _integer_form(spec: FamilySpec, n: int, tau, stop: int) -> "IntegerTable":
-    """Q_n's integer table at x = -1..stop, combined in integers from the
-    channel ladders' integer p_j (``families._Ladder.integer``) and the scalar
-    coefficients of ``_assemble``'s four entry kinds: with (i, j) a pattern
-    position holding a and theta = a |p_n^(j)|^2 / |p_(n-1)^(i)|^2,
-    entry (i, i) takes 1 p_n^(i), entry (i, j) takes a p_(n+1)^(j) and
-    -a x p_n^(i), entry (j, i) takes -theta p_(n-1)^(i), and entry (j, l)
-    takes theta b x p_(n-1)^(i) for each pattern position (i, l) holding b.
+def _check_index(spec: FamilySpec, n: int):
+    """The degree gate of Q_n: 0 <= n, and n <= N + 1 on a finite support."""
+    top = spec.support_N
+    if n < 0 or (top is not None and n > top + 1):
+        limit = "" if top is None else f" <= {top + 1}"
+        raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
+
+
+def _chain_tau(spec: FamilySpec, n: int, tau, exact: bool = False):
+    """The tau Q_n reads (``spec_tau``), after the degree gate
+    (``_check_index``): the closure companion n = N + 1 reads none."""
+    _check_index(spec, n)
+    tau = spec_tau(spec, tau, exact=exact)
+    return None if spec.support_N is not None and n == spec.support_N + 1 else tau
+
+
+def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
+    """The integer tables of Q_n for each n of ``degrees``, in order, for
+    rational couplings: coefficients only, with no values
+    (``IntegerTable.extended`` adds them).  The degrees and ``tau`` are read
+    as ``orthogonal_polynomial`` reads them, except that "numeric" is a
+    ProbeError where the spec reads a tau: a table is exact.  Each table is
+    yielded as it is built, so a bad input raises where a build degree by
+    degree would raise it, the degree gate and ``spec_tau`` at the first
+    degree and the gate again at each later one.
+
+    One pass per chain: the couplings are grouped along the rows of A once,
+    each channel ladder's integer p_k (``families._Ladder.integer``) is read
+    once for every k = n - 1..n + 1 the chain needs, in the order a single
+    degree reads them, and each mass quotient is resolved once.  A degree
+    then forms only theta_n and the integer combination of ``_assemble``'s
+    four entry kinds: with (i, j) a pattern position holding a and
+    theta = a |p_n^(j)|^2 / |p_(n-1)^(i)|^2, entry (i, i) takes 1 p_n^(i),
+    entry (i, j) takes a p_(n+1)^(j) and -a x p_n^(i), entry (j, i) takes
+    -theta p_(n-1)^(i), and entry (j, l) takes theta b x p_(n-1)^(i) for
+    each pattern position (i, l) holding b.
 
     Each term's multiplier, kept as an unreduced fraction, is put over one
     common denominator D, the integer coefficients are summed, and D and the
@@ -427,69 +458,65 @@ def _integer_form(spec: FamilySpec, n: int, tau, stop: int) -> "IntegerTable":
     the mass quotients resolved as it resolves them, so the same inputs
     fail the same gates."""
     m = spec.m
-    ladders = [ladder(ch) for ch in spec.channels]
-    p = [lad.integer(n) for lad in ladders]
-    q = [lad.integer(n + 1) for lad in ladders]
-    r = [lad.integer(n - 1) for lad in ladders] if n else ()
-    # terms[j][l] holds (numerator, denominator, power of x, channel
-    # polynomial) for each term of entry (j, l), the fractions unreduced
-    terms = [[[] for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        terms[i][i].append((1, 1, 0, p[i]))
+    closing = None if spec.support_N is None else spec.support_N + 1
     positions = staggered_positions(m)
-    coupled = {}  # i -> [(l, b)] along row i of A
-    for (i, j), a in zip(positions, spec.a):
-        coupled.setdefault(i, []).append((j, a))
-        terms[i][j] += [(a.numerator, a.denominator, 0, q[j]),
-                        (-a.numerator, a.denominator, 1, p[i])]
-    for (i, j), a in zip(positions if n else (), spec.a):
-        coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
-        t = _resolve_quotient(quotient, tau)
-        num = a.numerator * coefficient.numerator * t.numerator
-        den = a.denominator * coefficient.denominator * t.denominator
-        if num:
-            terms[j][i].append((-num, den, 0, r[i]))
-            for l, b in coupled[i]:
-                terms[j][l].append((num * b.numerator, den * b.denominator, 1, r[i]))
-    D = math.lcm(*(den * d for row in terms for ts in row for _, den, _, (_, d) in ts))
-    entries = []
-    for row in terms:
-        out = []
-        for ts in row:
-            cs = []
-            for num, den, shift, (coeffs, d) in ts:
-                f = num * (D // (den * d))
-                cs.extend([0] * (len(coeffs) + shift - len(cs)))
-                for k, v in enumerate(coeffs, shift):
-                    cs[k] += f * v
+    ladders = [ladder(ch) for ch in spec.channels]
+    couplings = [(a.numerator, a.denominator) for a in spec.a]
+    coupled = {}  # i -> [(l, b's numerator, b's denominator)] along row i of A
+    for (i, j), (an, ad) in zip(positions, couplings):
+        coupled.setdefault(i, []).append((j, an, ad))
+    integers = {}  # k -> every channel's integer p_k
+    resolved = {}  # (position, closing degree) -> its mass quotient at tau
+    for index, n in enumerate(degrees):
+        _check_index(spec, n)
+        if not index:
+            tau = spec_tau(spec, tau, exact=True)
+        for k in (n, n + 1, n - 1):
+            if k not in integers and k >= 0:
+                integers[k] = [lad.integer(k) for lad in ladders]
+        p, q = integers[n], integers[n + 1]
+        # (row, column, numerator, denominator, power of x, channel
+        # polynomial) per term, the fractions unreduced
+        terms = [(i, i, 1, 1, 0, p[i]) for i in range(m)]
+        for (i, j), (an, ad) in zip(positions, couplings):
+            terms += [(i, j, an, ad, 0, q[j]), (i, j, -an, ad, 1, p[i])]
+        for k, (i, j) in enumerate(positions if n else ()):
+            coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
+            key = k, n == closing
+            if key not in resolved:
+                resolved[key] = _resolve_quotient(quotient, None if n == closing else tau)
+            t = resolved[key]
+            an, ad = couplings[k]
+            num = an * coefficient.numerator * t.numerator
+            if num:
+                den = ad * coefficient.denominator * t.denominator
+                r = integers[n - 1][i]
+                terms.append((j, i, -num, den, 0, r))
+                terms += [(j, l, num * bn, den * bd, 1, r) for l, bn, bd in coupled[i]]
+        D = math.lcm(*[den * d for _, _, _, den, _, (_, d) in terms])
+        entries = {}  # (row, column) -> the integer coefficients of a nonzero entry
+        for i, l, num, den, shift, (coeffs, d) in terms:
+            f = num * (D // (den * d))
+            cs = entries.get((i, l))
+            if cs is None:
+                cs = entries[i, l] = [0] * (n + 2)
+            for k, v in enumerate(coeffs, shift):
+                cs[k] += f * v
+        for cs in entries.values():
             while cs and not cs[-1]:
                 cs.pop()
-            out.append(cs)
-        entries.append(out)
-    g = math.gcd(D, *(v for row in entries for cs in row for v in cs))
-    if g > 1:
-        entries = [[[v // g for v in cs] for cs in row] for row in entries]
-    return _tabulated(entries, D // g, stop)
+        g = math.gcd(D, *[v for cs in entries.values() for v in cs])
+        if g > 1:
+            entries = {key: [v // g for v in cs] for key, cs in entries.items()}
+        # entry (1, 1) is p_n^(1), so the degree is n
+        yield IntegerTable(degree=n, scale=D // g, values=(), coefficients=tuple(
+            tuple(tuple(entries.get((i, l), ())) for l in range(m)) for i in range(m)))
 
 
-def _chain_tau(spec: FamilySpec, n: int, tau, exact: bool = False):
-    """The tau Q_n reads (``spec_tau``), after the degree gate: 0 <= n, and
-    n <= N + 1 on a finite support, where the closure companion n = N + 1
-    reads none."""
-    top = spec.support_N
-    if n < 0 or (top is not None and n > top + 1):
-        limit = "" if top is None else f" <= {top + 1}"
-        raise SpecError(f"polynomial index must satisfy 0 <= n{limit}, got {n}")
-    tau = spec_tau(spec, tau, exact=exact)
-    return None if top is not None and n == top + 1 else tau
-
-
-def orthogonal_table(spec: FamilySpec, n: int, tau=None, stop: int = -1) -> "IntegerTable":
-    """The integer table of Q_n at x = -1..stop (``_integer_form``), for
-    rational couplings; the degrees and ``tau`` are read as
-    ``orthogonal_polynomial`` reads them, except that "numeric" is a
-    ProbeError where the spec reads a tau: a table is exact."""
-    return _integer_form(spec, n, _chain_tau(spec, n, tau, exact=True), stop)
+def orthogonal_table(spec: FamilySpec, n: int, tau=None) -> "IntegerTable":
+    """The integer table of Q_n, coefficients only: the one-degree chain of
+    ``orthogonal_tables``."""
+    return next(orthogonal_tables(spec, (n,), tau))
 
 
 def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
@@ -499,7 +526,7 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     companion (``closure_polynomial``), so that consecutive degrees
     0..N + 1 form every chain the three-term recurrence reads.  Degree is
     exactly n; the leading coefficient has the block form [[I, N], [0, T]]
-    (``operators.lead_inverse``), and a rational tau probe can make T
+    (``operators.lead_block``), and a rational tau probe can make T
     singular.  ``tau`` is read by ``spec_tau``: an exact rational (an int, a
     Fraction or a "p/q" string) or "numeric" for the float mass quotients,
     needed only when a cross-channel mass quotient is transcendental; a float
@@ -514,7 +541,7 @@ def orthogonal_polynomial(spec: FamilySpec, n: int, tau=None) -> MatrixPoly:
     tau = _chain_tau(spec, n, tau)
     if tau == "numeric" or not all(isinstance(a, Fraction) for a in spec.a):
         return _closed_form(spec, n, tau)
-    return _integer_form(spec, n, tau, -1).polynomial()
+    return orthogonal_table(spec, n, tau).polynomial()
 
 
 def numeric_polynomial(spec: FamilySpec, n: int) -> MatrixPoly:
@@ -561,8 +588,9 @@ class GramMatrix:
 class IntegerTable:
     """L P(x) at x = -1..stop as integer matrices, where L (``scale``) is the
     least common denominator of P's coefficients: ``values[x + 1]`` is the
-    matrix at x.  ``degree`` is P's degree and ``coefficients`` holds each
-    entry's coefficients times L, lowest degree first."""
+    matrix at x, and a table of ``orthogonal_tables`` has no values.
+    ``degree`` is P's degree and ``coefficients`` holds each entry's
+    coefficients times L, lowest degree first."""
 
     degree: int
     scale: int

@@ -44,7 +44,7 @@ from operator import mul
 from .construction import (
     FamilySpec,
     integer_table,
-    orthogonal_table,
+    orthogonal_tables,
     spec_tau,
     staggered_positions,
 )
@@ -380,8 +380,8 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None, scaled: bool = False)
     function, which the benchmark's layer trace (``perfbench/spans.py``)
     times.
 
-    The chain Q_(n-1), Q_n, Q_(n+1) is read as integer tables
-    (``construction.orthogonal_table``).  On a finite support, n = N closes
+    The chain Q_(n-1), Q_n, Q_(n+1) is built as integer tables in one pass
+    (``construction.orthogonal_tables``).  On a finite support, n = N closes
     through the degree-(N+1) companion, built from the vanishing-norm
     extension.  Exact closure needs exact coefficients, so a transcendental
     mass quotient needs a rational tau (``spec_tau``).
@@ -392,7 +392,8 @@ def extract_recurrence(spec: FamilySpec, n: int, tau=None, scaled: bool = False)
     if top is not None and n > top:
         raise SpecError(f"recurrence index must be <= N = {top}, got {n}")
     tau = spec_tau(spec, tau, exact=True)
-    tables = {k: orthogonal_table(spec, k, tau) for k in range(max(n - 1, 0), n + 2)}
+    degrees = range(max(n - 1, 0), n + 2)
+    tables = dict(zip(degrees, orthogonal_tables(spec, degrees, tau)))
     t = closed_recurrence(spec, tables, (n,), tau)[n]
     return t if scaled else RecurrenceTriple(*map(_fractions, t))
 
@@ -422,25 +423,46 @@ def integer_inverse(T):
     return tuple(tuple(row[k:]) for row in rows), prev
 
 
-def lead_inverse(lead, scale: int):
-    """The inverse of a Q_k's leading coefficient ``lead`` / ``scale``
-    (``lead`` integer), as an (integer matrix, denominator) pair.
+def lead_block(lead, scale: int):
+    """The odd-channel block T of a Q_k's leading coefficient ``lead`` /
+    ``scale`` (``lead`` integer), as ``scale`` T in integers.
 
     In L_k = I + (A diag([q]_k) - diag([p]_(k-1)) A) + R_k A, the middle
     term lies on A's pattern (even rows, odd columns, 0-based) and R_k A on
     odd rows and columns at distance 0 or 2.  So L_k = [[I, N], [0, T]] on
-    the even, then the odd channels, with T tridiagonal, and only T is
-    inverted for L_k^(-1) = [[I, -N T^(-1)], [0, T^(-1)]]: a reciprocal for
-    m <= 3, no inversion when T = I, as for Q_0 and the closure companion,
-    and otherwise in integers (``integer_inverse``), no ``Fraction`` built.
-    A lead of any other form is a construction fault.
-    """
+    the even, then the odd channels, with T tridiagonal, and
+    det L_k = det T.  A lead of any other form is a construction fault, an
+    AssertionError."""
     m = len(lead)
     even, odd = range(0, m, 2), range(1, m, 2)
     if (any(lead[i][j] != (scale if i == j else 0) for i in even for j in even)
             or any(lead[i][j] for i in odd for j in range(m) if j % 2 == 0 or abs(i - j) > 2)):
         raise AssertionError(f"leading coefficient {lead} / {scale} is not [[I, N], [0, T]]")
-    T = [[lead[i][j] for j in odd] for i in odd]  # scale times the block T
+    return [[lead[i][j] for j in odd] for i in odd]
+
+
+def continuant(T) -> int:
+    """det T of a tridiagonal integer matrix, by the continuant recurrence
+    f_i = T_ii f_(i-1) - T_(i,i-1) T_(i-1,i) f_(i-2), f_0 = 1, f_(-1) = 0:
+    O(len(T)) integer products, where an inverse takes O(len(T)^3)."""
+    before, det = 0, 1
+    for i, row in enumerate(T):
+        before, det = det, row[i] * det - (row[i - 1] * T[i - 1][i] * before if i else 0)
+    return det
+
+
+def lead_inverse(lead, scale: int):
+    """The inverse of a Q_k's leading coefficient ``lead`` / ``scale``
+    (``lead`` integer), as an (integer matrix, denominator) pair: with
+    L_k = [[I, N], [0, T]] (``lead_block``), only T is inverted, for
+    L_k^(-1) = [[I, -N T^(-1)], [0, T^(-1)]]: a reciprocal for m <= 3, no
+    inversion when T = I, as for Q_0 and the closure companion, and
+    otherwise in integers (``integer_inverse``), no ``Fraction`` built.
+    A singular lead is a ZeroDivisionError.
+    """
+    m = len(lead)
+    odd = range(1, m, 2)
+    T = lead_block(lead, scale)  # scale times the block T
     # the inverse of this integer block is Y / d, odd channel i at Y's i // 2
     eye = [[int(i == j) for j in range(len(T))] for i in range(len(T))]
     if m <= 3:

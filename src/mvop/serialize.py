@@ -1,12 +1,13 @@
 """JSON, LaTeX and CSV renderings of the package's values.
 
 All output is deterministic: fixed key order, fixed iteration order, floats
-via repr.  Rationals serialize as "p/q" strings ("p" for integers).  Values
-held as integers over a common denominator, the coefficients of an
-``IntegerTable`` (``table_to_json``) and the entries of W(x), are printed
-by ``rational.format_over`` straight from the integers, with no
-``Fraction`` built; it gives the string ``format_rational`` gives the
-reduced ``Fraction``.  The program only writes these formats; the
+via repr; the JSON is what ``json.dumps(indent=2)`` writes, byte for byte
+(``json_dumps``).  Rationals serialize as "p/q" strings ("p" for
+integers).  Values held as integers over a common denominator, the
+coefficients of an ``IntegerTable`` (``table_to_json``) and the entries
+of W(x), are printed by ``rational.format_over`` straight from the
+integers, with no ``Fraction`` built; it gives the string
+``format_rational`` gives the reduced ``Fraction``.  The program only writes these formats; the
 parsers that read a polynomial, matrix polynomial or operator back to an
 equal object, and so check the round trip, are in
 ``tests/test_serialize.py``.
@@ -21,7 +22,82 @@ from .rational import format_over, format_rational
 
 
 def json_dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(data, indent=2)`` and a newline, byte for byte, from a
+    recursive writer: with ``indent``, ``json`` runs its pure-Python
+    encoder, which this outpaces."""
+    parts = []
+    _write(data, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_string = json.encoder.encode_basestring_ascii
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _float(v: float) -> str:
+    """A float as ``json`` writes it: repr, or NaN and +-Infinity."""
+    if v != v:
+        return "NaN"
+    return _INFINITIES.get(v) or float.__repr__(v)
+
+
+def _key(k) -> str:
+    """A dict key as ``json`` writes it: a str as is, and an int, float,
+    bool or None as its JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        text = []
+        _write(k, "", text)
+        return text[0]
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(value, newline: str, parts: list):
+    """Append ``value``'s JSON to ``parts``, ``newline`` being a newline and
+    the indent of the line ``value`` starts on; a list of strings is one
+    join."""
+    if isinstance(value, str):
+        parts.append(_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is str for v in value):
+            parts.append(f"[{inner}{(',' + inner).join(map(_string, value))}{newline}]")
+            return
+        parts.append("[")
+        sep = inner
+        for v in value:
+            parts.append(sep)
+            _write(v, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in value.items():
+            parts.append(f"{sep}{_string(_key(k))}: ")
+            _write(v, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 # --------------------------------------------------------------------------

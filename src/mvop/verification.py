@@ -4,13 +4,14 @@ with their check results and reports.
 One private sweep (``_sweep``) walks the probe grid (coupling values x
 mass-quotient values) that ``_arguments`` decides, once, for
 ``run_verification`` and ``verify_eigenfunction`` alike.  Each (a, tau)
-probe builds Q_0..Q_top and the closing Q_(top+1) a single time each, as
-integer tables of coefficients straight from the channel ladders
-(``construction.orthogonal_table`` with no values): the coefficients of
-L Q_n, L the least common denominator of Q_n's coefficients, formed in
-integers from about 3 m^2 scalar coefficients per polynomial, with no
-``Fraction`` polynomial built; ``--perturb`` adds L to entry (1,1)'s
-constant coefficient.  Scaling by nonzero integers changes no zero.
+probe builds Q_0..Q_top and the closing Q_(top+1) a single time each, in
+one pass, as integer tables of coefficients straight from the channel
+ladders (``construction.orthogonal_tables``, with no values): the
+coefficients of L Q_n, L the least common denominator of Q_n's
+coefficients, formed in integers from about 3 m^2 scalar coefficients per
+polynomial, with no ``Fraction`` polynomial built; ``--perturb`` adds L
+to entry (1,1)'s constant coefficient.  Scaling by nonzero integers
+changes no zero.
 
 The certificate.  With U = I + A x, Q_n U = P_n + A P_(n+1) - R_n P_(n-1),
 so each nonzero entry (i, r) of Q_n U is c p_j^(r) for one degree j of
@@ -55,12 +56,15 @@ per entry; the three suites then read the kept (j, c) pairs:
   even channels and I + theta_n A on the odd ones, and
   det(I + A theta) = det(I + theta A), so det M_n = det T_n det T_(n+1),
   T_k = I + theta_k A on the odd channels being the odd block of Q_k's
-  lead [[I, N], [0, T]].  The leads of Q_1..Q_(top+1) are inverted as
-  the dense matcher inverts them (``operators.lead_inverse``), in
-  ascending k, so a lead that a coupling probe or a tau probe makes
-  singular is the same ProbeError, naming the probe, --probes or
-  --tau-probes, at the same k.  With every lead invertible, a triple
-  exists exactly when the ratio identity holds, and it is unique
+  lead [[I, N], [0, T]].  So det L_k = det T_k, and no lead is inverted:
+  T_k is tridiagonal, and its determinant is a continuant, O(m) integer
+  products (``operators.continuant``), read from the lead after the
+  dense matcher's form check (``operators.lead_block``).  The leads of
+  Q_1..Q_(top+1) are checked in ascending k, so a lead that a coupling
+  probe or a tau probe makes singular is the same ProbeError, naming the
+  probe, --probes or --tau-probes, at the same k as the dense matcher's
+  inverse (``operators.lead_inverse``).  With every lead invertible, a
+  triple exists exactly when the ratio identity holds, and it is unique
   (Damanik, Pushnitski & Simon, Surv. Approx. Theory 4, 2008, section
   2), so it is the one ``operators.match_recurrence`` matches from the
   top coefficients and ``operators.coefficients_close`` closes on the
@@ -140,7 +144,7 @@ from .construction import (
     gram_basis,
     gram_ratio,
     numeric_polynomial,
-    orthogonal_table,
+    orthogonal_tables,
     spec_tau,
     staggered_positions,
     terms_orthogonal,
@@ -151,7 +155,8 @@ from .operators import (
     canonical_operator,
     certify_operator,
     coefficients_close,
-    lead_inverse,
+    continuant,
+    lead_block,
     match_recurrence,
     not_closed,
     singular_lead,
@@ -243,7 +248,7 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
                          tol: float = 1e-9, basis=None, terms=_UNSET) -> list:
     """<Q_n, Q_k> = 0 for every k < n of the chain Q_0, Q_1, ..., built for
     ``spec`` at ``probe_tau``: exactly in the channel basis, ``chain``
-    holding the polynomials' integer tables (``construction.orthogonal_table``)
+    holding the polynomials' integer tables (``construction.orthogonal_tables``)
     and ``basis`` the channels' ``construction.gram_basis`` at
     ``probe_tau``; or with ``truncated``, ``chain`` holding the
     polynomials, by the relative bound of truncated float sums against
@@ -479,7 +484,8 @@ def _recurrence_certified(spec: FamilySpec, tables, chain, singular) -> bool:
     degree n of the chain but the last, by the module docstring's
     certificate on ``chain``, the channel terms of every table: True or
     False, False sending the chain to the dense path, or ``singular(k)``
-    raised for the first singular lead.  With s_k = q L_k the terms hold
+    raised for the first lead whose T block has determinant zero
+    (``operators.continuant``).  With s_k = q L_k the terms hold
     -s_k theta_k, so the ratio identity is compared cross-multiplied by
     s_n s_(n-1) and the gammas' denominators, in integers."""
     m = spec.m
@@ -503,10 +509,8 @@ def _recurrence_certified(spec: FamilySpec, tables, chain, singular) -> bool:
         scales.append(s)
         thetas.append(theta)
     for k in range(1, len(tables)):
-        try:
-            lead_inverse(tables[k].coefficient(k), tables[k].scale)
-        except ZeroDivisionError:
-            raise singular(k) from None
+        if not continuant(lead_block(tables[k].coefficient(k), tables[k].scale)):
+            raise singular(k)
     ladders = [ladder(ch) for ch in spec.channels]
     for n in range(2, len(tables) - 1):
         for (i, j), now, before in zip(positions, thetas[n], thetas[n - 1]):
@@ -575,15 +579,16 @@ def _arguments(spec: FamilySpec, n_max: int, a_probes, tau_probes):
 def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, perturb: bool):
     """The probe sweep every suite reads, as (a, tau, probe spec, tables,
     terms): per (a, tau) the chain Q_0..Q_(top+1), the last closing the
-    recurrence, each built once as its integer table of coefficients
-    (``construction.orthogonal_table`` with no values) and perturbed with
-    ``perturb``, and the channel terms of the same chain (``_terms``), which
-    the orthogonality and eigenfunction suites read without the last."""
+    recurrence, each built once as its integer table of coefficients, the
+    chain in one pass (``construction.orthogonal_tables``, with no values),
+    and perturbed with ``perturb``, and the channel terms of the same chain
+    (``_terms``), which the orthogonality and eigenfunction suites read
+    without the last."""
     for a_val in a_vals:
         probe = _probe(spec, a_val)
         for tau in tau_vals:
-            tables = _perturbed_tables(
-                [orthogonal_table(probe, n, tau) for n in range(top + 2)], perturb)
+            tables = _perturbed_tables(list(orthogonal_tables(probe, range(top + 2), tau)),
+                                       perturb)
             yield a_val, tau, probe, tables, _terms(probe, tables, perturb)
 
 
@@ -681,8 +686,8 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
             if tau in own:
                 tables, terms = own[tau]
             else:
-                tables = _perturbed_tables(
-                    [orthogonal_table(spec, n, tau) for n in range(top + 1)], perturb)
+                tables = _perturbed_tables(list(orthogonal_tables(spec, range(top + 1), tau)),
+                                           perturb)
                 terms = _terms(spec, tables, perturb)
             orthogonality.extend(verify_orthogonality(
                 spec, tables, own_a, tau, basis=basis(tau), terms=terms))

@@ -2,6 +2,7 @@
 degree bounds that fix how many points are checked, the per-probe operator
 stencils, and agreement with the polynomial-residual oracle in verdicts and
 report bytes."""
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -272,7 +273,9 @@ def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
         def wrapped(*args, **kwargs):
             building[0] += 1
             try:
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                # a chain of tables is built as it is iterated
+                return list(result) if inspect.isgenerator(result) else result
             finally:
                 building[0] -= 1
         return wrapped
@@ -284,7 +287,7 @@ def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
             return fn(*args, **kwargs)
         return wrapped
 
-    for fn in ("orthogonal_table", "canonical_operator"):
+    for fn in ("orthogonal_tables", "canonical_operator"):
         monkeypatch.setattr(verification, fn, construction_step(getattr(verification, fn)))
     monkeypatch.setattr(MatrixPoly, "__matmul__",
                         outside_construction("matmul", MatrixPoly.__matmul__))
@@ -327,14 +330,24 @@ def assert_block_inverses(inverted, m, chains, leads_per_chain):
 
 @pytest.mark.parametrize("name", sorted(INVERTING))
 def test_each_lead_inverted_once(monkeypatch, name):
+    """A passing verify forms no inverse: the certificate reads each lead of
+    Q_1..Q_(top+1) once per chain, by the continuant of its T block, whose
+    determinant is the lead's."""
     spec, n_max = INVERTING[name]
     inverted = counted_inverses(monkeypatch)
+    lead_inverses, blocks = [], []
+    real_inverse, real_continuant = operators.lead_inverse, verification.continuant
+    monkeypatch.setattr(operators, "lead_inverse",
+                        lambda *args: lead_inverses.append(args) or real_inverse(*args))
+    monkeypatch.setattr(verification, "continuant",
+                        lambda T: blocks.append(T) or real_continuant(T))
     report = verification.run_verification(spec, n_max=n_max, x_max=80)
     assert report.all_passed
+    assert inverted == lead_inverses == []
     top = spec.support_N if n_max is None else n_max
-    # the leads of Q_0..Q_top and the closing polynomial of every (a, tau) probe
     chains = len(report.a_probes) * len(report.tau_probes)
-    assert_block_inverses(inverted, spec.m, chains, top + 2)
+    assert len(blocks) == chains * (top + 1)
+    assert all(len(T) == len(T[0]) == spec.m // 2 for T in blocks)
 
 
 def test_family_recurrence_inverts_each_lead_once(monkeypatch, tmp_path, capsys):

@@ -158,13 +158,15 @@ def test_each_infinite_chain_built_once(monkeypatch):
     """The own-coupling chains are the sweep's when a probe has the spec's
     couplings, and no float chain is built."""
     built = Counter()
-    real = verification.orthogonal_table
+    real = verification.orthogonal_tables
 
-    def counting(spec, n, tau=None, stop=-1):
-        built[(spec.a, tau, n)] += 1
-        return real(spec, n, tau, stop)
+    def counting(spec, degrees, tau=None):
+        for n, table in zip(degrees, real(spec, degrees, tau)):
+            built[(spec.a, tau, n)] += 1
+            assert table.values == ()
+            yield table
 
-    monkeypatch.setattr(verification, "orthogonal_table", counting)
+    monkeypatch.setattr(verification, "orthogonal_tables", counting)
     spec = FamilySpec(a=(F(2),), channels=(Charlier(F(1)), Meixner(F(1, 2), F(1, 2))))
     assert verification.run_verification(spec, n_max=2).all_passed
     # Q_0..Q_2 and the closing Q_3 for each of 5 coupling probes x 3 taus

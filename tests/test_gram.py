@@ -88,7 +88,7 @@ def test_verification_builds_each_value_once(monkeypatch):
     tables = []
     real_weight_matrix = construction.weight_matrix
     real_evaluate = MatrixPoly.evaluate
-    real_orthogonal_table = verification.orthogonal_table
+    real_orthogonal_tables = verification.orthogonal_tables
 
     def counting_weight_matrix(spec, xv):
         weight_calls.append(xv)
@@ -98,25 +98,26 @@ def test_verification_builds_each_value_once(monkeypatch):
         evaluated.append(x0)
         return real_evaluate(self, x0)
 
-    def counting_orthogonal_table(spec, n, tau=None, stop=-1):
-        tables.append(((spec.a, tau, n), stop))
-        return real_orthogonal_table(spec, n, tau, stop)
+    def counting_orthogonal_tables(spec, degrees, tau=None):
+        for n, table in zip(degrees, real_orthogonal_tables(spec, degrees, tau)):
+            tables.append(((spec.a, tau, n), table.values))
+            yield table
 
     monkeypatch.setattr(construction, "weight_matrix", counting_weight_matrix)
     monkeypatch.setattr(MatrixPoly, "evaluate", counting_evaluate)
-    monkeypatch.setattr(verification, "orthogonal_table", counting_orthogonal_table)
+    monkeypatch.setattr(verification, "orthogonal_tables", counting_orthogonal_tables)
     spec = SPECS["krawtchouk m=3"]
     report = verification.run_verification(spec)
     assert report.all_passed
     assert weight_calls == []
     assert evaluated == []
-    # 5 coupling probes x Q_0..Q_3 and the closing Q_4, each built as its
-    # integer table once, with no values: every suite of a passing chain
-    # reads the coefficients alone
+    # 5 coupling probes x Q_0..Q_3 and the closing Q_4, each built by the
+    # chain kernel as its integer table once, with no values: every suite
+    # of a passing chain reads the coefficients alone
     probes, degrees = len(report.a_probes), 5
     assert len(tables) == probes * degrees
     assert len({key for key, _ in tables}) == probes * degrees
-    assert {stop for _, stop in tables} == {-1}
+    assert {values for _, values in tables} == {()}
 
 
 def test_perturbed_gram_detail_shows_fractions():

@@ -1,5 +1,10 @@
 """Wire formats: JSON round trips, LaTeX rendering, CSV, determinism."""
+import json
+import math
 from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvop.construction import FamilySpec, family_spec_from_json, orthogonal_polynomial
 from mvop.errors import SpecError
@@ -122,3 +127,40 @@ def test_deterministic_output():
     first = convergence_to_csv(run_transition(t))
     second = convergence_to_csv(run_transition(t))
     assert first == second
+
+
+# JSON values of every kind json.dumps writes: nested dicts, lists and
+# tuples, empty containers, non-ASCII and control characters, big ints,
+# -0.0, 1e300, nan and +-inf, bool and None
+SCALARS = (st.none() | st.booleans() | st.text() | st.integers()
+           | st.integers(min_value=10 ** 30, max_value=10 ** 60)
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from((-0.0, 1e300, -1e300, math.nan, math.inf, -math.inf, 5e-324)))
+KEYS = st.text() | st.sampled_from(("", "\u00e9", "\n", "\x00", "\u2603", '"', "\\"))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=4) | st.lists(st.text(), max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+def test_json_dumps_is_json_indent_2(value):
+    assert json_dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), [[]], {"a": {}}, {"\u00e9\x01": ["\u2603", "\t"]}, [-0.0, 1e300, math.nan],
+    {1: "int", 2.5: "float", True: "bool", None: "none"}, 10 ** 100, [True, False, None],
+])
+def test_json_dumps_edge_values(value):
+    assert json_dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_dumps_rejects_what_json_rejects():
+    for value in ({(1, 2): 3}, {"a": object()}, F(1, 2)):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            json_dumps(value)

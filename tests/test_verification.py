@@ -20,15 +20,19 @@ CHARLIER_MEIXNER = FamilySpec(a=(F(2),), channels=(Charlier(F(1)), Meixner(F(1, 
 
 
 def test_each_polynomial_built_once(monkeypatch):
+    """Every table comes from the chain kernel, once per (coupling, tau,
+    n), and carries no values."""
     built = Counter()
-    real = verification.orthogonal_table
+    real = verification.orthogonal_tables
 
-    def counting(spec, n, tau=None, stop=-1):
-        built[(spec.a, tau, n)] += 1
-        return real(spec, n, tau, stop)
+    def counting(spec, degrees, tau=None):
+        for n, table in zip(degrees, real(spec, degrees, tau)):
+            built[(spec.a, tau, n)] += 1
+            assert table.values == ()
+            yield table
 
-    for module in (operators, verification):
-        monkeypatch.setattr(module, "orthogonal_table", counting)
+    for module in (construction, operators, verification):
+        monkeypatch.setattr(module, "orthogonal_tables", counting)
     spec = FamilySpec(
         a=(F(2),), channels=(Krawtchouk(p=F(1, 3), N=3), Krawtchouk(p=F(1, 4), N=3))
     )
