@@ -437,7 +437,9 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     ProbeError where the spec reads a tau: a table is exact.  Each table is
     yielded as it is built, so a bad input raises where a build degree by
     degree would raise it, the degree gate and ``spec_tau`` at the first
-    degree and the gate again at each later one.
+    degree and the gate again at each later one.  The closure companion
+    n = N + 1 reads no tau: a finite support's mass quotients are all
+    rational, so ``spec_tau`` gives none.
 
     One pass per chain: the couplings are grouped along the rows of A once,
     each channel ladder's integer p_k (``families._Ladder.integer``) is read
@@ -458,7 +460,6 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     the mass quotients resolved as it resolves them, so the same inputs
     fail the same gates."""
     m = spec.m
-    closing = None if spec.support_N is None else spec.support_N + 1
     positions = staggered_positions(m)
     ladders = [ladder(ch) for ch in spec.channels]
     couplings = [(a.numerator, a.denominator) for a in spec.a]
@@ -466,7 +467,7 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     for (i, j), (an, ad) in zip(positions, couplings):
         coupled.setdefault(i, []).append((j, an, ad))
     integers = {}  # k -> every channel's integer p_k
-    resolved = {}  # (position, closing degree) -> its mass quotient at tau
+    resolved = {}  # position -> its mass quotient at tau
     for index, n in enumerate(degrees):
         _check_index(spec, n)
         if not index:
@@ -482,10 +483,9 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
             terms += [(i, j, an, ad, 0, q[j]), (i, j, -an, ad, 1, p[i])]
         for k, (i, j) in enumerate(positions if n else ()):
             coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
-            key = k, n == closing
-            if key not in resolved:
-                resolved[key] = _resolve_quotient(quotient, None if n == closing else tau)
-            t = resolved[key]
+            if k not in resolved:
+                resolved[k] = _resolve_quotient(quotient, tau)
+            t = resolved[k]
             an, ad = couplings[k]
             num = an * coefficient.numerator * t.numerator
             if num:
@@ -609,16 +609,15 @@ class IntegerTable:
 
     def extended(self, stop: int) -> "IntegerTable":
         """The same table with its values at x = -1..stop."""
-        return _tabulated(self.coefficients, self.scale, stop, self.values)
+        return _tabulated(self.coefficients, self.scale, stop)
 
 
-def _tabulated(entries, scale: int, stop: int, values=()) -> IntegerTable:
+def _tabulated(entries, scale: int, stop: int) -> IntegerTable:
     """The table of the integer coefficient lists ``entries`` (each trimmed)
-    over ``scale``, evaluated at x = -1..stop by integer Horner, after the
-    ``values`` already known at x = -1, 0, ..."""
+    over ``scale``, evaluated at x = -1..stop by integer Horner."""
     entries = tuple(tuple(tuple(cs) for cs in row) for row in entries)
-    values = list(values)
-    for x in range(len(values) - 1, stop + 1):
+    values = []
+    for x in range(-1, stop + 1):
         rows = []
         for row in entries:
             vals = []

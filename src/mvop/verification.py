@@ -226,16 +226,15 @@ def _perturbed(polys, perturb: bool):
 
 
 def _perturbed_tables(tables, perturb: bool):
-    """``_perturbed`` on integer tables: for n >= 1, L (the table's scale)
-    added to entry (1,1)'s constant coefficient and to each of its values."""
+    """``_perturbed`` on integer tables of coefficients only
+    (``construction.orthogonal_tables``): for n >= 1, L (the table's scale)
+    added to entry (1,1)'s constant coefficient."""
     if not perturb:
         return tables
 
     def bumped(t):
         (first, *row), *rows = t.coefficients
-        coefficients = (((first[0] + t.scale, *first[1:]), *row), *rows)
-        values = tuple(((v + t.scale, *row), *rows) for (v, *row), *rows in t.values)
-        return replace(t, coefficients=coefficients, values=values)
+        return replace(t, coefficients=(((first[0] + t.scale, *first[1:]), *row), *rows))
 
     return tables[:1] + [bumped(t) for t in tables[1:]]
 
@@ -456,11 +455,13 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau, terms=None) 
     singular is a ProbeError naming --probes, or --tau-probes when the
     chain reads a tau, at the first such Q_k on either path.
 
-    Timed in forked operations on the benchmark's seed-1 rounds (2 vCPUs,
-    Python 3.11.7, fastest of 10 rounds, best of four series), this suite
-    takes 3.9 ms per ``verify-finite`` round and 4.7 ms per
-    ``verify-infinite`` round, where matching and closing every chain took
-    11.2 and 17.8 ms (``BENCH_recurrence-terms.json``)."""
+    Timed in-process over the chains of the benchmark's seed-1 rounds,
+    built once (2 vCPUs, Python 3.11.7, fastest of 40 runs, three series),
+    this suite takes 0.93-0.96 ms per ``verify-finite`` round and
+    2.2-2.3 ms per ``verify-infinite`` round, where it took 1.58-1.59 and
+    3.3-3.5 ms while it inverted every lead (``BENCH_chain-pass.json``);
+    matching and closing every chain took 11.2 and 17.8 ms in forked
+    rounds (``BENCH_recurrence-terms.json``)."""
     def singular(k):
         if probe_tau is None:
             return singular_lead(k, f"coupling probe a = {probe_a} (--probes)")
