@@ -33,9 +33,8 @@ degree only forms theta_n's scalar coefficients, puts them over their
 least common denominator and sums integer coefficient lists; no
 ``Fraction`` polynomial product is formed.  ``orthogonal_table`` is the
 chain of one degree.  The result is an ``IntegerTable``: the least common
-denominator L of Q_n's coefficients and the coefficients of L Q_n, with no
-values until a caller asks for them at the integer points x = -1..X
-(``IntegerTable.extended``, by integer Horner); scaling by a nonzero
+denominator L of Q_n's coefficients and the coefficients of L Q_n, and no
+values: every identity is checked on coefficients.  Scaling by a nonzero
 integer changes no zero, so a check that an identity vanishes reads the
 same on L Q_n as on Q_n.  The JSON of ``family`` and ``export`` prints the table
 itself, each coefficient as its integer over L (``serialize.table_to_json``),
@@ -58,10 +57,8 @@ for the public API, and the float weights divide it once, correctly
 rounded.  Runs of weights (``integer_weights``) grow each channel by its
 exact ratio w(x + 1) / w(x) (``families.weight_sequence``).
 
-``integer_table`` tabulates any exact matrix polynomial the same way
-(the operator's F, K and G, and the polynomials of exact
-``inner_product``); ``IntegerTable.extended`` adds values to a table of
-coefficients.  Exact Gram matrices, on every support, are read in the
+``integer_table`` puts any exact matrix polynomial in the same form (the
+polynomials of exact ``inner_product``).  Exact Gram matrices, on every support, are read in the
 channel basis, with no sum over x: W = U diag(w_r) U^T, so
 
     <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
@@ -431,8 +428,7 @@ def _chain_tau(spec: FamilySpec, n: int, tau, exact: bool = False):
 
 def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     """The integer tables of Q_n for each n of ``degrees``, in order, for
-    rational couplings: coefficients only, with no values
-    (``IntegerTable.extended`` adds them).  The degrees and ``tau`` are read
+    rational couplings, coefficients only.  The degrees and ``tau`` are read
     as ``orthogonal_polynomial`` reads them, except that "numeric" is a
     ProbeError where the spec reads a tau: a table is exact.  Each table is
     yielded as it is built, so a bad input raises where a build degree by
@@ -509,7 +505,7 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
         if g > 1:
             entries = {key: [v // g for v in cs] for key, cs in entries.items()}
         # entry (1, 1) is p_n^(1), so the degree is n
-        yield IntegerTable(degree=n, scale=D // g, values=(), coefficients=tuple(
+        yield IntegerTable(degree=n, scale=D // g, coefficients=tuple(
             tuple(tuple(entries.get((i, l), ())) for l in range(m)) for i in range(m)))
 
 
@@ -586,16 +582,14 @@ class GramMatrix:
 
 @frozen
 class IntegerTable:
-    """L P(x) at x = -1..stop as integer matrices, where L (``scale``) is the
-    least common denominator of P's coefficients: ``values[x + 1]`` is the
-    matrix at x, and a table of ``orthogonal_tables`` has no values.
-    ``degree`` is P's degree and ``coefficients`` holds each entry's
-    coefficients times L, lowest degree first."""
+    """A matrix polynomial P in integers: ``scale`` is L, the least common
+    denominator of P's coefficients, ``coefficients`` holds each entry's
+    coefficients times L, lowest degree first, and ``degree`` is P's
+    degree."""
 
     degree: int
     scale: int
     coefficients: tuple
-    values: tuple
 
     def coefficient(self, j: int):
         """L [P]_j, the integer matrix of the coefficients of x^j."""
@@ -607,38 +601,15 @@ class IntegerTable:
         return MatrixPoly(tuple(tuple(ScalarPoly(Fraction(c, self.scale) for c in cs)
                                       for cs in row) for row in self.coefficients))
 
-    def extended(self, stop: int) -> "IntegerTable":
-        """The same table with its values at x = -1..stop."""
-        return _tabulated(self.coefficients, self.scale, stop)
 
-
-def _tabulated(entries, scale: int, stop: int) -> IntegerTable:
-    """The table of the integer coefficient lists ``entries`` (each trimmed)
-    over ``scale``, evaluated at x = -1..stop by integer Horner."""
-    entries = tuple(tuple(tuple(cs) for cs in row) for row in entries)
-    values = []
-    for x in range(-1, stop + 1):
-        rows = []
-        for row in entries:
-            vals = []
-            for cs in row:
-                acc = 0
-                for c in reversed(cs):
-                    acc = acc * x + c
-                vals.append(acc)
-            rows.append(tuple(vals))
-        values.append(tuple(rows))
-    degree = max(len(cs) for row in entries for cs in row) - 1
-    return IntegerTable(degree=degree, scale=scale, coefficients=entries, values=tuple(values))
-
-
-def integer_table(P: MatrixPoly, stop: int) -> IntegerTable:
-    """Evaluate P, exact coefficients put over one denominator once, at
-    x = -1..stop by integer Horner."""
+def integer_table(P: MatrixPoly) -> IntegerTable:
+    """The integer table of P, its exact coefficients put over one
+    denominator once."""
     scale = math.lcm(*(c.denominator for row in P.entries for e in row for c in e.coeffs))
-    entries = [[[c.numerator * (scale // c.denominator) for c in e.coeffs] for e in row]
-               for row in P.entries]
-    return _tabulated(entries, scale, stop)
+    entries = tuple(tuple(tuple(c.numerator * (scale // c.denominator) for c in e.coeffs)
+                          for e in row) for row in P.entries)
+    degree = max(len(cs) for row in entries for cs in row) - 1
+    return IntegerTable(degree=degree, scale=scale, coefficients=entries)
 
 
 def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "exact",
@@ -667,7 +638,7 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
         basis = gram_basis(spec, max(P.degree, Q.degree) + 1)
         if basis.failure:
             raise SpecError(basis.failure)
-        tables = [channel_table(integer_table(S, -1), spec, basis) for S in (P, Q)]
+        tables = [channel_table(integer_table(S), spec, basis) for S in (P, Q)]
         return GramMatrix(entries=over(*channel_gram(*tables, basis)), mode="exact")
 
     if mode != "truncated":

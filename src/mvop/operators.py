@@ -43,7 +43,6 @@ from operator import mul
 
 from .construction import (
     FamilySpec,
-    integer_table,
     orthogonal_tables,
     spec_tau,
     staggered_positions,
@@ -70,44 +69,6 @@ class DifferenceOperator:
                 f"operator acts on width {self.F.rows}"
             )
         return P.delta() @ self.F + P @ self.K + P.nabla() @ self.G
-
-    @property
-    def extra_degree(self) -> int:
-        """deg(P . D) <= deg P + extra_degree, from the actual degrees of F,
-        K and G: Delta and Nabla lower a degree by one."""
-        return max(self.F.degree - 1, self.K.degree, self.G.degree - 1, 0)
-
-    def stencil(self, stop: int) -> "IntegerStencil":
-        """D on values at x = 0..stop: P . D = P(x+1) F + P(x) (K - F + G)
-        - P(x-1) G, with F, K, G over one common denominator."""
-        parts = [integer_table(S, stop) for S in (self.F, self.K - self.F + self.G, -self.G)]
-        scale = math.lcm(*(t.scale for t in parts))
-        points = []
-        for x in range(stop + 1):
-            point = []
-            for t in parts:
-                factor = scale // t.scale
-                # each column of S(x) as its nonzero (row, value) pairs
-                point.append(tuple(
-                    tuple((k, v * factor) for k, v in enumerate(col) if v)
-                    for col in zip(*t.values[x + 1])
-                ))
-            points.append(tuple(point))
-        return IntegerStencil(
-            extra_degree=self.extra_degree, scale=scale, points=tuple(points)
-        )
-
-
-@frozen
-class IntegerStencil:
-    """A ``DifferenceOperator`` scaled by the integer ``scale`` and evaluated:
-    ``points[x]`` holds F(x), (K - F + G)(x) and -G(x), each as sparse
-    columns of (row, value) pairs.  P . D - Lambda P has degree at most
-    deg P + ``extra_degree``."""
-
-    extra_degree: int
-    scale: int
-    points: tuple
 
 
 @frozen
@@ -256,16 +217,53 @@ def certify_operator(spec: FamilySpec, D: DifferenceOperator, eigenvalues) -> bo
       channel r and every degree j of ``eigenvalues[r]``, in integers, once
       per ladder per process (``_ladder_eigen``).
 
+    Both read D's integer parts (``integer_parts``), formed once here.
     Then (Q_n U) diag(delta_r) has entry c lambda_j^(r) p_j^(r) wherever
     Q_n U has c p_j^(r), so Q_n . D(a) = Lambda_n Q_n exactly when every
     such entry in row i has lambda_j^(r) = (Lambda_n)_ii."""
-    def stencil(r):
-        f, k, g = (S.entry(r, r) for S in (D.F, D.K, D.G))
-        return f, k - f + g, -g
-
-    return _conjugates(D) and all(
-        _ladder_eigen(ladder(ch), *stencil(r), tuple(lams))
+    parts, scale = integer_parts(D)
+    X, Y, Z = parts
+    return _conjugates(parts) and all(
+        _ladder_eigen(ladder(ch), X[r][r], Y[r][r], Z[r][r], scale, tuple(lams))
         for r, (ch, lams) in enumerate(zip(spec.channels, eigenvalues)))
+
+
+def integer_parts(D: DifferenceOperator):
+    """D in integers, as it acts on P: P . D = P(x + 1) X + P(x) Y + P(x - 1) Z
+    with X = F, Y = K - F + G and Z = -G, as ((X, Y, Z), S), S the least
+    common denominator of F's, K's and G's coefficients and each part an
+    m x m grid of S times its entries' coefficients, integer tuples, lowest
+    degree first, with no trailing zero."""
+    m = D.F.rows
+    ints, scale = over_lcm([e.coeffs for part in (D.F, D.K, D.G) for row in part.entries
+                            for e in row])
+    F, K, G = (ints[t * m * m:(t + 1) * m * m] for t in range(3))
+    Y = [_plus(k, [-v for v in f], g) for f, k, g in zip(F, K, G)]
+    for y in Y:
+        while y and not y[-1]:
+            y.pop()
+    parts = F, [tuple(y) for y in Y], [tuple(-v for v in g) for g in G]
+    return tuple(tuple(tuple(part[i * m:(i + 1) * m]) for i in range(m)) for part in parts), scale
+
+
+def shifts(p) -> tuple:
+    """(p(x + 1), p, p(x - 1)) from the integer coefficients of p
+    (``_shifted``)."""
+    return _shifted(p, 1), p, _shifted(p, -1)
+
+
+def add_three_point(acc: list, shifted, x, y, z):
+    """Add p(x + 1) x + p y + p(x - 1) z to the integer coefficient list
+    ``acc``, lowest degree first, from ``shifted`` = ``shifts(p)`` and the
+    integer coefficient lists x, y and z: each product of a nonzero
+    coefficient of a shifted p with an entry's coefficients is added in
+    place, so ``acc`` must reach deg p + the longest of x, y and z."""
+    for cs, w in zip(shifted, (x, y, z)):
+        if w:
+            for s, c in enumerate(cs):
+                if c:
+                    for t, v in enumerate(w, s):
+                        acc[t] += c * v
 
 
 def _plus(*polys) -> list:
@@ -273,29 +271,20 @@ def _plus(*polys) -> list:
     return [sum(vs) for vs in zip_longest(*polys, fillvalue=0)]
 
 
-def _times(a, b) -> list:
-    """The product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for s, u in enumerate(a):
-        for t, v in enumerate(b):
-            out[s + t] += u * v
-    return out
-
-
 def _same(a, b) -> bool:
     """Equality of two integer coefficient lists, trailing zeros aside."""
     return all(u == v for u, v in zip_longest(a, b, fillvalue=0))
 
 
-def _conjugates(D: DifferenceOperator) -> bool:
+def _conjugates(parts) -> bool:
     """D(a) = U_a diag(delta_r) U_a^(-1) for every a, with U_a = I + a A x,
     A the pattern of ones, D(a) D's diagonal plus a times its other
     entries, and delta_r the operator of D's entry (r, r); both sides act
     on the right.
 
-    On values, D acts on P as P(x + 1) F + P(x) (K - F + G) - P(x - 1) G,
-    and these three matrices fix it; write X, Y, Z for them, and x_r, y_r,
-    z_r for their entries (r, r).  The right side acts as
+    On values, D acts on P as P(x + 1) X + P(x) Y + P(x - 1) Z, with
+    ``parts`` = (X, Y, Z) D's integer parts (``integer_parts``); write x_r,
+    y_r, z_r for their entries (r, r).  The right side acts as
     P(x + 1) X' + P(x) Y' + P(x - 1) Z' with
 
         X' = U_a(x + 1) diag(x_r) U_a(x)^(-1),
@@ -311,48 +300,46 @@ def _conjugates(D: DifferenceOperator) -> bool:
     (A^2 = 0), which is checked; the a^0 parts are D's diagonal itself.  So
     D's pattern entries must be the a^1 parts and its other entries zero,
     which is checked in integers, over one common denominator."""
-    m = D.F.rows
+    X, Y, Z = parts
+    m = len(X)
     pattern = staggered_positions(m)
     if {i for i, _ in pattern} & {j for _, j in pattern}:
         return False
-    ints, _ = over_lcm([e.coeffs for part in (D.F, D.K, D.G) for row in part.entries
-                        for e in row])
-    F, K, G = (ints[t * m * m:(t + 1) * m * m] for t in range(3))
-    X = F
-    Y = [_plus(k, [-v for v in f], g) for f, k, g in zip(F, K, G)]
-    Z = [[-v for v in g] for g in G]
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
-            e, ii, jj = i * m + j, i * m + i, j * m + j
             if (i, j) not in pattern:
                 expected = ((), (), ())
             else:
-                expected = (_plus([0, *X[jj]], X[jj], [0, *(-v for v in X[ii])]),
-                            [0, *_plus(Y[jj], [-v for v in Y[ii]])],
-                            _plus([0, *Z[jj]], [-v for v in Z[jj]], [0, *(-v for v in Z[ii])]))
-            if not all(map(_same, (X[e], Y[e], Z[e]), expected)):
+                x, y, z = X[j][j], Y[j][j], Z[j][j]
+                expected = (_plus([0, *x], x, [0, *(-v for v in X[i][i])]),
+                            [0, *_plus(y, [-v for v in Y[i][i]])],
+                            _plus([0, *z], [-v for v in z], [0, *(-v for v in Z[i][i])]))
+            if not all(map(_same, (X[i][j], Y[i][j], Z[i][j]), expected)):
                 return False
     return True
 
 
 @functools.lru_cache(maxsize=None)
-def _ladder_eigen(lad, x: ScalarPoly, y: ScalarPoly, z: ScalarPoly, eigenvalues) -> bool:
-    """Whether the scalar operator p -> p(x + 1) x + p(x) y + p(x - 1) z
-    has the ladder's p_j as eigenfunction with eigenvalue
-    ``eigenvalues[j]`` for each j, in integers: the three polynomials and
-    the eigenvalues over one common denominator, each p_j read as its
-    integer d p_j (``families._Ladder.integer``) and shifted to p_j(x + 1)
-    and p_j(x - 1) by repeated synthetic division, O(j^2) integer
-    additions, so the identity times the denominators is checked
-    coefficient by coefficient."""
-    (x, y, z, lams), _ = over_lcm((x.coeffs, y.coeffs, z.coeffs, eigenvalues))
+def _ladder_eigen(lad, x, y, z, scale: int, eigenvalues) -> bool:
+    """Whether the scalar operator p -> p(x + 1) x + p(x) y + p(x - 1) z,
+    for x, y and z integer coefficient tuples over ``scale``, has the
+    ladder's p_j as eigenfunction with eigenvalue ``eigenvalues[j]`` for
+    each j, in integers: with the eigenvalues over their common
+    denominator d, each p_j read as its integer multiple
+    (``families._Ladder.integer``) and shifted to p_j(x + 1) and p_j(x - 1)
+    by the Taylor shift, d p_j . (x, y, z) - ``scale`` d lambda_j p_j is
+    formed coefficient by coefficient (``add_three_point``) and must
+    vanish."""
+    (lams,), d = over_lcm((eigenvalues,))
+    x, y, z = ([d * v for v in w] for w in (x, y, z))
     for j, lam in enumerate(lams):
         p, _ = lad.integer(j)
-        residual = _plus(_times(_shifted(p, 1), x), _times(p, _plus(y, [-lam])),
-                         _times(_shifted(p, -1), z))
-        if any(residual):
+        less = _plus(y, [-scale * lam])
+        acc = [0] * (len(p) + max(len(x), len(less), len(z)) - 1)
+        add_three_point(acc, shifts(p), x, less, z)
+        if any(acc):
             return False
     return True
 

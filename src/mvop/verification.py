@@ -98,15 +98,14 @@ for that chain and that suite, so every failure detail keeps its bytes:
   expansions built on first use once per tau probe of a run
   (``construction.gram_basis``); a failing Gram is absolute on a finite
   support and in units of channel 1's |p_0|^2 on an infinite one;
-* the eigenfunction residual Q_n . D - Lambda_n Q_n has degree at most
-  d_n = deg Q_n + max(deg F - 1, deg K, deg G - 1, 0), from the operator's
-  actual degrees, and its scaled integer values are computed at the
-  d_n + 1 points x = 0..d_n from the chain's tables extended to
-  x = top + extra + 1 (``IntegerTable.extended``) and D(a)'s integer
-  stencil (``_probe_stencil``), D acting on values through Q(x - 1), Q(x)
-  and Q(x + 1); a failing check's first nonzero entry is interpolated from
-  its own values (``_interpolate``).  A polynomial of degree <= d that
-  vanishes at d + 1 points is zero;
+* the eigenfunction residual Q_n . D(a) - Lambda_n Q_n is formed on the
+  table's coefficients, as Q(x + 1) X + Q(x) Y + Q(x - 1) Z - Lambda_n Q
+  with X = F, Y = K - F + G and Z = -G over one denominator
+  (``operators.integer_parts``), each nonzero entry of Q shifted once each
+  way by the Taylor shift; D(a)'s parts are probed from D(1)'s, the
+  diagonal scaled by q and the pattern by p for a = p/q
+  (``_residual_operator``).  A failing check reports the residual's first
+  nonzero entry, its integer coefficients divided once;
 * the recurrence is matched and closed as above, on the tables'
   coefficients, with no values.
 
@@ -125,7 +124,6 @@ arithmetic, which threads do not speed up.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 
@@ -152,13 +150,16 @@ from .construction import (
 from .errors import SpecError
 from .families import ladder
 from .operators import (
+    add_three_point,
     canonical_operator,
     certify_operator,
     coefficients_close,
     continuant,
+    integer_parts,
     lead_block,
     match_recurrence,
     not_closed,
+    shifts,
     singular_lead,
 )
 from .poly import MatrixPoly, ScalarPoly
@@ -305,81 +306,65 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
     return checks
 
 
-def _eigenvalue_integers(eig, top: int) -> list:
-    """The diagonals of Lambda_0..Lambda_top, each over one denominator
-    (``rational.over_lcm``), as ((integer numerators,), den): once per run."""
-    return [over_lcm((eig.diagonal(n),)) for n in range(top + 1)]
+def _residual_operator(parts, scale: int, eig, top: int, a_val):
+    """What the residuals of probe a = p/q read, from D(1)'s integer
+    ``parts`` over ``scale`` S (``operators.integer_parts``) and the
+    eigenvalue map, as (parts of d q S D(a), the diagonals of
+    d q S Lambda_n for n = 0..top, d q S), d the diagonals' common
+    denominator.  Every pattern entry of F, K and G carries exactly one
+    factor a and the diagonal entries none, so D(1)'s diagonal parts are
+    scaled by d q and its other parts by d p."""
+    lams, den = over_lcm([eig.diagonal(n) for n in range(top + 1)])
+    a = Fraction(a_val)
+    p, q = den * a.numerator, den * a.denominator
+    probed = tuple(tuple(tuple(tuple(v * (q if i == j else p) for v in w) for j, w in enumerate(row))
+                         for i, row in enumerate(part)) for part in parts)
+    unit = a.denominator * scale
+    return probed, [[v * unit for v in row] for row in lams], den * unit
 
 
-def _eigenfunction_residual(stencil, eigenvalues, table):
-    """The values of Q . D - Lambda Q at x = 0..deg Q + extra_degree, entry
-    by entry, from Q's integer table, D's ``IntegerStencil`` and Lambda's
-    diagonal as ((nums,), den) (``_eigenvalue_integers``), as (values, scale):
-    ``values[i][j][x]`` is ``scale`` times entry (i, j) at x, all integers.
-    With Lambda scaled by the stencil's scale S and then by the least common
-    denominator e = den / gcd(den, S gcd(nums)) of the result, each value is
-    e (L Q . S D) - (e S Lambda) L Q, so ``scale`` = e L S for L the table's
-    scale."""
-    (nums,), den = eigenvalues
-    S = stencil.scale
-    e = den // math.gcd(den, S * math.gcd(*nums))
-    lam = [v * S * e // den for v in nums]
-    values, points = table.values, stencil.points
-    residual = [[[] for _ in row] for row in values[0]]
-    for x in range(table.degree + stencil.extra_degree + 1):
-        below, here, above = values[x], values[x + 1], values[x + 2]
-        plus, zero, minus = points[x]
-        for b, h, a, li, out in zip(below, here, above, lam, residual):
-            for j, hj in enumerate(h):
-                acc = 0
-                for k, v in plus[j]:
-                    acc += a[k] * v
-                for k, v in zero[j]:
-                    acc += h[k] * v
-                for k, v in minus[j]:
-                    acc += b[k] * v
-                out[j].append(e * acc - li * hj)
-    return residual, e * table.scale * S
+def _eigenfunction_residual(parts, lam, table):
+    """The first nonzero entry, in row-major order, of Q . D - Lambda Q as
+    (i, j, integer coefficients, lowest degree first), or None when every
+    entry vanishes, from Q's integer table L Q, D's integer parts (X, Y, Z)
+    and Lambda's diagonal ``lam``, both over one scale s
+    (``_residual_operator``), so each coefficient is s L times the
+    residual's.  Entry (i, j) is
+    sum_k Q_ik(x + 1) X_kj + Q_ik Y_kj + Q_ik(x - 1) Z_kj - lam_i Q_ij: each
+    nonzero Q_ik is shifted once each way (``operators.shifts``), and the
+    products are accumulated into one integer list
+    (``operators.add_three_point``) of deg Q plus the longest entry of X, Y
+    and Z coefficients."""
+    X, Y, Z = parts
+    size = table.degree + max(1, max(len(w) for part in parts for row in part for w in row))
+    for i, row in enumerate(table.coefficients):
+        shifted = [shifts(p) if p else None for p in row]
+        for j, own in enumerate(row):
+            acc = [0] * size
+            for k, sh in enumerate(shifted):
+                if sh is not None:
+                    add_three_point(acc, sh, X[k][j], Y[k][j], Z[k][j])
+            for t, c in enumerate(own):
+                acc[t] -= lam[i] * c
+            if any(acc):
+                return i, j, acc
+    return None
 
 
-def _interpolate(values, scale: int) -> ScalarPoly:
-    """The polynomial of degree < len(values) through (x, values[x] / scale)
-    at x = 0, 1, ..., from the integers ``values``.  With d = len(values) - 1
-    and the integer forward differences Delta^k y_0, the Newton form
-    d! p(x) = sum_k (d! / k!) Delta^k y_0 x (x - 1) ... (x - k + 1) is
-    expanded by Horner in integers, and each coefficient divided once by
-    d! ``scale``."""
-    d = len(values) - 1
-    heads, diffs = [], list(values)
-    while diffs:
-        heads.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs, weight = [], 1  # weight = d! / k!
-    for k in range(d, -1, -1):
-        coeffs = [0] + coeffs  # times (x - k)
-        for t in range(len(coeffs) - 1):
-            coeffs[t] -= k * coeffs[t + 1]
-        coeffs[0] += weight * heads[k]
-        weight *= k
-    den = math.factorial(d) * scale
-    return ScalarPoly(Fraction(c, den) for c in coeffs)
-
-
-def _eigenfunction_checks(lambdas, stencil, tables, probe_a, probe_tau) -> list:
+def _eigenfunction_checks(parts, lambdas, scale: int, tables, probe_a, probe_tau) -> list:
     """Q_n . D - Lambda_n Q_n = 0 identically, certified on the integer
-    tables of Q_0, Q_1, ... with ``lambdas[n]`` the diagonal of Lambda_n
-    over one denominator, computed once per run
-    (``_eigenvalue_integers``); a failure records its first nonzero entry,
-    interpolated from that entry's residual values."""
+    tables of Q_0, Q_1, ..., with D's integer parts, ``lambdas[n]`` the
+    diagonal of Lambda_n and ``scale`` their common scale, as
+    ``_residual_operator`` gives them; a failure records its first nonzero
+    entry, each coefficient divided once."""
     checks = []
-    for n, (table, eigenvalues) in enumerate(zip(tables, lambdas)):
-        residual, scale = _eigenfunction_residual(stencil, eigenvalues, table)
-        failing = next(((i, j, ys) for i, row in enumerate(residual)
-                        for j, ys in enumerate(row) if any(ys)), None)
+    for n, (table, lam) in enumerate(zip(tables, lambdas)):
+        failing = _eigenfunction_residual(parts, lam, table)
         detail = ""
         if failing is not None:
-            i, j, ys = failing
-            detail = f"entry ({i + 1},{j + 1}) = {_interpolate(ys, scale)!r}"
+            i, j, cs = failing
+            den = scale * table.scale
+            detail = f"entry ({i + 1},{j + 1}) = {ScalarPoly(Fraction(c, den) for c in cs)!r}"
         checks.append(CheckResult(
             name="eigenfunction", n=n, probe_a=probe_a, probe_tau=probe_tau,
             passed=failing is None, detail=detail,
@@ -406,14 +391,13 @@ def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False
     (``_eigenvalues_match``), once D(1) and the channel ladders hold the
     identities the certificate rests on (``operators.certify_operator``),
     judged at the first chain that has terms: a perturbed run never pays
-    for them.  Otherwise the chain's residuals are computed from its tables
-    extended to x = top + extra + 1 (``IntegerTable.extended``),
-    Lambda_n's diagonals and D(a)'s integer stencil for each probe a of
-    ``a_vals``, formed from D(1)'s (``_probe_stencil``), these built at the
-    first chain that needs them (``_eigenfunction_checks``)."""
+    for them.  Otherwise the chain's residuals are computed on its tables'
+    coefficients, from Lambda_n's diagonals and D(a)'s integer parts for each
+    probe a of ``a_vals``, probed from D(1)'s (``_residual_operator``),
+    these built at the first chain that needs them
+    (``_eigenfunction_checks``)."""
     at_one = _probe(spec, 1)
     D, eig = canonical_operator(at_one, force=force)
-    stop = top + D.extra_degree + 1
 
     @cache
     def trusted():
@@ -422,17 +406,15 @@ def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False
 
     @cache
     def dense():
-        base = D.stencil(stop - 1)
-        return _eigenvalue_integers(eig, top), {a: _probe_stencil(base, a) for a in a_vals}
+        parts, scale = integer_parts(D)
+        return {a: _residual_operator(parts, scale, eig, top, a) for a in a_vals}
 
     def checks(tables, terms, a_val, tau):
         lam = None if terms is None else trusted()
         if lam is not None and _eigenvalues_match(terms, lam):
             return [CheckResult(name="eigenfunction", n=n, probe_a=a_val, probe_tau=tau,
                                 passed=True) for n in range(len(tables))]
-        lambdas, stencils = dense()
-        return _eigenfunction_checks(lambdas, stencils[a_val],
-                                     [t.extended(stop) for t in tables], a_val, tau)
+        return _eigenfunction_checks(*dense()[a_val], tables, a_val, tau)
     return checks
 
 
@@ -525,25 +507,6 @@ def _recurrence_certified(spec: FamilySpec, tables, chain, singular) -> bool:
 
 def _probe(spec: FamilySpec, a_val) -> FamilySpec:
     return spec.with_a((a_val,) * (spec.m - 1))
-
-
-def _probe_stencil(stencil, a_val):
-    """The stencil of D(a) on the diagonal coupling line, from the stencil
-    s D(1) of the operator at a = 1.  Every pattern entry of F, K and G
-    carries exactly one factor a and the diagonal entries none, so for
-    a = p/q the diagonal pairs (row k = column j) are scaled by q, the
-    pattern pairs by p, and the scale becomes q s; a != 0 keeps every
-    nonzero pair nonzero and the degree bound unchanged."""
-    a = Fraction(a_val)
-    p, q = a.numerator, a.denominator
-    points = tuple(
-        tuple(
-            tuple(tuple((k, v * (q if k == j else p)) for k, v in col) for j, col in enumerate(part))
-            for part in point
-        )
-        for point in stencil.points
-    )
-    return replace(stencil, scale=q * stencil.scale, points=points)
 
 
 def _probe_list(values, default, name: str):

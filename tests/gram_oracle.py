@@ -7,7 +7,8 @@ the channel ladders:
 
 ``value_table`` turns a polynomial's integer table into P U at every
 support point (U = I + A x adds one multiple of a column per coupling, with
-the couplings over their common denominator), ``weight_table`` puts the
+the couplings over their common denominator), each entry's integer
+coefficients evaluated by integer Horner (``integer_values``), ``weight_table`` puts the
 channel weights over one denominator, and ``gram_sum`` sums any pair in
 integers and divides each entry once, giving the exact ``Fraction`` Gram.
 The program reads the same Gram in the channel basis
@@ -36,6 +37,21 @@ def weight_table(spec):
     return scale, [tuple(w.numerator * (scale // w.denominator) for w in row) for row in weights]
 
 
+def integer_values(table, x):
+    """L P(x) as an integer matrix, from P's integer table (coefficients of
+    L P, lowest degree first), by integer Horner."""
+    rows = []
+    for row in table.coefficients:
+        vals = []
+        for cs in row:
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * x + c
+            vals.append(acc)
+        rows.append(tuple(vals))
+    return tuple(rows)
+
+
 def value_table(table, spec):
     """(P U)(x) at every support point from P's integer table, over one
     denominator: (scale, [integer rows at each x]).
@@ -43,13 +59,13 @@ def value_table(table, spec):
     A holds a_k at pattern position (i, j), so P U adds a_k x times column i
     to column j; with the couplings over their common denominator q, q P U
     scales every column by q and adds (q a_k) x times column i to column j,
-    reading the unscaled row.  The table must reach x = N.
+    reading the unscaled row.
     """
     q, couplings = _integer_couplings(spec)
     out = []
     for x in _support(spec):
         scaled = []
-        for row in table.values[x + 1]:
+        for row in integer_values(table, x):
             new = [q * v for v in row]
             for i, j, c in couplings:
                 new[j] += c * x * row[i]

@@ -1,7 +1,7 @@
 """The polynomial-residual oracle for the exact verification suites.
 
 These are the checks ``mvop.verification`` certified before it worked on
-integer value tables: each residual is built as a ``Fraction`` matrix
+integer tables: each residual is built as a ``Fraction`` matrix
 polynomial and tested for being identically zero, a failing eigenfunction
 check reporting the residual's first nonzero entry, and every Gram matrix is
 the pointwise sum of P(x) W(x) Q(x)^T on a finite support and the

@@ -1,7 +1,7 @@
-"""The evaluation certificate of the exact suites: integer value tables, the
-degree bounds that fix how many points are checked, the per-probe operator
-stencils, and agreement with the polynomial-residual oracle in verdicts and
-report bytes."""
+"""The exact suites on integer tables: the eigenfunction residual formed on
+coefficients, the per-probe integer parts of the operator, the recurrence
+closed on coefficients, and agreement with the polynomial-residual oracle in
+verdicts and report bytes."""
 import inspect
 from fractions import Fraction as F
 
@@ -9,18 +9,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mvop import cli, operators, verification
-from mvop.construction import FamilySpec, integer_table
+from mvop.construction import FamilySpec, integer_table, staggered_positions
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.operators import (
     DifferenceOperator,
     EigenvalueMap,
+    add_three_point,
     canonical_operator,
     closed_recurrence,
     coefficients_close,
+    integer_parts,
+    shifts,
 )
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps
 
+from gram_oracle import integer_values
 from residual_oracle import (
     eigenfunction_detail,
     oracle_eigenfunction,
@@ -120,23 +124,26 @@ def falling(d):
     return p
 
 
+def eigenfunction_checks(D, eig, *polys, a=1):
+    """The dense eigenfunction checks of ``polys`` as Q_0, Q_1, ... under
+    D(a), D's diagonal plus a times its other entries, probed from D's
+    integer parts as ``verify`` probes them from D(1)'s."""
+    operator = verification._residual_operator(*integer_parts(D), eig, len(polys) - 1, a)
+    return verification._eigenfunction_checks(
+        *operator, [integer_table(Q) for Q in polys], None, None)
+
+
 @pytest.mark.parametrize("d", [1, 3])
-def test_eigenfunction_bump_at_last_point_fails(d):
-    # Q = I and D = K with K = falling(d) E_11: the residual Q . D is the bump
-    # itself, zero at every point of x = 0..d but the last
-    bump = falling(d)
+def test_eigenfunction_bump_at_top_coefficient_fails(d):
+    # Q = I and D = K with K = x^d E_11: the residual Q . D is x^d E_11,
+    # whose only nonzero coefficient is its top one
+    bump = ScalarPoly.monomial(d)
     zero = MatrixPoly.zeros(2)
     D = DifferenceOperator(F=zero, K=MatrixPoly(((bump, 0), (0, 0))), G=zero)
     eig = EigenvalueMap((lambda n: F(0),) * 2)
-    Q = MatrixPoly.identity(2)
-    assert D.extra_degree == d
-    stop = Q.degree + D.extra_degree + 1
-    checks = verification._eigenfunction_checks(
-        verification._eigenvalue_integers(eig, 0), D.stencil(stop - 1),
-        [integer_table(Q, stop)], None, None
-    )
-    assert not checks[0].passed
-    assert checks[0].detail == f"entry (1,1) = {bump!r}"
+    (check,) = eigenfunction_checks(D, eig, MatrixPoly.identity(2))
+    assert not check.passed
+    assert check.detail == f"entry (1,1) = {bump!r}"
 
 
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -144,34 +151,45 @@ FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 @st.composite
 def residual_cases(draw):
-    """An arbitrary Q of degree <= 4, arbitrary diagonal F, K and G, and
-    arbitrary eigenvalues, for m = 2..6."""
+    """An arbitrary Q of degree <= 4, F, K and G arbitrary on the diagonal
+    and the coupling pattern, arbitrary eigenvalues and a nonzero coupling
+    probe, for m = 2..6."""
     m = draw(st.integers(2, 6))
     degree = draw(st.integers(0, 4))
+    on = {(i, i) for i in range(m)} | set(staggered_positions(m))
 
     def poly(most):
         return ScalarPoly(draw(st.lists(FRACTIONS, max_size=most + 1)))
 
-    def diagonal(most):
-        return MatrixPoly.diagonal(tuple(poly(most) for _ in range(m)))
+    def part(most):
+        return MatrixPoly(tuple(tuple(poly(most) if (i, j) in on else ScalarPoly()
+                                      for j in range(m)) for i in range(m)))
 
     Q = MatrixPoly(tuple(tuple(poly(degree) for _ in range(m)) for _ in range(m)))
-    D = DifferenceOperator(F=diagonal(2), K=diagonal(1), G=diagonal(2))
+    D = DifferenceOperator(F=part(2), K=part(1), G=part(2))
     eigenvalues = tuple(draw(FRACTIONS) for _ in range(m))
-    return Q, D, EigenvalueMap(tuple(lambda n, v=v: v for v in eigenvalues))
+    a = draw(st.sampled_from(RATIONALS))
+    return Q, D, EigenvalueMap(tuple(lambda n, v=v: v for v in eigenvalues)), a
+
+
+def at_probe(D, a):
+    """D(a): D's diagonal plus a times its other entries."""
+    factor = ScalarPoly.constant(a)
+
+    def probed(P):
+        return MatrixPoly(tuple(tuple(e if i == j else e * factor for j, e in enumerate(row))
+                                for i, row in enumerate(P.entries)))
+    return DifferenceOperator(F=probed(D.F), K=probed(D.K), G=probed(D.G))
 
 
 @settings(max_examples=60, deadline=None)
 @given(residual_cases())
 def test_detail_equals_polynomial_residual(case):
-    # the detail is interpolated from the residual's values at x = 0..d
-    Q, D, eig = case
-    stop = Q.degree + D.extra_degree + 1
-    (check,) = verification._eigenfunction_checks(
-        verification._eigenvalue_integers(eig, 0), D.stencil(stop - 1),
-        [integer_table(Q, stop)], None, None
-    )
-    expected = eigenfunction_detail(D, eig, 0, Q)
+    # the detail is the residual's first nonzero entry, formed on the
+    # coefficients from D's integer parts probed at a
+    Q, D, eig, a = case
+    (check,) = eigenfunction_checks(D, eig, Q, a=a)
+    expected = eigenfunction_detail(at_probe(D, a), eig, 0, Q)
     assert (check.passed, check.detail) == (not expected, expected)
 
 
@@ -196,21 +214,36 @@ def operator_probes(draw):
     return spec, draw(st.sampled_from(RATIONALS)), kind == "forced hahn"
 
 
+def times(parts, c):
+    return tuple(tuple(tuple(tuple(v * c for v in w) for w in row) for row in part)
+                 for part in parts)
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=operator_probes(), stop=st.integers(0, 6))
-def test_probe_stencil_equals_probe_operator(case, stop):
-    # q s D(a) = q S_0 + p S_1 for a = p/q, from D(1)'s stencil s D(1)
+@given(case=operator_probes())
+def test_probe_parts_equal_probe_operator(case):
+    # d q S D(a) = d q S_0 + d p S_1 for a = p/q, from the integer parts
+    # S D(1) = S_0 + S_1 (diagonal and pattern) of the operator at a = 1
     spec, a, force = case
-    base, _ = canonical_operator(verification._probe(spec, 1), force=force)
-    got = verification._probe_stencil(base.stencil(stop), a)
-    want = canonical_operator(verification._probe(spec, a), force=force)[0].stencil(stop)
-    factor, rest = divmod(got.scale, want.scale)
-    assert rest == 0
-    assert got.extra_degree == want.extra_degree
-    assert got.points == tuple(
-        tuple(tuple(tuple((k, v * factor) for k, v in col) for col in part) for part in point)
-        for point in want.points
-    )
+    D, eig = canonical_operator(verification._probe(spec, 1), force=force)
+    got, _, scale = verification._residual_operator(*integer_parts(D), eig, 2, a)
+    want, want_scale = integer_parts(
+        canonical_operator(verification._probe(spec, a), force=force)[0])
+    assert times(got, want_scale) == times(want, scale)
+
+
+INTEGERS = st.lists(st.integers(-9, 9), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=INTEGERS, x=INTEGERS, y=INTEGERS, z=INTEGERS)
+def test_three_point_equals_shifted_products(p, x, y, z):
+    # p(x + 1) x + p y + p(x - 1) z, accumulated into a list just long enough
+    acc = [0] * (len(p) + max(len(x), len(y), len(z)) - 1)
+    add_three_point(acc, shifts(p), x, y, z)
+    P = ScalarPoly(p)
+    assert ScalarPoly(acc) == (P.shift(1) * ScalarPoly(x) + P * ScalarPoly(y)
+                               + P.shift(-1) * ScalarPoly(z))
 
 
 def test_recurrence_bump_at_last_point_fails():
@@ -223,9 +256,9 @@ def test_recurrence_bump_at_last_point_fails():
     # the scaled triple A_n = I, B_n = C_n = 0 as (integer matrix, denominator)
     zero = ((0, 0), (0, 0))
     t = (((1, 0), (0, 1)), 1), (zero, 1), (zero, 1)
-    tables = [integer_table(Q, 2) for Q in (one, Q1, Q2)]
+    tables = [integer_table(Q) for Q in (one, Q1, Q2)]
     assert not coefficients_close(t, 1, tables)
-    tables[2] = integer_table(one.scale(x * x), 2)
+    tables[2] = integer_table(one.scale(x * x))
     assert coefficients_close(t, 1, tables)
 
 
@@ -237,7 +270,7 @@ def test_recurrence_failure_reported_like_oracle():
     chain = [one, one.scale(x), one.scale(x * x),
              one.scale(x * x * x) + MatrixPoly(((1, 0), (0, 0)))]
     spec = PASSING["krawtchouk m=3"][0]
-    tables = [integer_table(Q, 3) for Q in chain]
+    tables = [integer_table(Q) for Q in chain]
     checks = verification.verify_recurrence(spec, tables, None, None)
     assert [c.passed for c in checks] == [
         recurrence_residual(n, chain[n - 1] if n else None, chain[n], chain[n + 1]).is_zero
@@ -364,10 +397,10 @@ def test_family_recurrence_inverts_each_lead_once(monkeypatch, tmp_path, capsys)
 def test_integer_table_is_scaled_values():
     P = MatrixPoly(((ScalarPoly((F(1, 2), F(-2, 3))), ScalarPoly((F(3),))),
                     (0, ScalarPoly((F(0), F(0), F(5, 4))))))
-    table = integer_table(P, 3)
+    table = integer_table(P)
     assert (table.degree, table.scale) == (2, 12)
     for x in range(-1, 4):
-        got = table.values[x + 1]
+        got = integer_values(table, x)
         assert all(type(v) is int for row in got for v in row)
         assert got == tuple(tuple(12 * v for v in row) for row in P.evaluate(x))
 

@@ -78,10 +78,10 @@ def test_chain_equals_per_degree_builds(case):
     chain = list(orthogonal_tables(spec, degrees, tau))
     assert len(chain) == len(degrees)
     for n, table in zip(degrees, chain):
-        assert table.values == ()
+        assert not hasattr(table, "values")
         assert table == orthogonal_table(spec, n, tau)
         closed = _closed_form(spec, n, _chain_tau(spec, n, tau, exact=True))
-        assert shape(table) == shape(integer_table(closed, -1))
+        assert shape(table) == shape(integer_table(closed))
 
 
 def outcome(build):

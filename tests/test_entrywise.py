@@ -112,12 +112,11 @@ def test_integer_tables_equal_the_scalar_poly_path(data, finite, perturb, tau):
     spec = data.draw(finite_specs() if finite else infinite_specs())
     probe = spec_tau(spec, tau)
     top = spec.support_N + 1 if finite else 4
-    stop = top + 2
     tables = [orthogonal_table(spec, n, tau) for n in range(top + 1)]
     polys = [_closed_form(spec, n, None if finite and n == top else probe)
              for n in range(top + 1)]
-    assert [t.extended(stop) for t in _perturbed_tables(tables, perturb)] == [
-        integer_table(Q, stop) for Q in _perturbed(polys, perturb)]
+    assert _perturbed_tables(tables, perturb) == [
+        integer_table(Q) for Q in _perturbed(polys, perturb)]
     for n, (table, Q) in enumerate(zip(tables, polys)):
         assert_same(table.polynomial(), Q)
         assert_same(orthogonal_polynomial(spec, n, tau=tau), Q)

@@ -92,7 +92,7 @@ def triples_of(scaled):
 
 
 def tables_of(chain):
-    return [integer_table(Q, len(chain)) for Q in chain]
+    return [integer_table(Q) for Q in chain]
 
 
 @SETTINGS
@@ -195,7 +195,7 @@ def off_pattern(m):
 def test_lead_off_the_block_pattern_is_rejected(case, data):
     _, chain = case
     k = data.draw(st.integers(0, len(chain) - 1))
-    table = integer_table(chain[k], 0)
+    table = integer_table(chain[k])
     lead = [list(row) for row in table.coefficient(k)]
     i, j = data.draw(st.sampled_from(off_pattern(len(lead))))
     lead[i][j] += data.draw(st.sampled_from((1, -3)))

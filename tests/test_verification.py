@@ -28,7 +28,7 @@ def test_each_polynomial_built_once(monkeypatch):
     def counting(spec, degrees, tau=None):
         for n, table in zip(degrees, real(spec, degrees, tau)):
             built[(spec.a, tau, n)] += 1
-            assert table.values == ()
+            assert not hasattr(table, "values")
             yield table
 
     for module in (construction, operators, verification):
