@@ -27,7 +27,9 @@ the tables' monomial coefficients, in integers, with no values.
 ``certify_operator`` certifies, in integers, the two identities on which
 ``verify`` reads Q_n . D = Lambda_n Q_n off the channel terms of Q_n U:
 D(a) = U_a diag(delta_r) U_a^(-1) on the diagonal coupling line, and each
-channel ladder's p_j being an eigenfunction of delta_r.  The certified
+channel ladder's p_j being an eigenfunction of delta_r.  It reads D, as
+``verify``'s dense residual does, in integers as it acts on values
+(``integer_parts``): P . D = P(x + 1) X + P(x) Y + P(x - 1) Z.  The certified
 triples stay (integer matrix, denominator) pairs where they are printed
 (``family --recurrence`` and ``export --what recurrence`` format each
 entry with ``rational.format_over``); a ``RecurrenceTriple`` of Fractions

@@ -124,7 +124,7 @@ def falling(d):
     return p
 
 
-def eigenfunction_checks(D, eig, *polys, a=1):
+def dense_checks(D, eig, *polys, a=1):
     """The dense eigenfunction checks of ``polys`` as Q_0, Q_1, ... under
     D(a), D's diagonal plus a times its other entries, probed from D's
     integer parts as ``verify`` probes them from D(1)'s."""
@@ -141,7 +141,7 @@ def test_eigenfunction_bump_at_top_coefficient_fails(d):
     zero = MatrixPoly.zeros(2)
     D = DifferenceOperator(F=zero, K=MatrixPoly(((bump, 0), (0, 0))), G=zero)
     eig = EigenvalueMap((lambda n: F(0),) * 2)
-    (check,) = eigenfunction_checks(D, eig, MatrixPoly.identity(2))
+    (check,) = dense_checks(D, eig, MatrixPoly.identity(2))
     assert not check.passed
     assert check.detail == f"entry (1,1) = {bump!r}"
 
@@ -188,7 +188,7 @@ def test_detail_equals_polynomial_residual(case):
     # the detail is the residual's first nonzero entry, formed on the
     # coefficients from D's integer parts probed at a
     Q, D, eig, a = case
-    (check,) = eigenfunction_checks(D, eig, Q, a=a)
+    (check,) = dense_checks(D, eig, Q, a=a)
     expected = eigenfunction_detail(at_probe(D, a), eig, 0, Q)
     assert (check.passed, check.detail) == (not expected, expected)
 
