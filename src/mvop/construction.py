@@ -100,7 +100,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import add, mul
+from itertools import chain
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import ProbeError, SpecError, TruncationError
@@ -426,6 +427,117 @@ def _chain_tau(spec: FamilySpec, n: int, tau, exact: bool = False):
     return None if spec.support_N is not None and n == spec.support_N + 1 else tau
 
 
+# the entry kinds of Q U in construction form (``ChainContext.kinds``)
+_ZERO, _DIAGONAL, _PATTERN, _TRANSPOSED = range(4)
+
+
+class ChainContext:
+    """What every chain of Q_n over one tuple of channels reads that no
+    coupling and no tau changes, grown degree by degree as far as any chain
+    has asked, as a ladder grows (``families._Ladder``); ``chain_context``
+    keeps one per tuple of channels.
+
+    * ``integers[k]``: every channel's integer p_k as (d p_k, d)
+      (``families._Ladder.integer``), read for k = n, n + 1, n - 1 when
+      degree n is first asked for, so a ladder gate fires at the degree it
+      fired at when each chain read the ladders itself;
+    * ``degree(n)``: Q_n's term skeleton (``_Skeleton``);
+    * ``gamma(k)``: every channel's c_k as (numerator, denominator), which
+      the recurrence certificate's ratio identity reads.
+
+    A degree that raises while it is grown is not kept, so the next chain
+    that asks for it raises the same error at the same degree."""
+
+    def __init__(self, channels):
+        self.ladders = [ladder(ch) for ch in channels]
+        self.positions = staggered_positions(len(channels))
+        # i -> [(l, index of the coupling)] along row i of A
+        self.coupled = {}
+        for index, (i, j) in enumerate(self.positions):
+            self.coupled.setdefault(i, []).append((j, index))
+        self.integers = {}
+        self.degrees = {}
+        self.gammas = {}
+        # (kind, position) of each entry of Q U in construction form
+        m = len(channels)
+        self.kinds = [[(_DIAGONAL if i == r else _ZERO, None) for r in range(m)]
+                      for i in range(m)]
+        for index, (i, j) in enumerate(self.positions):
+            self.kinds[i][j] = (_PATTERN, index)
+            self.kinds[j][i] = (_TRANSPOSED, index)
+
+    def degree(self, n: int) -> tuple:
+        skeleton = self.degrees.get(n)
+        if skeleton is None:
+            skeleton = self.degrees[n] = self._skeleton(n)
+        return skeleton
+
+    def gamma(self, k: int):
+        gammas = self.gammas.get(k)
+        if gammas is None:
+            gammas = self.gammas[k] = [
+                (c.numerator, c.denominator)
+                for c in (lad.coefficients(k)[1] for lad in self.ladders)]
+        return gammas
+
+    def _skeleton(self, n: int) -> tuple:
+        """Q_n's terms, in ``orthogonal_tables``'s entry kinds: with (i, j) a
+        pattern position holding a_k and theta_k its norm ratio, entry (i, i)
+        is 1 p_n^(i), entry (i, j) is a_k (p_(n+1)^(j) - x p_n^(i)), entry
+        (j, i) takes -theta_k p_(n-1)^(i), and entry (j, l) takes
+        theta_k b x p_(n-1)^(i) for each pattern position (i, l) holding b.
+        Each ladder vector is put over the degree's common denominator and
+        padded to its entry's length once here."""
+        ladders, positions, m = self.ladders, self.positions, len(self.ladders)
+        for k in (n, n + 1, n - 1):
+            if k not in self.integers and k >= 0:
+                self.integers[k] = [lad.integer(k) for lad in ladders]
+        p, q = self.integers[n], self.integers[n + 1]
+        r = self.integers[n - 1] if n else ()
+        # |p_n^(j)|^2 / |p_(n-1)^(i)|^2 per position: (numerator,
+        # denominator, the Mass quotient)
+        quotients = []
+        for i, j in positions if n else ():
+            coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
+            quotients.append((coefficient.numerator, coefficient.denominator, quotient))
+        den = math.lcm(*[d for _, d in (*p, *q, *r)])
+
+        def scaled(vector, shift=0):
+            coeffs, d = vector
+            return [0] * shift + [den // d * v for v in coeffs]
+
+        # entry -> [(multiplier, vector over den)]; multiplier 0 is 1, 1 + k
+        # is a_k, and each theta's follow
+        entries = {i * m + i: [(0, scaled(p[i]))] for i in range(m)}
+        for k, (i, j) in enumerate(positions):
+            # p_(n+1) and x p_n are both monic: the top coefficient cancels
+            difference = list(map(sub, scaled(q[j]), scaled(p[i], 1)))
+            entries[i * m + j] = [(1 + k, difference[:-1])]
+        thetas = []  # (position, numerator, denominator, couplings b along row i)
+        slot = 1 + len(positions)
+        for k, ((i, j), (cn, _, _)) in enumerate(zip(positions, quotients)):
+            if not cn:
+                continue  # |p_(N+1)|^2 = 0: the closure companion has no theta
+            row = self.coupled[i]
+            thetas.append((k, *quotients[k][:2], tuple(b for _, b in row)))
+            entries.setdefault(j * m + i, []).append((slot, scaled(r[i])))
+            for t, (l, _) in enumerate(row, 1):
+                entries.setdefault(j * m + l, []).append((slot + t, scaled(r[i], 1)))
+            slot += 1 + len(row)
+        padded = []
+        for e, terms in sorted(entries.items()):
+            size = max(len(v) for _, v in terms)
+            (first, vector), *rest = [(index, v + [0] * (size - len(v))) for index, v in terms]
+            padded.append((e, first, vector, tuple(rest)))
+        return den, tuple(quotients), tuple(thetas), tuple(padded)
+
+
+@lru_cache(maxsize=None)
+def chain_context(channels) -> ChainContext:
+    """The one ``ChainContext`` of a tuple of channels."""
+    return ChainContext(channels)
+
+
 def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     """The integer tables of Q_n for each n of ``degrees``, in order, for
     rational couplings, coefficients only.  The degrees and ``tau`` are read
@@ -437,76 +549,57 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     n = N + 1 reads no tau: a finite support's mass quotients are all
     rational, so ``spec_tau`` gives none.
 
-    One pass per chain: the couplings are grouped along the rows of A once,
-    each channel ladder's integer p_k (``families._Ladder.integer``) is read
-    once for every k = n - 1..n + 1 the chain needs, in the order a single
-    degree reads them, and each mass quotient is resolved once.  A degree
-    then forms only theta_n and the integer combination of ``_assemble``'s
-    four entry kinds: with (i, j) a pattern position holding a and
-    theta = a |p_n^(j)|^2 / |p_(n-1)^(i)|^2, entry (i, i) takes 1 p_n^(i),
-    entry (i, j) takes a p_(n+1)^(j) and -a x p_n^(i), entry (j, i) takes
-    -theta p_(n-1)^(i), and entry (j, l) takes theta b x p_(n-1)^(i) for
-    each pattern position (i, l) holding b.
-
-    Each term's multiplier, kept as an unreduced fraction, is put over one
-    common denominator D, the integer coefficients are summed, and D and the
-    coefficients are divided by their gcd, so the scale is the least common
-    denominator of Q_n's coefficients, as ``integer_table`` reads it.  The
-    ladders are read as ``_closed_form`` reads them (to degree n + 1) and
-    the mass quotients resolved as it resolves them, so the same inputs
-    fail the same gates."""
+    Everything that depends on the channels alone is read from their
+    ``chain_context``: the integer ladder vectors, the norm ratios and each
+    degree's term skeleton, built once per process however many (a, tau)
+    chains read them.  A chain forms only its multipliers: 1, a and -a for
+    the diagonal and pattern terms, and from theta_n = a |p_n^(j)|^2 /
+    |p_(n-1)^(i)|^2, its mass quotient resolved at ``tau`` once per chain at
+    the first degree n >= 1, -theta and theta b.  These, kept as unreduced
+    fractions, are put over one common denominator M, the skeleton's
+    integer vectors are combined entry by entry, and M times the vectors'
+    denominator and the coefficients are divided by their gcd, so the scale
+    is the least common denominator of Q_n's coefficients, as
+    ``integer_table`` reads it.  The ladders are read as ``_closed_form``
+    reads them (to degree n + 1) and the mass quotients resolved as it
+    resolves them, so the same inputs fail the same gates."""
     m = spec.m
-    positions = staggered_positions(m)
-    ladders = [ladder(ch) for ch in spec.channels]
+    context = chain_context(spec.channels)
     couplings = [(a.numerator, a.denominator) for a in spec.a]
-    coupled = {}  # i -> [(l, b's numerator, b's denominator)] along row i of A
-    for (i, j), (an, ad) in zip(positions, couplings):
-        coupled.setdefault(i, []).append((j, an, ad))
-    integers = {}  # k -> every channel's integer p_k
-    resolved = {}  # position -> its mass quotient at tau
+    fixed = [(1, 1), *couplings]  # the multipliers of the diagonal and pattern entries
+    resolved = None  # each position's mass quotient at tau
     for index, n in enumerate(degrees):
         _check_index(spec, n)
         if not index:
             tau = spec_tau(spec, tau, exact=True)
-        for k in (n, n + 1, n - 1):
-            if k not in integers and k >= 0:
-                integers[k] = [lad.integer(k) for lad in ladders]
-        p, q = integers[n], integers[n + 1]
-        # (row, column, numerator, denominator, power of x, channel
-        # polynomial) per term, the fractions unreduced
-        terms = [(i, i, 1, 1, 0, p[i]) for i in range(m)]
-        for (i, j), (an, ad) in zip(positions, couplings):
-            terms += [(i, j, an, ad, 0, q[j]), (i, j, -an, ad, 1, p[i])]
-        for k, (i, j) in enumerate(positions if n else ()):
-            coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
-            if k not in resolved:
-                resolved[k] = _resolve_quotient(quotient, tau)
-            t = resolved[k]
-            an, ad = couplings[k]
-            num = an * coefficient.numerator * t.numerator
-            if num:
-                den = ad * coefficient.denominator * t.denominator
-                r = integers[n - 1][i]
-                terms.append((j, i, -num, den, 0, r))
-                terms += [(j, l, num * bn, den * bd, 1, r) for l, bn, bd in coupled[i]]
-        D = math.lcm(*[den * d for _, _, _, den, _, (_, d) in terms])
-        entries = {}  # (row, column) -> the integer coefficients of a nonzero entry
-        for i, l, num, den, shift, (coeffs, d) in terms:
-            f = num * (D // (den * d))
-            cs = entries.get((i, l))
-            if cs is None:
-                cs = entries[i, l] = [0] * (n + 2)
-            for k, v in enumerate(coeffs, shift):
-                cs[k] += f * v
-        for cs in entries.values():
+        den, quotients, thetas, skeleton = context.degree(n)
+        if resolved is None and quotients:
+            resolved = [_resolve_quotient(quotient, tau) for _, _, quotient in quotients]
+        multipliers = list(fixed)
+        for k, cn, cd, row in thetas:
+            t, (an, ad) = resolved[k], couplings[k]
+            num, d = an * cn * t.numerator, ad * cd * t.denominator
+            multipliers.append((-num, d))
+            multipliers += [(num * couplings[b][0], d * couplings[b][1]) for b in row]
+        M = math.lcm(*[d for _, d in multipliers])
+        f = [v * (M // d) for v, d in multipliers]
+        entries = [[]] * (m * m)
+        for e, first, vector, rest in skeleton:
+            c = f[first]
+            cs = [c * v for v in vector]
+            for other, vector in rest:
+                c = f[other]
+                cs = [u + c * v for u, v in zip(cs, vector)]
             while cs and not cs[-1]:
                 cs.pop()
-        g = math.gcd(D, *[v for cs in entries.values() for v in cs])
+            entries[e] = cs
+        D = den * M
+        g = math.gcd(D, *chain.from_iterable(entries))
         if g > 1:
-            entries = {key: [v // g for v in cs] for key, cs in entries.items()}
+            entries = [[v // g for v in cs] for cs in entries]
         # entry (1, 1) is p_n^(1), so the degree is n
         yield IntegerTable(degree=n, scale=D // g, coefficients=tuple(
-            tuple(tuple(entries.get((i, l), ())) for l in range(m)) for i in range(m)))
+            [tuple(map(tuple, entries[i:i + m])) for i in range(0, m * m, m)]))
 
 
 def orthogonal_table(spec: FamilySpec, n: int, tau=None) -> "IntegerTable":
@@ -881,43 +974,97 @@ def channel_table(table: IntegerTable, spec: FamilySpec, basis: GramBasis) -> tu
         for row in _times_u(table, q, coupled)]
 
 
+@frozen
+class ChannelTerms:
+    """A chain's Q U as single ladder multiples (``channel_terms``):
+    ``chain[n][i][r]`` is (j, c) with q L_n (Q_n U)_ir = c p_j^(r), or None
+    for a zero entry.  When every table is in construction form,
+    ``scales[k]`` is s_k = q L_k and ``thetas[k]`` holds, per pattern
+    position (i, j), the c of entry (j, i), -s_k theta_k(j, i), or 0;
+    otherwise both are None."""
+
+    chain: tuple
+    scales: tuple | None
+    thetas: tuple | None
+
+
 def channel_terms(spec: FamilySpec, tables):
     """The chain's Q U entry by entry, each as one multiple of one ladder
-    polynomial, when every entry of every table is one: chain[n][i][r] is
-    (j, c) with q L_n (Q_n U)_ir = c p_j^(r), or None for a zero entry;
+    polynomial, when every entry of every table is one (``ChannelTerms``);
     None for the whole chain as soon as an entry is no such multiple
     (``--perturb``).
 
     Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry of a Q_n built by
-    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1}.  An
-    entry of degree j is checked against the ladder's integer d p_j
-    (``families._Ladder.integer``), whose leading coefficient is d: p_j is
-    monic, so c is the entry's leading coefficient, and the entry equals
-    c p_j when each coefficient times d is c times d p_j's, O(j) integer
-    products.  The tables are read from the last and each row as it is
+    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1}.  Every
+    integer coefficient of every table is read back: entry (i, r) of
+    q L (Q U) is q Q_ir plus (q a) x Q_ik for each pattern position (k, r)
+    holding a, and an entry of degree j is compared, as a whole list, with
+    the ladder's integer d p_j (``ChainContext.integers``), whose leading
+    coefficient is d: p_j is monic, so c is the entry's leading coefficient,
+    and the entry equals c p_j when its coefficients times d are c times
+    d p_j's.  The tables are read from the last and each row as it is
     formed, so a perturbed chain, whose Q_n for n >= 1 fail at entry (1, 1),
-    is declined after one row."""
-    integers = [ladder(ch).integer for ch in spec.channels]
-    q, coupled = _unipotent(spec)
-    chain = []
-    for table in reversed(tables):
+    is declined after one row.
+
+    In the same pass each table k is held to construction form, which the
+    recurrence certificate reads: every term of q L_k (Q_k U) is (k, q L_k)
+    on the diagonal, (k + 1, L_k q a) at each pattern position (i, j)
+    holding a, (k - 1, c) or none at (j, i), and none elsewhere."""
+    context = chain_context(spec.channels)
+    integers, ladders, kinds = context.integers, context.ladders, context.kinds
+    m = spec.m
+    q, couplings = _integer_couplings(spec)
+    coupled = [[(i, c) for i, j, c in couplings if j == r] for r in range(m)]
+    chain, scales, thetas = [], [], []
+    conforms = True
+    for k in range(len(tables) - 1, -1, -1):
+        table = tables[k]
+        L = table.scale
+        s = q * L
+        theta = [0] * len(couplings)
         rows = []
-        for row in _times_u(table, q, coupled):
+        for row, expected in zip(table.coefficients, kinds):
             terms = []
-            for cs, integer in zip(row, integers):
+            for r, own in enumerate(row):
+                cs = [q * v for v in own]
+                for i, c in coupled[r]:
+                    # plus (q a) x Q_ik
+                    below = row[i]
+                    cs.extend([0] * (len(below) + 1 - len(cs)))
+                    for t, v in enumerate(below, 1):
+                        cs[t] += c * v
                 while cs and not cs[-1]:
                     cs.pop()
+                kind, position = expected[r]
                 if not cs:
                     terms.append(None)
+                    conforms = conforms and kind in (_ZERO, _TRANSPOSED)
                     continue
                 j, c = len(cs) - 1, cs[-1]
-                p, d = integer(j)
-                if any(v * d != c * w for v, w in zip(cs, p)):
+                try:
+                    p, d = integers[j][r]
+                except KeyError:
+                    p, d = ladders[r].integer(j)
+                if [v * d for v in cs] != [c * w for w in p]:
                     return None
                 terms.append((j, c))
+                if kind == _DIAGONAL:
+                    conforms = conforms and j == k and c == s
+                elif kind == _PATTERN:
+                    conforms = conforms and j == k + 1 and c == L * couplings[position][2]
+                elif kind == _TRANSPOSED:
+                    conforms = conforms and j == k - 1
+                    theta[position] = c
+                else:
+                    conforms = False
             rows.append(tuple(terms))
         chain.append(tuple(rows))
-    return chain[::-1]
+        scales.append(s)
+        thetas.append(tuple(theta))
+    chain.reverse()
+    if not conforms:
+        return ChannelTerms(tuple(chain), None, None)
+    return ChannelTerms(tuple(chain), tuple(scales[::-1]), tuple(thetas[::-1]))
 
 
 def channel_gram(p_table, q_table, basis: GramBasis) -> tuple:

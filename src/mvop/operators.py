@@ -97,45 +97,85 @@ class RecurrenceTriple:
     C: tuple
 
 
-def conjugated_operator(a, ops) -> DifferenceOperator:
-    """Conjugate the diagonal operator diag(Delta f_i + k_i - nabla g_i) of
-    the channel operators ``ops`` by the unipotent factor I + A x, where A
-    holds the couplings ``a`` on the staggered pattern, in closed form:
+def conjugated_parts(a, ops):
+    """The integer parts ((X, Y, Z), S) (``integer_parts``) of the
+    diagonal operator diag(Delta f_i + k_i - nabla g_i) of the channel
+    operators ``ops`` conjugated by the unipotent factor I + A x, where A
+    holds the couplings ``a`` on the staggered pattern, built from the
+    couplings and the operators' coefficients by the closed form
 
         D = Delta((I+A) F + [A,F] x) + A (F - G) + K + [A,K] x
             - Nabla((I-A) G + [A,G] x),
 
     with F, K, G the diagonal matrix polynomials of the f_i, k_i, g_i.  The
-    commutator of A with a diagonal matrix lives on the pattern too, so F^,
-    K^ and G^ are built on the diagonal and the pattern only: at a pattern
-    position (i, j) holding a,
+    commutator of A with a diagonal matrix lives on the pattern too, so D
+    is nonzero on the diagonal and the pattern only: with D = (F^, K^, -G^),
+    at a pattern position (i, j) holding a,
 
         F^_ij = a f_j + (a f_j - f_i a) x,
         K^_ij = a (f_j - g_j) + (a k_j - k_i a) x,
         G^_ij = (-a) g_j + (a g_j - g_i a) x,
 
-    with F^_ii = f_i, K^_ii = k_i and G^_ii = g_i; D = (F^, K^, -G^).  Each
-    scalar product and sum is the one the matrix products form, in the same
-    order, with only the zero terms left out.
-    """
+    and F^_ii = f_i, K^_ii = k_i and G^_ii = g_i.  On values
+    X = F^, Y = K^ - F^ - G^ and Z = G^, so with y_r = k_r - f_r - g_r the
+    parts are x_r = f_r, y_r and z_r = g_r on the diagonal and, at (i, j),
+
+        X_ij = a f_j + a x (f_j - f_i),
+        Y_ij = a x (y_j - y_i),
+        Z_ij = -a g_j + a x (g_j - g_i).
+
+    Every coefficient is formed over the couplings' common denominator
+    times the operators', and the parts and that denominator are divided by
+    their gcd, so S is the least common denominator of D's coefficients,
+    as ``integer_parts`` reads it; no polynomial is built."""
     m = len(ops)
-    one = ScalarPoly.one()
-    zero = ScalarPoly()
-    f, k, g = ([getattr(op, name) for op in ops] for name in "fkg")
-    F_hat, K_hat, G_hat = ([[zero] * m for _ in range(m)] for _ in range(3))
-    for i in range(m):
-        F_hat[i][i] = one * f[i]
-        K_hat[i][i] = zero + k[i]
-        G_hat[i][i] = one * g[i]
-    for (i, j), a_ij in zip(staggered_positions(m), a):
-        a_ij = ScalarPoly.constant(a_ij)
-        af = a_ij * f[j]
-        F_hat[i][j] = af + (af - f[i] * a_ij).times_x()
-        K_hat[i][j] = a_ij * (f[j] - g[j]) + (a_ij * k[j] - k[i] * a_ij).times_x()
-        G_hat[i][j] = (zero - a_ij) * g[j] + (a_ij * g[j] - g[i] * a_ij).times_x()
-    return DifferenceOperator(
-        F=MatrixPoly(F_hat), K=MatrixPoly(K_hat), G=-MatrixPoly(G_hat)
-    )
+    (qa,), q = over_lcm((a,))
+    rows, d = over_lcm([e.coeffs for op in ops for e in (op.f, op.k, op.g)])
+    f, k, g = rows[0::3], rows[1::3], rows[2::3]
+    y = [_plus(kr, _negated(fr), _negated(gr)) for fr, kr, gr in zip(f, k, g)]
+    parts = [[[()] * m for _ in range(m)] for _ in range(3)]
+    for r in range(m):
+        for part, w in zip(parts, (f[r], y[r], g[r])):
+            part[r][r] = [q * v for v in w]
+    for (i, j), c in zip(staggered_positions(m), qa):
+        for part, w in zip(parts, (
+                _plus(f[j], [0, *_plus(f[j], _negated(f[i]))]),
+                [0, *_plus(y[j], _negated(y[i]))],
+                _plus(_negated(g[j]), [0, *_plus(g[j], _negated(g[i]))]))):
+            part[i][j] = [c * v for v in w]
+    entries = [w for part in parts for row in part for w in row]
+    for w in entries:
+        while w and not w[-1]:
+            w.pop()
+    scale = q * d
+    h = math.gcd(scale, *[v for w in entries for v in w])
+    return tuple(tuple(tuple(tuple(v // h for v in w) for w in row) for row in part)
+                 for part in parts), scale // h
+
+
+def _negated(w) -> list:
+    return [-v for v in w]
+
+
+def difference_operator(parts, scale: int) -> DifferenceOperator:
+    """The ``DifferenceOperator`` of D's integer parts ((X, Y, Z), S): F = X,
+    K = X + Y + Z and G = -Z, each coefficient a ``Fraction`` over S.  This
+    is the operator ``family`` and ``export`` print and the API returns."""
+    X, Y, Z = parts
+
+    def view(grid):
+        return MatrixPoly(tuple(tuple(ScalarPoly(Fraction(v, scale) for v in w) for w in row)
+                                for row in grid))
+
+    K = [[_plus(*ws) for ws in zip(*rows)] for rows in zip(X, Y, Z)]
+    return DifferenceOperator(F=view(X), K=view(K),
+                              G=view([[_negated(w) for w in row] for row in Z]))
+
+
+def conjugated_operator(a, ops) -> DifferenceOperator:
+    """The conjugated operator of ``conjugated_parts`` as its ``Fraction``
+    view (``difference_operator``)."""
+    return difference_operator(*conjugated_parts(a, ops))
 
 
 def _normalized_channel(ch, position: int, hahn_sum) -> ScalarOperator:
@@ -188,8 +228,9 @@ def _channel_operators(spec: FamilySpec, force: bool):
     return [_normalized_channel(ch, pos + 1, hahn_sum) for pos, ch in enumerate(spec.channels)]
 
 
-def canonical_operator(spec: FamilySpec, force: bool = False):
-    """The family's normalized difference operator and its eigenvalue map.
+def canonical_parts(spec: FamilySpec, force: bool = False):
+    """The family's normalized difference operator as its integer parts
+    ((X, Y, Z), S) (``conjugated_parts``), and its eigenvalue map.
 
     Charlier, Meixner, Krawtchouk and mixed Charlier/Meixner channels are
     each normalized to eigenvalue n and shifted by +1 on odd channels, so the
@@ -202,14 +243,25 @@ def canonical_operator(spec: FamilySpec, force: bool = False):
     """
     ops = _channel_operators(spec, force)
     eig = EigenvalueMap(channel_eigenvalues=tuple(op.eigenvalue for op in ops))
-    return conjugated_operator(spec.a, ops), eig
+    return conjugated_parts(spec.a, ops), eig
 
 
-def certify_operator(spec: FamilySpec, D: DifferenceOperator, eigenvalues) -> bool:
+def canonical_operator(spec: FamilySpec, force: bool = False):
+    """The family's normalized difference operator, the ``Fraction`` view
+    (``difference_operator``) of its integer parts (``canonical_parts``),
+    and its eigenvalue map: D has one construction, which ``verify`` reads
+    in integers and ``family`` and ``export`` print."""
+    integer, eig = canonical_parts(spec, force)
+    return difference_operator(*integer), eig
+
+
+def certify_operator(spec: FamilySpec, parts, scale: int, eigenvalues) -> bool:
     """Whether the eigenfunction identity Q_n . D(a) = Lambda_n Q_n may be
     read off the channel terms of Q_n U (``construction.channel_terms``),
-    for ``D`` = D(1) the canonical operator of ``spec`` at couplings all 1,
-    D(a) its diagonal plus a times its other entries, and
+    for D = D(1), the canonical operator of ``spec`` at couplings all 1,
+    given by its integer parts ``parts`` over ``scale``
+    (``canonical_parts``), D(a) its diagonal plus a times its other
+    entries, and
     ``eigenvalues[r][j]`` channel r's eigenvalue at degree j.  With
     delta_r the operator of D(1)'s entry (r, r), two identities suffice:
 
@@ -219,11 +271,9 @@ def certify_operator(spec: FamilySpec, D: DifferenceOperator, eigenvalues) -> bo
       channel r and every degree j of ``eigenvalues[r]``, in integers, once
       per ladder per process (``_ladder_eigen``).
 
-    Both read D's integer parts (``integer_parts``), formed once here.
-    Then (Q_n U) diag(delta_r) has entry c lambda_j^(r) p_j^(r) wherever
+    Both read D's integer parts.  Then (Q_n U) diag(delta_r) has entry c lambda_j^(r) p_j^(r) wherever
     Q_n U has c p_j^(r), so Q_n . D(a) = Lambda_n Q_n exactly when every
     such entry in row i has lambda_j^(r) = (Lambda_n)_ii."""
-    parts, scale = integer_parts(D)
     X, Y, Z = parts
     return _conjugates(parts) and all(
         _ladder_eigen(ladder(ch), X[r][r], Y[r][r], Z[r][r], scale, tuple(lams))

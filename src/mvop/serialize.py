@@ -128,7 +128,12 @@ def table_to_json(table):
     }
 
 
-def _rational_latex(c: Fraction) -> str:
+def _rational_latex(c) -> str:
+    """A coefficient in LaTeX: a rational as an integer or a \\frac, and a
+    float (a value computed from a float mass quotient) by repr, as
+    ``format_rational`` prints it in the JSON."""
+    if isinstance(c, float):
+        return repr(c)
     c = Fraction(c)
     sign = "-" if c < 0 else ""
     c = abs(c)

@@ -131,6 +131,7 @@ from .construction import (
     A_PROBES,
     TAU_PROBES,
     FamilySpec,
+    chain_context,
     channel_gram,
     channel_table,
     channel_terms,
@@ -144,18 +145,15 @@ from .construction import (
     numeric_polynomial,
     orthogonal_tables,
     spec_tau,
-    staggered_positions,
     terms_orthogonal,
 )
 from .errors import SpecError
-from .families import ladder
 from .operators import (
     add_three_point,
-    canonical_operator,
+    canonical_parts,
     certify_operator,
     coefficients_close,
     continuant,
-    integer_parts,
     lead_block,
     match_recurrence,
     not_closed,
@@ -278,7 +276,8 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
         grams = float_grams(values, weights, pairs, x_max, tol)
     else:
         if terms is _UNSET:
-            terms = channel_terms(spec, chain)
+            formed = channel_terms(spec, chain)
+            terms = None if formed is None else formed.chain
         if terms is not None and not basis.failure and terms_orthogonal(terms, basis):
             return [CheckResult(name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
                                 passed=True, detail=f"k = {k}")
@@ -397,16 +396,17 @@ def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False
     these built at the first chain that needs them
     (``_eigenfunction_checks``)."""
     at_one = _probe(spec, 1)
-    D, eig = canonical_operator(at_one, force=force)
+    (parts, scale), eig = canonical_parts(at_one, force=force)
 
     @cache
     def trusted():
         eigenvalues = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
-        return over_lcm(eigenvalues)[0] if certify_operator(at_one, D, eigenvalues) else None
+        if certify_operator(at_one, parts, scale, eigenvalues):
+            return over_lcm(eigenvalues)[0]
+        return None
 
     @cache
     def dense():
-        parts, scale = integer_parts(D)
         return {a: _residual_operator(parts, scale, eig, top, a) for a in a_vals}
 
     def checks(tables, terms, a_val, tau):
@@ -462,45 +462,30 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau, terms=None) 
     return checks
 
 
-def _recurrence_certified(spec: FamilySpec, tables, chain, singular) -> bool:
+def _recurrence_certified(spec: FamilySpec, tables, terms, singular) -> bool:
     """Whether x Q_n = A_n Q_(n+1) + B_n Q_n + C_n Q_(n-1) holds at every
     degree n of the chain but the last, by the module docstring's
-    certificate on ``chain``, the channel terms of every table: True or
-    False, False sending the chain to the dense path, or ``singular(k)``
-    raised for the first lead whose T block has determinant zero
-    (``operators.continuant``).  With s_k = q L_k the terms hold
+    certificate on ``terms``, the ``construction.ChannelTerms`` of every
+    table: True or False, False sending the chain to the dense path, or
+    ``singular(k)`` raised for the first lead whose T block has determinant
+    zero (``operators.continuant``).  ``channel_terms`` has held each table
+    to construction form and handed over s_k = q L_k and the terms
     -s_k theta_k, so the ratio identity is compared cross-multiplied by
-    s_n s_(n-1) and the gammas' denominators, in integers."""
-    m = spec.m
-    positions = staggered_positions(m)
-    (qa,), q = over_lcm((spec.a,))
-    scales, thetas = [], []  # per degree: s_k, and -s_k theta_k per position
-    for k, (rows, table) in enumerate(zip(chain, tables)):
-        s = q * table.scale
-        want = [[None] * m for _ in range(m)]
-        for i in range(m):
-            want[i][i] = (k, s)
-        theta = []
-        for (i, j), c in zip(positions, qa):
-            want[i][j] = (k + 1, table.scale * c)
-            term = want[j][i] = rows[j][i]
-            if term is not None and term[0] != k - 1:
-                return False
-            theta.append(0 if term is None else term[1])
-        if rows != tuple(map(tuple, want)):
-            return False
-        scales.append(s)
-        thetas.append(theta)
+    s_n s_(n-1) and the gammas' denominators, in integers, the gammas read
+    from the channels' ``construction.chain_context``."""
+    scales, thetas = terms.scales, terms.thetas
+    if thetas is None:
+        return False
     for k in range(1, len(tables)):
         if not continuant(lead_block(tables[k].coefficient(k), tables[k].scale)):
             raise singular(k)
-    ladders = [ladder(ch) for ch in spec.channels]
+    context = chain_context(spec.channels)
+    positions = context.positions
     for n in range(2, len(tables) - 1):
+        gammas, earlier = context.gamma(n), context.gamma(n - 1)
         for (i, j), now, before in zip(positions, thetas[n], thetas[n - 1]):
-            g = ladders[j].coefficients(n)[1]
-            h = ladders[i].coefficients(n - 1)[1]
-            if (g.numerator * h.denominator * before * scales[n]
-                    != now * scales[n - 1] * h.numerator * g.denominator):
+            (gn, gd), (hn, hd) = gammas[j], earlier[i]
+            if gn * hd * before * scales[n] != now * scales[n - 1] * hn * gd:
                 return False
     return True
 
@@ -565,8 +550,9 @@ def _terms(spec: FamilySpec, tables, perturb: bool):
 
 
 def _head(terms):
-    """The terms of Q_0..Q_top from those of the whole chain, or None."""
-    return None if terms is None else terms[:-1]
+    """The terms of Q_0..Q_top from the ``ChannelTerms`` of the whole
+    chain, or None."""
+    return None if terms is None else terms.chain[:-1]
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
@@ -653,6 +639,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
                 tables = _perturbed_tables(list(orthogonal_tables(spec, range(top + 1), tau)),
                                            perturb)
                 terms = _terms(spec, tables, perturb)
+                terms = None if terms is None else terms.chain
             orthogonality.extend(verify_orthogonality(
                 spec, tables, own_a, tau, basis=basis(tau), terms=terms))
 

@@ -320,7 +320,7 @@ def test_checks_build_no_polynomial_products(monkeypatch, name, perturb):
             return fn(*args, **kwargs)
         return wrapped
 
-    for fn in ("orthogonal_tables", "canonical_operator"):
+    for fn in ("orthogonal_tables", "canonical_parts"):
         monkeypatch.setattr(verification, fn, construction_step(getattr(verification, fn)))
     monkeypatch.setattr(MatrixPoly, "__matmul__",
                         outside_construction("matmul", MatrixPoly.__matmul__))

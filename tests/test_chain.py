@@ -90,6 +90,7 @@ def outcome(build):
     anew, so that each build meets every error itself."""
     families.ladder.cache_clear()
     construction._norm_quotient.cache_clear()
+    construction.chain_context.cache_clear()
     built = 0
     try:
         for _ in build():

@@ -7,6 +7,7 @@ every chain, so that each suite expands its Grams on the ladder bases,
 computes its residuals on the tables' coefficients and matches and closes
 its recurrences, as before the certificate."""
 import contextlib
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -183,10 +184,10 @@ def test_trust_identities_hold_and_detect_a_change(name):
     D, eig = canonical_operator(spec)
     top = spec.support_N if spec.is_finite else 3
     lam = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
-    assert certify_operator(spec, D, lam)
+    assert certify_operator(spec, *operators.integer_parts(D), lam)
     # one eigenvalue off
     wrong = [row[:-1] + [row[-1] + 1] for row in lam]
-    assert not certify_operator(spec, D, wrong)
+    assert not certify_operator(spec, *operators.integer_parts(D), wrong)
     # an x added to one pattern entry of F, or one entry off the pattern
     i, j = construction.staggered_positions(spec.m)[-1]
     for position in ((i, j), (j, i)):
@@ -194,7 +195,7 @@ def test_trust_identities_hold_and_detect_a_change(name):
         F_[position[0]][position[1]] = F_[position[0]][position[1]] + ScalarPoly.x()
         bent = DifferenceOperator(F=MatrixPoly(F_), K=D.K, G=D.G)
         assert not operators._conjugates(operators.integer_parts(bent)[0])
-        assert not certify_operator(spec, bent, lam)
+        assert not certify_operator(spec, *operators.integer_parts(bent), lam)
 
 
 def test_terms_are_single_ladder_multiples():
@@ -202,9 +203,9 @@ def test_terms_are_single_ladder_multiples():
     a perturbed Q_n has none."""
     spec = PASSING["hahn m=3"]
     tables = [orthogonal_table(spec, n) for n in range(spec.support_N + 1)]
-    chain = channel_terms(spec, tables)
-    assert chain is not None
-    for n, rows in enumerate(chain):
+    terms = channel_terms(spec, tables)
+    assert terms is not None
+    for n, rows in enumerate(terms.chain):
         degrees = {term[0] for row in rows for term in row if term is not None}
         assert degrees <= {n - 1, n, n + 1}
     bumped = verification._perturbed_tables(tables, True)
@@ -224,6 +225,7 @@ def test_wrong_norm_ratio_fails_orthogonality_like_the_dense_path(monkeypatch):
 
     construction._norm_quotient.cache_clear()
     monkeypatch.setattr(construction, "_norm_quotient", doubled)
+    monkeypatch.setattr(construction, "chain_context", fresh_contexts())
     for spec in (PASSING["krawtchouk m=2"], PASSING["charlier/meixner/charlier"]):
         tables = [orthogonal_table(spec, n, 2) for n in range(3)]
         assert channel_terms(spec, tables) is not None
@@ -232,6 +234,13 @@ def test_wrong_norm_ratio_fails_orthogonality_like_the_dense_path(monkeypatch):
             want = outcome(lambda: verification.run_verification(spec, n_max=2))
         assert got == want
         assert '"check": "orthogonality"' in got and '"pass": false' in got
+
+
+def fresh_contexts():
+    """A ``construction.chain_context`` of its own, which grows its norm
+    ratios through whatever ``construction._norm_quotient`` is patched in,
+    and which the real one's cache never sees."""
+    return functools.lru_cache(maxsize=None)(construction.ChainContext)
 
 
 @contextlib.contextmanager
@@ -249,6 +258,7 @@ def theta_one_degree_off():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construction, "_norm_quotient", shifted)
+        mp.setattr(construction, "chain_context", fresh_contexts())
         yield
 
 
@@ -326,7 +336,7 @@ def test_recurrence_certificate_equals_matching_and_closure(spec, top, tau, bent
         lead, odd = tables[k].coefficient(k), range(1, m, 2)
         return linalg.determinant([[F(lead[i][j], tables[k].scale) for j in odd] for i in odd])
 
-    for k, rows in enumerate(terms):
+    for k, rows in enumerate(terms.chain):
         theta = rational_matrix(m, (((j, i), -F(rows[j][i][1], q * tables[k].scale))
                                     for i, j in positions if rows[j][i] is not None))
         assert theta == R(k)

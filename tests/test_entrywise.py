@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mvop import families
+from mvop import construction, families
 from mvop.construction import (
     FamilySpec,
     _closed_form,
@@ -241,6 +241,7 @@ def test_recurrence_coefficients_evaluated_once(monkeypatch, spec, top):
 
         monkeypatch.setattr(cls, "recurrence_bc", counting)
     families.ladder.cache_clear()
+    construction.chain_context.cache_clear()
     try:
         tau = F(2) if needs_mass_probe(spec) else None
         if spec.is_finite:
@@ -249,6 +250,7 @@ def test_recurrence_coefficients_evaluated_once(monkeypatch, spec, top):
             orthogonal_polynomial(spec, n, tau=tau)
     finally:
         families.ladder.cache_clear()
+        construction.chain_context.cache_clear()
     assert set(calls) == {(ch, k) for ch in spec.channels for k in range(top + 1)}
     assert set(calls.values()) == {1}
 

@@ -35,6 +35,7 @@ KRAW3 = _family(["-2", "1/3"], {"kind": "krawtchouk", "p": "1/3", "N": 3},
 CHARLIER_MEIXNER = _family(["-1/2"], {"kind": "charlier", "b": "1"},
                            {"kind": "meixner", "beta": "1/2", "c": "1/3"})
 CHARLIER_BC = _family(["1"], {"kind": "charlier", "b": "1"}, {"kind": "charlier", "b": "2"})
+CHARLIER_BC_2 = _family(["2"], {"kind": "charlier", "b": "1"}, {"kind": "charlier", "b": "2"})
 CHARLIER_10_20 = _family(["3"], {"kind": "charlier", "b": "10"},
                          {"kind": "charlier", "b": "20"})
 CMC = _family(["2", "-1/3"], {"kind": "charlier", "b": "2"},
@@ -127,6 +128,9 @@ CASES = {
     "family-hahn-negative": (HAHN_NEGATIVE, ("family", "--n", "3")),
     "export-W-krawtchouk-m4": (KRAW4, ("export", "--what", "W")),
     "export-Q-cmc-tau": (CMC, ("export", "--what", "Q", "--n", "3", "--tau", "3/2")),
+    # float coefficients from the float mass quotient, printed by repr
+    "export-Q-charlier-numeric-latex": (CHARLIER_BC_2, ("export", "--what", "Q", "--n", "1",
+                                                        "--format", "latex")),
     "family-krawtchouk-m4-latex": (KRAW4, ("family", "--n", "2", "--format", "latex")),
     "export-recurrence": (CMC, ("export", "--what", "recurrence", "--n", "2", "--tau", "2")),
     # the triples at m = 6, n = N included, each lead's T a 3 x 3 block

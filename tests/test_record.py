@@ -20,7 +20,7 @@ from mvop import construction, families, limits, operators, verification
 from mvop.record import FrozenInstanceError, replace
 
 RECORDS = {
-    construction: ("FamilySpec", "GramMatrix", "IntegerTable", "GramBasis"),
+    construction: ("FamilySpec", "GramMatrix", "IntegerTable", "GramBasis", "ChannelTerms"),
     families: ("Mass", "NormValue", "ScalarOperator", "Charlier", "Meixner", "Krawtchouk",
                "Hahn", "Hermite", "Laguerre"),
     limits: ("TransitionSpec", "Transition", "TransitionStep", "ConvergenceReport"),
@@ -115,7 +115,7 @@ def test_every_record_class_is_listed():
     found = {obj for mod in RECORDS for obj in vars(mod).values()
              if isinstance(obj, type) and obj.__module__ == mod.__name__ and "_fields" in vars(obj)}
     assert found == set(CLASSES)
-    assert len(CLASSES) == 22
+    assert len(CLASSES) == 23
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

@@ -46,11 +46,12 @@ def test_each_polynomial_built_once(monkeypatch):
 def fresh_ladders():
     """Each channel's ladder, grown and certified anew in this test and
     after it, so that a count or a patched channel class reaches it."""
-    families.ladder.cache_clear()
-    families.certify_ladder.cache_clear()
+    caches = (families.ladder, families.certify_ladder, construction.chain_context)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    families.ladder.cache_clear()
-    families.certify_ladder.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("spec, taus", [(KRAW, 1), (CHARLIER_MEIXNER, 3)],
@@ -171,13 +172,13 @@ def test_perturb_reaches_the_recurrence_suite():
 
 def test_one_operator_per_run(monkeypatch):
     built = []
-    real = verification.canonical_operator
+    real = verification.canonical_parts
 
     def counting(spec, force=False):
         built.append(spec.a)
         return real(spec, force=force)
 
-    monkeypatch.setattr(verification, "canonical_operator", counting)
+    monkeypatch.setattr(verification, "canonical_parts", counting)
     assert verification.run_verification(KRAW).all_passed
     assert verification.verify_eigenfunction(KRAW, 3).all_passed
     # D(1), whose stencil gives every coupling probe's
