@@ -23,16 +23,17 @@ entries:
 
 Each is a sum of a few scalar multiples of channel polynomials, so Q_n is
 fixed by about 3 m^2 scalar coefficients.  ``orthogonal_tables`` builds a
-chain of Q_n from them in integers, in one pass: each channel's monic p_j
-is grown in integers over its least common denominator by the ladder
-itself (``families._Ladder.integer``) and read once per chain, each norm
-ratio's rational part and mass quotient is formed once per (ladder,
-degree, ladder, degree) (``_norm_quotient``), and the gates, the coupling
-pattern and the resolved mass quotients are read once per chain, so a
-degree only forms theta_n's scalar coefficients, puts them over their
-least common denominator and sums integer coefficient lists; no
-``Fraction`` polynomial product is formed.  ``orthogonal_table`` is the
-chain of one degree.  The result is an ``IntegerTable``: the least common
+chain of Q_n from them in integers, in one pass.  What no coupling and no
+tau changes is read from the channels' ``ChainContext``, once per process
+however many chains read it: each channel's monic p_j, grown in integers
+over its least common denominator by the ladder itself
+(``families._Ladder.integer``), each norm ratio's rational part and mass
+quotient (``_norm_quotient``), and each degree's term skeleton, the
+ladder vectors put over one denominator.  The gates and the resolved mass
+quotients are read once per chain, so a degree only forms its
+multipliers, puts them over their least common denominator and combines
+integer coefficient lists; no ``Fraction`` polynomial product is formed.
+``orthogonal_table`` is the chain of one degree.  The result is an ``IntegerTable``: the least common
 denominator L of Q_n's coefficients and the coefficients of L Q_n, and no
 values: every identity is checked on coefficients.  Scaling by a nonzero
 integer changes no zero, so a check that an identity vanishes reads the
@@ -63,12 +64,13 @@ channel basis, with no sum over x: W = U diag(w_r) U^T, so
 
     <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
 
-c_j[f] being f's coefficient on channel r's monic p_j.  ``_times_u`` reads
-q L (P U) off the integer table's coefficients, the couplings over their
-common denominator q.  For a Q_n of ``orthogonal_table``,
+c_j[f] being f's coefficient on channel r's monic p_j.  q L (P U) is read
+off the integer table's coefficients, the couplings over their common
+denominator q.  For a Q_n of ``orthogonal_table``,
 Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry is one multiple
 c p_j^(r): ``channel_terms`` checks this against the ladder's integer p_j
-and keeps (j, c), and ``terms_orthogonal`` sums c c' |p_j^(r)|^2 over the
+in the chain context, keeps (j, c) and holds the chain to construction
+form in the same pass, and ``terms_orthogonal`` sums c c' |p_j^(r)|^2 over the
 entries that share j, from the ladders' norms alone.  That is ``verify``'s
 certificate; for any other polynomial, or a Gram that is not zero,
 ``channel_table`` expands each entry on the ladder basis
@@ -441,9 +443,12 @@ class ChainContext:
       (``families._Ladder.integer``), read for k = n, n + 1, n - 1 when
       degree n is first asked for, so a ladder gate fires at the degree it
       fired at when each chain read the ladders itself;
-    * ``degree(n)``: Q_n's term skeleton (``_Skeleton``);
+    * ``degree(n)``: Q_n's term skeleton (``_skeleton``);
     * ``gamma(k)``: every channel's c_k as (numerator, denominator), which
-      the recurrence certificate's ratio identity reads.
+      the recurrence certificate's ratio identity reads;
+    * ``kinds[i][r]``: what entry (i, r) of Q U holds in construction form,
+      with the pattern position it belongs to, which ``channel_terms``
+      checks as it reads each table back.
 
     A degree that raises while it is grown is not kept, so the next chain
     that asks for it raises the same error at the same degree."""
@@ -481,7 +486,14 @@ class ChainContext:
         return gammas
 
     def _skeleton(self, n: int) -> tuple:
-        """Q_n's terms, in ``orthogonal_tables``'s entry kinds: with (i, j) a
+        """Q_n's terms as (den, quotients, thetas, entries): ``den`` the
+        common denominator of the degree's ladder vectors, ``quotients``
+        each pattern position's norm ratio as (numerator, denominator, Mass
+        quotient), ``thetas`` the positions whose theta is not structurally
+        0, as (position, numerator, denominator, indices of the couplings b
+        along its row), and ``entries`` each nonzero entry as (row-major
+        index, first multiplier, its vector, the other (multiplier, vector)
+        terms).  The entry kinds are ``orthogonal_tables``'s: with (i, j) a
         pattern position holding a_k and theta_k its norm ratio, entry (i, i)
         is 1 p_n^(i), entry (i, j) is a_k (p_(n+1)^(j) - x p_n^(i)), entry
         (j, i) takes -theta_k p_(n-1)^(i), and entry (j, l) takes
@@ -552,8 +564,8 @@ def orthogonal_tables(spec: FamilySpec, degrees, tau=None):
     Everything that depends on the channels alone is read from their
     ``chain_context``: the integer ladder vectors, the norm ratios and each
     degree's term skeleton, built once per process however many (a, tau)
-    chains read them.  A chain forms only its multipliers: 1, a and -a for
-    the diagonal and pattern terms, and from theta_n = a |p_n^(j)|^2 /
+    chains read them.  A chain forms only its multipliers: 1 and a for the
+    diagonal and pattern entries, and from theta_n = a |p_n^(j)|^2 /
     |p_(n-1)^(i)|^2, its mass quotient resolved at ``tau`` once per chain at
     the first degree n >= 1, -theta and theta b.  These, kept as unreduced
     fractions, are put over one common denominator M, the skeleton's

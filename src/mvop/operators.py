@@ -9,27 +9,32 @@ with Delta(f) = f(x+1) - f(x) and Nabla(f) = f(x) - f(x-1).  The scalar
 channel operators are written Delta f + k - nabla g, so they embed with
 G = -g on the diagonal.
 
-``conjugated_operator`` conjugates the diagonal of the channel operators by
+``conjugated_parts`` conjugates the diagonal of the channel operators by
 the unipotent factor U(x) = I + A x, in closed form, from the couplings and
-each operator's f, k and g.  The commutator of A with a diagonal matrix
-lies on A's staggered pattern, so F, K and G of the conjugated operator are
-nonzero only on the diagonal and the pattern, and are built there entry by
-entry.  ``canonical_operator`` passes it the spec's couplings and the
-per-family normalized channel operators, whose eigenvalues interlace across
-odd and even channels.  ``match_recurrence`` recovers the three-term recurrence
-matrices of a chain of consecutive polynomials from the top coefficients of
-the identity, in integers read off the chain's integer tables, with no inner
-products: each leading coefficient is [[I, N], [0, T]] on the even, then the
-odd channels, so only its odd-channel block T is inverted
-(``lead_inverse``), by fraction-free integer elimination for m >= 4
-(``integer_inverse``).  ``coefficients_close`` certifies an identity on
+each operator's f, k and g, in integers: D as it acts on values,
+P . D = P(x + 1) X + P(x) Y + P(x - 1) Z, with X, Y and Z integer
+coefficient lists over one denominator S (``integer_parts`` gives the same
+form for any ``DifferenceOperator``).  The commutator of A with a diagonal
+matrix lies on A's staggered pattern, so the parts are nonzero only on the
+diagonal and the pattern, and are built there entry by entry.
+``canonical_parts`` passes it the spec's couplings and the per-family
+normalized channel operators, whose eigenvalues interlace across odd and
+even channels; ``verify`` reads these parts, and the ``DifferenceOperator``
+that ``family`` and ``export`` print and the API returns
+(``canonical_operator``, ``conjugated_operator``) is their ``Fraction``
+view (``difference_operator``), so D has one construction.
+``match_recurrence`` recovers the three-term recurrence matrices of a chain
+of consecutive polynomials from the top coefficients of the identity, in
+integers read off the chain's integer tables, with no inner products:
+each leading coefficient is [[I, N], [0, T]] on the even, then the odd
+channels, so only its odd-channel block T is inverted (``lead_inverse``),
+by fraction-free integer elimination for m >= 4 (``integer_inverse``).  ``coefficients_close`` certifies an identity on
 the tables' monomial coefficients, in integers, with no values.
 ``certify_operator`` certifies, in integers, the two identities on which
 ``verify`` reads Q_n . D = Lambda_n Q_n off the channel terms of Q_n U:
 D(a) = U_a diag(delta_r) U_a^(-1) on the diagonal coupling line, and each
-channel ladder's p_j being an eigenfunction of delta_r.  It reads D, as
-``verify``'s dense residual does, in integers as it acts on values
-(``integer_parts``): P . D = P(x + 1) X + P(x) Y + P(x - 1) Z.  The certified
+channel ladder's p_j being an eigenfunction of delta_r.  It reads D's
+integer parts, as ``verify``'s dense residual does.  The certified
 triples stay (integer matrix, denominator) pairs where they are printed
 (``family --recurrence`` and ``export --what recurrence`` format each
 entry with ``rational.format_over``); a ``RecurrenceTriple`` of Fractions
@@ -261,8 +266,8 @@ def certify_operator(spec: FamilySpec, parts, scale: int, eigenvalues) -> bool:
     for D = D(1), the canonical operator of ``spec`` at couplings all 1,
     given by its integer parts ``parts`` over ``scale``
     (``canonical_parts``), D(a) its diagonal plus a times its other
-    entries, and
-    ``eigenvalues[r][j]`` channel r's eigenvalue at degree j.  With
+    entries, and ``eigenvalues[r][j]`` channel r's eigenvalue at degree j.
+    With
     delta_r the operator of D(1)'s entry (r, r), two identities suffice:
 
     * the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1) for every
@@ -271,9 +276,10 @@ def certify_operator(spec: FamilySpec, parts, scale: int, eigenvalues) -> bool:
       channel r and every degree j of ``eigenvalues[r]``, in integers, once
       per ladder per process (``_ladder_eigen``).
 
-    Both read D's integer parts.  Then (Q_n U) diag(delta_r) has entry c lambda_j^(r) p_j^(r) wherever
-    Q_n U has c p_j^(r), so Q_n . D(a) = Lambda_n Q_n exactly when every
-    such entry in row i has lambda_j^(r) = (Lambda_n)_ii."""
+    Both read D's integer parts.  Then (Q_n U) diag(delta_r) has entry
+    c lambda_j^(r) p_j^(r) wherever Q_n U has c p_j^(r), so
+    Q_n . D(a) = Lambda_n Q_n exactly when every such entry in row i has
+    lambda_j^(r) = (Lambda_n)_ii."""
     X, Y, Z = parts
     return _conjugates(parts) and all(
         _ladder_eigen(ladder(ch), X[r][r], Y[r][r], Z[r][r], scale, tuple(lams))
@@ -285,7 +291,8 @@ def integer_parts(D: DifferenceOperator):
     with X = F, Y = K - F + G and Z = -G, as ((X, Y, Z), S), S the least
     common denominator of F's, K's and G's coefficients and each part an
     m x m grid of S times its entries' coefficients, integer tuples, lowest
-    degree first, with no trailing zero."""
+    degree first, with no trailing zero: the form ``conjugated_parts``
+    builds D in, for any ``DifferenceOperator``."""
     m = D.F.rows
     ints, scale = over_lcm([e.coeffs for part in (D.F, D.K, D.G) for row in part.entries
                             for e in row])

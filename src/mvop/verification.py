@@ -58,8 +58,8 @@ per entry; the three suites then read the kept (j, c) pairs:
   T_k = I + theta_k A on the odd channels being the odd block of Q_k's
   lead [[I, N], [0, T]].  So det L_k = det T_k, and no lead is inverted:
   T_k is tridiagonal, and its determinant is a continuant, O(m) integer
-  products (``operators.continuant``), read from the lead after the
-  dense matcher's form check (``operators.lead_block``).  The leads of
+  products (``operators.continuant``), with T_k formed from the terms
+  themselves: a chain in construction form fixes its leads.  The leads of
   Q_1..Q_(top+1) are checked in ascending k, so a lead that a coupling
   probe or a tau probe makes singular is the same ProbeError, naming the
   probe, --probes or --tau-probes, at the same k as the dense matcher's
@@ -81,7 +81,8 @@ the first chain that has channel terms (``operators.certify_operator``),
 so a run whose chains all take the dense path skips them: the ladder eigen
 identity p_j . delta_r = lambda_j^(r) p_j for j <= top + 1, once per ladder
 per process, and the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1).
-The canonical operator is built once per run, at a = 1; D(a) is its
+The canonical operator is built once per run, at a = 1, as its integer
+parts only (``operators.canonical_parts``); D(a) is its
 diagonal plus a times its other entries, both sides are affine in a (the
 a^2 part of the right side vanishes on the pattern, which is checked), so
 the a^0 and a^1 parts fix the identity for every probe.
@@ -100,9 +101,9 @@ for that chain and that suite, so every failure detail keeps its bytes:
   support and in units of channel 1's |p_0|^2 on an infinite one;
 * the eigenfunction residual Q_n . D(a) - Lambda_n Q_n is formed on the
   table's coefficients, as Q(x + 1) X + Q(x) Y + Q(x - 1) Z - Lambda_n Q
-  with X = F, Y = K - F + G and Z = -G over one denominator
-  (``operators.integer_parts``), each nonzero entry of Q shifted once each
-  way by the Taylor shift; D(a)'s parts are probed from D(1)'s, the
+  with X = F, Y = K - F + G and Z = -G over one denominator, D's integer
+  parts (``operators.canonical_parts``), each nonzero entry of Q shifted
+  once each way by the Taylor shift; D(a)'s parts are probed from D(1)'s, the
   diagonal scaled by q and the pattern by p for a = p/q
   (``_residual_operator``).  A failing check reports the residual's first
   nonzero entry, its integer coefficients divided once;
@@ -154,7 +155,6 @@ from .operators import (
     certify_operator,
     coefficients_close,
     continuant,
-    lead_block,
     match_recurrence,
     not_closed,
     shifts,
@@ -307,7 +307,7 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
 
 def _residual_operator(parts, scale: int, eig, top: int, a_val):
     """What the residuals of probe a = p/q read, from D(1)'s integer
-    ``parts`` over ``scale`` S (``operators.integer_parts``) and the
+    ``parts`` over ``scale`` S (``operators.canonical_parts``) and the
     eigenvalue map, as (parts of d q S D(a), the diagonals of
     d q S Lambda_n for n = 0..top, d q S), d the diagonals' common
     denominator.  Every pattern entry of F, K and G carries exactly one
@@ -383,7 +383,8 @@ def _eigenvalues_match(chain, lam) -> bool:
 def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False):
     """The eigenfunction check of one chain, as a function of (tables of
     Q_0..Q_top, their channel terms or None, a, tau), with the canonical
-    operator D(1) built once per run; a SpecError of ``canonical_operator``
+    operator D(1) built once per run, as its integer parts
+    (``operators.canonical_parts``); a SpecError of ``canonical_parts``
     passes to the caller.
 
     A chain whose terms exist passes when every eigenvalue matches
@@ -470,17 +471,30 @@ def _recurrence_certified(spec: FamilySpec, tables, terms, singular) -> bool:
     ``singular(k)`` raised for the first lead whose T block has determinant
     zero (``operators.continuant``).  ``channel_terms`` has held each table
     to construction form and handed over s_k = q L_k and the terms
-    -s_k theta_k, so the ratio identity is compared cross-multiplied by
-    s_n s_(n-1) and the gammas' denominators, in integers, the gammas read
-    from the channels' ``construction.chain_context``."""
+    -s_k theta_k.  A table in construction form is
+    Q_k = (P_k + A P_(k+1) - theta_k P_(k-1))(I - A x), so its lead's odd
+    block is T_k = I + theta_k A on the odd channels, formed here from the
+    terms as q s_k T_k, with no lead read from the table.  The ratio
+    identity is compared cross-multiplied by s_n s_(n-1) and the gammas'
+    denominators, in integers, the gammas read from the channels'
+    ``construction.chain_context``."""
     scales, thetas = terms.scales, terms.thetas
     if thetas is None:
         return False
-    for k in range(1, len(tables)):
-        if not continuant(lead_block(tables[k].coefficient(k), tables[k].scale)):
-            raise singular(k)
     context = chain_context(spec.channels)
     positions = context.positions
+    (qa,), q = over_lcm((spec.a,))
+    odd = spec.m // 2
+    for k in range(1, len(tables)):
+        # q s_k T_k, T_k = I + theta_k A on the odd (1-based even)
+        # channels, theta_k(j, i) = -c / s_k for the term c at (j, i)
+        T = [[q * scales[k] * (u == v) for v in range(odd)] for u in range(odd)]
+        for (i, j), c in zip(positions, thetas[k]):
+            if c:
+                for l, index in context.coupled[i]:
+                    T[j // 2][l // 2] -= c * qa[index]
+        if not continuant(T):
+            raise singular(k)
     for n in range(2, len(tables) - 1):
         gammas, earlier = context.gamma(n), context.gamma(n - 1)
         for (i, j), now, before in zip(positions, thetas[n], thetas[n - 1]):

@@ -14,13 +14,27 @@ with the recurrence loops of their monic scalar polynomials.
 ``gram_schmidt_oracle`` reaches the monic orthogonal polynomials by exact
 block Gram-Schmidt instead, with every inner product the pointwise sum of
 ``residual_oracle.brute_force_gram``, not the value-table engine.
+``orthogonal_tables`` is the integer chain kernel as it was before the
+per-channel ``construction.ChainContext``: every chain reads the ladders
+and norm ratios itself, degree by degree, and sums each term's integer
+coefficients over one common denominator.
 """
+import math
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.construction import norm_ratio, staggered_positions
+from mvop.construction import (
+    IntegerTable,
+    _check_index,
+    _norm_quotient,
+    _resolve_quotient,
+    norm_ratio,
+    spec_tau,
+    staggered_positions,
+)
 from mvop.errors import SpecError
-from mvop.families import Charlier, Krawtchouk, Meixner, ScalarOperator, monic_polynomial
+from mvop.families import (Charlier, Krawtchouk, Meixner, ScalarOperator, ladder,
+                           monic_polynomial)
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.rational import rational
 
@@ -87,6 +101,89 @@ def orthogonal_polynomial(spec, n, tau=None):
         P_prev = diagonal_polynomial(spec, n - 1)
         theta = norm_ratio_matrix(spec, n, tau)
     return assemble(spec, P_prev, P_n, P_next, theta)
+
+
+def orthogonal_tables(spec, degrees, tau=None):
+    """The integer tables of Q_n for each n of ``degrees``, as the chain
+    kernel built them per chain: each channel's integer p_k read once per
+    chain for k = n, n + 1, n - 1, each mass quotient resolved at the first
+    degree n >= 1, and every term (row, column, multiplier, power of x,
+    ladder vector) summed into its entry over the lcm of the multipliers'
+    and the vectors' denominators, then reduced by one gcd."""
+    m = spec.m
+    positions = staggered_positions(m)
+    ladders = [ladder(ch) for ch in spec.channels]
+    couplings = [(a.numerator, a.denominator) for a in spec.a]
+    coupled = {}  # i -> [(l, b's numerator, b's denominator)] along row i of A
+    for (i, j), (an, ad) in zip(positions, couplings):
+        coupled.setdefault(i, []).append((j, an, ad))
+    integers = {}  # k -> every channel's integer p_k
+    resolved = {}  # position -> its mass quotient at tau
+    for index, n in enumerate(degrees):
+        _check_index(spec, n)
+        if not index:
+            tau = spec_tau(spec, tau, exact=True)
+        for k in (n, n + 1, n - 1):
+            if k not in integers and k >= 0:
+                integers[k] = [lad.integer(k) for lad in ladders]
+        p, q = integers[n], integers[n + 1]
+        terms = [(i, i, 1, 1, 0, p[i]) for i in range(m)]
+        for (i, j), (an, ad) in zip(positions, couplings):
+            terms += [(i, j, an, ad, 0, q[j]), (i, j, -an, ad, 1, p[i])]
+        for k, (i, j) in enumerate(positions if n else ()):
+            coefficient, quotient = _norm_quotient(ladders[j], n, ladders[i], n - 1)
+            if k not in resolved:
+                resolved[k] = _resolve_quotient(quotient, tau)
+            t = resolved[k]
+            an, ad = couplings[k]
+            num = an * coefficient.numerator * t.numerator
+            if num:
+                den = ad * coefficient.denominator * t.denominator
+                r = integers[n - 1][i]
+                terms.append((j, i, -num, den, 0, r))
+                terms += [(j, l, num * bn, den * bd, 1, r) for l, bn, bd in coupled[i]]
+        D = math.lcm(*[den * d for _, _, _, den, _, (_, d) in terms])
+        entries = {}
+        for i, l, num, den, shift, (coeffs, d) in terms:
+            f = num * (D // (den * d))
+            cs = entries.get((i, l))
+            if cs is None:
+                cs = entries[i, l] = [0] * (n + 2)
+            for k, v in enumerate(coeffs, shift):
+                cs[k] += f * v
+        for cs in entries.values():
+            while cs and not cs[-1]:
+                cs.pop()
+        g = math.gcd(D, *[v for cs in entries.values() for v in cs])
+        if g > 1:
+            entries = {key: [v // g for v in cs] for key, cs in entries.items()}
+        yield IntegerTable(degree=n, scale=D // g, coefficients=tuple(
+            tuple(tuple(entries.get((i, l), ())) for l in range(m)) for i in range(m)))
+
+
+def channel_terms(spec, tables):
+    """The chain of each table's Q U entries as (j, c), c p_j^(r) being
+    q L (Q U)_ir, or None for a zero entry, or None for the whole chain when
+    an entry is no single ladder multiple: in ``Fraction``s, Q U formed by
+    ``MatrixPoly`` products and each entry compared with the monic p_j."""
+    U = unipotent_factor(spec)
+    q = math.lcm(*(a.denominator for a in spec.a))
+    chain = []
+    for table in tables:
+        rows = []
+        for row in (table.polynomial() @ U).entries:
+            terms = []
+            for r, e in enumerate(row):
+                if e.is_zero:
+                    terms.append(None)
+                    continue
+                c = e.leading
+                if e != monic_polynomial(spec.channels[r], e.degree) * c:
+                    return None
+                terms.append((e.degree, int(c * q * table.scale)))
+            rows.append(tuple(terms))
+        chain.append(tuple(rows))
+    return chain
 
 
 def closure_polynomial(spec):

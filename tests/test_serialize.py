@@ -77,6 +77,15 @@ def test_poly_latex():
     assert poly_to_latex(ScalarPoly.zero()) == "0"
 
 
+def test_poly_latex_prints_floats_by_repr():
+    # the coefficients of a float mass quotient (tau "numeric") read as the
+    # JSON prints them, not as the binary fractions they hold
+    p = ScalarPoly((-2.0, 22.74625462767236))
+    assert poly_to_latex(p) == "22.74625462767236 x - 2.0"
+    assert poly_to_latex(ScalarPoly((-10.87312731383618,))) == "-10.87312731383618"
+    assert poly_to_latex(ScalarPoly((0.5, -1.0, 1.0))) == "x^{2} - x + 0.5"
+
+
 def test_matpoly_latex_shape():
     Q0 = orthogonal_polynomial(kraw_pair(), 0)
     tex = matpoly_to_latex(Q0)
