@@ -59,35 +59,38 @@ rounded.  Runs of weights (``integer_weights``) grow each channel by its
 exact ratio w(x + 1) / w(x) (``families.weight_sequence``).
 
 ``integer_table`` puts any exact matrix polynomial in the same form (the
-polynomials of exact ``inner_product``).  Exact Gram matrices, on every support, are read in the
-channel basis, with no sum over x: W = U diag(w_r) U^T, so
+polynomials of exact ``inner_product``).  Exact Gram matrices, on every
+support, are read in the channel basis, with no sum over x:
+W = U diag(w_r) U^T, so
 
     <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
 
-c_j[f] being f's coefficient on channel r's monic p_j.  q L (P U) is read
-off the integer table's coefficients, the couplings over their common
-denominator q.  For a Q_n of ``orthogonal_table``,
-Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry is one multiple
-c p_j^(r): ``channel_terms`` checks this against the ladder's integer p_j
-in the chain context, keeps (j, c) and holds the chain to construction
-form in the same pass, and ``terms_orthogonal`` sums c c' |p_j^(r)|^2 over the
-entries that share j, from the ladders' norms alone.  That is ``verify``'s
-certificate; for any other polynomial, or a Gram that is not zero,
-``channel_table`` expands each entry on the ladder basis
-(``_ladder_columns``, every channel's x^d grown by the recurrence in
-integers) and ``channel_gram`` sums any pair in integers over one
-denominator, which ``rational.over`` divides out once per entry.
-``gram_basis`` puts the ladders' norms (the cross-channel masses resolved
-along the pattern path at the tau probe by ``channel_masses``) over one
-integer denominator once per (channels, tau), and builds the expansions on
-first use.  On a finite support the norms carry channel 1's rational mass,
-so the Gram is the exact ``Fraction`` the support sum gives; on an
-infinite one it is in units of channel 1's |p_0|^2.  The trust base is
-each channel's ladder being orthogonal for its weight with its norms:
-certified once per finite channel (``families.certify_ladder``), and the
-scalar theorem on an infinite support (Koekoek, Lesky & Swarttouw,
-*Hypergeometric Orthogonal Polynomials*, Springer 2010, ch. 9).  The
-pointwise support sum is the tests' oracle (``tests/gram_oracle.py``).
+c_j[f] being f's coefficient on channel r's monic p_j.  There is one
+expansion: ``channel_terms`` forms q L (P U) off the integer table's
+coefficients, the couplings over their common denominator q, and peels
+each entry onto its channel's ladder from the top down
+(``ChainContext.peel``), each step subtracting c p_j through the ladder's
+integer p_j in the chain context and keeping (j, c).  For a Q_n of
+``orthogonal_table``, Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry
+is one multiple c p_j^(r) and takes one step, and the same pass holds the
+chain to construction form.  ``term_grams`` sums c c' |p_j^(r)|^2 over
+the terms that share (r, j), from the ladders' norms alone, for a chain of
+Q_n, a bumped chain or any two polynomials, and ``rational.over`` divides
+out the scales once per entry.  On a finite support {0..N} a degree past
+N + 2 is reduced by a multiple of x^(j-N-1) p_(N+1), which vanishes on the
+support, and every p_j with j > N has norm zero.  ``gram_basis`` puts the
+ladders' norms (the cross-channel masses resolved along the pattern path
+at the tau probe by ``channel_masses``) over one integer denominator once
+per (channels, tau).  On a finite support the norms carry channel 1's
+rational mass, so the Gram is the exact ``Fraction`` the support sum
+gives; on an infinite one it is in units of channel 1's |p_0|^2.  The
+trust base is each channel's ladder being orthogonal for its weight with
+its norms: certified once per finite channel
+(``families.certify_ladder``), and the scalar theorem on an infinite
+support (Koekoek, Lesky & Swarttouw, *Hypergeometric Orthogonal
+Polynomials*, Springer 2010, ch. 9).  The pointwise support sum is the
+tests' oracle (``tests/gram_oracle.py``), and the falling-factorial
+moments are its infinite-support twin (``tests/moment_oracle.py``).
 The truncated float Gram has the same shape: ``float_value_table`` per
 polynomial, ``float_weight_table`` once (at x = 0..x_max on an infinite
 support, over the whole of a finite one), and ``float_grams`` for any set of
@@ -101,7 +104,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import add, mul, sub
 
@@ -448,12 +451,16 @@ class ChainContext:
       the recurrence certificate's ratio identity reads;
     * ``kinds[i][r]``: what entry (i, r) of Q U holds in construction form,
       with the pattern position it belongs to, which ``channel_terms``
-      checks as it reads each table back.
+      checks as it reads each table back;
+    * ``peel(r, cs)``: an entry of channel r on the ladder basis.
 
     A degree that raises while it is grown is not kept, so the next chain
     that asks for it raises the same error at the same degree."""
 
     def __init__(self, channels):
+        self.top = channels[0].support_N
+        # the top ladder degree a peel reads: the closure companion's N + 2
+        self.last = math.inf if self.top is None else self.top + 2
         self.ladders = [ladder(ch) for ch in channels]
         self.positions = staggered_positions(len(channels))
         # i -> [(l, index of the coupling)] along row i of A
@@ -484,6 +491,42 @@ class ChainContext:
                 (c.numerator, c.denominator)
                 for c in (lad.coefficients(k)[1] for lad in self.ladders)]
         return gammas
+
+    def peel(self, r: int, cs: list) -> tuple:
+        """A nonzero entry of channel r, its integer coefficients ``cs``
+        lowest degree first, as its terms (j, c) on the ladder basis, from
+        the top down.  At degree j the leading coefficient c of what is left
+        is that of c p_j^(r), p_j being monic: with the ladder's integer
+        d p_j, d cs - c (d p_j) is d times the remainder, its top
+        coefficient cancelled, so the remainder is read on with its scale
+        multiplied by d, and c is recorded over the scale reached: an int
+        where the scale divides it, a ``Fraction`` otherwise.  An entry that
+        is one ladder multiple takes one step.  On a finite support {0..N} a degree
+        past N + 2, the closure companion's top ladder degree, is reduced by
+        c x^(j-N-1) p_(N+1), which vanishes on the support, and records
+        nothing; the terms at N + 1 and N + 2 are kept, with norm zero."""
+        terms, scale = [], 1
+        while True:
+            j, c = len(cs) - 1, cs[-1]
+            k = j if j <= self.last else self.top + 1
+            try:
+                p, d = self.integers[k][r]
+            except KeyError:
+                p, d = self.ladders[r].integer(k)
+            if k < j:
+                p = (0,) * (j - k) + p  # x^(j-N-1) p_(N+1)
+            elif scale == 1:
+                terms.append((j, c))
+            else:
+                whole, part = divmod(c, scale)
+                terms.append((j, Fraction(c, scale) if part else whole))
+            rest = [v * d - c * w for v, w in zip(cs, p)]
+            rest.pop()  # c d - c d: the top coefficient cancels
+            if not any(rest):
+                return tuple(terms)
+            while not rest[-1]:
+                rest.pop()
+            cs, scale = rest, scale * d
 
     def _skeleton(self, n: int) -> tuple:
         """Q_n's terms as (den, quotients, thetas, entries): ``den`` the
@@ -721,9 +764,10 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
                   x_max: int = 400, tol: float = 1e-9) -> GramMatrix:
     """<P, Q> = sum_x P(x) W(x) Q(x)^T over the support.
 
-    Exact mode needs a finite support and exact coefficients, and reads the
-    Gram in the channel basis (``channel_gram``); a channel whose ladder
-    fails its certificate is a SpecError naming it.  On an infinite support
+    Exact mode needs exact coefficients, ints or ``Fraction``s (any other
+    is a ValueError), and a finite support, and reads the Gram off the
+    channel terms of P and Q (``channel_terms``, ``term_grams``); a channel
+    whose ladder fails its certificate is a SpecError naming it.  On an infinite support
     the exact Gram reads a tau probe, and ``mvop verify`` is the exact
     route.  Truncated mode sums in floats through ``float_grams``, over
     x = 0..x_max on an infinite support and the whole of 0..N on a finite
@@ -735,6 +779,10 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
         raise ValueError("polynomial width does not match the family size")
 
     if mode == "exact":
+        if not all(isinstance(c, (int, Fraction))
+                   for S in (P, Q) for row in S.entries for e in row for c in e.coeffs):
+            raise ValueError('exact inner products need exact rational coefficients (int or '
+                             'Fraction); use mode="truncated" for float coefficients')
         if not spec.is_finite:
             raise SpecError(
                 "exact inner products need a finite support; on an infinite support "
@@ -743,8 +791,10 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
         basis = gram_basis(spec, max(P.degree, Q.degree) + 1)
         if basis.failure:
             raise SpecError(basis.failure)
-        tables = [channel_table(integer_table(S), spec, basis) for S in (P, Q)]
-        return GramMatrix(entries=over(*channel_gram(*tables, basis)), mode="exact")
+        terms = channel_terms(spec, [integer_table(S) for S in (P, Q)])
+        sums = term_grams(terms.chain, basis, ((0, 1),))[0, 1]
+        p_scale, q_scale = terms.scales
+        return GramMatrix(entries=over(sums, p_scale * q_scale * basis.norm_scale), mode="exact")
 
     if mode != "truncated":
         raise ValueError(f"unknown inner product mode {mode!r}")
@@ -869,71 +919,26 @@ def channel_masses(spec: FamilySpec, tau=None) -> tuple:
 
 @frozen
 class GramBasis:
-    """What ``channel_gram`` reads besides the two polynomials, in integers:
-    ``norms[r * width + j]`` is ``norm_scale`` times |p_j^(r)|^2, absolute
-    on a finite support and in units of channel 1's |p_0|^2 on an infinite
-    one, and ``failure`` names the first channel whose ladder fails its
-    certificate, or is "".  ``columns[r][j]`` is ``scale`` times the
-    coefficients of channel r's p_j in x^0, ..., x^top
-    (``_ladder_columns``), for j < width: only ``channel_table`` reads
-    them, so they are built on first use, from ``ladders``."""
+    """The ladders' norms in integers, as ``term_grams`` reads them:
+    ``norms[r * width + j]`` is ``norm_scale`` times |p_j^(r)|^2 for
+    j < width, absolute on a finite support and in units of channel 1's
+    |p_0|^2 on an infinite one, and ``failure`` names the first channel
+    whose ladder fails its certificate, or is ""."""
 
-    ladders: tuple
-    top: int
     width: int
     norm_scale: int
     norms: tuple
     failure: str
 
-    @cached_property
-    def _expansions(self):
-        parts = [_ladder_columns(lad, self.top, self.width) for lad in self.ladders]
-        scale = math.lcm(*(s for _, s in parts))
-        return scale, tuple(tuple(tuple(v * (scale // s) for v in col) for col in cols)
-                            for cols, s in parts)
-
-    @property
-    def scale(self) -> int:
-        return self._expansions[0]
-
-    @property
-    def columns(self) -> tuple:
-        return self._expansions[1]
-
-
-def _ladder_columns(lad, top: int, width: int):
-    """x^0..x^top on a ladder's monic p_0..p_(width-1), in integers, as
-    (columns, D^top): columns[j] holds D^top times p_j's coefficients in
-    x^0, ..., x^top, zero below x^j.  x^(d+1) grows from x^d by
-    x p_j = p_(j+1) + b_j p_j + c_j p_(j-1), with b_j and c_j over their
-    common denominator D, so D^d x^d has integer coefficients; terms from
-    p_width on are dropped."""
-    bc, D = over_lcm([lad.coefficients(j) for j in range(min(top, width))])
-    rows = [[1]]
-    for _ in range(top):
-        nxt = [0] * min(len(rows[-1]) + 1, width)
-        for j, (v, (b, c)) in enumerate(zip(rows[-1], bc)):
-            if j + 1 < width:
-                nxt[j + 1] += D * v
-            nxt[j] += b * v
-            if j:
-                nxt[j - 1] += c * v
-        rows.append(nxt)
-    lift = [D ** (top - d) for d in range(top + 1)]
-    return [tuple(row[j] * f if j < len(row) else 0 for row, f in zip(rows, lift))
-            for j in range(width)], lift[0]
-
 
 def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
-    """The ladders' norms, put over one integer denominator, and the
-    expansions of x^0..x^top on every channel's ladder basis, built on first
-    use (``GramBasis``); they do not depend on the couplings, so a run builds
-    one per tau.  The norms are the ladders' coefficient ratios times the
-    path masses resolved at ``tau`` (``channel_masses``).  On a finite
-    support {0..N} the expansions stop at p_N: they are taken modulo
-    p_(N+1), which vanishes on the support, and the norms are multiplied by
-    channel 1's rational mass.  Each channel's ladder is certified once per
-    process (``families.certify_ladder``)."""
+    """The ladders' norms of degrees 0..top, put over one integer
+    denominator (``GramBasis``); they do not depend on the couplings, so a
+    run builds one per tau.  The norms are the ladders' coefficient ratios
+    times the path masses resolved at ``tau`` (``channel_masses``).  On a
+    finite support {0..N} they stop at p_N, since |p_j|^2 = 0 for j > N,
+    and are multiplied by channel 1's rational mass.  Each channel's ladder
+    is certified once per process (``families.certify_ladder``)."""
     ladders = tuple(ladder(ch) for ch in spec.channels)
     failure = next((f"channel {r} ladder fails its certificate: {verdict}"
                     for r, verdict in enumerate(map(certify_ladder, ladders), 1) if verdict), "")
@@ -946,102 +951,59 @@ def gram_basis(spec: FamilySpec, top: int, tau=None) -> GramBasis:
     (norms,), norm_scale = over_lcm([[
         lad.norm(j).coefficient * (mass * unit)
         for lad, mass in zip(ladders, channel_masses(spec, tau)) for j in range(width)]])
-    return GramBasis(ladders, top, width, norm_scale, norms, failure)
-
-
-def _unipotent(spec: FamilySpec):
-    """The couplings as ``_times_u`` reads them: (q, coupled), q their
-    common denominator and coupled[r] the (k, q a) of each pattern position
-    (k, r) holding a."""
-    q, couplings = _integer_couplings(spec)
-    return q, [[(k, c) for k, j, c in couplings if j == r] for r in range(spec.m)]
-
-
-def _times_u(table: IntegerTable, q: int, coupled):
-    """q L (P U) from P's integer table and the couplings (``_unipotent``),
-    row after row: row i holds the integer coefficients of each entry
-    (i, r), lowest degree first.  U = I + A x, so column r of P U is
-    P[:, r] plus a x P[:, k] for each pattern position (k, r) holding a."""
-    for row in table.coefficients:
-        out = []
-        for r, pairs in enumerate(coupled):
-            cs = [q * v for v in row[r]]
-            for k, c in pairs:
-                cs.extend([0] * (len(row[k]) + 1 - len(cs)))
-                for t, v in enumerate(row[k], 1):
-                    cs[t] += c * v
-            out.append(cs)
-        yield out
-
-
-def channel_table(table: IntegerTable, spec: FamilySpec, basis: GramBasis) -> tuple:
-    """P U on the channel bases, from P's integer table: (scale, rows), with
-    rows[i][r * width + j] the integer ``scale`` c_j, where
-    (P U)_ir = sum_j c_j p_j^(r), j < width (``GramBasis``): the integer
-    coefficients of q L (P U)_ir (``_times_u``) summed against
-    ``basis.columns[r][j]``."""
-    q, coupled = _unipotent(spec)
-    return table.scale * q * basis.scale, [
-        [sum(map(mul, cs, col)) for cs, columns in zip(row, basis.columns) for col in columns]
-        for row in _times_u(table, q, coupled)]
+    return GramBasis(width, norm_scale, norms, failure)
 
 
 @frozen
 class ChannelTerms:
-    """A chain's Q U as single ladder multiples (``channel_terms``):
-    ``chain[n][i][r]`` is (j, c) with q L_n (Q_n U)_ir = c p_j^(r), or None
-    for a zero entry.  When every table is in construction form,
-    ``scales[k]`` is s_k = q L_k and ``thetas[k]`` holds, per pattern
-    position (i, j), the c of entry (j, i), -s_k theta_k(j, i), or 0;
-    otherwise both are None."""
+    """A chain's Q U on the ladder bases (``channel_terms``):
+    ``chain[n][i][r]`` holds the terms (j, c) of entry (i, r), so that
+    q L_n (Q_n U)_ir = sum c p_j^(r), with () for a zero entry, and
+    ``scales[n]`` is s_n = q L_n.  When every table is in construction form
+    ``thetas[k]`` holds, per pattern position (i, j), the c of entry (j, i),
+    -s_k theta_k(j, i), or 0; otherwise it is None."""
 
     chain: tuple
-    scales: tuple | None
+    scales: tuple
     thetas: tuple | None
 
 
-def channel_terms(spec: FamilySpec, tables):
-    """The chain's Q U entry by entry, each as one multiple of one ladder
-    polynomial, when every entry of every table is one (``ChannelTerms``);
-    None for the whole chain as soon as an entry is no such multiple
-    (``--perturb``).
+def channel_terms(spec: FamilySpec, tables) -> ChannelTerms:
+    """The chain's Q U entry by entry on the ladder bases
+    (``ChannelTerms``), each entry peeled from the top down
+    (``ChainContext.peel``).
 
     Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry of a Q_n built by
-    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1}.  Every
-    integer coefficient of every table is read back: entry (i, r) of
-    q L (Q U) is q Q_ir plus (q a) x Q_ik for each pattern position (k, r)
-    holding a, and an entry of degree j is compared, as a whole list, with
-    the ladder's integer d p_j (``ChainContext.integers``), whose leading
-    coefficient is d: p_j is monic, so c is the entry's leading coefficient,
-    and the entry equals c p_j when its coefficients times d are c times
-    d p_j's.  The tables are read from the last and each row as it is
-    formed, so a perturbed chain, whose Q_n for n >= 1 fail at entry (1, 1),
-    is declined after one row.
+    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1} and
+    takes one step; a bumped table (``--perturb``) or any other polynomial
+    takes more.  Every integer coefficient of every table is read back:
+    entry (i, r) of q L (Q U) is q Q_ir plus (q a) x Q_ik for each pattern
+    position (k, r) holding a.
 
     In the same pass each table k is held to construction form, which the
-    recurrence certificate reads: every term of q L_k (Q_k U) is (k, q L_k)
-    on the diagonal, (k + 1, L_k q a) at each pattern position (i, j)
-    holding a, (k - 1, c) or none at (j, i), and none elsewhere."""
+    recurrence certificate reads: every entry of q L_k (Q_k U) is one term,
+    (k, q L_k) on the diagonal, (k + 1, L_k q a) at each pattern position
+    (i, j) holding a, (k - 1, c) or none at (j, i), and none elsewhere."""
     context = chain_context(spec.channels)
-    integers, ladders, kinds = context.integers, context.ladders, context.kinds
+    kinds, peel = context.kinds, context.peel
     m = spec.m
     q, couplings = _integer_couplings(spec)
     coupled = [[(i, c) for i, j, c in couplings if j == r] for r in range(m)]
     chain, scales, thetas = [], [], []
     conforms = True
-    for k in range(len(tables) - 1, -1, -1):
-        table = tables[k]
+    for k, table in enumerate(tables):
         L = table.scale
         s = q * L
         theta = [0] * len(couplings)
         rows = []
-        for row, expected in zip(table.coefficients, kinds):
-            terms = []
+        for i, row in enumerate(table.coefficients):
+            expected = kinds[i] if i < m else [(None, None)] * m
+            entries = []
             for r, own in enumerate(row):
                 cs = [q * v for v in own]
-                for i, c in coupled[r]:
-                    # plus (q a) x Q_ik
-                    below = row[i]
+                for l, c in coupled[r]:
+                    # plus (q a) x Q_il
+                    below = row[l]
                     cs.extend([0] * (len(below) + 1 - len(cs)))
                     for t, v in enumerate(below, 1):
                         cs[t] += c * v
@@ -1049,17 +1011,13 @@ def channel_terms(spec: FamilySpec, tables):
                     cs.pop()
                 kind, position = expected[r]
                 if not cs:
-                    terms.append(None)
+                    entries.append(())
                     conforms = conforms and kind in (_ZERO, _TRANSPOSED)
                     continue
+                terms = peel(r, cs)
+                entries.append(terms)
                 j, c = len(cs) - 1, cs[-1]
-                try:
-                    p, d = integers[j][r]
-                except KeyError:
-                    p, d = ladders[r].integer(j)
-                if [v * d for v in cs] != [c * w for w in p]:
-                    return None
-                terms.append((j, c))
+                conforms = conforms and len(terms) == 1
                 if kind == _DIAGONAL:
                     conforms = conforms and j == k and c == s
                 elif kind == _PATTERN:
@@ -1069,65 +1027,49 @@ def channel_terms(spec: FamilySpec, tables):
                     theta[position] = c
                 else:
                     conforms = False
-            rows.append(tuple(terms))
+            rows.append(tuple(entries))
         chain.append(tuple(rows))
         scales.append(s)
         thetas.append(tuple(theta))
-    chain.reverse()
-    if not conforms:
-        return ChannelTerms(tuple(chain), None, None)
-    return ChannelTerms(tuple(chain), tuple(scales[::-1]), tuple(thetas[::-1]))
+    return ChannelTerms(tuple(chain), tuple(scales), tuple(thetas) if conforms else None)
 
 
-def channel_gram(p_table, q_table, basis: GramBasis) -> tuple:
-    """<P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2 from
-    two channel tables and the basis's norms, as (sums, den): entry (i, l)
-    is the integer sums[i][l] over den (``rational.over`` divides them
-    once), absolute on a finite support and in units of channel 1's |p_0|^2
-    on an infinite one.
+def term_grams(chain, basis: GramBasis, pairs) -> dict:
+    """<P_n, P_k> for each (n, k) of ``pairs``, keyed by the pair, from the
+    ``chain`` of ``ChannelTerms`` and the basis's norms alone:
 
-    W = U diag(w_r) U^T, and channel r's monic polynomials are orthogonal
-    for w_r with the ladder's norms, so no sum over the support is needed."""
-    p_scale, p_rows = p_table
-    q_scale, q_rows = q_table
-    sums = []
-    for prow in p_rows:
-        weighted = list(map(mul, prow, basis.norms))
-        sums.append(tuple(sum(map(mul, weighted, qrow)) for qrow in q_rows))
-    return tuple(sums), p_scale * q_scale * basis.norm_scale
+        <P, Q>_il = sum_r sum_j c_j[(P U)_ir] c_j[(Q U)_lr] |p_j^(r)|^2,
 
-
-def terms_orthogonal(chain, basis: GramBasis) -> bool:
-    """Whether <Q_n, Q_k> = 0 for every k < n of a chain given by its
-    ``channel_terms``, read from the basis's norms alone: entry (i, l) is
-    sum_r c c' |p_j^(r)|^2 over the channels r where (Q_n U)_ir = c p_j^(r)
-    and (Q_k U)_lr = c' p_j^(r) share the degree j (``channel_gram`` with
-    one nonzero c_j per entry).  A degree past the basis (j = N + 1 on a
-    finite support, where |p_(N+1)|^2 = 0) adds nothing, and two degrees
-    n, k with |n - k| >= 3 share no j.  Each Q_n's terms share its scale
-    q L_n, which changes no zero."""
+    since W = U diag(w_r) U^T and channel r's monic polynomials are
+    orthogonal for w_r with the ladder's norms, so no sum over the support
+    is needed.  Each Gram is rows of sums over the terms that share a
+    channel r and a degree j, an int where every c is, and
+    s_n s_k ``norm_scale`` times the Gram, s_n = q L_n the terms' scale.  A
+    degree past the basis (j > N on a finite support, where |p_j|^2 = 0)
+    adds nothing, and two chain degrees n, k with |n - k| >= 3 share no j."""
     width, norms = basis.width, basis.norms
-    grouped = []  # per n: (r, j) -> [(i, c), ...]
-    for rows in chain:
-        by_degree = {}
-        for i, row in enumerate(rows):
-            for r, term in enumerate(row):
-                if term is not None and term[0] < width:
-                    by_degree.setdefault((r, term[0]), []).append((i, term[1]))
-        grouped.append(by_degree)
-    for n, here in enumerate(grouped):
-        for there in grouped[:n]:
-            sums = {}
-            for (r, j), left in here.items():
-                right = there.get((r, j))
-                if right:
-                    h = norms[r * width + j]
-                    for i, c in left:
-                        for l, e in right:
-                            sums[i, l] = sums.get((i, l), 0) + c * e * h
-            if any(sums.values()):
-                return False
-    return True
+    grouped = {}  # per polynomial: (r, j) -> [(row, c), ...]
+    for t in {t for pair in pairs for t in pair}:
+        by_degree = grouped[t] = {}
+        for i, row in enumerate(chain[t]):
+            for r, terms in enumerate(row):
+                for j, c in terms:
+                    if j < width:
+                        by_degree.setdefault((r, j), []).append((i, c))
+    grams = {}
+    for n, k in pairs:
+        sums = [[0] * len(chain[k]) for _ in chain[n]]
+        there = grouped[k]
+        for (r, j), left in grouped[n].items():
+            right = there.get((r, j))
+            if right:
+                h = norms[r * width + j]
+                for i, c in left:
+                    ch, out = c * h, sums[i]
+                    for l, e in right:
+                        out[l] += ch * e
+        grams[n, k] = sums
+    return grams
 
 
 def check_tol(tol, name: str = "tol"):

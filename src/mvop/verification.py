@@ -16,15 +16,19 @@ changes no zero.
 The certificate.  With U = I + A x, Q_n U = P_n + A P_(n+1) - R_n P_(n-1),
 so each nonzero entry (i, r) of Q_n U is c p_j^(r) for one degree j of
 channel r's monic ladder.  ``construction.channel_terms`` forms
-q L (Q_n U) from the coefficients and accepts the chain when every entry
-equals c p_j^(r) for the ladder's integer p_j, in O(j) integer products
-per entry; the three suites then read the kept (j, c) pairs:
+q L (Q_n U) from the coefficients and peels every entry onto its channel's
+ladder from the top down, each step subtracting c p_j through the ladder's
+integer p_j, so an entry of a chain as built takes one step of O(j)
+integer products and a bumped one a few; the three suites then read the
+kept (j, c) terms:
 
 * orthogonality: <Q_n, Q_k>_il is the sum over channels r of
-  c c' |p_j^(r)|^2 over the entries (i, r) of Q_n U and (l, r) of Q_k U that
-  share j, from the ladders' norms alone (``construction.terms_orthogonal``);
-  a degree past N has norm zero on a finite support;
-* eigenfunction: Q_n . D(a) = Lambda_n Q_n when every entry c p_j^(r) in
+  c c' |p_j^(r)|^2 over the terms of the entries (i, r) of Q_n U and
+  (l, r) of Q_k U that share j, from the ladders' norms alone
+  (``construction.term_grams``), for every chain, bumped or not; a degree
+  past N has norm zero on a finite support, and a failing Gram is printed
+  from the same sums;
+* eigenfunction: Q_n . D(a) = Lambda_n Q_n when every term c p_j^(r) in
   row i has lambda_j^(r) = (Lambda_n)_ii;
 * recurrence: with S_k = Q_k U and the terms formed for Q_0..Q_(top+1),
   the chain is in construction form when every term of q L_k S_k is
@@ -77,7 +81,7 @@ a failed certificate fails every orthogonality check with a detail naming
 the channel and the identity; on an infinite support it is the scalar
 theorem (Koekoek, Lesky & Swarttouw, Springer 2010, ch. 9).  The
 eigenfunction reading rests on two identities, certified in integers at
-the first chain that has channel terms (``operators.certify_operator``),
+the first chain whose eigenvalues all match (``operators.certify_operator``),
 so a run whose chains all take the dense path skips them: the ladder eigen
 identity p_j . delta_r = lambda_j^(r) p_j for j <= top + 1, once per ladder
 per process, and the conjugation identity D(a) = U_a diag(delta_r) U_a^(-1).
@@ -87,18 +91,14 @@ diagonal plus a times its other entries, both sides are affine in a (the
 a^2 part of the right side vanishes on the pattern, which is checked), so
 the a^0 and a^1 parts fix the identity for every probe.
 
-The dense path.  A chain that ``--perturb`` bumped forms no channel terms;
-it, a chain with an entry that is no single ladder multiple, a failed
-trust identity, a failing orthogonality or eigenfunction check, or a chain
-out of construction form or failing the ratio identity runs the dense code
-for that chain and that suite, so every failure detail keeps its bytes:
+The dense paths.  Orthogonality has none: a failing Gram is the sum the
+certificate forms, absolute on a finite support and in units of channel
+1's |p_0|^2 on an infinite one.  A chain whose terms' eigenvalues do not
+all match (a ``--perturb`` bump's do not), a failed trust identity, or a
+chain out of construction form (a bumped one is) or failing the ratio
+identity runs the dense code for that chain and that suite, so every
+failure detail keeps its bytes:
 
-* every Gram <Q_n, Q_k> is read in the channel basis from the table's
-  coefficients, each channel's x^d expanded on its ladder
-  (``construction.channel_table``, ``construction.channel_gram``), the
-  expansions built on first use once per tau probe of a run
-  (``construction.gram_basis``); a failing Gram is absolute on a finite
-  support and in units of channel 1's |p_0|^2 on an infinite one;
 * the eigenfunction residual Q_n . D(a) - Lambda_n Q_n is formed on the
   table's coefficients, as Q(x + 1) X + Q(x) Y + Q(x - 1) Z - Lambda_n Q
   with X = F, Y = K - F + G and Z = -G over one denominator, D's integer
@@ -133,8 +133,6 @@ from .construction import (
     TAU_PROBES,
     FamilySpec,
     chain_context,
-    channel_gram,
-    channel_table,
     channel_terms,
     check_tol,
     converged,
@@ -146,7 +144,7 @@ from .construction import (
     numeric_polynomial,
     orthogonal_tables,
     spec_tau,
-    terms_orthogonal,
+    term_grams,
 )
 from .errors import SpecError
 from .operators import (
@@ -238,12 +236,9 @@ def _perturbed_tables(tables, perturb: bool):
     return tables[:1] + [bumped(t) for t in tables[1:]]
 
 
-_UNSET = object()  # no channel terms passed: verify_orthogonality forms them
-
-
 def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
                          truncated: bool = False, x_max: int = 400,
-                         tol: float = 1e-9, basis=None, terms=_UNSET) -> list:
+                         tol: float = 1e-9, basis=None, terms=None) -> list:
     """<Q_n, Q_k> = 0 for every k < n of the chain Q_0, Q_1, ..., built for
     ``spec`` at ``probe_tau``: exactly in the channel basis, ``chain``
     holding the polynomials' integer tables (``construction.orthogonal_tables``)
@@ -254,14 +249,11 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
 
     The exact Grams are read from the chain's channel terms
     (``construction.channel_terms``, formed here unless a caller that has
-    them passes ``terms``) and the basis's norms alone
-    (``construction.terms_orthogonal``) when the chain has them and every
-    ladder holds its certificate.  Otherwise, or when a Gram is not zero,
-    every Gram of the chain is expanded on the ladder bases
-    (``construction.channel_gram``), and a failing one is printed absolute
-    on a finite support and in units of channel 1's |p_0|^2 on an infinite
-    one; a channel ladder that fails its certificate fails every exact
-    check.
+    them passes ``terms``, whose first tables are the chain's) and the
+    basis's norms alone (``construction.term_grams``), for a chain of Q_n
+    and a bumped one alike.  A failing Gram is printed absolute on a finite
+    support and in units of channel 1's |p_0|^2 on an infinite one; a
+    channel ladder that fails its certificate fails every exact check.
 
     The truncated sums read one float value table per polynomial and one
     float weight table, and every <Q_n, Q_k> with k <= n is summed in one
@@ -274,15 +266,11 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
         values = [float_value_table(Q, len(weights) - 1) for Q in chain]
         pairs = [(n, k) for n in range(len(chain)) for k in range(n + 1)]
         grams = float_grams(values, weights, pairs, x_max, tol)
-    else:
-        if terms is _UNSET:
-            formed = channel_terms(spec, chain)
-            terms = None if formed is None else formed.chain
-        if terms is not None and not basis.failure and terms_orthogonal(terms, basis):
-            return [CheckResult(name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
-                                passed=True, detail=f"k = {k}")
-                    for n in range(len(chain)) for k in range(n)]
-        values = [channel_table(t, spec, basis) for t in chain]
+    elif not basis.failure:
+        if terms is None:
+            terms = channel_terms(spec, chain)
+        pairs = [(n, k) for n in range(len(chain)) for k in range(n)]
+        grams = term_grams(terms.chain, basis, pairs)
     checks = []
     for n in range(len(chain)):
         for k in range(n):
@@ -295,9 +283,12 @@ def verify_orthogonality(spec: FamilySpec, chain, probe_a, probe_tau,
             elif basis.failure:
                 passed, detail = False, f"k = {k}; {basis.failure}"
             else:
-                sums, den = channel_gram(values[n], values[k], basis)
+                sums = grams[n, k]
                 passed = not any(map(any, sums))
-                detail = f"k = {k}" + ("" if passed else f"; gram = {over(sums, den)}")
+                detail = f"k = {k}"
+                if not passed:
+                    scale = terms.scales[n] * terms.scales[k] * basis.norm_scale
+                    detail += f"; gram = {over(sums, scale)}"
             checks.append(CheckResult(
                 name="orthogonality", n=n, probe_a=probe_a, probe_tau=probe_tau,
                 passed=passed, detail=detail,
@@ -374,24 +365,28 @@ def _eigenfunction_checks(parts, lambdas, scale: int, tables, probe_a, probe_tau
 def _eigenvalues_match(chain, lam) -> bool:
     """Whether every term c p_j^(r) in row i of Q_n U has
     lambda_j^(r) = (Lambda_n)_ii, for ``chain`` the channel terms of
-    Q_0, Q_1, ... and ``lam[r][j]`` channel r's eigenvalue at degree j."""
-    return all(lam[r][term[0]] == lam[i][n]
+    Q_0, Q_1, ... and ``lam[r][j]`` channel r's eigenvalue at degree j.
+    The terms of an entry of degree at most N + 2 are its exact expansion
+    on the ladder basis, as every entry of a chain's Q U is, so the
+    identity holds exactly when every term's eigenvalue matches its row's."""
+    return all(lam[r][j] == lam[i][n]
                for n, rows in enumerate(chain) for i, row in enumerate(rows)
-               for r, term in enumerate(row) if term is not None)
+               for r, terms in enumerate(row) for j, _ in terms)
 
 
 def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False):
     """The eigenfunction check of one chain, as a function of (tables of
-    Q_0..Q_top, their channel terms or None, a, tau), with the canonical
-    operator D(1) built once per run, as its integer parts
+    Q_0..Q_top, their channel terms, a, tau), with the canonical operator
+    D(1) built once per run, as its integer parts
     (``operators.canonical_parts``); a SpecError of ``canonical_parts``
     passes to the caller.
 
-    A chain whose terms exist passes when every eigenvalue matches
-    (``_eigenvalues_match``), once D(1) and the channel ladders hold the
+    A chain passes when every eigenvalue of its terms matches
+    (``_eigenvalues_match``) and D(1) and the channel ladders hold the
     identities the certificate rests on (``operators.certify_operator``),
-    judged at the first chain that has terms: a perturbed run never pays
-    for them.  Otherwise the chain's residuals are computed on its tables'
+    judged once, at the first chain whose eigenvalues match: a perturbed
+    run, whose bumped terms match no eigenvalue, never pays for them.
+    Otherwise the chain's residuals are computed on its tables'
     coefficients, from Lambda_n's diagonals and D(a)'s integer parts for each
     probe a of ``a_vals``, probed from D(1)'s (``_residual_operator``),
     these built at the first chain that needs them
@@ -399,20 +394,16 @@ def _eigenfunction_suite(spec: FamilySpec, top: int, a_vals, force: bool = False
     at_one = _probe(spec, 1)
     (parts, scale), eig = canonical_parts(at_one, force=force)
 
-    @cache
-    def trusted():
-        eigenvalues = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
-        if certify_operator(at_one, parts, scale, eigenvalues):
-            return over_lcm(eigenvalues)[0]
-        return None
+    eigenvalues = [[fn(j) for j in range(top + 2)] for fn in eig.channel_eigenvalues]
+    lam = over_lcm(eigenvalues)[0]
+    trusted = cache(lambda: certify_operator(at_one, parts, scale, eigenvalues))
 
     @cache
     def dense():
         return {a: _residual_operator(parts, scale, eig, top, a) for a in a_vals}
 
     def checks(tables, terms, a_val, tau):
-        lam = None if terms is None else trusted()
-        if lam is not None and _eigenvalues_match(terms, lam):
+        if _eigenvalues_match(terms, lam) and trusted():
             return [CheckResult(name="eigenfunction", n=n, probe_a=a_val, probe_tau=tau,
                                 passed=True) for n in range(len(tables))]
         return _eigenfunction_checks(*dense()[a_val], tables, a_val, tau)
@@ -430,21 +421,14 @@ def verify_recurrence(spec: FamilySpec, tables, probe_a, probe_tau, terms=None) 
     gamma_n^(j) theta_(n-1)(j, i) = theta_n(j, i) gamma_(n-1)^(i) at every
     pattern position and every n >= 2, given invertible leads
     (``_recurrence_certified``; the reduction is in the module docstring).
-    A chain with no terms (``--perturb``), out of construction form or
-    failing the identity is matched (``operators.match_recurrence``) and
-    closed on the tables' coefficients (``operators.coefficients_close``),
+    A chain without ``terms``, out of construction form (a ``--perturb``
+    bump takes it out) or failing the identity is matched
+    (``operators.match_recurrence``) and closed on the tables' coefficients
+    (``operators.coefficients_close``),
     with no values.  Where both apply they give one verdict, so every
     report byte is the same.  A leading coefficient that the probe makes
     singular is a ProbeError naming --probes, or --tau-probes when the
-    chain reads a tau, at the first such Q_k on either path.
-
-    Timed in-process over the chains of the benchmark's seed-1 rounds,
-    built once (2 vCPUs, Python 3.11.7, fastest of 40 runs, three series),
-    this suite takes 0.93-0.96 ms per ``verify-finite`` round and
-    2.2-2.3 ms per ``verify-infinite`` round, where it took 1.58-1.59 and
-    3.3-3.5 ms while it inverted every lead (``BENCH_chain-pass.json``);
-    matching and closing every chain took 11.2 and 17.8 ms in forked
-    rounds (``BENCH_recurrence-terms.json``)."""
+    chain reads a tau, at the first such Q_k on either path."""
     def singular(k):
         if probe_tau is None:
             return singular_lead(k, f"coupling probe a = {probe_a} (--probes)")
@@ -545,28 +529,14 @@ def _sweep(spec: FamilySpec, top: int, a_vals, tau_vals, perturb: bool):
     recurrence, each built once as its integer table of coefficients, the
     chain in one pass (``construction.orthogonal_tables``, with no values),
     and perturbed with ``perturb``, and the channel terms of the same chain
-    (``_terms``), which the orthogonality and eigenfunction suites read
-    without the last."""
+    (``construction.channel_terms``), which the orthogonality and
+    eigenfunction suites read without the last."""
     for a_val in a_vals:
         probe = _probe(spec, a_val)
         for tau in tau_vals:
             tables = _perturbed_tables(list(orthogonal_tables(probe, range(top + 2), tau)),
                                        perturb)
-            yield a_val, tau, probe, tables, _terms(probe, tables, perturb)
-
-
-def _terms(spec: FamilySpec, tables, perturb: bool):
-    """The chain's channel terms (``construction.channel_terms``), or None
-    for a chain that ``perturb`` bumped: the bump is the fixture that makes
-    verification fail, and it is reported from the dense path, which a
-    chain with no terms takes."""
-    return None if perturb else channel_terms(spec, tables)
-
-
-def _head(terms):
-    """The terms of Q_0..Q_top from the ``ChannelTerms`` of the whole
-    chain, or None."""
-    return None if terms is None else terms.chain[:-1]
+            yield a_val, tau, probe, tables, channel_terms(probe, tables)
 
 
 def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
@@ -585,7 +555,7 @@ def verify_eigenfunction(spec: FamilySpec, n_max: int, a_probes=None,
     eigenfunction = _eigenfunction_suite(spec, top, a_vals, force)
     checks = []
     for a_val, tau, _, tables, terms in _sweep(spec, top, a_vals, tau_vals, perturb):
-        checks.extend(eigenfunction(tables[:-1], _head(terms), a_val, tau))
+        checks.extend(eigenfunction(tables[:-1], terms.chain[:-1], a_val, tau))
     return VerificationReport(checks=tuple(checks), a_probes=a_vals, tau_probes=tau_vals)
 
 
@@ -631,16 +601,16 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
         eigenfunction_suite = None
         notes.append(f"bispectral suite skipped: {err}")
 
-    own = {}  # tau -> tables and terms of Q_0..Q_top at the spec's own couplings
+    own = {}  # tau -> tables of Q_0..Q_top at the spec's own couplings, and their terms
     for a_val, tau, probe, tables, terms in _sweep(spec, top, a_vals, tau_vals, perturb):
-        checked, head = tables[:-1], _head(terms)
+        checked = tables[:-1]
         if probe == spec:
-            own[tau] = checked, head
+            own[tau] = checked, terms
         if spec.is_finite and not truncated:
             orthogonality.extend(verify_orthogonality(
-                probe, checked, a_val, tau, basis=basis(tau), terms=head))
+                probe, checked, a_val, tau, basis=basis(tau), terms=terms))
         if eigenfunction_suite is not None:
-            eigenfunction.extend(eigenfunction_suite(checked, head, a_val, tau))
+            eigenfunction.extend(eigenfunction_suite(checked, terms.chain[:-1], a_val, tau))
         recurrence.extend(verify_recurrence(probe, tables, a_val, tau, terms=terms))
 
     if not spec.is_finite and not truncated:
@@ -652,8 +622,7 @@ def run_verification(spec: FamilySpec, n_max: int | None = None, a_probes=None,
             else:
                 tables = _perturbed_tables(list(orthogonal_tables(spec, range(top + 1), tau)),
                                            perturb)
-                terms = _terms(spec, tables, perturb)
-                terms = None if terms is None else terms.chain
+                terms = channel_terms(spec, tables)
             orthogonality.extend(verify_orthogonality(
                 spec, tables, own_a, tau, basis=basis(tau), terms=terms))
 

@@ -161,29 +161,44 @@ def orthogonal_tables(spec, degrees, tau=None):
             tuple(tuple(entries.get((i, l), ())) for l in range(m)) for i in range(m)))
 
 
+def ladder_polynomial(channel, j):
+    """The channel's monic p_j, and on a finite support {0..N} at j = N + 2
+    the recurrence's own step (x - b_(N+1)) p_(N+1) - c_(N+1) p_N, which
+    the closure companion reads."""
+    N = channel.support_N
+    if N is None or j <= N + 1:
+        return monic_polynomial(channel, j)
+    b, c = channel.recurrence_bc(N + 1)
+    return monic_polynomial(channel, N + 1) * ScalarPoly((-b, 1)) - monic_polynomial(channel, N) * c
+
+
+def peel(channel, e):
+    """The terms (j, c) of e on the channel's monic ladder, from the top
+    down: e minus c p_j at each degree j, and on a finite support {0..N},
+    past degree N + 2, minus c x^(j-N-1) p_(N+1), with nothing recorded."""
+    N = channel.support_N
+    terms = []
+    while not e.is_zero:
+        j, c = e.degree, e.leading
+        if N is None or j <= N + 2:
+            terms.append((j, c))
+            e = e - ladder_polynomial(channel, j) * c
+        else:
+            shift = ScalarPoly((0,) * (j - N - 1) + (1,))
+            e = e - monic_polynomial(channel, N + 1) * shift * c
+    return tuple(terms)
+
+
 def channel_terms(spec, tables):
-    """The chain of each table's Q U entries as (j, c), c p_j^(r) being
-    q L (Q U)_ir, or None for a zero entry, or None for the whole chain when
-    an entry is no single ladder multiple: in ``Fraction``s, Q U formed by
-    ``MatrixPoly`` products and each entry compared with the monic p_j."""
+    """The chain of each table's Q U entries as (j, c) terms, with
+    q L (Q U)_ir = sum c p_j^(r) (``peel``), () for a zero entry: in
+    ``Fraction``s, Q U formed by ``MatrixPoly`` products."""
     U = unipotent_factor(spec)
     q = math.lcm(*(a.denominator for a in spec.a))
-    chain = []
-    for table in tables:
-        rows = []
-        for row in (table.polynomial() @ U).entries:
-            terms = []
-            for r, e in enumerate(row):
-                if e.is_zero:
-                    terms.append(None)
-                    continue
-                c = e.leading
-                if e != monic_polynomial(spec.channels[r], e.degree) * c:
-                    return None
-                terms.append((e.degree, int(c * q * table.scale)))
-            rows.append(tuple(terms))
-        chain.append(tuple(rows))
-    return chain
+    return [tuple(tuple(tuple((j, c * q * table.scale) for j, c in peel(ch, e))
+                        for ch, e in zip(spec.channels, row))
+                  for row in (table.polynomial() @ U).entries)
+            for table in tables]
 
 
 def closure_polynomial(spec):

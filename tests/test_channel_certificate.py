@@ -1,13 +1,18 @@
-"""The channel certificate of ``verify``: each Q_n U read as one multiple of
-one ladder polynomial per entry, the three suites read off those terms, the
-trust identities they rest on, and the dense path a chain falls back to.
+"""The channel certificate of ``verify``: each entry of Q_n U peeled onto
+its channel's ladder, one multiple of one ladder polynomial for a chain as
+built, the three suites read off those terms, the trust identities they
+rest on, and the dense paths a chain falls back to.
 
-The dense path is reached by making ``verification.channel_terms`` decline
-every chain, so that each suite expands its Grams on the ladder bases,
-computes its residuals on the tables' coefficients and matches and closes
-its recurrences, as before the certificate."""
+Orthogonality has one path, the Grams read off the terms, and its checks
+are held to the support sum (``gram_oracle``) on a finite support and the
+falling-factorial moments (``moment_oracle``) on an infinite one.  The
+eigenfunction and recurrence suites' dense paths are reached by making the
+eigenvalue match and the recurrence certificate decline every chain, so
+that each computes its residuals on the tables' coefficients and matches
+and closes its recurrences, as before the certificate."""
 import contextlib
 import functools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +22,7 @@ from mvop import construction, linalg, operators, verification
 from mvop.construction import (
     FamilySpec,
     channel_terms,
+    gram_basis,
     integer_table,
     norm_ratio,
     orthogonal_polynomial,
@@ -35,6 +41,9 @@ from mvop.operators import (
 from mvop.poly import MatrixPoly, ScalarPoly
 from mvop.serialize import json_dumps
 
+from gram_oracle import gram_sum, value_table, weight_table
+from moment_oracle import moment_gram
+
 RATIONALS = (F(1), F(2), F(-1), F(1, 2), F(-3, 2), F(5, 3), F(-2, 7), F(3), F(-1, 4))
 KRAW_P = (F(1, 3), F(2, 5), F(1, 4), F(3, 4), F(5, 7))
 # alpha + beta = 4 on odd channels and 2 on even ones: the Hahn gate holds
@@ -47,9 +56,8 @@ HAHN_NEGATIVE_EVEN = ((F(-7, 3), F(-10, 3)), (F(-8, 3), F(-3)))
 CHARLIER_B = (F(1), F(2), F(3, 2))
 MEIXNER = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(1), F(1, 4)))
 
-# the functions only the dense path calls
-DENSE = ("_eigenfunction_residual", "channel_table", "_ladder_columns",
-         "match_recurrence", "coefficients_close")
+# the functions only the dense paths call
+DENSE = ("_eigenfunction_residual", "match_recurrence", "coefficients_close")
 TAUS = (F(1), F(2), F(1, 3), F(5, 2), F(-1, 2))
 
 
@@ -96,9 +104,44 @@ def counting_dense():
 
 @contextlib.contextmanager
 def dense_path():
+    """The eigenfunction and recurrence suites' dense paths on every chain."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verification, "channel_terms", lambda spec, tables: None)
+        mp.setattr(verification, "_eigenvalues_match", lambda *args: False)
+        mp.setattr(verification, "_recurrence_certified", lambda *args: False)
         yield
+
+
+def oracle_gram(spec, P, Q, tau):
+    """<P, Q> by the support sum on a finite support, by the moments on an
+    infinite one."""
+    if spec.is_finite:
+        return gram_sum(*(value_table(integer_table(S), spec) for S in (P, Q)),
+                        weight_table(spec))
+    return moment_gram(P, Q, spec, tau)
+
+
+def assert_orthogonality_reads_the_oracle(spec, report, perturb):
+    """Every orthogonality check of ``report`` (its JSON) passes exactly
+    where the oracle Gram of its pair vanishes, and a failing one prints
+    that Gram.  A finite support's checks read the probe's couplings, an
+    infinite one's the spec's own."""
+    checks = [c for c in json.loads(report)["checks"] if c["check"] == "orthogonality"]
+    tops = {}
+    for check in checks:
+        tau = None if check["tau"] is None else F(check["tau"])
+        probe = verification._probe(spec, F(check["a"])) if spec.is_finite else spec
+        check["key"] = probe, tau
+        tops[probe, tau] = max(tops.get((probe, tau), 0), check["n"])
+    chains = {(probe, tau): verification._perturbed(
+        [orthogonal_polynomial(probe, n, tau) for n in range(top + 1)], perturb)
+        for (probe, tau), top in tops.items()}
+    for check in checks:
+        probe, tau = check["key"]
+        n, k = check["n"], int(check["detail"].split(";")[0][len("k = "):])
+        gram = oracle_gram(probe, chains[probe, tau][n], chains[probe, tau][k], tau)
+        zero = all(v == 0 for row in gram for v in row)
+        assert check["pass"] == zero
+        assert check["detail"] == f"k = {k}" + ("" if zero else f"; gram = {gram}")
 
 
 def outcome(run):
@@ -114,7 +157,9 @@ def outcome(run):
        tau_probes=probe_lists((F(1), F(2), F(1, 3), F(5, 2)), 2), perturb=st.booleans())
 def test_certificate_report_equals_dense_report(spec, n_max, a_probes, tau_probes, perturb):
     """The report from the channel certificate is byte for byte the dense
-    path's, plain and perturbed; a plain spec takes no dense step."""
+    eigenfunction and recurrence paths', plain and perturbed, and every
+    orthogonality check is the support sum's or the moments' verdict and
+    Gram; a plain spec takes no dense step."""
     def run():
         return verification.run_verification(spec, n_max=n_max, a_probes=a_probes,
                                              tau_probes=tau_probes, perturb=perturb)
@@ -124,8 +169,10 @@ def test_certificate_report_equals_dense_report(spec, n_max, a_probes, tau_probe
     with dense_path():
         want = outcome(run)
     assert got == want
-    if not perturb and isinstance(got, str):
-        assert calls == []
+    if isinstance(got, str):
+        assert_orthogonality_reads_the_oracle(spec, got, perturb)
+        if not perturb:
+            assert calls == []
 
 
 PASSING = {
@@ -164,6 +211,24 @@ def test_orthogonality_forms_the_terms_it_is_not_given():
     assert calls == []
 
 
+def test_perturbed_run_skips_the_trust_identities(monkeypatch):
+    """A perturbed chain's bumped terms match no eigenvalue, so a
+    ``--perturb`` run of Hahn m=2, N=4 reports every eigenfunction check
+    from the dense path and never certifies the operator; the plain run
+    certifies it once."""
+    spec = FamilySpec(a=(F(1),), channels=(Hahn(F(3, 2), F(5, 2), 4), Hahn(F(1, 2), F(3, 2), 4)))
+    calls = []
+    real = verification.certify_operator
+    monkeypatch.setattr(verification, "certify_operator",
+                        lambda *args: calls.append(args) or real(*args))
+    report = verification.run_verification(spec, perturb=True)
+    eigenfunction = [c for c in report.checks if c.name == "eigenfunction"]
+    assert [c.passed for c in eigenfunction] == [c.n == 0 for c in eigenfunction]
+    assert calls == []
+    assert verification.run_verification(spec).all_passed
+    assert len(calls) == 1
+
+
 def test_broken_trust_identity_takes_dense_path(monkeypatch):
     """A failed trust identity sends every chain's eigenfunction suite to
     the dense path, whose verdict is reported."""
@@ -199,24 +264,42 @@ def test_trust_identities_hold_and_detect_a_change(name):
 
 
 def test_terms_are_single_ladder_multiples():
-    """Every nonzero entry of Q_n U is c p_j^(r) with j in n - 1..n + 1, and
-    a perturbed Q_n has none."""
-    spec = PASSING["hahn m=3"]
-    tables = [orthogonal_table(spec, n) for n in range(spec.support_N + 1)]
-    terms = channel_terms(spec, tables)
-    assert terms is not None
-    for n, rows in enumerate(terms.chain):
-        degrees = {term[0] for row in rows for term in row if term is not None}
-        assert degrees <= {n - 1, n, n + 1}
-    bumped = verification._perturbed_tables(tables, True)
-    assert channel_terms(spec, bumped[:1]) is not None
-    assert channel_terms(spec, bumped) is None
+    """Every nonzero entry of Q_n U is one term c p_j^(r), c an int and j
+    in n - 1..n + 1; a perturbed Q_n's entry (1, 1) peels to two terms, the
+    chain leaves construction form, and the Grams read off either chain's
+    terms are the support sum's (finite) or the moments' (infinite)."""
+    for spec, tau, top in ((PASSING["hahn m=3"], None, 5),
+                           (PASSING["charlier/meixner/charlier"], F(2), 3)):
+        tables = [orthogonal_table(spec, n, tau) for n in range(top + 1)]
+        terms = channel_terms(spec, tables)
+        assert terms.thetas is not None
+        for n, rows in enumerate(terms.chain):
+            entries = [entry for row in rows for entry in row]
+            assert all(len(entry) <= 1 for entry in entries)
+            assert {j for entry in entries for j, _ in entry} <= {n - 1, n, n + 1}
+            assert all(type(c) is int for entry in entries for _, c in entry)
+        bumped = verification._perturbed_tables(tables, True)
+        assert channel_terms(spec, bumped[:1]).thetas is not None
+        peeled = channel_terms(spec, bumped)
+        assert peeled.thetas is None
+        assert [len(rows[0][0]) for rows in peeled.chain] == [1] + [2] * top
+        basis = gram_basis(spec, top + 1, tau)
+        pairs = [(n, k) for n in range(top + 1) for k in range(n)]
+        for chain, got in ((tables, terms), (bumped, peeled)):
+            checks = verification.verify_orthogonality(spec, chain, spec.a[0], tau,
+                                                       basis=basis, terms=got)
+            for (n, k), check in zip(pairs, checks, strict=True):
+                gram = oracle_gram(spec, chain[n].polynomial(), chain[k].polynomial(), tau)
+                zero = all(v == 0 for row in gram for v in row)
+                assert check.passed == zero
+                assert check.detail == f"k = {k}" + ("" if zero else f"; gram = {gram}")
 
 
 def test_wrong_norm_ratio_fails_orthogonality_like_the_dense_path(monkeypatch):
     """Q_n built with theta doubled is still a chain of single ladder
-    multiples, but its Grams do not vanish: the certificate must fail the
-    chain, and the report is the dense path's."""
+    multiples in construction form, but its Grams do not vanish: the
+    orthogonality checks fail with the oracle's Grams, and the report is the
+    dense eigenfunction and recurrence paths'."""
     real = construction._norm_quotient.__wrapped__
 
     def doubled(num, n_num, den, n_den):
@@ -228,12 +311,13 @@ def test_wrong_norm_ratio_fails_orthogonality_like_the_dense_path(monkeypatch):
     monkeypatch.setattr(construction, "chain_context", fresh_contexts())
     for spec in (PASSING["krawtchouk m=2"], PASSING["charlier/meixner/charlier"]):
         tables = [orthogonal_table(spec, n, 2) for n in range(3)]
-        assert channel_terms(spec, tables) is not None
+        assert channel_terms(spec, tables).thetas is not None
         got = outcome(lambda: verification.run_verification(spec, n_max=2))
         with dense_path():
             want = outcome(lambda: verification.run_verification(spec, n_max=2))
         assert got == want
         assert '"check": "orthogonality"' in got and '"pass": false' in got
+        assert_orthogonality_reads_the_oracle(spec, got, False)
 
 
 def fresh_contexts():
@@ -309,7 +393,7 @@ def test_recurrence_certificate_equals_matching_and_closure(spec, top, tau, bent
     with theta_one_degree_off() if bent else contextlib.nullcontext():
         tables = [orthogonal_table(spec, n, tau) for n in range(top + 2)]
     terms = channel_terms(spec, tables)
-    assert terms is not None
+    assert terms.thetas is not None
 
     def dense():
         matched = match_recurrence(tables, singular=singular_at)
@@ -337,8 +421,8 @@ def test_recurrence_certificate_equals_matching_and_closure(spec, top, tau, bent
         return linalg.determinant([[F(lead[i][j], tables[k].scale) for j in odd] for i in odd])
 
     for k, rows in enumerate(terms.chain):
-        theta = rational_matrix(m, (((j, i), -F(rows[j][i][1], q * tables[k].scale))
-                                    for i, j in positions if rows[j][i] is not None))
+        theta = rational_matrix(m, (((j, i), -F(rows[j][i][0][1], q * tables[k].scale))
+                                    for i, j in positions if rows[j][i]))
         assert theta == R(k)
     for n in range(top + 1):
         M = plus(linalg.identity(m), linalg.mat_mul(A, R(n + 1)), linalg.mat_mul(R(n), A))
@@ -358,7 +442,8 @@ def test_theta_one_degree_off_reports_like_the_dense_path():
 
     for spec in (PASSING["krawtchouk m=2"], PASSING["charlier/meixner/charlier"]):
         with theta_one_degree_off():
-            assert channel_terms(spec, [orthogonal_table(spec, n, 2) for n in range(4)])
+            tables = [orthogonal_table(spec, n, 2) for n in range(4)]
+            assert channel_terms(spec, tables).thetas is not None
 
             def run():
                 return verification.run_verification(spec, n_max=2)
@@ -388,7 +473,8 @@ def test_closing_polynomial_out_of_form_is_matched():
          (0, ScalarPoly.constant(1))))
     tables = [orthogonal_table(spec, n) for n in range(3)] + [integer_table(closing)]
     terms = channel_terms(spec, tables)
-    assert terms is not None
+    assert all(len(entry) <= 1 for row in terms.chain[-1] for entry in row)
+    assert terms.thetas is None
     got = verification.verify_recurrence(spec, tables, a, None, terms=terms)
     assert got == verification.verify_recurrence(spec, tables, a, None)
     assert [c.passed for c in got] == [True, True, False]

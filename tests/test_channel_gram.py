@@ -1,7 +1,7 @@
-"""The exact Gram in the channel basis: against the support sum
-(``gram_oracle``) on finite specs, against the falling-factorial moments on
-infinite ones, and as the orthogonality verdict of ``verify`` on an
-infinite support."""
+"""The exact Gram in the channel basis, read off the peeled channel terms:
+against the support sum (``gram_oracle``) on finite specs, against the
+falling-factorial moments on infinite ones, and as the orthogonality
+verdict of ``verify`` on an infinite support."""
 import json
 import re
 from collections import Counter
@@ -13,12 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mvop import cli, verification
 from mvop.construction import (
     FamilySpec,
-    channel_gram,
     channel_masses,
-    channel_table,
+    channel_terms,
     gram_basis,
     integer_table,
     orthogonal_polynomial,
+    term_grams,
 )
 from mvop.families import Charlier, Hahn, Krawtchouk, Meixner
 from mvop.poly import MatrixPoly, ScalarPoly
@@ -48,11 +48,13 @@ CMC = FamilySpec(a=(F(2), F(-1, 3)), channels=(
 
 def grams(polys, spec, tau=None):
     """The program's channel Gram of every pair of ``polys``, from one
-    basis, keyed by the pair of indices."""
+    basis and one peel of each polynomial, keyed by the pair of indices."""
     basis = gram_basis(spec, max(P.degree for P in polys) + 1, tau)
-    tables = [channel_table(integer_table(P), spec, basis) for P in polys]
-    return {(n, k): over(*channel_gram(p, q, basis))
-            for n, p in enumerate(tables) for k, q in enumerate(tables)}
+    terms = channel_terms(spec, [integer_table(P) for P in polys])
+    pairs = [(n, k) for n in range(len(polys)) for k in range(len(polys))]
+    sums = term_grams(terms.chain, basis, pairs)
+    return {(n, k): over(sums[n, k], terms.scales[n] * terms.scales[k] * basis.norm_scale)
+            for n, k in pairs}
 
 
 def chain(spec, top, tau=None, perturb=False):
@@ -76,15 +78,16 @@ def finite_specs(draw):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=finite_specs(), perturb=st.booleans(), dense=st.tuples(
-    st.integers(0, 4), st.integers(0, 4), st.integers(1, 5), st.integers(1, 5)))
+    st.integers(0, 7), st.integers(0, 7), st.integers(1, 5), st.integers(1, 5)))
 def test_channel_gram_equals_support_sum(spec, perturb, dense):
     """The channel Gram of every pair of the chain Q_0..Q_N and of two
-    dense polynomials of degree <= N + 1 is the integer support sum, entry
-    for entry."""
+    dense polynomials of degree <= N + 4 is the integer support sum, entry
+    for entry: P U then has entries of degree up to N + 5, which the peel
+    reduces modulo p_(N+1)."""
     N = spec.support_N
     degrees, seeds = dense[:2], dense[2:]
     polys = chain(spec, N, perturb=perturb) + [
-        dense_poly(spec.m, min(d, N + 1), seed) for d, seed in zip(degrees, seeds)]
+        dense_poly(spec.m, min(d, N + 4), seed) for d, seed in zip(degrees, seeds)]
     weights = weight_table(spec)
     values = [value_table(integer_table(P), spec) for P in polys]
     for (n, k), gram in grams(polys, spec).items():

@@ -7,7 +7,7 @@ import pytest
 
 from mvop import construction, linalg, verification
 from mvop.construction import FamilySpec, inner_product, integer_table, orthogonal_polynomial
-from mvop.families import Hahn, Krawtchouk
+from mvop.families import Charlier, Hahn, Krawtchouk
 from mvop.poly import MatrixPoly, ScalarPoly
 
 from construction_oracle import gram_schmidt_oracle
@@ -72,6 +72,19 @@ def test_entries_stay_fractions_for_integer_values():
     for P in (zero, one):
         entries = inner_product(P, one, spec).entries
         assert all(type(v) is F for row in entries for v in row)
+
+
+def test_exact_mode_refuses_float_coefficients():
+    """Float coefficients, as the float mass quotients (tau "numeric") give,
+    are a ValueError that names the truncated mode, on either side and on
+    either support."""
+    charlier = FamilySpec(a=(F(1),), channels=(Charlier(F(1)), Charlier(F(2))))
+    P = orthogonal_polynomial(charlier, 1, tau="numeric")
+    one = MatrixPoly.identity(2)
+    for spec in (SPECS["krawtchouk m=2"], charlier):
+        for left, right in ((P, P), (P, one), (one, P)):
+            with pytest.raises(ValueError, match='exact rational coefficients.*mode="truncated"'):
+                inner_product(left, right, spec)
 
 
 def test_gram_schmidt_oracle_distinct_couplings():

@@ -80,8 +80,7 @@ def test_one_certificate_per_channel_and_one_basis_per_tau(monkeypatch, fresh_la
     assert [tau for _, _, tau in bases] == [tau for _, tau in masses] == list(report.tau_probes)
     for args in bases:
         basis = construction.gram_basis(*args)
-        assert len(basis.columns) == spec.m
-        assert len(basis.norms) == spec.m * len(basis.columns[0])
+        assert len(basis.norms) == spec.m * basis.width
 
 
 def mutated_runs(spec, n_max=3):
