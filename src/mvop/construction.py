@@ -974,18 +974,21 @@ def channel_terms(spec: FamilySpec, tables) -> ChannelTerms:
     (``ChainContext.peel``).
 
     Q_n U = P_n + A P_(n+1) - R_n P_(n-1), so each entry of a Q_n built by
-    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1} and
-    takes one step; a bumped table (``--perturb``) or any other polynomial
-    takes more.  Every integer coefficient of every table is read back:
-    entry (i, r) of q L (Q U) is q Q_ir plus (q a) x Q_ik for each pattern
-    position (k, r) holding a.
+    ``orthogonal_table`` is c p_j^(r) for one j in {n - 1, n, n + 1}: one
+    comparison with the ladder's integer d p_j in the chain context, whose
+    leading coefficient is d, recognises it (p_j is monic, so c is the
+    entry's leading coefficient, and the entry is c p_j when its
+    coefficients times d are c times d p_j's).  A bumped table
+    (``--perturb``) or any other polynomial is peeled.  Every integer
+    coefficient of every table is read back: entry (i, r) of q L (Q U) is
+    q Q_ir plus (q a) x Q_ik for each pattern position (k, r) holding a.
 
     In the same pass each table k is held to construction form, which the
     recurrence certificate reads: every entry of q L_k (Q_k U) is one term,
     (k, q L_k) on the diagonal, (k + 1, L_k q a) at each pattern position
     (i, j) holding a, (k - 1, c) or none at (j, i), and none elsewhere."""
     context = chain_context(spec.channels)
-    kinds, peel = context.kinds, context.peel
+    kinds, peel, integers = context.kinds, context.peel, context.integers
     m = spec.m
     q, couplings = _integer_couplings(spec)
     coupled = [[(i, c) for i, j, c in couplings if j == r] for r in range(m)]
@@ -1014,9 +1017,12 @@ def channel_terms(spec: FamilySpec, tables) -> ChannelTerms:
                     entries.append(())
                     conforms = conforms and kind in (_ZERO, _TRANSPOSED)
                     continue
-                terms = peel(r, cs)
-                entries.append(terms)
+                # one comparison recognises an entry that is one ladder
+                # multiple c p_j, as every entry of a chain as built is
                 j, c = len(cs) - 1, cs[-1]
+                p, d = integers[j][r] if j in integers else ((), 0)
+                terms = ((j, c),) if [v * d for v in cs] == [c * w for w in p] else peel(r, cs)
+                entries.append(terms)
                 conforms = conforms and len(terms) == 1
                 if kind == _DIAGONAL:
                     conforms = conforms and j == k and c == s

@@ -11,8 +11,11 @@ the couplings over their common denominator), each entry's integer
 coefficients evaluated by integer Horner (``integer_values``), ``weight_table`` puts the
 channel weights over one denominator, and ``gram_sum`` sums any pair in
 integers and divides each entry once, giving the exact ``Fraction`` Gram.
-The program reads the same Gram in the channel basis
-(``mvop.construction.channel_gram``); tests compare the two.
+The program reads the same Gram in the channel basis, from each entry of
+P U peeled onto its channel's ladder (``mvop.construction.channel_terms``)
+and the ladders' norms (``mvop.construction.term_grams``); tests compare
+the two, on chains of Q_n, bumped chains and dense polynomials whose P U
+passes degree N + 2, where the peel reduces modulo p_(N+1).
 """
 import math
 from fractions import Fraction

@@ -44,11 +44,13 @@ def generic_poly(m, seed):
 
 
 def sample_polys(spec):
+    # the last has m + 1 rows: a Gram needs only the columns to match W
     return [
         generic_poly(spec.m, 1),
         generic_poly(spec.m, 4),
         orthogonal_polynomial(spec, 1),
         orthogonal_polynomial(spec, 2),
+        MatrixPoly(tuple(row[:spec.m] for row in generic_poly(spec.m + 1, 2).entries)),
     ]
 
 
