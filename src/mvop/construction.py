@@ -77,8 +77,9 @@ chain to construction form.  ``term_grams`` sums c c' |p_j^(r)|^2 over
 the terms that share (r, j), from the ladders' norms alone, for a chain of
 Q_n, a bumped chain or any two polynomials, and ``rational.over`` divides
 out the scales once per entry.  On a finite support {0..N} a degree past
-N + 2 is reduced by a multiple of x^(j-N-1) p_(N+1), which vanishes on the
-support, and every p_j with j > N has norm zero.  ``gram_basis`` puts the
+N + 1 is reduced by a multiple of x^(j-N-1) p_(N+1), which vanishes on the
+support, so no ladder degree past N + 1 is read, and p_(N+1) has norm
+zero.  ``gram_basis`` puts the
 ladders' norms (the cross-channel masses resolved along the pattern path
 at the tau probe by ``channel_masses``) over one integer denominator once
 per (channels, tau).  On a finite support the norms carry channel 1's
@@ -459,8 +460,9 @@ class ChainContext:
 
     def __init__(self, channels):
         self.top = channels[0].support_N
-        # the top ladder degree a peel reads: the closure companion's N + 2
-        self.last = math.inf if self.top is None else self.top + 2
+        # the top ladder degree a peel reads: p_(N+1), which vanishes on a
+        # finite support {0..N}
+        self.last = math.inf if self.top is None else self.top + 1
         self.ladders = [ladder(ch) for ch in channels]
         self.positions = staggered_positions(len(channels))
         # i -> [(l, index of the coupling)] along row i of A
@@ -501,22 +503,20 @@ class ChainContext:
         coefficient cancelled, so the remainder is read on with its scale
         multiplied by d, and c is recorded over the scale reached: an int
         where the scale divides it, a ``Fraction`` otherwise.  An entry that
-        is one ladder multiple takes one step.  On a finite support {0..N} a degree
-        past N + 2, the closure companion's top ladder degree, is reduced by
-        c x^(j-N-1) p_(N+1), which vanishes on the support, and records
-        nothing; the terms at N + 1 and N + 2 are kept, with norm zero."""
+        is one ladder multiple takes one step.  On a finite support {0..N}
+        a degree past N + 1 is reduced by c x^(j-N-1) p_(N+1), which
+        vanishes on the support, and records nothing, so no ladder degree
+        past p_(N+1) is read; the term at N + 1 is kept, with norm zero."""
         terms, scale = [], 1
         while True:
             j, c = len(cs) - 1, cs[-1]
-            k = j if j <= self.last else self.top + 1
+            k = min(j, self.last)
             try:
                 p, d = self.integers[k][r]
             except KeyError:
                 p, d = self.ladders[r].integer(k)
             if k < j:
                 p = (0,) * (j - k) + p  # x^(j-N-1) p_(N+1)
-            elif scale == 1:
-                terms.append((j, c))
             else:
                 whole, part = divmod(c, scale)
                 terms.append((j, Fraction(c, scale) if part else whole))
@@ -978,17 +978,22 @@ def channel_terms(spec: FamilySpec, tables) -> ChannelTerms:
     comparison with the ladder's integer d p_j in the chain context, whose
     leading coefficient is d, recognises it (p_j is monic, so c is the
     entry's leading coefficient, and the entry is c p_j when its
-    coefficients times d are c times d p_j's).  A bumped table
-    (``--perturb``) or any other polynomial is peeled.  Every integer
-    coefficient of every table is read back: entry (i, r) of q L (Q U) is
-    q Q_ir plus (q a) x Q_ik for each pattern position (k, r) holding a.
+    coefficients times d are c times d p_j's), and its one term is (j, c).
+    A bumped table (``--perturb``) or any other polynomial is peeled, and so
+    is the closure companion's c p_(N+2) on a finite support, whose terms
+    stop at p_(N+1).  Every integer coefficient of every table is read back:
+    entry (i, r) of q L (Q U) is q Q_ir plus (q a) x Q_ik for each pattern
+    position (k, r) holding a.
 
     In the same pass each table k is held to construction form, which the
-    recurrence certificate reads: every entry of q L_k (Q_k U) is one term,
-    (k, q L_k) on the diagonal, (k + 1, L_k q a) at each pattern position
-    (i, j) holding a, (k - 1, c) or none at (j, i), and none elsewhere."""
+    recurrence certificate reads: every entry of q L_k (Q_k U) is one
+    multiple c p_j of the ladder polynomial the chain context holds,
+    (j, c) being (k, q L_k) on the diagonal, (k + 1, L_k q a) at each
+    pattern position (i, j) holding a, (k - 1, c) or none at (j, i), and
+    none elsewhere."""
     context = chain_context(spec.channels)
-    kinds, peel, integers = context.kinds, context.peel, context.integers
+    kinds, peel, integers, ladders = context.kinds, context.peel, context.integers, context.ladders
+    last = context.last
     m = spec.m
     q, couplings = _integer_couplings(spec)
     coupled = [[(i, c) for i, j, c in couplings if j == r] for r in range(m)]
@@ -1018,12 +1023,15 @@ def channel_terms(spec: FamilySpec, tables) -> ChannelTerms:
                     conforms = conforms and kind in (_ZERO, _TRANSPOSED)
                     continue
                 # one comparison recognises an entry that is one ladder
-                # multiple c p_j, as every entry of a chain as built is
+                # multiple c p_j, as every entry of a chain as built is; the
+                # closure companion's p_(N+2) is read only where its chain
+                # grew it
                 j, c = len(cs) - 1, cs[-1]
-                p, d = integers[j][r] if j in integers else ((), 0)
-                terms = ((j, c),) if [v * d for v in cs] == [c * w for w in p] else peel(r, cs)
-                entries.append(terms)
-                conforms = conforms and len(terms) == 1
+                p, d = integers[j][r] if j in integers else (
+                    ladders[r].integer(j) if j <= last else ((), 0))
+                single = [v * d for v in cs] == [c * w for w in p]
+                entries.append(((j, c),) if single and j <= last else peel(r, cs))
+                conforms = conforms and single
                 if kind == _DIAGONAL:
                     conforms = conforms and j == k and c == s
                 elif kind == _PATTERN:

@@ -366,8 +366,8 @@ def _eigenvalues_match(chain, lam) -> bool:
     """Whether every term c p_j^(r) in row i of Q_n U has
     lambda_j^(r) = (Lambda_n)_ii, for ``chain`` the channel terms of
     Q_0, Q_1, ... and ``lam[r][j]`` channel r's eigenvalue at degree j.
-    The terms of an entry of degree at most N + 2 are its exact expansion
-    on the ladder basis, as every entry of a chain's Q U is, so the
+    The terms of an entry of degree at most N + 1 are its exact expansion
+    on the ladder basis, as every entry of Q_0..Q_top U is, so the
     identity holds exactly when every term's eigenvalue matches its row's."""
     return all(lam[r][j] == lam[i][n]
                for n, rows in enumerate(chain) for i, row in enumerate(rows)

@@ -161,28 +161,17 @@ def orthogonal_tables(spec, degrees, tau=None):
             tuple(tuple(entries.get((i, l), ())) for l in range(m)) for i in range(m)))
 
 
-def ladder_polynomial(channel, j):
-    """The channel's monic p_j, and on a finite support {0..N} at j = N + 2
-    the recurrence's own step (x - b_(N+1)) p_(N+1) - c_(N+1) p_N, which
-    the closure companion reads."""
-    N = channel.support_N
-    if N is None or j <= N + 1:
-        return monic_polynomial(channel, j)
-    b, c = channel.recurrence_bc(N + 1)
-    return monic_polynomial(channel, N + 1) * ScalarPoly((-b, 1)) - monic_polynomial(channel, N) * c
-
-
 def peel(channel, e):
     """The terms (j, c) of e on the channel's monic ladder, from the top
     down: e minus c p_j at each degree j, and on a finite support {0..N},
-    past degree N + 2, minus c x^(j-N-1) p_(N+1), with nothing recorded."""
+    past degree N + 1, minus c x^(j-N-1) p_(N+1), with nothing recorded."""
     N = channel.support_N
     terms = []
     while not e.is_zero:
         j, c = e.degree, e.leading
-        if N is None or j <= N + 2:
+        if N is None or j <= N + 1:
             terms.append((j, c))
-            e = e - ladder_polynomial(channel, j) * c
+            e = e - monic_polynomial(channel, j) * c
         else:
             shift = ScalarPoly((0,) * (j - N - 1) + (1,))
             e = e - monic_polynomial(channel, N + 1) * shift * c

@@ -15,7 +15,7 @@ The program reads the same Gram in the channel basis, from each entry of
 P U peeled onto its channel's ladder (``mvop.construction.channel_terms``)
 and the ladders' norms (``mvop.construction.term_grams``); tests compare
 the two, on chains of Q_n, bumped chains and dense polynomials whose P U
-passes degree N + 2, where the peel reduces modulo p_(N+1).
+passes degree N + 1, where the peel reduces modulo p_(N+1).
 """
 import math
 from fractions import Fraction

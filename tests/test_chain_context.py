@@ -119,7 +119,8 @@ def test_read_back_equals_the_fraction_read_back(chains, data):
     """``channel_terms`` keeps the terms a ``Fraction`` peel of Q U on the
     monic ladders finds, on the chain as built and with one coefficient of
     one entry bumped, the top coefficient and the one past it included, so
-    that a closure companion's entry can pass degree N + 2."""
+    that a closure companion's entry can pass degree N + 2, where both
+    reduce modulo p_(N+1)."""
     spec, tau, degrees = chains[0]
     tables = list(orthogonal_tables(spec, degrees, tau))
     n = data.draw(st.integers(0, len(tables) - 1))

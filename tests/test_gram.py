@@ -89,6 +89,20 @@ def test_exact_mode_refuses_float_coefficients():
                 inner_product(left, right, spec)
 
 
+def test_gram_past_the_support_reads_no_ladder_past_p_n_plus_1():
+    """Entries of P U past degree N + 1 are reduced by p_(N+1), so no
+    ladder degree past N + 1 is read: this Hahn pair's recurrence
+    degenerates at n = N + 1, yet polynomials of degree up to N + 3 keep
+    their exact Gram."""
+    spec = FamilySpec(a=(F(-2, 3),), channels=(Hahn(F(-11, 2), F(-13, 2), 3),
+                                               Hahn(F(-9, 2), F(-11, 2), 3)))
+    for degree in (2, 4, 6):
+        P = MatrixPoly(tuple(tuple(ScalarPoly(F(i + j + d + 1, d + 2) for d in range(degree + 1))
+                                   for j in range(2)) for i in range(2)))
+        assert inner_product(P, generic_poly(2, degree), spec).entries == \
+            brute_force_gram(P, generic_poly(2, degree), spec)
+
+
 def test_gram_schmidt_oracle_distinct_couplings():
     spec = SPECS["krawtchouk m=3"]
     for n in range(spec.support_N + 1):
