@@ -767,9 +767,9 @@ def inner_product(P: MatrixPoly, Q: MatrixPoly, spec: FamilySpec, mode: str = "e
     Exact mode needs exact coefficients, ints or ``Fraction``s (any other
     is a ValueError), and a finite support, and reads the Gram off the
     channel terms of P and Q (``channel_terms``, ``term_grams``); a channel
-    whose ladder fails its certificate is a SpecError naming it.  On an infinite support
-    the exact Gram reads a tau probe, and ``mvop verify`` is the exact
-    route.  Truncated mode sums in floats through ``float_grams``, over
+    whose ladder fails its certificate is a SpecError naming it.  On an
+    infinite support the exact Gram reads a tau probe, and ``mvop verify``
+    is the exact route.  Truncated mode sums in floats through ``float_grams``, over
     x = 0..x_max on an infinite support and the whole of 0..N on a finite
     one, and records the tail estimate (last term relative to the
     accumulated absolute sum); a tail above ``tol``, which must be positive

@@ -111,13 +111,17 @@ def dense_path():
         yield
 
 
-def oracle_gram(spec, P, Q, tau):
-    """<P, Q> by the support sum on a finite support, by the moments on an
-    infinite one."""
+def oracle_verdict(spec, P, Q, tau, k):
+    """The pass and detail of the check <P, Q> = 0 against Q = Q_k, from
+    the support sum on a finite support and the moments on an infinite
+    one."""
     if spec.is_finite:
-        return gram_sum(*(value_table(integer_table(S), spec) for S in (P, Q)),
+        gram = gram_sum(*(value_table(integer_table(S), spec) for S in (P, Q)),
                         weight_table(spec))
-    return moment_gram(P, Q, spec, tau)
+    else:
+        gram = moment_gram(P, Q, spec, tau)
+    zero = all(v == 0 for row in gram for v in row)
+    return zero, f"k = {k}" + ("" if zero else f"; gram = {gram}")
 
 
 def assert_orthogonality_reads_the_oracle(spec, report, perturb):
@@ -138,10 +142,8 @@ def assert_orthogonality_reads_the_oracle(spec, report, perturb):
     for check in checks:
         probe, tau = check["key"]
         n, k = check["n"], int(check["detail"].split(";")[0][len("k = "):])
-        gram = oracle_gram(probe, chains[probe, tau][n], chains[probe, tau][k], tau)
-        zero = all(v == 0 for row in gram for v in row)
-        assert check["pass"] == zero
-        assert check["detail"] == f"k = {k}" + ("" if zero else f"; gram = {gram}")
+        chain = chains[probe, tau]
+        assert (check["pass"], check["detail"]) == oracle_verdict(probe, chain[n], chain[k], tau, k)
 
 
 def outcome(run):
@@ -289,10 +291,8 @@ def test_terms_are_single_ladder_multiples():
             checks = verification.verify_orthogonality(spec, chain, spec.a[0], tau,
                                                        basis=basis, terms=got)
             for (n, k), check in zip(pairs, checks, strict=True):
-                gram = oracle_gram(spec, chain[n].polynomial(), chain[k].polynomial(), tau)
-                zero = all(v == 0 for row in gram for v in row)
-                assert check.passed == zero
-                assert check.detail == f"k = {k}" + ("" if zero else f"; gram = {gram}")
+                assert (check.passed, check.detail) == oracle_verdict(
+                    spec, chain[n].polynomial(), chain[k].polynomial(), tau, k)
 
 
 def test_wrong_norm_ratio_fails_orthogonality_like_the_dense_path(monkeypatch):
